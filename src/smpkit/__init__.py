@@ -18,8 +18,11 @@ from .adjoint import (
 )
 from .duality import (
     IdentityReport,
+    TupleSpec,
     lipschitz_probe,
+    verify_first_identities,
     verify_first_identity,
+    verify_second_identities,
     verify_second_identity,
 )
 from .forward import (

@@ -6,7 +6,7 @@ floats with 17 significant digits) plus a manifest echoing the resolved
 configuration, and exits 0 only if the command's pass rule holds.
 
 Exit codes: 0 pass, 1 failed pass rule (the failing artifact is named on
-stderr), 2 unknown preset or unusable configuration.
+stderr), 2 unknown preset or unusable configuration (one line on stderr).
 """
 
 import argparse
@@ -14,20 +14,25 @@ import csv
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .adjoint import solve_first_adjoint
-from .duality import (
+# the single-tuple names are not called here; perfbench/tracing.py wraps
+# these lookups, so they stay imported
+from .duality import (  # noqa: F401
+    describe_first_test,
+    describe_second_test,
     random_first_test,
     random_second_test,
+    verify_first_identities,
     verify_first_identity,
+    verify_second_identities,
     verify_second_identity,
 )
-from .errors import SmpKitError, StepRuleError
+from .errors import ConfigError, SmpKitError, StepRuleError
 from .forward import OpenLoop, TimeGrid, cost_paths, sample_brownian, simulate_controlled
 from .maximum_principle import (
     check_condition,
@@ -99,15 +104,30 @@ def write_manifest(cfg, outdir, wall_time, extra=None):
     return path
 
 
-def _resolve(cfg):
-    """Load the preset and build grid + ensemble."""
-    preset_cfg = load_preset(cfg.preset)
-    scenario, lq = build_preset(preset_cfg)
+DT_SLACK = 1e-9  # relative: how far n_steps * dt may miss the horizon T
+
+
+def _grid_for(cfg, preset_cfg):
+    """The time grid of the run.  Raises ConfigError for options no run can
+    honour, instead of running on a grid other than the one asked for."""
+    if cfg.paths < 2:
+        raise ConfigError(f"--paths must be at least 2 (got {cfg.paths})")
+    if cfg.tuples < 1:
+        raise ConfigError(f"--tuples must be at least 1 (got {cfg.tuples})")
     T = float(preset_cfg.get("T", 1.0))
-    n_steps = int(round(T / cfg.dt))
-    grid = TimeGrid(0.0, T, n_steps)
+    if not (np.isfinite(cfg.dt) and cfg.dt > 0):
+        raise ConfigError(f"--dt must be positive (got {cfg.dt})")
+    n_steps = round(T / cfg.dt)
+    if n_steps < 1 or abs(n_steps * cfg.dt - T) > DT_SLACK * T:
+        raise ConfigError(f"--dt {cfg.dt} does not divide the horizon T = {T}")
+    return TimeGrid(0.0, T, n_steps)
+
+
+def _resolve(cfg, preset_cfg, grid):
+    """Build the preset's scenario and the ensemble."""
+    scenario, lq = build_preset(preset_cfg)
     ens = sample_brownian(grid, cfg.paths, cfg.seed)
-    return preset_cfg, scenario, lq, grid, ens
+    return scenario, lq, ens
 
 
 def _control_for(cfg, scenario, lq, grid):
@@ -122,8 +142,8 @@ def _control_for(cfg, scenario, lq, grid):
 # commands
 # ----------------------------------------------------------------------
 
-def cmd_simulate_forward(cfg):
-    preset_cfg, scenario, lq, grid, ens = _resolve(cfg)
+def cmd_simulate_forward(cfg, preset_cfg, grid):
+    scenario, lq, ens = _resolve(cfg, preset_cfg, grid)
     control = _control_for(cfg, scenario, lq, grid)
     traj = simulate_controlled(scenario, scenario.x0, control, ens)
     times = grid.times()
@@ -148,8 +168,8 @@ def cmd_simulate_forward(cfg):
     return 0, None
 
 
-def cmd_solve_adjoint(cfg):
-    preset_cfg, scenario, lq, grid, ens = _resolve(cfg)
+def cmd_solve_adjoint(cfg, preset_cfg, grid):
+    scenario, lq, ens = _resolve(cfg, preset_cfg, grid)
     control = _control_for(cfg, scenario, lq, grid)
     traj = simulate_controlled(scenario, scenario.x0, control, ens)
     pair = solve_first_adjoint(scenario, traj, None, ens)
@@ -169,9 +189,10 @@ def cmd_solve_adjoint(cfg):
     return 0, None
 
 
-def _second_order_inputs(cfg, preset_cfg, scenario, lq, grid, ens):
+def _second_order_inputs(cfg, preset_cfg, scenario, lq, grid, ens, first=None):
     """Matrix-equation data: either straight from a matrix preset or the
-    linearization along the chosen control."""
+    linearization along the chosen control.  ``first`` is the (trajectory,
+    first adjoint) along that control when the caller already has them."""
     if preset_cfg.get("kind") == "matrix_scalar":
         op = OperatorSpec(1, np.array([0.0]))
         kappa = float(preset_cfg.get("kappa", 0.5))
@@ -180,15 +201,20 @@ def _second_order_inputs(cfg, preset_cfg, scenario, lq, grid, ens):
         F = np.array([[float(preset_cfg.get("forcing", 0.0))]])
         P_T = np.array([[float(preset_cfg.get("terminal", 1.0))]])
         return op, J, K, F, P_T, None
-    control = _control_for(cfg, scenario, lq, grid)
-    traj = simulate_controlled(scenario, scenario.x0, control, ens)
-    pair = solve_first_adjoint(scenario, traj, None, ens)
+    traj, pair = first or _first_order(cfg, scenario, lq, grid, ens)
     J, K, F, P_T = second_order_data(scenario, traj, pair)
     return scenario.op, J, K, F, P_T, traj
 
 
-def cmd_solve_second_adjoint(cfg):
-    preset_cfg, scenario, lq, grid, ens = _resolve(cfg)
+def _first_order(cfg, scenario, lq, grid, ens):
+    """Trajectory along the chosen control and its first adjoint pair."""
+    control = _control_for(cfg, scenario, lq, grid)
+    traj = simulate_controlled(scenario, scenario.x0, control, ens)
+    return traj, solve_first_adjoint(scenario, traj, None, ens)
+
+
+def cmd_solve_second_adjoint(cfg, preset_cfg, grid):
+    scenario, lq, ens = _resolve(cfg, preset_cfg, grid)
     op, J, K, F, P_T, traj = _second_order_inputs(cfg, preset_cfg, scenario, lq, grid, ens)
     feature_states = None if traj is None else traj.states
     sa = solve_second_adjoint(op, J, K, F, P_T, ens, feature_states=feature_states)
@@ -207,71 +233,49 @@ def cmd_solve_second_adjoint(cfg):
     return 0, {"symmetry_drift": _fmt(sa.symmetry_drift)}
 
 
-def cmd_verify_duality(cfg):
-    preset_cfg, scenario, lq, grid, ens = _resolve(cfg)
+def cmd_verify_duality(cfg, preset_cfg, grid):
+    scenario, lq, ens = _resolve(cfg, preset_cfg, grid)
     kind = preset_cfg.get("kind")
     failures = []
-    artifacts = {}
     c_first = float(preset_cfg.get("c_bias_first", 0.2))
     c_second = float(preset_cfg.get("c_bias_second", 0.5))
+    header = ["identity", "n_paths", "dt", "lhs", "rhs", "residual", "stderr", "pass"]
+    first = None
 
-    def run_tuples(worker, count):
-        results = [None] * count
-        with ThreadPoolExecutor(max_workers=max(1, cfg.workers)) as pool:
-            futures = {pool.submit(worker, i): i for i in range(count)}
-            for fut in futures:
-                results[futures[fut]] = fut.result()
-        return results
+    def record(name, reports):
+        path = os.path.join(cfg.outdir, f"{name}.csv")
+        write_csv(path, header, [r.row() for r in reports])
+        if not all(r.passed for r in reports):
+            failures.append(path)
 
     if cfg.order in ("first", "both") and kind != "matrix_scalar":
-        control = _control_for(cfg, scenario, lq, grid)
-        traj = simulate_controlled(scenario, scenario.x0, control, ens)
-        pair = solve_first_adjoint(scenario, traj, None, ens)
-
-        def first_worker(i):
-            rng = np.random.default_rng([cfg.seed, 1000 + i])
-            test = random_first_test(scenario.op, ens, rng)
-            return verify_first_identity(
-                pair, scenario.op, None, None, test, ens,
-                bias_budget=c_first * grid.dt, k_sigma=cfg.k_sigma,
-            )
-        reports = run_tuples(first_worker, cfg.tuples)
-        path = os.path.join(cfg.outdir, "duality_first.csv")
-        write_csv(path,
-                  ["identity", "n_paths", "dt", "lhs", "rhs", "residual", "stderr", "pass"],
-                  [r.row() for r in reports])
-        artifacts["duality_first"] = path
-        if not all(r.passed for r in reports):
-            failures.append(path)
+        first = _first_order(cfg, scenario, lq, grid, ens)
+        tests = [describe_first_test(scenario.op, ens, np.random.default_rng([cfg.seed, 1000 + i]))
+                 for i in range(cfg.tuples)]
+        record("duality_first", verify_first_identities(
+            first[1], scenario.op, None, None, tests, ens,
+            bias_budget=c_first * grid.dt, k_sigma=cfg.k_sigma,
+        ))
 
     if cfg.order in ("second", "both"):
-        op, J, K, F, P_T, traj = _second_order_inputs(cfg, preset_cfg, scenario, lq, grid, ens)
+        op, J, K, F, P_T, traj = _second_order_inputs(cfg, preset_cfg, scenario, lq, grid, ens,
+                                                      first)
         feature_states = None if traj is None else traj.states
         sa = solve_second_adjoint(op, J, K, F, P_T, ens, feature_states=feature_states)
-
-        def second_worker(i):
-            rng = np.random.default_rng([cfg.seed, 2000 + i])
-            test = random_second_test(op, ens, rng)
-            return verify_second_identity(
-                sa, op, J, K, F, P_T, test, ens,
-                bias_budget=c_second * grid.dt, k_sigma=cfg.k_sigma,
-            )
-        reports = run_tuples(second_worker, cfg.tuples)
-        path = os.path.join(cfg.outdir, "duality_second.csv")
-        write_csv(path,
-                  ["identity", "n_paths", "dt", "lhs", "rhs", "residual", "stderr", "pass"],
-                  [r.row() for r in reports])
-        artifacts["duality_second"] = path
-        if not all(r.passed for r in reports):
-            failures.append(path)
+        tests = [describe_second_test(op, ens, np.random.default_rng([cfg.seed, 2000 + i]))
+                 for i in range(cfg.tuples)]
+        record("duality_second", verify_second_identities(
+            sa, op, J, K, F, P_T, tests, ens,
+            bias_budget=c_second * grid.dt, k_sigma=cfg.k_sigma,
+        ))
 
     if failures:
         return 1, {"failed": ";".join(failures)}
     return 0, None
 
 
-def cmd_check_mp(cfg):
-    preset_cfg, scenario, lq, grid, ens = _resolve(cfg)
+def cmd_check_mp(cfg, preset_cfg, grid):
+    scenario, lq, ens = _resolve(cfg, preset_cfg, grid)
     control = _control_for(cfg, scenario, lq, grid)
     traj = simulate_controlled(scenario, scenario.x0, control, ens)
     pair, sa = solve_adjoints(scenario, traj, ens)
@@ -301,8 +305,8 @@ def cmd_check_mp(cfg):
     return (0 if report.passed else 1), ({"failed": path} | extra if not report.passed else extra)
 
 
-def cmd_optimize(cfg):
-    preset_cfg, scenario, lq, grid, ens = _resolve(cfg)
+def cmd_optimize(cfg, preset_cfg, grid):
+    scenario, lq, ens = _resolve(cfg, preset_cfg, grid)
     init = OpenLoop(np.zeros((grid.n_steps, scenario.control_dim)))
     try:
         final, history = projected_gradient(
@@ -315,8 +319,8 @@ def cmd_optimize(cfg):
     return 0, {"final_J": _fmt(history.final_cost)}
 
 
-def cmd_spike_experiment(cfg):
-    preset_cfg, scenario, lq, grid, ens = _resolve(cfg)
+def cmd_spike_experiment(cfg, preset_cfg, grid):
+    scenario, lq, ens = _resolve(cfg, preset_cfg, grid)
     control = _control_for(cfg, scenario, lq, grid)
     tau = round(cfg.tau / grid.dt) * grid.dt
     table = spike_experiment(
@@ -333,8 +337,8 @@ def cmd_spike_experiment(cfg):
     return 0, None
 
 
-def cmd_cross_validate(cfg):
-    preset_cfg, scenario, lq, grid, ens = _resolve(cfg)
+def cmd_cross_validate(cfg, preset_cfg, grid):
+    scenario, lq, ens = _resolve(cfg, preset_cfg, grid)
     if scenario.n_modes != 1:
         return 2, {"failed": "oracle cross-validation needs a scalar preset"}
     rc = riccati_oracle(lq, grid)
@@ -413,14 +417,17 @@ def main(argv=None):
     os.makedirs(cfg.outdir, exist_ok=True)
     start = time.time()
     try:
-        code, extra = COMMANDS[cfg.command](cfg)
-    except FileNotFoundError as exc:
+        preset_cfg = load_preset(cfg.preset)
+        grid = _grid_for(cfg, preset_cfg)
+        code, extra = COMMANDS[cfg.command](cfg, preset_cfg, grid)
+    except (FileNotFoundError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SmpKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    write_manifest(cfg, cfg.outdir, time.time() - start, extra)
+    used = {"n_steps": grid.n_steps, "dt_used": _fmt(grid.dt)}
+    write_manifest(cfg, cfg.outdir, time.time() - start, used | (extra or {}))
     if code != 0 and extra and "failed" in extra:
         print(f"pass rule failed: {extra['failed']}", file=sys.stderr)
     return code

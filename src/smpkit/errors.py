@@ -48,3 +48,7 @@ class LatticeEscapeError(SmpKitError):
 
 class StepRuleError(SmpKitError):
     """Optimizer cost estimate increased persistently; the step rule is unstable."""
+
+
+class ConfigError(SmpKitError, ValueError):
+    """Command-line options that no run can honour (grid, paths, tuple count)."""

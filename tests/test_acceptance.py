@@ -19,11 +19,12 @@ from helpers import lq_optimizer_run, lq_optimum_bundle
 from smpkit.adjoint import deterministic_first_adjoint, solve_first_adjoint
 from smpkit.cli import main as cli_main
 from smpkit.duality import (
+    describe_first_test,
+    describe_second_test,
     deterministic_first_test,
     lipschitz_probe,
-    random_first_test,
-    random_second_test,
-    verify_first_identity,
+    verify_first_identities,
+    verify_second_identities,
     verify_second_identity,
 )
 from smpkit.forward import OpenLoop, TimeGrid, cost_paths, sample_brownian, simulate_controlled
@@ -48,22 +49,18 @@ def _verdict(name, ok, detail):
 
 
 def _first_identity_level(scenario, n_steps, n_paths, tuples, seed=101, tuple_seed=55,
-                          make_test=random_first_test):
+                          make_test=describe_first_test):
     grid = TimeGrid(0.0, 1.0, n_steps)
     ens = sample_brownian(grid, n_paths, seed)
     control = OpenLoop(np.zeros((n_steps, scenario.control_dim)))
     traj = simulate_controlled(scenario, scenario.x0, control, ens)
     pair = solve_first_adjoint(scenario, traj, None, ens)
     rng = np.random.default_rng(tuple_seed)
-    reports = []
-    for _ in range(tuples):
-        test = make_test(scenario.op, ens, rng)
-        reports.append(
-            verify_first_identity(
-                pair, scenario.op, None, None, test, ens,
-                bias_budget=scenario.c_bias_first * grid.dt,
-            )
-        )
+    tests = [make_test(scenario.op, ens, rng) for _ in range(tuples)]
+    reports = verify_first_identities(
+        pair, scenario.op, None, None, tests, ens,
+        bias_budget=scenario.c_bias_first * grid.dt,
+    )
     del traj, pair, ens
     gc.collect()
     return reports
@@ -117,14 +114,10 @@ def _second_identity_case(op, J, K, F, P_T, scenario, n_steps, n_paths,
         op = scenario.op
     sa = solve_second_adjoint(op, J, K, F, P_T, ens, feature_states=feature_states)
     rng = np.random.default_rng(tuple_seed)
-    reports = []
-    for _ in range(tuples):
-        test = random_second_test(op, ens, rng)
-        reports.append(
-            verify_second_identity(
-                sa, op, J, K, F, P_T, test, ens, bias_budget=c_bias * grid.dt
-            )
-        )
+    tests = [describe_second_test(op, ens, rng) for _ in range(tuples)]
+    reports = verify_second_identities(
+        sa, op, J, K, F, P_T, tests, ens, bias_budget=c_bias * grid.dt
+    )
     return reports, (op, J, K, F, P_T, sa, ens, grid)
 
 

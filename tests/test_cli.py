@@ -1,6 +1,8 @@
 import filecmp
 import os
 
+import pytest
+
 from smpkit.cli import main
 
 
@@ -14,6 +16,35 @@ def test_unknown_preset_exits_2(tmp_path):
     code, _ = run(tmp_path, "x", "verify-duality", "--preset", "missing_preset",
                   "--paths", "100", "--dt", "0.05", "--seed", "1")
     assert code == 2
+
+
+BASE_DUALITY = {"--preset": "lq_scalar", "--paths": "200", "--dt": "0.05",
+                "--seed": "1", "--tuples": "2"}
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--dt", "0", "--dt must be positive"),
+    ("--dt", "0.3", "does not divide the horizon"),
+    ("--tuples", "0", "--tuples must be at least 1"),
+    ("--paths", "1", "--paths must be at least 2"),
+], ids=["dt_zero", "dt_not_dividing_T", "no_tuples", "one_path"])
+def test_unusable_options_exit_2(tmp_path, capsys, flag, value, message):
+    options = dict(BASE_DUALITY, **{flag: value})
+    argv = ["verify-duality"] + [tok for item in options.items() for tok in item]
+    code, out = run(tmp_path, "bad", *argv)
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert not (out / "duality_first.csv").exists()
+
+
+def test_manifest_records_grid_used(tmp_path):
+    code, out = run(tmp_path, "g", "simulate-forward", "--preset", "lq_scalar",
+                    "--paths", "200", "--dt", "0.005", "--seed", "2")
+    assert code == 0
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert "n_steps = 200" in manifest
+    assert "dt_used = " + format(1.0 / 200, ".17g") in manifest
 
 
 def test_verify_duality_deterministic_and_worker_independent(tmp_path):

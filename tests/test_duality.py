@@ -1,18 +1,32 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from duality_reference import (
+    loop_first_identity,
+    loop_random_first_test,
+    loop_random_second_test,
+    loop_second_identity,
+)
 from helpers import deterministic_data_scenario
 
 from smpkit.adjoint import AdjointPair, solve_first_adjoint
 from smpkit.duality import (
+    describe_first_test,
+    describe_second_test,
     lipschitz_probe,
     random_first_test,
     random_second_test,
+    verify_first_identities,
     verify_first_identity,
+    verify_second_identities,
     verify_second_identity,
 )
 from smpkit.errors import EnsembleMismatchError
 from smpkit.forward import OpenLoop, TimeGrid, sample_brownian, simulate_controlled
+from smpkit.maximum_principle import second_order_data
+from smpkit.scenarios import build_preset, load_preset
 from smpkit.second_order import lyapunov_oracle, solve_second_adjoint
 from smpkit.spectral import OperatorSpec, make_dirichlet_laplacian
 
@@ -98,6 +112,23 @@ def test_first_identity_requires_same_ensemble():
     pair = _zero_pair(grid, 1, 50, ens_a.fingerprint)
     with pytest.raises(EnsembleMismatchError):
         verify_first_identity(pair, op, None, None, (0, np.zeros(1), None, None), ens_b)
+
+
+def test_first_identity_leaves_single_path_pair_unchanged():
+    # with one path a step slice of pair.y is contiguous, so the verifier
+    # must not add the driver into it in place
+    op = make_dirichlet_laplacian(2, 1.0)
+    grid = TimeGrid(0.0, 1.0, 10)
+    ens = sample_brownian(grid, 1, 4)
+    rng = np.random.default_rng(2)
+    pair = AdjointPair(grid, rng.normal(size=(1, 11, 2)), rng.normal(size=(1, 10, 2)),
+                       rng.normal(size=(1, 10, 2)), ens.fingerprint)
+    y_before = pair.y.copy()
+    test = random_first_test(op, ens, np.random.default_rng(3))
+    first = verify_first_identity(pair, op, None, None, test, ens)
+    np.testing.assert_array_equal(pair.y, y_before)
+    second = verify_first_identity(pair, op, None, None, test, ens)
+    assert (second.lhs, second.rhs) == (first.lhs, first.rhs)
 
 
 # ----------------------------------------------------------------------
@@ -214,3 +245,129 @@ def test_probe_scales_linearly_with_data():
     r1 = lipschitz_probe(op, None, K, K + 0.1, F, P_T, probes, ens)
     r2 = lipschitz_probe(op, None, K, K + 0.1, 2 * F, 2 * P_T, probes, ens)
     np.testing.assert_allclose(r2.discrepancies, 2.0 * r1.discrepancies, rtol=1e-12)
+
+
+# ----------------------------------------------------------------------
+# stacked pass against the single-tuple calls and the per-tuple loop
+# ----------------------------------------------------------------------
+
+EQUIV_RTOL = 1e-12
+
+
+def _mixed_tuples(describe, op, ens, w, seed):
+    """Eight described tuples with mixed start steps (0, N//2 and others);
+    every other one is handed over materialized, so descriptions, (N, n)
+    profiles and per-path (P, N, n) arrays share one stack."""
+    N = ens.grid.n_steps
+    starts = (0, N // 2, 3, 0, N // 2, 7, 1, N // 2 - 1)
+    specs = [
+        dataclasses.replace(describe(op, ens, np.random.default_rng([seed, i])), t_index=t)
+        for i, t in enumerate(starts)
+    ]
+    return specs, [spec if i % 2 else spec.materialize(w) for i, spec in enumerate(specs)]
+
+
+def _assert_same_reports(stacked, singles, loops):
+    assert len(stacked) == len(singles) == len(loops)
+    for got, single, loop in zip(stacked, singles, loops):
+        for ref in (single, loop):
+            assert got.t_index == ref.t_index
+            assert got.passed == ref.passed
+            for field in ("lhs", "rhs", "stderr"):
+                np.testing.assert_allclose(getattr(got, field), getattr(ref, field),
+                                           rtol=EQUIV_RTOL, atol=0.0, err_msg=field)
+
+
+def _heat4_setup(n_steps=40, n_paths=600, seed=3):
+    scenario, _ = build_preset(load_preset("heat4"))
+    grid = TimeGrid(0.0, 1.0, n_steps)
+    ens = sample_brownian(grid, n_paths, seed)
+    traj = simulate_controlled(scenario, scenario.x0,
+                               OpenLoop(np.zeros((n_steps, scenario.control_dim))), ens)
+    pair = solve_first_adjoint(scenario, traj, None, ens)
+    return scenario, grid, ens, traj, pair
+
+
+def _check_second_equivalence(op, J, K, F, P_T, sa, ens, bias_budget, seed):
+    w = ens.brownian_paths()
+    specs, tests = _mixed_tuples(describe_second_test, op, ens, w, seed)
+    stacked = verify_second_identities(sa, op, J, K, F, P_T, tests, ens,
+                                       bias_budget=bias_budget)
+    singles = [verify_second_identity(sa, op, J, K, F, P_T, t, ens, bias_budget=bias_budget)
+               for t in tests]
+    loops = [loop_second_identity(sa, op, J, K, F, P_T, spec.materialize(w), ens,
+                                  bias_budget=bias_budget) for spec in specs]
+    _assert_same_reports(stacked, singles, loops)
+
+
+def test_stacked_first_identities_match_single_tuple_heat4():
+    scenario, grid, ens, traj, pair = _heat4_setup()
+    op = scenario.op
+    w = ens.brownian_paths()
+    budget = scenario.c_bias_first * grid.dt
+    specs, tests = _mixed_tuples(describe_first_test, op, ens, w, 17)
+    stacked = verify_first_identities(pair, op, None, None, tests, ens, bias_budget=budget)
+    singles = [verify_first_identity(pair, op, None, None, t, ens, bias_budget=budget)
+               for t in tests]
+    loops = [loop_first_identity(pair, op, None, None, spec.materialize(w), ens,
+                                 bias_budget=budget) for spec in specs]
+    _assert_same_reports(stacked, singles, loops)
+
+
+def test_stacked_second_identities_match_single_tuple_heat4_coefficient_mode():
+    scenario, grid, ens, traj, pair = _heat4_setup()
+    J, K, F, P_T = second_order_data(scenario, traj, pair)
+    sa = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, feature_states=traj.states)
+    assert sa.dense_P is None  # coefficient storage
+    _check_second_equivalence(scenario.op, J, K, F, P_T, sa, ens,
+                              scenario.c_bias_second * grid.dt, 29)
+
+
+def test_stacked_second_identities_match_single_tuple_mat_scalar():
+    mat = load_preset("mat_scalar")
+    op = OperatorSpec(1, np.array([0.0]))
+    K = np.array([[float(mat["kappa"])]])
+    F = np.array([[float(mat["forcing"])]])
+    P_T = np.array([[float(mat["terminal"])]])
+    grid = TimeGrid(0.0, 1.0, 40)
+    ens = sample_brownian(grid, 800, 5)
+    sa = solve_second_adjoint(op, None, K, F, P_T, ens)
+    _check_second_equivalence(op, None, K, F, P_T, sa, ens,
+                              float(mat["c_bias_second"]) * grid.dt, 31)
+
+
+def test_stacked_second_identities_match_single_tuple_dense_mode():
+    op = OperatorSpec(2, np.array([-0.3, -1.2]))
+    grid = TimeGrid(0.0, 1.0, 30)
+    ens = sample_brownian(grid, 800, 15)
+    rng = np.random.default_rng(4)
+    J_path = np.array([[0.1, 0.0], [0.2, -0.1]]) + 0.05 * rng.standard_normal((800, 30, 2, 2))
+    K_path = 0.3 * np.eye(2) + 0.05 * rng.standard_normal((800, 30, 2, 2))
+    F_path = np.array([[1.0, 0.1], [0.1, 0.4]]) + 0.1 * rng.standard_normal((800, 30, 2, 2))
+    P_T = -np.eye(2)
+    sa = solve_second_adjoint(op, J_path, K_path, F_path, P_T, ens)
+    assert sa.dense_P is not None
+    _check_second_equivalence(op, J_path, K_path, F_path, P_T, sa, ens, 0.5 * grid.dt, 37)
+
+
+def test_materialized_descriptions_reproduce_tuple_arrays():
+    scenario, _ = build_preset(load_preset("heat4"))
+    grid = TimeGrid(0.0, 1.0, 30)
+    ens = sample_brownian(grid, 200, 8)
+    w = ens.brownian_paths()
+    for describe, random_test, loop_test in (
+        (describe_first_test, random_first_test, loop_random_first_test),
+        (describe_second_test, random_second_test, loop_random_second_test),
+    ):
+        for i in range(4):
+            rngs = [np.random.default_rng([9, i]) for _ in range(3)]
+            expected = loop_test(scenario.op, ens, rngs[0])
+            for got in (describe(scenario.op, ens, rngs[1]).materialize(w),
+                        random_test(scenario.op, ens, rngs[2])):
+                assert got[0] == expected[0]
+                assert len(got) == len(expected)
+                for a, b in zip(got[1:], expected[1:]):
+                    np.testing.assert_array_equal(a, b)
+            # the same number of draws: the streams continue identically
+            follow = [rng.standard_normal() for rng in rngs]
+            assert follow[0] == follow[1] == follow[2]
