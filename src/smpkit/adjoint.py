@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateBasisError, DimensionError, EnsembleMismatchError
+from .forward import step_major
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,8 @@ def lsmc_regress(features, targets, ridge):
 @dataclass
 class AdjointPair:
     """Backward pair (y, Y) on the grid, per path; ``driver`` holds the f
-    values the sweep used at each step."""
+    values the sweep used at each step.  The histories are stored step-major
+    (see :func:`smpkit.forward.step_major`)."""
 
     grid: object
     y: np.ndarray                      # (n_paths, n_steps + 1, n)
@@ -132,9 +134,9 @@ def solve_first_adjoint(scenario, trajectory, control, ens, basis=None, record_d
     decay = np.exp(op.eigenvalues * dt)
     times = grid.times()
 
-    y = np.empty((P, N + 1, n))
-    Y = np.empty((P, N, n))
-    driver = np.empty((P, N, n)) if record_driver else None
+    y = step_major((P, N + 1, n))
+    Y = step_major((P, N, n))
+    driver = step_major((P, N, n)) if record_driver else None
     y[:, N] = -scenario.grad_terminal(trajectory.states[:, N])
 
     for j in range(N - 1, -1, -1):

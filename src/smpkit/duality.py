@@ -229,8 +229,8 @@ def _dot(a, b):
 
 def _modes_first(vec):
     """A per-path (P, n) or shared (n,) vector as a contiguous (n, P) or
-    (n, 1) array.  A step slice of a (P, N, n) history touches one page per
-    path, so each is gathered once per step, not once per use."""
+    (n, 1) array.  The transpose of a step slice is made once per step, not
+    once per use."""
     if vec.ndim == 1:
         return vec[:, None]
     return np.ascontiguousarray(vec.T)
@@ -378,12 +378,12 @@ class _TupleStack:
         return ks
 
     def forcings_at(self, j):
-        w_j = None if self.w is None else np.ascontiguousarray(self.w[:, j])
+        w_j = None if self.w is None else self.w[:, j]
         return [f.at(j, w_j) for f in self.forcings]
 
     def increments_at(self, j):
-        """The step-j Brownian increments, gathered once for every ``step``."""
-        return np.ascontiguousarray(self.increments[:, j])
+        """The step-j Brownian increments, (P,)."""
+        return self.increments[:, j]
 
     def step(self, x, j, dw, drift, noise):
         """x_{j+1} = S(dt) (x_j + drift dt + noise dw_j); None is zero."""

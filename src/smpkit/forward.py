@@ -7,7 +7,12 @@ dynamics and is unconditionally stable for stiff dissipative spectra.
 
 Path ensembles are vectorized: states are arrays of shape
 ``(n_paths, n_steps + 1, n_modes)`` and every coefficient callback receives
-batched inputs ``x: (n_paths, n), u: (n_paths, control_dim)``.
+batched inputs ``x: (n_paths, n), u: (n_paths, control_dim)``.  Every
+step-indexed path array (increments, Brownian paths, states, controls,
+adjoint histories, gradients, dense coefficients) is stored step-major
+behind that path-first shape: it comes from :func:`step_major`, so a step
+slice ``arr[:, j]`` is one contiguous block rather than one strided read
+per path.
 """
 
 from dataclasses import dataclass
@@ -19,6 +24,13 @@ from .errors import DimensionError, DomainError, SimulationDivergedError
 from .spectral import OperatorSpec
 
 OVERFLOW_GUARD = 1e12
+
+
+def step_major(shape):
+    """Uninitialized (n_paths, n_steps, ...) array stored as a C-contiguous
+    (n_steps, n_paths, ...) buffer, so a step slice ``arr[:, j]`` is
+    contiguous."""
+    return np.empty((shape[1], shape[0]) + tuple(shape[2:])).swapaxes(0, 1)
 
 
 @dataclass(frozen=True)
@@ -52,7 +64,7 @@ class BrownianEnsemble:
 
     grid: TimeGrid
     n_paths: int
-    increments: np.ndarray  # (n_paths, n_steps), units sqrt(time)
+    increments: np.ndarray  # (n_paths, n_steps) step-major, units sqrt(time)
     seed: int
 
     @property
@@ -61,20 +73,28 @@ class BrownianEnsemble:
 
     def brownian_paths(self):
         """Cumulative paths w(t_j), shape (n_paths, n_steps + 1), w(t0) = 0."""
-        w = np.zeros((self.n_paths, self.grid.n_steps + 1))
+        w = step_major((self.n_paths, self.grid.n_steps + 1))
+        w[:, 0] = 0.0
         np.cumsum(self.increments, axis=1, out=w[:, 1:])
         return w
+
+
+SAMPLE_BLOCK = 256  # paths drawn into one path-major block before the transpose
 
 
 def sample_brownian(grid, n_paths, seed):
     if n_paths < 1:
         raise DomainError("n_paths must be >= 1")
     children = np.random.SeedSequence(seed).spawn(n_paths)
-    incr = np.empty((n_paths, grid.n_steps))
+    incr = step_major((n_paths, grid.n_steps))
+    block = np.empty((min(n_paths, SAMPLE_BLOCK), grid.n_steps))
     scale = np.sqrt(grid.dt)
-    for i, child in enumerate(children):
-        incr[i] = np.random.default_rng(child).standard_normal(grid.n_steps)
-    incr *= scale
+    for lo in range(0, n_paths, SAMPLE_BLOCK):
+        rows = block[: min(SAMPLE_BLOCK, n_paths - lo)]
+        for row, child in zip(rows, children[lo : lo + len(rows)]):
+            np.random.default_rng(child).standard_normal(out=row)
+        rows *= scale
+        incr[lo : lo + len(rows)] = rows
     return BrownianEnsemble(grid, n_paths, incr, seed)
 
 
@@ -364,8 +384,8 @@ def _fd_hess(fn, x):
 @dataclass
 class StateEnsemble:
     grid: TimeGrid
-    states: np.ndarray          # (n_paths, n_steps + 1, n)
-    controls_used: Optional[np.ndarray] = None  # (n_paths, n_steps, m)
+    states: np.ndarray          # (n_paths, n_steps + 1, n), step-major
+    controls_used: Optional[np.ndarray] = None  # (n_paths, n_steps, m), step-major
     fingerprint: Optional[tuple] = None
 
     @property
@@ -403,8 +423,8 @@ def simulate_controlled(scenario, x0, control, ens):
     n, m = op.n_modes, scenario.control_dim
     decay = np.exp(op.eigenvalues * dt)
     x = _initial_states(x0, ens.n_paths, n)
-    states = np.empty((ens.n_paths, grid.n_steps + 1, n))
-    controls = np.empty((ens.n_paths, grid.n_steps, m))
+    states = step_major((ens.n_paths, grid.n_steps + 1, n))
+    controls = step_major((ens.n_paths, grid.n_steps, m))
     states[:, 0] = x
     times = grid.times()
     for j in range(grid.n_steps):
@@ -451,7 +471,8 @@ def iter_linear_test(op, t0_index, eta, v1, v2, ens):
 def simulate_linear_test(op, t0_index, eta, v1, v2, ens):
     """Full-history version of :func:`iter_linear_test` (zero before t0)."""
     grid = ens.grid
-    states = np.zeros((ens.n_paths, grid.n_steps + 1, op.n_modes))
+    states = step_major((ens.n_paths, grid.n_steps + 1, op.n_modes))
+    states[:, :t0_index] = 0.0
     for j, z in iter_linear_test(op, t0_index, eta, v1, v2, ens):
         states[:, j] = z
     return StateEnsemble(grid, states, None, ens.fingerprint)
@@ -491,7 +512,8 @@ def iter_linearized(op, J, K, t0_index, xi, u, v, ens):
 
 def simulate_linearized(op, J, K, t0_index, xi, u, v, ens):
     grid = ens.grid
-    states = np.zeros((ens.n_paths, grid.n_steps + 1, op.n_modes))
+    states = step_major((ens.n_paths, grid.n_steps + 1, op.n_modes))
+    states[:, :t0_index] = 0.0
     for j, x in iter_linearized(op, J, K, t0_index, xi, u, v, ens):
         states[:, j] = x
     return StateEnsemble(grid, states, None, ens.fingerprint)

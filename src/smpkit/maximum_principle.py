@@ -19,7 +19,7 @@ import numpy as np
 
 from .adjoint import check_same_ensemble, solve_first_adjoint
 from .errors import DomainError, StepRuleError, WrongTheoremError
-from .forward import OpenLoop, cost_paths, simulate_controlled
+from .forward import Feedback, OpenLoop, cost_paths, simulate_controlled, step_major
 from .second_order import solve_second_adjoint
 
 
@@ -60,8 +60,7 @@ def convex_gradient(scenario, t_index, x_slice, u_slice, y_slice, Y_slice, grid=
 def control_gradient(scenario, traj, pair):
     """Per-path, per-step gradient direction, shape (n_paths, n_steps, m)."""
     grid = traj.grid
-    out = np.empty((traj.n_paths, grid.n_steps, scenario.control_dim))
-    times = grid.times()
+    out = step_major((traj.n_paths, grid.n_steps, scenario.control_dim))
     for j in range(grid.n_steps):
         out[:, j] = convex_gradient(
             scenario, j, traj.states[:, j], traj.controls_used[:, j],
@@ -150,9 +149,9 @@ def second_order_data(scenario, traj, pair):
             )[0]
         return J, K, F, P_T
     P = traj.n_paths
-    J = np.empty((P, N, n, n))
-    K = np.empty((P, N, n, n))
-    F = np.empty((P, N, n, n))
+    J = step_major((P, N, n, n))
+    K = step_major((P, N, n, n))
+    F = step_major((P, N, n, n))
     for j in range(N):
         xj, uj = traj.states[:, j], traj.controls_used[:, j]
         J[:, j] = scenario.jac_x("a", times[j], xj, uj)
@@ -226,19 +225,23 @@ def projected_gradient(scenario, x0, control, ens, step_rule=0.8, max_iters=200,
     iteration is a deterministic map for a frozen ensemble.  Stops when the
     update norm falls under ``tol_step`` or after ``max_iters`` iterations.
     Persistent cost increase (more than 10 stderr for 5 straight iterations)
-    raises a step-rule error.
+    raises a step-rule error.  ``control`` is an ``OpenLoop`` or its values,
+    (n_steps, m) or (n_paths, n_steps, m); a ``Feedback`` is rejected, since
+    the search runs over open-loop values.
     """
     if not scenario.control_set.convex:
         raise WrongTheoremError("projected gradient needs a convex control set")
+    if isinstance(control, Feedback):
+        raise DomainError(
+            "projected gradient needs open-loop control values, not a Feedback"
+        )
     step_of = step_rule if callable(step_rule) else (lambda i: step_rule)
     grid = ens.grid
     dt = grid.dt
-    if isinstance(control, OpenLoop):
-        u = np.asarray(control.values, dtype=float)
-    else:
-        u = np.asarray(control, dtype=float)
-    if u.ndim == 2:
-        u = np.broadcast_to(u, (ens.n_paths,) + u.shape).copy()
+    m = scenario.control_dim
+    u = step_major((ens.n_paths, grid.n_steps, m))
+    # shared (n_steps, m) values are broadcast over paths, per-path ones copied
+    u[...] = control.values if isinstance(control, OpenLoop) else control
 
     history = OptimizeHistory()
     best = np.inf
@@ -251,9 +254,10 @@ def projected_gradient(scenario, x0, control, ens, step_rule=0.8, max_iters=200,
         pair = solve_first_adjoint(scenario, traj, None, ens, basis=basis)
         grad = control_gradient(scenario, traj, pair)
         step = step_of(i)
+        # project the step-major buffer as one (n_steps * n_paths, m) view
         new_u = scenario.control_set.projection(
-            (traj.controls_used + step * grad).reshape(-1, scenario.control_dim)
-        ).reshape(traj.controls_used.shape)
+            (traj.controls_used + step * grad).swapaxes(0, 1).reshape(-1, m)
+        ).reshape((grid.n_steps, ens.n_paths, m)).swapaxes(0, 1)
         step_norm = float(
             np.sqrt(np.mean(np.sum((new_u - traj.controls_used) ** 2, axis=-1)) * dt * grid.n_steps)
         )

@@ -179,10 +179,11 @@ GH_NODES, GH_WEIGHTS = np.polynomial.hermite.hermgauss(7)
 def dp_oracle_scalar(scenario, x_lattice, u_grid, grid):
     """Backward value iteration on a scalar lattice.
 
-    Transitions follow the one-step Euler map of the simulator; the Gaussian
-    expectation uses 7-point Gauss-Hermite quadrature; values between lattice
-    nodes are linearly interpolated.  Raises when more than 1% of the
-    transition mass escapes the lattice from its core region.
+    Transitions follow the one-step exponential Euler map of the simulator,
+    x -> exp(mu dt) (x + a dt + b dw) with mu the generator's eigenvalue;
+    the Gaussian expectation uses 7-point Gauss-Hermite quadrature; values
+    between lattice nodes are linearly interpolated.  Raises when more than
+    1% of the transition mass escapes the lattice from its core region.
     """
     if scenario.n_modes != 1:
         raise DomainError("dp oracle handles scalar scenarios only")
@@ -191,6 +192,7 @@ def dp_oracle_scalar(scenario, x_lattice, u_grid, grid):
     L, U = x_lattice.size, u_grid.size
     dt = grid.dt
     times = grid.times()
+    decay = np.exp(scenario.op.eigenvalues[0] * dt)
     noise = np.sqrt(2.0 * dt) * GH_NODES          # N(0, dt) via Hermite nodes
     weights = GH_WEIGHTS / np.sqrt(np.pi)
 
@@ -209,7 +211,7 @@ def dp_oracle_scalar(scenario, x_lattice, u_grid, grid):
         a = scenario.drift(t, xx, uu)[:, 0]
         b = scenario.diffusion(t, xx, uu)[:, 0]
         g = scenario.running_cost(t, xx, uu)
-        x_next = xx[:, 0, None] + a[:, None] * dt + b[:, None] * noise[None, :]
+        x_next = decay * (xx[:, 0, None] + a[:, None] * dt + b[:, None] * noise[None, :])
         cont = np.interp(x_next.ravel(), x_lattice, values[j + 1]).reshape(L * U, -1)
         q_values = (g * dt + cont @ weights).reshape(L, U)
         best = np.argmin(q_values, axis=1)

@@ -14,8 +14,12 @@ Two storage modes:
 
 * coefficient mode (J, K, F deterministic): per-step regression coefficients
   are kept and per-path matrices are re-evaluated on demand, so memory stays
-  O(n_steps * n_features * n^2) even for large ensembles;
-* dense mode (path-dependent coefficients): full per-path histories.
+  O(n_steps * n_features * n^2) even for large ensembles.  The driver is
+  affine in the features, so the update is done once in coefficient space
+  and the next regression target is the features times the new coefficients;
+  no per-path driver is evaluated;
+* dense mode (path-dependent coefficients): full per-path histories, stored
+  step-major (see :func:`smpkit.forward.step_major`).
 """
 
 import warnings
@@ -26,6 +30,7 @@ import numpy as np
 
 from .adjoint import RegressionBasis, RidgeSolver, _guard_basis
 from .errors import DimensionError, DomainError
+from .forward import step_major
 from .spectral import OperatorSpec
 
 SYMMETRY_WARN = 1e-6
@@ -179,8 +184,8 @@ def solve_second_adjoint(op, J, K, F, P_T, ens, basis=None, feature_states=None)
     )
 
     if dense:
-        dense_P = np.empty((P, N + 1, n, n))
-        dense_Q = np.empty((P, N, n, n))
+        dense_P = step_major((P, N + 1, n, n))
+        dense_Q = step_major((P, N, n, n))
         dense_P[:, N] = P_T
         p_next = dense_P[:, N]
     else:
@@ -197,28 +202,27 @@ def solve_second_adjoint(op, J, K, F, P_T, ens, basis=None, feature_states=None)
         beta_q, fitted_Q = solver.solve(
             (propagated - fitted_P) * (ens.increments[:, j : j + 1] / dt)
         )
-        p_tilde = vec_to_mat(fitted_P, n)
-        q_j = vec_to_mat(fitted_Q, n)
-        f_j = _driver(_coeff_at(J, j, n), _coeff_at(K, j, n), _coeff_at(F, j, n), p_tilde, q_j)
-        p_j = p_tilde - dt * f_j
+        Jj, Kj, Fj = (_coeff_at(c, j, n) for c in (J, K, F))
         if dense:
+            p_tilde = vec_to_mat(fitted_P, n)
+            q_j = vec_to_mat(fitted_Q, n)
+            p_j = p_tilde - dt * _driver(Jj, Kj, Fj, p_tilde, q_j)
             dense_P[:, j] = p_j
             dense_Q[:, j] = q_j
+            p_next_vec = mat_to_vec(p_j)
         else:
-            # the driver is feature-affine, so the update can be done once in
-            # coefficient space instead of per path
+            # the driver is feature-affine, so the update is done once in
+            # coefficient space and the next target is X @ beta_P[j]
             bP = vec_to_mat(beta_tilde, n)
             bQ = vec_to_mat(beta_q, n)
-            f_beta = _driver(_coeff_at(J, j, n), _coeff_at(K, j, n), None, bP, bQ)
-            new_bP = bP - dt * f_beta
-            Fj = _coeff_at(F, j, n)
+            new_bP = bP - dt * _driver(Jj, Kj, None, bP, bQ)
             if Fj is not None:
                 new_bP[0] = new_bP[0] - dt * Fj  # constant feature column is 1
             beta_P[j] = mat_to_vec(new_bP)
             beta_Q[j] = mat_to_vec(bQ)
+            p_next_vec = solver.X @ beta_P[j]
         if sym_data:
-            drift_sym = max(drift_sym, max_asymmetry(p_j.mean(axis=0)))
-        p_next_vec = mat_to_vec(p_j)
+            drift_sym = max(drift_sym, max_asymmetry(vec_to_mat(p_next_vec.mean(axis=0), n)))
 
     if not dense:
         result.beta_P, result.beta_Q = beta_P, beta_Q

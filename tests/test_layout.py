@@ -1,0 +1,100 @@
+"""Layout guard: every step-indexed path array keeps its path-first shape
+and is stored step-major, so each step slice ``arr[:, j]`` is contiguous."""
+
+import dataclasses
+
+import numpy as np
+
+from smpkit.adjoint import solve_first_adjoint
+from smpkit.forward import (
+    OpenLoop,
+    TimeGrid,
+    sample_brownian,
+    simulate_controlled,
+    simulate_linear_test,
+    simulate_linearized,
+    step_major,
+)
+from smpkit.maximum_principle import control_gradient, projected_gradient, second_order_data
+from smpkit.scenarios import build_preset, load_preset, make_lq_scalar
+from smpkit.second_order import solve_second_adjoint
+
+N_STEPS, N_PATHS = 12, 200
+
+
+def _assert_step_major(arr, shape):
+    assert arr.shape == shape
+    for j in (0, shape[1] // 2, shape[1] - 1):
+        assert arr[:, j].flags.c_contiguous, f"step {j} slice is strided"
+
+
+def _heat4():
+    scenario, _ = build_preset(load_preset("heat4"))
+    grid = TimeGrid(0.0, 1.0, N_STEPS)
+    ens = sample_brownian(grid, N_PATHS, 5)
+    control = OpenLoop(np.full((N_STEPS, scenario.control_dim), 0.1))
+    traj = simulate_controlled(scenario, scenario.x0, control, ens)
+    return scenario, grid, ens, traj
+
+
+def test_step_major_allocator():
+    arr = step_major((3, 5, 2))
+    _assert_step_major(arr, (3, 5, 2))
+    assert arr.swapaxes(0, 1).flags.c_contiguous
+
+
+def test_brownian_increments_are_the_per_path_child_streams():
+    grid = TimeGrid(0.0, 1.0, N_STEPS)
+    n_paths, seed = 600, 17  # more paths than one sampling block
+    ens = sample_brownian(grid, n_paths, seed)
+    _assert_step_major(ens.increments, (n_paths, N_STEPS))
+    _assert_step_major(ens.brownian_paths(), (n_paths, N_STEPS + 1))
+    children = np.random.SeedSequence(seed).spawn(n_paths)
+    for i in (0, 1, 255, 256, 511, 599):
+        expected = np.random.default_rng(children[i]).standard_normal(N_STEPS) * np.sqrt(grid.dt)
+        np.testing.assert_array_equal(ens.increments[i], expected)
+
+
+def test_forward_simulators_store_step_major():
+    scenario, grid, ens, traj = _heat4()
+    n, m = scenario.n_modes, scenario.control_dim
+    _assert_step_major(traj.states, (N_PATHS, N_STEPS + 1, n))
+    _assert_step_major(traj.controls_used, (N_PATHS, N_STEPS, m))
+    v = np.ones((N_STEPS, n))
+    test = simulate_linear_test(scenario.op, 3, np.ones(n), v, v, ens)
+    _assert_step_major(test.states, (N_PATHS, N_STEPS + 1, n))
+    assert not test.states[:, :3].any()
+    lin = simulate_linearized(scenario.op, 0.1 * np.eye(n), None, 0, np.ones(n), None, v, ens)
+    _assert_step_major(lin.states, (N_PATHS, N_STEPS + 1, n))
+
+
+def test_adjoint_histories_and_gradient_store_step_major():
+    scenario, grid, ens, traj = _heat4()
+    n, m = scenario.n_modes, scenario.control_dim
+    pair = solve_first_adjoint(scenario, traj, None, ens)
+    _assert_step_major(pair.y, (N_PATHS, N_STEPS + 1, n))
+    _assert_step_major(pair.Y, (N_PATHS, N_STEPS, n))
+    _assert_step_major(pair.driver, (N_PATHS, N_STEPS, n))
+    _assert_step_major(control_gradient(scenario, traj, pair), (N_PATHS, N_STEPS, m))
+
+
+def test_dense_second_order_data_and_sweep_store_step_major():
+    scenario, grid, ens, traj = _heat4()
+    scenario = dataclasses.replace(scenario, constant_jacobians=False)
+    n = scenario.n_modes
+    pair = solve_first_adjoint(scenario, traj, None, ens)
+    J, K, F, P_T = second_order_data(scenario, traj, pair)
+    for coeff in (J, K, F):
+        _assert_step_major(coeff, (N_PATHS, N_STEPS, n, n))
+    sa = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, feature_states=traj.states)
+    _assert_step_major(sa.dense_P, (N_PATHS, N_STEPS + 1, n, n))
+    _assert_step_major(sa.dense_Q, (N_PATHS, N_STEPS, n, n))
+
+
+def test_projected_gradient_iterate_is_step_major():
+    scenario, _ = make_lq_scalar()
+    grid = TimeGrid(0.0, 1.0, N_STEPS)
+    ens = sample_brownian(grid, N_PATHS, 3)
+    for init in (np.zeros((N_STEPS, 1)), np.zeros((N_PATHS, N_STEPS, 1))):
+        final, _ = projected_gradient(scenario, scenario.x0, OpenLoop(init), ens, max_iters=2)
+        _assert_step_major(final.values, (N_PATHS, N_STEPS, 1))

@@ -4,6 +4,7 @@ import pytest
 from smpkit.adjoint import solve_first_adjoint
 from smpkit.errors import DomainError, WrongTheoremError
 from smpkit.forward import (
+    Feedback,
     FiniteGrid,
     OpenLoop,
     TimeGrid,
@@ -256,6 +257,16 @@ def test_projected_gradient_zero_step_is_identity():
     costs = [row["J"] for row in history.iterations]
     assert all(c == costs[0] for c in costs)
     np.testing.assert_allclose(final.values, 0.3, atol=1e-15)
+
+
+def test_projected_gradient_rejects_feedback():
+    scenario, params = make_lq_scalar()
+    grid = TimeGrid(0.0, 1.0, 20)
+    ens = sample_brownian(grid, 200, 37)
+    feedback = riccati_oracle(params, grid).feedback()
+    assert isinstance(feedback, Feedback)
+    with pytest.raises(DomainError, match="open-loop"):
+        projected_gradient(scenario, scenario.x0, feedback, ens, max_iters=1)
 
 
 def test_projected_gradient_fixed_point_at_optimum():

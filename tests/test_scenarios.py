@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -16,7 +17,7 @@ from smpkit.scenarios import (
     parse_preset_text,
     riccati_oracle,
 )
-from smpkit.spectral import norm
+from smpkit.spectral import OperatorSpec, norm
 
 
 def test_lq_scalar_definition():
@@ -218,3 +219,18 @@ def test_preset_dir_override(tmp_path, monkeypatch):
 def test_unknown_preset_raises():
     with pytest.raises(FileNotFoundError):
         load_preset("nope_not_here")
+
+
+def test_dp_applies_generator_flow():
+    # the lattice transition must carry the exact flow exp(mu dt), as the
+    # simulator does; without it the value stays at the mu = 0 one (0.55)
+    base, params = make_lq_scalar()
+    mu = -1.0
+    scenario = dataclasses.replace(base, op=OperatorSpec(1, np.array([mu])))
+    params = dataclasses.replace(params, A=np.array([[mu]]))
+    grid = TimeGrid(0.0, 1.0, 200)
+    dp = dp_oracle_scalar(scenario, np.linspace(-2.0, 3.0, 401), np.linspace(-3.0, 3.0, 41), grid)
+    v_dp = dp.value_at(1.0)
+    v_rc = riccati_oracle(params, grid).value_at(1.0)
+    assert v_rc == pytest.approx(0.2482, abs=5e-4)
+    assert abs(v_dp - v_rc) / v_rc < 0.02

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from smpkit.adjoint import solve_first_adjoint
 from smpkit.errors import DimensionError, DomainError
-from smpkit.forward import TimeGrid, sample_brownian
+from smpkit.forward import OpenLoop, TimeGrid, sample_brownian, simulate_controlled
+from smpkit.maximum_principle import second_order_data
+from smpkit.scenarios import build_preset, load_preset
 from smpkit.second_order import (
     lyapunov_oracle,
     mat_to_vec,
@@ -195,3 +198,33 @@ def test_sweep_dense_mode_pathwise_coefficients():
     hi = np.exp(0.45**2)
     mean0 = sa.P_mean(0)[0, 0]
     assert lo * 0.9 < mean0 < hi * 1.1
+
+
+def test_coefficient_mode_matches_dense_mode_heat4():
+    # the coefficient-mode sweep regresses on X @ beta_P[j] instead of the
+    # per-path driver update; the same J, K, F broadcast to per path force
+    # the dense sweep, which must agree at every step
+    scenario, _ = build_preset(load_preset("heat4"))
+    n_steps, n_paths = 40, 600
+    grid = TimeGrid(0.0, 1.0, n_steps)
+    ens = sample_brownian(grid, n_paths, 21)
+    control = OpenLoop(np.full((n_steps, scenario.control_dim), 0.2))
+    traj = simulate_controlled(scenario, scenario.x0, control, ens)
+    pair = solve_first_adjoint(scenario, traj, None, ens)
+    J, K, F, P_T = second_order_data(scenario, traj, pair)
+    assert J.ndim == 3
+    coeff = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, feature_states=traj.states)
+    per_path = [np.broadcast_to(c, (n_paths,) + c.shape) for c in (J, K, F)]
+    dense = solve_second_adjoint(scenario.op, *per_path, P_T, ens, feature_states=traj.states)
+    assert coeff.dense_P is None and dense.dense_P is not None
+    # path means to 1e-12; single paths carry the rounding of the unscaled
+    # regression (heat4's high modes make the Gram matrix near singular), so
+    # they get 1e-10
+    for j in range(n_steps + 1):
+        np.testing.assert_allclose(coeff.P_mean(j), dense.P_mean(j), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(coeff.P_paths(j), dense.P_paths(j), rtol=0, atol=1e-10)
+    for j in range(n_steps):
+        q_coeff, q_dense = coeff.Q_paths(j), dense.Q_paths(j)
+        np.testing.assert_allclose(q_coeff.mean(axis=0), q_dense.mean(axis=0), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(q_coeff, q_dense, rtol=0, atol=1e-10)
+    assert coeff.symmetry_drift == pytest.approx(dense.symmetry_drift, abs=1e-12)
