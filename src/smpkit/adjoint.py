@@ -16,6 +16,9 @@ uniformly over stiff modes.  Centering the martingale target by yhat_j
 leaves the estimand unchanged but removes its dominant variance term.  The
 driver values used at each step are recorded so identity checks can pair
 against exactly what the sweep did.
+
+Both adjoint orders run this scheme through :func:`regression_sweep` and
+supply only their driver update.
 """
 
 from dataclasses import dataclass
@@ -106,14 +109,6 @@ class AdjointPair:
         return self.y.shape[0]
 
 
-def _guard_basis(basis, n_modes, n_paths):
-    n_feat = basis.n_features(n_modes)
-    if n_feat > n_paths / 10:
-        raise DegenerateBasisError(
-            f"{n_feat} features against {n_paths} paths violates the over-fit guard"
-        )
-
-
 def check_same_ensemble(*objects):
     prints = [obj.fingerprint for obj in objects if getattr(obj, "fingerprint", None) is not None]
     for fp in prints[1:]:
@@ -121,7 +116,32 @@ def check_same_ensemble(*objects):
             raise EnsembleMismatchError(f"seed lineage differs: {prints[0]} vs {fp}")
 
 
-def solve_first_adjoint(scenario, trajectory, control, ens, basis=None, record_driver=True):
+def regression_sweep(basis, states, terminal, decay, ens, update):
+    """One-step regression scheme (Gobet, Lemor and Warin, Ann. Appl. Probab.
+    2005) from ``target = terminal`` (P, k) back to step 0.  Step j fits the
+    mean and the martingale part of ``target * decay`` on the features X of
+    ``states[:, j]`` (P, N+1, d), then ``update(j, X, beta_mean, mean,
+    beta_mart, mart)`` applies the driver and returns the next target."""
+    grid = ens.grid
+    n_feat = basis.n_features(states.shape[2])
+    if n_feat > ens.n_paths / 10:
+        raise DegenerateBasisError(
+            f"{n_feat} features against {ens.n_paths} paths violates the over-fit guard"
+        )
+    target = terminal
+    for j in range(grid.n_steps - 1, -1, -1):
+        solver = RidgeSolver(basis.features(states[:, j]), basis.ridge)
+        propagated = target * decay
+        beta_mean, mean = solver.solve(propagated)
+        # martingale-increment form: centering by the conditional mean leaves
+        # the estimand unchanged and strips the dominant variance term
+        beta_mart, mart = solver.solve(
+            (propagated - mean) * (ens.increments[:, j : j + 1] / grid.dt)
+        )
+        target = update(j, solver.X, beta_mean, mean, beta_mart, mart)
+
+
+def solve_first_adjoint(scenario, trajectory, control, ens, basis=None):
     """Regression sweep for the adjoint pair along an optimal-candidate
     trajectory, with terminal data -h_x and driver -a_x*y - b_x*Y + g_x."""
     basis = basis or RegressionBasis()
@@ -129,37 +149,29 @@ def solve_first_adjoint(scenario, trajectory, control, ens, basis=None, record_d
     op = scenario.op
     grid = ens.grid
     n, N, P = op.n_modes, grid.n_steps, ens.n_paths
-    _guard_basis(basis, n, P)
     dt = grid.dt
-    decay = np.exp(op.eigenvalues * dt)
     times = grid.times()
 
     y = step_major((P, N + 1, n))
     Y = step_major((P, N, n))
-    driver = step_major((P, N, n)) if record_driver else None
+    driver = step_major((P, N, n))
     y[:, N] = -scenario.grad_terminal(trajectory.states[:, N])
 
-    for j in range(N - 1, -1, -1):
-        xj = trajectory.states[:, j]
-        uj = trajectory.controls_used[:, j]
-        solver = RidgeSolver(basis.features(xj), basis.ridge)
-        propagated = y[:, j + 1] * decay
-        _, y_hat = solver.solve(propagated)
-        # martingale-increment form: centering by the conditional mean leaves
-        # the estimand unchanged and strips the dominant variance term
-        _, Y_j = solver.solve((propagated - y_hat) * (ens.increments[:, j : j + 1] / dt))
-        t = times[j]
+    def update(j, X, beta_mean, y_hat, beta_mart, Y_j):
+        t, xj, uj = times[j], trajectory.states[:, j], trajectory.controls_used[:, j]
         a_x = scenario.jac_x("a", t, xj, uj)
         b_x = scenario.jac_x("b", t, xj, uj)
-        f_j = (
+        driver[:, j] = (
             -np.einsum("pij,pi->pj", a_x, y_hat)
             - np.einsum("pij,pi->pj", b_x, Y_j)
             + scenario.grad_x_running(t, xj, uj)
         )
-        y[:, j] = y_hat - dt * f_j
+        y[:, j] = y_hat - dt * driver[:, j]
         Y[:, j] = Y_j
-        if record_driver:
-            driver[:, j] = f_j
+        return y[:, j]
+
+    decay = np.exp(op.eigenvalues * dt)
+    regression_sweep(basis, trajectory.states, y[:, N], decay, ens, update)
     return AdjointPair(grid, y, Y, driver, ens.fingerprint)
 
 

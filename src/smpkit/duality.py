@@ -44,10 +44,11 @@ from .forward import (  # noqa: F401
     OVERFLOW_GUARD,
     _check_finite,
     _initial_states,
+    at_step,
     iter_linear_test,
     iter_linearized,
 )
-from .second_order import _coeff_at, solve_second_adjoint
+from .second_order import solve_second_adjoint
 
 
 @dataclass
@@ -213,14 +214,6 @@ def deterministic_first_test(op, ens, rng, scale=1.0):
 # the stacked pass
 # ----------------------------------------------------------------------
 
-def _proc_at(proc, j):
-    if proc is None:
-        return None
-    if proc.ndim == 2:
-        return proc[j]
-    return proc[:, j]
-
-
 def _dot(a, b):
     """Per (tuple, path) inner product of two (n, K, P) stacks (either may
     have a broadcast path axis of length 1)."""
@@ -250,10 +243,10 @@ def _stack_matrix(M):
     return np.ascontiguousarray(M.transpose(1, 2, 0))
 
 
-def _coeff_step(coeff, j, n):
+def _coeff_step(coeff, j):
     """Step-j layout of a coefficient spec; None when it is absent or zero
     at this step (a zero coefficient contributes nothing)."""
-    M = _coeff_at(coeff, j, n)
+    M = at_step(coeff, j, 2)
     if M is None or not M.any():
         return None
     return _stack_matrix(M)
@@ -437,7 +430,7 @@ def verify_first_identities(pair, op, driver, y_terminal, tests, ens, bias_budge
             lhs += _dot_vec(z, y_T)
             break
         v1, v2 = stack.forcings_at(j)
-        f_j = _proc_at(driver, j)
+        f_j = at_step(driver, j, 1)
         # pair v1 against the pre-update conditional mean y_j + dt f_j: same
         # O(dt) quadrature of the integral, but the one the stepping scheme
         # telescopes exactly
@@ -474,7 +467,7 @@ def verify_second_identities(sa, op, J, K, F, P_T, tests, ens, bias_budget=0.0,
     + <v2, (P K + Q) x1>."""
     check_same_ensemble(sa, ens)
     stack = _TupleStack(tests, 2, 4, op, ens)
-    N, dt, n = stack.N, stack.dt, stack.n
+    N, dt = stack.N, stack.dt
     J, K, F = (None if c is None else np.asarray(c, dtype=float) for c in (J, K, F))
     P_T = _stack_matrix(np.asarray(P_T, dtype=float))
     forced = any(f.present for f in stack.forcings)
@@ -494,7 +487,7 @@ def verify_second_identities(sa, op, J, K, F, P_T, tests, ens, bias_budget=0.0,
             lhs += _form(x2, P_T, x1)
             break
         u1, u2, v1, v2 = stack.forcings_at(j)
-        Jj, Kj, Fj = (_coeff_step(c, j, n) for c in (J, K, F))
+        Jj, Kj, Fj = (_coeff_step(c, j) for c in (J, K, F))
         noise1, noise2 = _affine(Kj, x1, v1), _affine(Kj, x2, v2)
         if Fj is not None:
             lhs -= dt * _form(x2, Fj, x1)

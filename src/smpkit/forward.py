@@ -257,14 +257,14 @@ class Scenario:
         cb = self.drift_x if which == "a" else self.diffusion_x
         if cb is not None:
             return _expand(cb(t, x, u), x.shape[0], (self.n_modes, self.n_modes))
-        return _fd_jac_state(lambda xx: fn(t, xx, u), x)
+        return _fd_jac(lambda xx: fn(t, xx, u), x)
 
     def jac_u(self, which, t, x, u):
         fn = self.drift if which == "a" else self.diffusion
         cb = self.drift_u if which == "a" else self.diffusion_u
         if cb is not None:
             return _expand(cb(t, x, u), x.shape[0], (self.n_modes, self.control_dim))
-        return _fd_jac_control(lambda uu: fn(t, x, uu), u)
+        return _fd_jac(lambda uu: fn(t, x, uu), u)
 
     def grad_x_running(self, t, x, u):
         if self.running_grad_x is not None:
@@ -328,7 +328,8 @@ def _fd_grad(fn, x):
     return out
 
 
-def _fd_jac_state(fn, x):
+def _fd_jac(fn, x):
+    """Central-difference Jacobian (P, k, d) of a batched fn at x (P, d)."""
     h = _fd_step(x)
     p, n = x.shape
     out = np.empty((p, fn(x).shape[-1], n))
@@ -337,18 +338,6 @@ def _fd_jac_state(fn, x):
         e[j] = 1.0
         step = h[:, j : j + 1]
         out[:, :, j] = (fn(x + step * e) - fn(x - step * e)) / (2 * step)
-    return out
-
-
-def _fd_jac_control(fn, u):
-    h = _fd_step(u)
-    p, m = u.shape
-    out = np.empty((p, fn(u).shape[-1], m))
-    for j in range(m):
-        e = np.zeros(m)
-        e[j] = 1.0
-        step = h[:, j : j + 1]
-        out[:, :, j] = (fn(u + step * e) - fn(u - step * e)) / (2 * step)
     return out
 
 
@@ -440,83 +429,66 @@ def simulate_controlled(scenario, x0, control, ens):
     return StateEnsemble(grid, states, controls, ens.fingerprint)
 
 
-def _slice_time(proc, j, n_paths):
-    """Pick step j from a (N, k) or (P, N, k) process array, or zeros if None."""
-    if proc is None:
-        return 0.0
-    if proc.ndim == 2:
-        return proc[j]
-    return proc[:, j]
+def at_step(arr, j, rank):
+    """Step j of a step-indexed input whose value at one step has ``rank``
+    axes: None stays None, a constant (rank axes) is returned as it is, a
+    time-indexed (N, ...) array gives ``arr[j]`` and a path-indexed
+    (P, N, ...) one ``arr[:, j]``."""
+    if arr is None or arr.ndim == rank:
+        return arr
+    if arr.ndim == rank + 1:
+        return arr[j]
+    return arr[:, j]
 
 
-def iter_linear_test(op, t0_index, eta, v1, v2, ens):
-    """Yield (j, z_j) for the test dynamics dz = (Az + v1)dt + v2 dw from
-    t0_index to the final step; z is zero before t0_index by convention."""
-    grid = ens.grid
-    dt = grid.dt
-    decay = np.exp(op.eigenvalues * dt)
-    v1 = None if v1 is None else np.asarray(v1, dtype=float)
-    v2 = None if v2 is None else np.asarray(v2, dtype=float)
-    z = _initial_states(eta, ens.n_paths, op.n_modes)
-    yield t0_index, z
-    for j in range(t0_index, grid.n_steps):
-        dw = ens.increments[:, j : j + 1]
-        z = decay * (
-            z + _slice_time(v1, j, ens.n_paths) * dt + _slice_time(v2, j, ens.n_paths) * dw
-        )
-        _check_finite(z, j)
-        yield j + 1, z
-
-
-def simulate_linear_test(op, t0_index, eta, v1, v2, ens):
-    """Full-history version of :func:`iter_linear_test` (zero before t0)."""
-    grid = ens.grid
-    states = step_major((ens.n_paths, grid.n_steps + 1, op.n_modes))
-    states[:, :t0_index] = 0.0
-    for j, z in iter_linear_test(op, t0_index, eta, v1, v2, ens):
-        states[:, j] = z
-    return StateEnsemble(grid, states, None, ens.fingerprint)
-
-
-def _matvec_step(mat, j, x):
-    """Apply step j of a constant (n,n), time-indexed (N,n,n) or path-indexed
-    (P,N,n,n) matrix."""
-    if mat is None:
-        return 0.0
-    if mat.ndim == 2:
-        return np.einsum("ij,pj->pi", mat, x)
-    if mat.ndim == 3:
-        return np.einsum("ij,pj->pi", mat[j], x)
-    return np.einsum("pij,pj->pi", mat[:, j], x)
+def _linear_part(M, x, v):
+    """Per-path M x + v for step slices M (n, n) or (P, n, n) and v (n,) or
+    (P, n); a missing term is zero."""
+    out = 0.0
+    if M is not None:
+        out = np.einsum("ij,pj->pi" if M.ndim == 2 else "pij,pj->pi", M, x)
+    return out if v is None else out + v
 
 
 def iter_linearized(op, J, K, t0_index, xi, u, v, ens):
-    """Yield (j, x_j) for dx = ((A + J)x + u)dt + (Kx + v)dw from t0_index."""
+    """Yield (j, x_j) for dx = ((A + J)x + u)dt + (Kx + v)dw from t0_index.
+
+    J, K may be None, (n, n), (N, n, n) or (P, N, n, n); u, v None, (N, n)
+    or (P, N, n)."""
     grid = ens.grid
     dt = grid.dt
     decay = np.exp(op.eigenvalues * dt)
-    J = None if J is None else np.asarray(J, dtype=float)
-    K = None if K is None else np.asarray(K, dtype=float)
-    u = None if u is None else np.asarray(u, dtype=float)
-    v = None if v is None else np.asarray(v, dtype=float)
+    J, K, u, v = (None if c is None else np.asarray(c, dtype=float) for c in (J, K, u, v))
     x = _initial_states(xi, ens.n_paths, op.n_modes)
     yield t0_index, x
     for j in range(t0_index, grid.n_steps):
         dw = ens.increments[:, j : j + 1]
-        drift = _matvec_step(J, j, x) + _slice_time(u, j, ens.n_paths)
-        noise = _matvec_step(K, j, x) + _slice_time(v, j, ens.n_paths)
+        drift = _linear_part(at_step(J, j, 2), x, at_step(u, j, 1))
+        noise = _linear_part(at_step(K, j, 2), x, at_step(v, j, 1))
         x = decay * (x + drift * dt + noise * dw)
         _check_finite(x, j)
         yield j + 1, x
 
 
 def simulate_linearized(op, J, K, t0_index, xi, u, v, ens):
+    """Full-history version of :func:`iter_linearized` (zero before t0)."""
     grid = ens.grid
     states = step_major((ens.n_paths, grid.n_steps + 1, op.n_modes))
     states[:, :t0_index] = 0.0
     for j, x in iter_linearized(op, J, K, t0_index, xi, u, v, ens):
         states[:, j] = x
     return StateEnsemble(grid, states, None, ens.fingerprint)
+
+
+def iter_linear_test(op, t0_index, eta, v1, v2, ens):
+    """Test dynamics dz = (Az + v1)dt + v2 dw: :func:`iter_linearized` with
+    J = K = None."""
+    return iter_linearized(op, None, None, t0_index, eta, v1, v2, ens)
+
+
+def simulate_linear_test(op, t0_index, eta, v1, v2, ens):
+    """Full-history version of :func:`iter_linear_test` (zero before t0)."""
+    return simulate_linearized(op, None, None, t0_index, eta, v1, v2, ens)
 
 
 def cost_paths(scenario, traj):

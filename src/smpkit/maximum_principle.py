@@ -38,8 +38,9 @@ def hamiltonian(scenario, t, x, u, k1, k2):
     )
 
 
-def convex_gradient(scenario, t_index, x_slice, u_slice, y_slice, Y_slice, grid=None):
-    """Control-space direction a_u* y + b_u* Y - g_u per path.
+def convex_gradient(scenario, t_index, x_slice, u_slice, y_slice, Y_slice, grid):
+    """Control-space direction a_u* y + b_u* Y - g_u per path at step
+    ``t_index`` of ``grid``.
 
     Only meaningful on convex control sets, where the optimality condition
     says this vector pairs nonpositively with every u - ubar."""
@@ -47,7 +48,7 @@ def convex_gradient(scenario, t_index, x_slice, u_slice, y_slice, Y_slice, grid=
         raise WrongTheoremError(
             "gradient condition needs a convex control set; use spike_functional"
         )
-    t = t_index if grid is None else grid.times()[t_index]
+    t = grid.times()[t_index]
     a_u = scenario.jac_u("a", t, x_slice, u_slice)
     b_u = scenario.jac_u("b", t, x_slice, u_slice)
     return (

@@ -6,9 +6,10 @@ The matrix dynamics
          + F dt + Q dw,        P(T) = P_T
 
 are vectorized (column-major stacking, so cross terms of Q are reproducible)
-and swept backward with the same propagate/regress/driver update as the
-vector adjoint.  The unbounded part acts exactly through the tensor flow
-M -> S(dt) M S*(dt), i.e. entry (k, l) is scaled by exp((mu_k + mu_l) dt).
+and swept backward by :func:`smpkit.adjoint.regression_sweep`, as the
+vector adjoint is; this module supplies the driver update.  The unbounded
+part acts exactly through the tensor flow M -> S(dt) M S*(dt), i.e. entry
+(k, l) is scaled by exp((mu_k + mu_l) dt).
 
 Two storage modes:
 
@@ -28,9 +29,9 @@ from typing import Optional
 
 import numpy as np
 
-from .adjoint import RegressionBasis, RidgeSolver, _guard_basis
+from .adjoint import RegressionBasis, regression_sweep
 from .errors import DimensionError, DomainError
-from .forward import step_major
+from .forward import at_step, step_major
 from .spectral import OperatorSpec
 
 SYMMETRY_WARN = 1e-6
@@ -63,21 +64,6 @@ def max_asymmetry(m):
     return float(np.max(np.abs(m - np.swapaxes(m, -1, -2)))) if m.size else 0.0
 
 
-def _coeff_at(coeff, j, n):
-    """Step slice of a coefficient spec: None, (n,n), (N,n,n) or (P,N,n,n)."""
-    if coeff is None:
-        return None
-    if coeff.ndim == 2:
-        return coeff
-    if coeff.ndim == 3:
-        return coeff[j]
-    return coeff[:, j]
-
-
-def _is_pathwise(coeff):
-    return coeff is not None and coeff.ndim == 4
-
-
 def _driver(J, K, F, P, Q):
     """-J*P - PJ - K*PK - (K*Q + QK) + F, batched over leading axes of P, Q."""
     out = np.zeros_like(P) if F is None else F + np.zeros_like(P)
@@ -105,6 +91,7 @@ class SecondOrderAdjoint:
     feature_states: Optional[np.ndarray] = None   # (P, N+1, d) regressor states
     beta_P: Optional[np.ndarray] = None           # (N, F, n^2)
     beta_Q: Optional[np.ndarray] = None           # (N, F, n^2)
+    feature_means: Optional[np.ndarray] = None    # (N, F) path means of the features
     P_terminal: Optional[np.ndarray] = None       # (P, n, n)
     dense_P: Optional[np.ndarray] = None          # (P, N+1, n, n)
     dense_Q: Optional[np.ndarray] = None          # (P, N, n, n)
@@ -140,6 +127,9 @@ class SecondOrderAdjoint:
         return vec_to_mat(self._features_at(j) @ self.beta_Q[j], self.op.n_modes)
 
     def P_mean(self, j):
+        if self.dense_P is None and j < self.grid.n_steps:
+            # P is affine in the features, so its mean is mean(X) @ beta_P[j]
+            return vec_to_mat(self.feature_means[j] @ self.beta_P[j], self.op.n_modes)
         return self.P_paths(j).mean(axis=0)
 
 
@@ -154,26 +144,18 @@ def solve_second_adjoint(op, J, K, F, P_T, ens, basis=None, feature_states=None)
     basis = basis or RegressionBasis()
     grid = ens.grid
     n, N, P = op.n_modes, grid.n_steps, ens.n_paths
-    nn = n * n
     dt = grid.dt
     if feature_states is None:
         feature_states = ens.brownian_paths()[:, :, None]
     if feature_states.shape[:2] != (P, N + 1):
         raise DimensionError("feature_states must cover every path and step")
-    _guard_basis(basis, feature_states.shape[2], P)
 
-    J = None if J is None else np.asarray(J, dtype=float)
-    K = None if K is None else np.asarray(K, dtype=float)
-    F = None if F is None else np.asarray(F, dtype=float)
+    J, K, F = (None if c is None else np.asarray(c, dtype=float) for c in (J, K, F))
     P_T = np.asarray(P_T, dtype=float)
     if P_T.ndim == 2:
         P_T = np.broadcast_to(P_T, (P, n, n))
-    dense = any(_is_pathwise(c) for c in (J, K, F))
-
-    decay_vec = mat_to_vec(np.exp(np.add.outer(op.eigenvalues, op.eigenvalues) * dt))
-    sym_data = max_asymmetry(P_T) <= 1e-12 and all(
-        c is None or max_asymmetry(c) <= 1e-12 for c in (F,)
-    )
+    dense = any(c is not None and c.ndim == 4 for c in (J, K, F))
+    sym_data = max_asymmetry(P_T) <= 1e-12 and (F is None or max_asymmetry(F) <= 1e-12)
     drift_sym = 0.0
 
     result = SecondOrderAdjoint(
@@ -182,34 +164,25 @@ def solve_second_adjoint(op, J, K, F, P_T, ens, basis=None, feature_states=None)
         P_terminal=np.array(P_T, dtype=float, copy=True),
         fingerprint=ens.fingerprint,
     )
-
     if dense:
-        dense_P = step_major((P, N + 1, n, n))
-        dense_Q = step_major((P, N, n, n))
-        dense_P[:, N] = P_T
-        p_next = dense_P[:, N]
+        result.dense_P = step_major((P, N + 1, n, n))
+        result.dense_Q = step_major((P, N, n, n))
+        result.dense_P[:, N] = P_T
     else:
-        beta_P = np.empty((N, basis.n_features(feature_states.shape[2]), nn))
-        beta_Q = np.empty_like(beta_P)
-        p_next = P_T.copy()
+        n_feat = basis.n_features(feature_states.shape[2])
+        result.beta_P = np.empty((N, n_feat, n * n))
+        result.beta_Q = np.empty_like(result.beta_P)
+        result.feature_means = np.empty((N, n_feat))
 
-    p_next_vec = mat_to_vec(p_next)
-    for j in range(N - 1, -1, -1):
-        solver = RidgeSolver(basis.features(feature_states[:, j]), basis.ridge)
-        propagated = p_next_vec * decay_vec
-        beta_tilde, fitted_P = solver.solve(propagated)
-        # centered martingale target, as in the vector sweep
-        beta_q, fitted_Q = solver.solve(
-            (propagated - fitted_P) * (ens.increments[:, j : j + 1] / dt)
-        )
-        Jj, Kj, Fj = (_coeff_at(c, j, n) for c in (J, K, F))
+    def update(j, X, beta_tilde, fitted_P, beta_q, fitted_Q):
+        nonlocal drift_sym
+        Jj, Kj, Fj = (at_step(c, j, 2) for c in (J, K, F))
         if dense:
             p_tilde = vec_to_mat(fitted_P, n)
             q_j = vec_to_mat(fitted_Q, n)
-            p_j = p_tilde - dt * _driver(Jj, Kj, Fj, p_tilde, q_j)
-            dense_P[:, j] = p_j
-            dense_Q[:, j] = q_j
-            p_next_vec = mat_to_vec(p_j)
+            result.dense_P[:, j] = p_tilde - dt * _driver(Jj, Kj, Fj, p_tilde, q_j)
+            result.dense_Q[:, j] = q_j
+            p_next = mat_to_vec(result.dense_P[:, j])
         else:
             # the driver is feature-affine, so the update is done once in
             # coefficient space and the next target is X @ beta_P[j]
@@ -218,16 +191,16 @@ def solve_second_adjoint(op, J, K, F, P_T, ens, basis=None, feature_states=None)
             new_bP = bP - dt * _driver(Jj, Kj, None, bP, bQ)
             if Fj is not None:
                 new_bP[0] = new_bP[0] - dt * Fj  # constant feature column is 1
-            beta_P[j] = mat_to_vec(new_bP)
-            beta_Q[j] = mat_to_vec(bQ)
-            p_next_vec = solver.X @ beta_P[j]
+            result.beta_P[j] = mat_to_vec(new_bP)
+            result.beta_Q[j] = mat_to_vec(bQ)
+            result.feature_means[j] = X.mean(axis=0)
+            p_next = X @ result.beta_P[j]
         if sym_data:
-            drift_sym = max(drift_sym, max_asymmetry(vec_to_mat(p_next_vec.mean(axis=0), n)))
+            drift_sym = max(drift_sym, max_asymmetry(vec_to_mat(p_next.mean(axis=0), n)))
+        return p_next
 
-    if not dense:
-        result.beta_P, result.beta_Q = beta_P, beta_Q
-    else:
-        result.dense_P, result.dense_Q = dense_P, dense_Q
+    decay = mat_to_vec(np.exp(np.add.outer(op.eigenvalues, op.eigenvalues) * dt))
+    regression_sweep(basis, feature_states, mat_to_vec(P_T), decay, ens, update)
     result.symmetry_drift = drift_sym
     if sym_data and drift_sym > SYMMETRY_WARN:
         warnings.warn(f"symmetry drift {drift_sym:.2e} with symmetric data")
@@ -251,9 +224,7 @@ def lyapunov_oracle(op, J, K, F, P_T, grid, substeps=None):
     Carlo sweep.  Returns (n_steps+1, n, n)."""
     n, N = op.n_modes, grid.n_steps
     A = np.diag(op.eigenvalues)
-    J = None if J is None else np.asarray(J, dtype=float)
-    K = None if K is None else np.asarray(K, dtype=float)
-    F = None if F is None else np.asarray(F, dtype=float)
+    J, K, F = (None if c is None else np.asarray(c, dtype=float) for c in (J, K, F))
     P_T = np.asarray(P_T, dtype=float)
     if P_T.shape != (n, n):
         raise DimensionError(f"P_T must be {n}x{n}")
@@ -264,9 +235,9 @@ def lyapunov_oracle(op, J, K, F, P_T, grid, substeps=None):
     out[N] = P_T
     p = P_T.copy()
     for j in range(N - 1, -1, -1):
-        AJ = A if J is None else A + _coeff_at(J, j, n)
-        Kj = _coeff_at(K, j, n)
-        Fj = _coeff_at(F, j, n)
+        AJ = A if J is None else A + at_step(J, j, 2)
+        Kj = at_step(K, j, 2)
+        Fj = at_step(F, j, 2)
 
         def rhs(m):
             d = -(AJ.T @ m) - m @ AJ

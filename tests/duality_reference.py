@@ -11,7 +11,6 @@ import numpy as np
 from smpkit.adjoint import check_same_ensemble
 from smpkit.duality import IdentityReport
 from smpkit.forward import iter_linear_test, iter_linearized
-from smpkit.second_order import _coeff_at
 
 
 def _proc_at(proc, j):
@@ -20,6 +19,17 @@ def _proc_at(proc, j):
     if proc.ndim == 2:
         return proc[j]
     return proc[:, j]
+
+
+def _coeff_at(coeff, j, n):
+    """Step slice of a coefficient spec: None, (n,n), (N,n,n) or (P,N,n,n)."""
+    if coeff is None:
+        return None
+    if coeff.ndim == 2:
+        return coeff
+    if coeff.ndim == 3:
+        return coeff[j]
+    return coeff[:, j]
 
 
 def _pair(u, v):

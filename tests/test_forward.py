@@ -286,6 +286,29 @@ def test_linearized_superposition():
     np.testing.assert_allclose(a.states + b.states, c.states, atol=1e-12)
 
 
+def test_linearized_coefficient_layouts_agree():
+    # a constant input, the same input tiled over steps and broadcast over
+    # paths are one process: every branch of the step slice gives the same states
+    op = make_dirichlet_laplacian(2, 1.0)
+    g = TimeGrid(0.0, 1.0, 30)
+    P, N = 6, g.n_steps
+    ens = sample_brownian(g, P, 9)
+    J = np.array([[0.3, -0.1], [0.2, -0.4]])
+    K = np.array([[0.1, 0.05], [-0.2, 0.15]])
+    s = np.linspace(0.0, 2.0, N)[:, None]
+    u = np.cos(s) * np.array([0.5, -0.3])
+    v = np.sin(s) * np.array([0.2, 0.4])
+    xi = np.array([1.0, -0.5])
+    ref = simulate_linearized(op, J, K, 3, xi, u, v, ens).states
+    for JK in ((N, 2, 2), (P, N, 2, 2)):
+        got = simulate_linearized(
+            op, np.broadcast_to(J, JK), np.broadcast_to(K, JK), 3, xi, u, v, ens)
+        np.testing.assert_allclose(got.states, ref, rtol=0, atol=1e-14)
+    got = simulate_linearized(
+        op, J, K, 3, xi, np.broadcast_to(u, (P, N, 2)), np.broadcast_to(v, (P, N, 2)), ens)
+    np.testing.assert_allclose(got.states, ref, rtol=0, atol=1e-14)
+
+
 def test_strong_order_window():
     # scalar geometric dynamics vs the exact exponential solution
     theta, kappa = 0.5, 0.6

@@ -65,13 +65,22 @@ def test_convex_gradient_cancellation_and_wrong_theorem():
     # g_u = u; pick u = y so a_u* y - g_u = 0 (b_u = 0)
     y = np.array([[0.3], [-0.8]])
     x = np.zeros((2, 1))
-    grad = convex_gradient(scenario, 0, x, y.copy(), y, np.zeros((2, 1)))
+    grid = TimeGrid(0.0, 1.0, 10)
+    grad = convex_gradient(scenario, 0, x, y.copy(), y, np.zeros((2, 1)), grid)
     np.testing.assert_allclose(grad, 0.0, atol=1e-14)
 
     nonconvex = make_lq_scalar()[0]
     nonconvex.control_set = FiniteGrid(points=[[-1.0], [1.0]])
     with pytest.raises(WrongTheoremError):
-        convex_gradient(nonconvex, 0, x, y, y, np.zeros((2, 1)))
+        convex_gradient(nonconvex, 0, x, y, y, np.zeros((2, 1)), grid)
+
+
+def test_convex_gradient_requires_grid():
+    # the callbacks take a time; a bare step index must not stand in for it
+    scenario, _ = make_lq_scalar()
+    y = np.array([[0.3], [-0.8]])
+    with pytest.raises(TypeError):
+        convex_gradient(scenario, 3, np.zeros((2, 1)), y, y, np.zeros((2, 1)))
 
 
 from helpers import lq_optimizer_run, lq_optimum_bundle
