@@ -52,6 +52,7 @@ from .maximum_principle import (
 )
 from .scenarios import (
     LqParams,
+    MatrixPreset,
     OracleBundle,
     dp_oracle_scalar,
     load_preset,

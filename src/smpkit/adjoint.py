@@ -141,7 +141,7 @@ def regression_sweep(basis, states, terminal, decay, ens, update):
         target = update(j, solver.X, beta_mean, mean, beta_mart, mart)
 
 
-def solve_first_adjoint(scenario, trajectory, control, ens, basis=None):
+def solve_first_adjoint(scenario, trajectory, ens, basis=None):
     """Regression sweep for the adjoint pair along an optimal-candidate
     trajectory, with terminal data -h_x and driver -a_x*y - b_x*Y + g_x."""
     basis = basis or RegressionBasis()

@@ -33,7 +33,7 @@ from .duality import (  # noqa: F401
     verify_second_identity,
 )
 from .errors import ConfigError, SmpKitError, StepRuleError
-from .forward import OpenLoop, TimeGrid, cost_paths, sample_brownian, simulate_controlled
+from .forward import Box, OpenLoop, TimeGrid, cost_paths, sample_brownian, simulate_controlled
 from .maximum_principle import (
     check_condition,
     projected_gradient,
@@ -41,9 +41,8 @@ from .maximum_principle import (
     solve_adjoints,
     spike_experiment,
 )
-from .scenarios import build_preset, dp_oracle_scalar, load_preset, riccati_oracle
+from .scenarios import MatrixPreset, build_preset, dp_oracle_scalar, load_preset, riccati_oracle
 from .second_order import mat_to_vec, max_asymmetry, solve_second_adjoint
-from .spectral import OperatorSpec
 
 
 def _fmt(value):
@@ -105,29 +104,28 @@ def write_manifest(cfg, outdir, wall_time, extra=None):
 
 
 DT_SLACK = 1e-9  # relative: how far n_steps * dt may miss the horizon T
+MATRIX_COMMANDS = ("solve-second-adjoint", "verify-duality")  # need no control problem
 
 
-def _grid_for(cfg, preset_cfg):
+def _grid_for(cfg, problem):
     """The time grid of the run.  Raises ConfigError for options no run can
-    honour, instead of running on a grid other than the one asked for."""
+    honour: a command the preset cannot run, or a grid other than asked for."""
+    if isinstance(problem, MatrixPreset) and (
+            cfg.command not in MATRIX_COMMANDS or cfg.order == "first"):
+        command = cfg.command + (" --order first" if cfg.order == "first" else "")
+        raise ConfigError(f"{command} needs a control problem; "
+                          f"preset {cfg.preset} is a matrix preset")
     if cfg.paths < 2:
         raise ConfigError(f"--paths must be at least 2 (got {cfg.paths})")
     if cfg.tuples < 1:
         raise ConfigError(f"--tuples must be at least 1 (got {cfg.tuples})")
-    T = float(preset_cfg.get("T", 1.0))
+    T = problem.T
     if not (np.isfinite(cfg.dt) and cfg.dt > 0):
         raise ConfigError(f"--dt must be positive (got {cfg.dt})")
     n_steps = round(T / cfg.dt)
     if n_steps < 1 or abs(n_steps * cfg.dt - T) > DT_SLACK * T:
         raise ConfigError(f"--dt {cfg.dt} does not divide the horizon T = {T}")
     return TimeGrid(0.0, T, n_steps)
-
-
-def _resolve(cfg, preset_cfg, grid):
-    """Build the preset's scenario and the ensemble."""
-    scenario, lq = build_preset(preset_cfg)
-    ens = sample_brownian(grid, cfg.paths, cfg.seed)
-    return scenario, lq, ens
 
 
 def _control_for(cfg, scenario, lq, grid):
@@ -142,8 +140,8 @@ def _control_for(cfg, scenario, lq, grid):
 # commands
 # ----------------------------------------------------------------------
 
-def cmd_simulate_forward(cfg, preset_cfg, grid):
-    scenario, lq, ens = _resolve(cfg, preset_cfg, grid)
+def cmd_simulate_forward(cfg, scenario, lq, grid):
+    ens = sample_brownian(grid, cfg.paths, cfg.seed)
     control = _control_for(cfg, scenario, lq, grid)
     traj = simulate_controlled(scenario, scenario.x0, control, ens)
     times = grid.times()
@@ -168,11 +166,11 @@ def cmd_simulate_forward(cfg, preset_cfg, grid):
     return 0, None
 
 
-def cmd_solve_adjoint(cfg, preset_cfg, grid):
-    scenario, lq, ens = _resolve(cfg, preset_cfg, grid)
+def cmd_solve_adjoint(cfg, scenario, lq, grid):
+    ens = sample_brownian(grid, cfg.paths, cfg.seed)
     control = _control_for(cfg, scenario, lq, grid)
     traj = simulate_controlled(scenario, scenario.x0, control, ens)
-    pair = solve_first_adjoint(scenario, traj, None, ens)
+    pair = solve_first_adjoint(scenario, traj, ens)
     times = grid.times()
     n = scenario.n_modes
     header = ["step", "time"] + [f"y_mean_{k+1}" for k in range(n)] + [
@@ -189,33 +187,27 @@ def cmd_solve_adjoint(cfg, preset_cfg, grid):
     return 0, None
 
 
-def _second_order_inputs(cfg, preset_cfg, scenario, lq, grid, ens, first=None):
+def _second_order_inputs(cfg, problem, lq, grid, ens, first=None):
     """Matrix-equation data: either straight from a matrix preset or the
     linearization along the chosen control.  ``first`` is the (trajectory,
     first adjoint) along that control when the caller already has them."""
-    if preset_cfg.get("kind") == "matrix_scalar":
-        op = OperatorSpec(1, np.array([0.0]))
-        kappa = float(preset_cfg.get("kappa", 0.5))
-        J = None
-        K = np.array([[kappa]])
-        F = np.array([[float(preset_cfg.get("forcing", 0.0))]])
-        P_T = np.array([[float(preset_cfg.get("terminal", 1.0))]])
-        return op, J, K, F, P_T, None
-    traj, pair = first or _first_order(cfg, scenario, lq, grid, ens)
-    J, K, F, P_T = second_order_data(scenario, traj, pair)
-    return scenario.op, J, K, F, P_T, traj
+    if isinstance(problem, MatrixPreset):
+        return (*problem.second_order_data(), None)
+    traj, pair = first or _first_order(cfg, problem, lq, grid, ens)
+    J, K, F, P_T = second_order_data(problem, traj, pair)
+    return problem.op, J, K, F, P_T, traj
 
 
 def _first_order(cfg, scenario, lq, grid, ens):
     """Trajectory along the chosen control and its first adjoint pair."""
     control = _control_for(cfg, scenario, lq, grid)
     traj = simulate_controlled(scenario, scenario.x0, control, ens)
-    return traj, solve_first_adjoint(scenario, traj, None, ens)
+    return traj, solve_first_adjoint(scenario, traj, ens)
 
 
-def cmd_solve_second_adjoint(cfg, preset_cfg, grid):
-    scenario, lq, ens = _resolve(cfg, preset_cfg, grid)
-    op, J, K, F, P_T, traj = _second_order_inputs(cfg, preset_cfg, scenario, lq, grid, ens)
+def cmd_solve_second_adjoint(cfg, problem, lq, grid):
+    ens = sample_brownian(grid, cfg.paths, cfg.seed)
+    op, J, K, F, P_T, traj = _second_order_inputs(cfg, problem, lq, grid, ens)
     feature_states = None if traj is None else traj.states
     sa = solve_second_adjoint(op, J, K, F, P_T, ens, feature_states=feature_states)
     times = grid.times()
@@ -233,12 +225,9 @@ def cmd_solve_second_adjoint(cfg, preset_cfg, grid):
     return 0, {"symmetry_drift": _fmt(sa.symmetry_drift)}
 
 
-def cmd_verify_duality(cfg, preset_cfg, grid):
-    scenario, lq, ens = _resolve(cfg, preset_cfg, grid)
-    kind = preset_cfg.get("kind")
+def cmd_verify_duality(cfg, problem, lq, grid):
+    ens = sample_brownian(grid, cfg.paths, cfg.seed)
     failures = []
-    c_first = float(preset_cfg.get("c_bias_first", 0.2))
-    c_second = float(preset_cfg.get("c_bias_second", 0.5))
     header = ["identity", "n_paths", "dt", "lhs", "rhs", "residual", "stderr", "pass"]
     first = None
 
@@ -248,25 +237,25 @@ def cmd_verify_duality(cfg, preset_cfg, grid):
         if not all(r.passed for r in reports):
             failures.append(path)
 
-    if cfg.order in ("first", "both") and kind != "matrix_scalar":
-        first = _first_order(cfg, scenario, lq, grid, ens)
-        tests = [describe_first_test(scenario.op, ens, np.random.default_rng([cfg.seed, 1000 + i]))
+    # a matrix preset has no first-order equation: "both" runs the second
+    if cfg.order in ("first", "both") and not isinstance(problem, MatrixPreset):
+        first = _first_order(cfg, problem, lq, grid, ens)
+        tests = [describe_first_test(problem.op, ens, np.random.default_rng([cfg.seed, 1000 + i]))
                  for i in range(cfg.tuples)]
         record("duality_first", verify_first_identities(
-            first[1], scenario.op, None, None, tests, ens,
-            bias_budget=c_first * grid.dt, k_sigma=cfg.k_sigma,
+            first[1], problem.op, None, None, tests, ens,
+            bias_budget=problem.c_bias_first * grid.dt, k_sigma=cfg.k_sigma,
         ))
 
     if cfg.order in ("second", "both"):
-        op, J, K, F, P_T, traj = _second_order_inputs(cfg, preset_cfg, scenario, lq, grid, ens,
-                                                      first)
+        op, J, K, F, P_T, traj = _second_order_inputs(cfg, problem, lq, grid, ens, first)
         feature_states = None if traj is None else traj.states
         sa = solve_second_adjoint(op, J, K, F, P_T, ens, feature_states=feature_states)
         tests = [describe_second_test(op, ens, np.random.default_rng([cfg.seed, 2000 + i]))
                  for i in range(cfg.tuples)]
         record("duality_second", verify_second_identities(
             sa, op, J, K, F, P_T, tests, ens,
-            bias_budget=c_second * grid.dt, k_sigma=cfg.k_sigma,
+            bias_budget=problem.c_bias_second * grid.dt, k_sigma=cfg.k_sigma,
         ))
 
     if failures:
@@ -274,21 +263,17 @@ def cmd_verify_duality(cfg, preset_cfg, grid):
     return 0, None
 
 
-def cmd_check_mp(cfg, preset_cfg, grid):
-    scenario, lq, ens = _resolve(cfg, preset_cfg, grid)
+def cmd_check_mp(cfg, scenario, lq, grid):
+    ens = sample_brownian(grid, cfg.paths, cfg.seed)
     control = _control_for(cfg, scenario, lq, grid)
     traj = simulate_controlled(scenario, scenario.x0, control, ens)
     pair, sa = solve_adjoints(scenario, traj, ens)
-    if hasattr(scenario.control_set, "lo"):
+    control_set = scenario.control_set
+    if isinstance(control_set, Box):
         # keep the control grid in the region the candidate control visits
         span = max(1.0, float(np.max(np.abs(traj.controls_used))) * 2.0)
-        lo = np.maximum(scenario.control_set.lo, -span)
-        hi = np.minimum(scenario.control_set.hi, span)
-        axes = [np.linspace(l, h, cfg.u_points) for l, h in zip(lo, hi)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        u_grid = np.stack([m.ravel() for m in mesh], axis=-1)
-    else:
-        u_grid = scenario.control_set.sample_grid(cfg.u_points)
+        control_set = Box(np.maximum(control_set.lo, -span), np.minimum(control_set.hi, span))
+    u_grid = control_set.sample_grid(cfg.u_points)
     t_grid = np.linspace(0, grid.n_steps - 1, cfg.t_points, dtype=int)
     report = check_condition(
         scenario, traj, pair, sa, u_grid, t_grid,
@@ -305,8 +290,8 @@ def cmd_check_mp(cfg, preset_cfg, grid):
     return (0 if report.passed else 1), ({"failed": path} | extra if not report.passed else extra)
 
 
-def cmd_optimize(cfg, preset_cfg, grid):
-    scenario, lq, ens = _resolve(cfg, preset_cfg, grid)
+def cmd_optimize(cfg, scenario, lq, grid):
+    ens = sample_brownian(grid, cfg.paths, cfg.seed)
     init = OpenLoop(np.zeros((grid.n_steps, scenario.control_dim)))
     try:
         final, history = projected_gradient(
@@ -319,8 +304,8 @@ def cmd_optimize(cfg, preset_cfg, grid):
     return 0, {"final_J": _fmt(history.final_cost)}
 
 
-def cmd_spike_experiment(cfg, preset_cfg, grid):
-    scenario, lq, ens = _resolve(cfg, preset_cfg, grid)
+def cmd_spike_experiment(cfg, scenario, lq, grid):
+    ens = sample_brownian(grid, cfg.paths, cfg.seed)
     control = _control_for(cfg, scenario, lq, grid)
     tau = round(cfg.tau / grid.dt) * grid.dt
     table = spike_experiment(
@@ -337,10 +322,9 @@ def cmd_spike_experiment(cfg, preset_cfg, grid):
     return 0, None
 
 
-def cmd_cross_validate(cfg, preset_cfg, grid):
-    scenario, lq, ens = _resolve(cfg, preset_cfg, grid)
+def cmd_cross_validate(cfg, scenario, lq, grid):
     if scenario.n_modes != 1:
-        return 2, {"failed": "oracle cross-validation needs a scalar preset"}
+        raise ConfigError(f"cross-validate-oracles needs a scalar preset; {cfg.preset} is not")
     rc = riccati_oracle(lq, grid)
     lattice = np.linspace(cfg.lattice_lo, cfg.lattice_hi, cfg.lattice_points)
     span = 3.0
@@ -417,9 +401,9 @@ def main(argv=None):
     os.makedirs(cfg.outdir, exist_ok=True)
     start = time.time()
     try:
-        preset_cfg = load_preset(cfg.preset)
-        grid = _grid_for(cfg, preset_cfg)
-        code, extra = COMMANDS[cfg.command](cfg, preset_cfg, grid)
+        problem, lq = build_preset(load_preset(cfg.preset))
+        grid = _grid_for(cfg, problem)
+        code, extra = COMMANDS[cfg.command](cfg, problem, lq, grid)
     except (FileNotFoundError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

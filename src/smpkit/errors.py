@@ -50,5 +50,5 @@ class StepRuleError(SmpKitError):
     """Optimizer cost estimate increased persistently; the step rule is unstable."""
 
 
-class ConfigError(SmpKitError, ValueError):
-    """Command-line options that no run can honour (grid, paths, tuple count)."""
+class ConfigError(DomainError):
+    """A preset file or command-line options that no run can honour."""

@@ -242,10 +242,11 @@ class Scenario:
     drift_xx: Optional[Callable] = None         # (t,x,u) -> (P,n,n,n), [p,k,i,j]
     diffusion_xx: Optional[Callable] = None
     constant_jacobians: bool = False
-    # preset metadata (bias constants for residual pass rules, initial state)
+    # preset metadata (pass-rule bias constants, initial state, horizon)
     x0: Optional[np.ndarray] = None
     c_bias_first: float = 1.0
     c_bias_second: float = 1.0
+    T: Optional[float] = None
 
     @property
     def n_modes(self):
@@ -319,26 +320,17 @@ def _expand(arr, n_paths, trailing):
 
 
 def _fd_grad(fn, x):
-    h = _fd_step(x)
-    out = np.empty_like(x)
-    for i in range(x.shape[-1]):
-        e = np.zeros(x.shape[-1])
-        e[i] = 1.0
-        out[:, i] = (fn(x + h[:, i : i + 1] * e) - fn(x - h[:, i : i + 1] * e)) / (2 * h[:, i])
-    return out
+    return _fd_jac(lambda xx: fn(xx)[:, None], x)[:, 0]
 
 
 def _fd_jac(fn, x):
     """Central-difference Jacobian (P, k, d) of a batched fn at x (P, d)."""
     h = _fd_step(x)
-    p, n = x.shape
-    out = np.empty((p, fn(x).shape[-1], n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
+    cols = []
+    for j, e in enumerate(np.eye(x.shape[1])):
         step = h[:, j : j + 1]
-        out[:, :, j] = (fn(x + step * e) - fn(x - step * e)) / (2 * step)
-    return out
+        cols.append((fn(x + step * e) - fn(x - step * e)) / (2 * step))
+    return np.stack(cols, axis=-1)
 
 
 def _fd_hess(fn, x):

@@ -163,7 +163,7 @@ def second_order_data(scenario, traj, pair):
 
 def solve_adjoints(scenario, traj, ens, basis=None):
     """First- and second-order backward solves along one trajectory."""
-    pair = solve_first_adjoint(scenario, traj, None, ens, basis=basis)
+    pair = solve_first_adjoint(scenario, traj, ens, basis=basis)
     J, K, F, P_T = second_order_data(scenario, traj, pair)
     sa = solve_second_adjoint(
         scenario.op, J, K, F, P_T, ens, basis=basis, feature_states=traj.states
@@ -252,7 +252,7 @@ def projected_gradient(scenario, x0, control, ens, step_rule=0.8, max_iters=200,
         costs = cost_paths(scenario, traj)
         cost = float(costs.mean())
         stderr = float(costs.std(ddof=1) / np.sqrt(len(costs)))
-        pair = solve_first_adjoint(scenario, traj, None, ens, basis=basis)
+        pair = solve_first_adjoint(scenario, traj, ens, basis=basis)
         grad = control_gradient(scenario, traj, pair)
         step = step_of(i)
         # project the step-major buffer as one (n_steps * n_paths, m) view

@@ -1,10 +1,11 @@
 """Preset problem instances and independent value oracles.
 
-Two presets are shipped as text files under ``presets/``: a scalar
-linear-quadratic instance with additive noise, and a dissipative spectral
-("heat") instance with the control entering both drift and diffusion.  Both
-carry analytic derivative callbacks and calibrated bias constants for the
-residual pass rules.
+Three presets are shipped as text files under ``presets/``, one per kind:
+a scalar linear-quadratic instance with additive noise, a dissipative
+spectral ("heat") instance with the control entering both drift and
+diffusion, and a scalar matrix-equation instance with no control problem.
+A kind's builder names every key it takes, with its default; all carry
+calibrated bias constants for the residual pass rules.
 
 Oracles: a Riccati backward sweep (quadratic/linear/constant value
 coefficients, including the diffusion correction for state- and
@@ -13,6 +14,7 @@ scalar lattice with Gauss-Hermite transition quadrature.  They are
 independent of the Monte Carlo machinery they back-check.
 """
 
+import inspect
 import os
 from dataclasses import dataclass
 from importlib import resources
@@ -20,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, LatticeEscapeError, OracleBreakdownError
+from .errors import ConfigError, DomainError, LatticeEscapeError, OracleBreakdownError
 from .forward import Box, Feedback, Scenario, TimeGrid
 from .spectral import OperatorSpec, make_dirichlet_laplacian
 
@@ -263,12 +265,12 @@ def make_lq_scalar(sigma=0.3, T=1.0, x0=1.0, control_bound=6.0,
         x0=np.array([x0]),
         c_bias_first=c_bias_first,
         c_bias_second=c_bias_second,
+        T=T,
     )
     params = LqParams(
         A=np.zeros((1, 1)), B=np.eye(1), C=np.zeros((1, 1)), D=np.zeros((1, 1)),
         sigma=np.array([sigma]), M=np.eye(1), N=np.eye(1), G=np.eye(1),
     )
-    scenario.T = T
     return scenario, params
 
 
@@ -287,7 +289,9 @@ def make_heat_scenario(n_modes=4, control_dim=2, beta=0.1, drift_gain=1.0,
     eye = np.eye(n_modes)
     if x0 is None:
         x0 = 2.0 ** -np.arange(n_modes)
-    x0 = np.asarray(x0, dtype=float)
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x0.shape != (n_modes,):
+        raise DomainError(f"x0 has {x0.size} entries, expected n_modes = {n_modes}")
 
     scenario = Scenario(
         op=op,
@@ -314,20 +318,36 @@ def make_heat_scenario(n_modes=4, control_dim=2, beta=0.1, drift_gain=1.0,
         x0=x0,
         c_bias_first=c_bias_first,
         c_bias_second=c_bias_second,
+        T=T,
     )
-    scenario.T = T
     return scenario
 
 
-def heat_lq_params(scenario, beta, drift_gain, diffusion_gain):
-    """LQ matrices matching :func:`make_heat_scenario` for the Riccati oracle."""
-    n = scenario.n_modes
-    m = scenario.control_dim
-    pattern = np.zeros((n, m))
-    pattern[:m, :m] = np.eye(m)
+@dataclass(frozen=True)
+class MatrixPreset:
+    """Scalar matrix-equation instance with no control problem: generator
+    eigenvalue 0, J = 0, K = kappa, constant forcing F and terminal value
+    P_T.  With F = 0, P(t) = terminal * exp(kappa^2 (T - t))."""
+
+    T: float = 1.0
+    kappa: float = 0.5
+    forcing: float = 0.0
+    terminal: float = 1.0
+    c_bias_second: float = 0.5
+
+    def second_order_data(self):
+        """``(op, J, K, F, P_T)`` of the matrix equation (J = None is J = 0)."""
+        return (OperatorSpec(1, np.array([0.0])), None, np.array([[self.kappa]]),
+                np.array([[self.forcing]]), np.array([[self.terminal]]))
+
+
+def heat_lq_params(scenario):
+    """LQ matrices of a :func:`make_heat_scenario` instance for the Riccati
+    oracle, read off its constant Jacobians."""
+    n, m = scenario.n_modes, scenario.control_dim
     return LqParams(
-        A=np.diag(scenario.op.eigenvalues), B=drift_gain * pattern,
-        C=beta * np.eye(n), D=diffusion_gain * pattern,
+        A=np.diag(scenario.op.eigenvalues), B=scenario.drift_u(0.0, None, None),
+        C=scenario.diffusion_x(0.0, None, None), D=scenario.diffusion_u(0.0, None, None),
         sigma=np.zeros(n), M=np.eye(n), N=np.eye(m), G=np.eye(n),
     )
 
@@ -336,18 +356,19 @@ def heat_lq_params(scenario, beta, drift_gain, diffusion_gain):
 # Preset files: line-oriented "key = value" text
 # ----------------------------------------------------------------------
 
+def _number_list(raw):
+    return np.array([float(tok) for tok in raw.split(",") if tok.strip()])
+
+
 def _parse_value(raw):
+    """An int, a float, a comma list of floats, or else the raw text."""
     raw = raw.strip()
-    if "," in raw:
-        return np.array([float(tok) for tok in raw.split(",") if tok.strip()])
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        return raw
+    for parse in (int, float, _number_list):
+        try:
+            return parse(raw)
+        except ValueError:
+            pass
+    return raw
 
 
 def parse_preset_text(text):
@@ -357,7 +378,7 @@ def parse_preset_text(text):
         if not line:
             continue
         if "=" not in line:
-            raise DomainError(f"bad preset line: {line!r}")
+            raise ConfigError(f"bad preset line: {line!r}")
         key, raw = line.split("=", 1)
         cfg[key.strip()] = _parse_value(raw)
     return cfg
@@ -388,38 +409,55 @@ def load_preset(name):
     return cfg
 
 
+PRESET_BUILDERS = {"lq_scalar": make_lq_scalar, "heat": make_heat_scenario,
+                   "matrix_scalar": MatrixPreset}
+
+
+def _checked_value(key, value, default):
+    """A preset value checked against the type of its builder default:
+    an integer >= 1, one finite number, or (default None) finite numbers."""
+    if isinstance(default, int):
+        if not isinstance(value, int) or value < 1:
+            raise ConfigError(f"preset key {key}: expected an integer >= 1, got {value!r}")
+        return value
+    try:
+        arr = np.asarray(value, dtype=float)
+    except ValueError:
+        raise ConfigError(f"preset key {key}: {value!r} is not a number") from None
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"preset key {key}: {value!r} is not finite")
+    if default is None:
+        return arr
+    if arr.ndim != 0:
+        raise ConfigError(f"preset key {key}: expected one number, got a list of {arr.size}")
+    return float(arr)
+
+
 def build_preset(cfg):
-    """Instantiate a preset config: returns (scenario, lq_params_or_None)."""
-    kind = cfg.get("kind")
-    if kind == "lq_scalar":
-        scenario, params = make_lq_scalar(
-            sigma=float(cfg.get("sigma", 0.3)),
-            T=float(cfg.get("T", 1.0)),
-            x0=float(np.atleast_1d(cfg.get("x0", 1.0))[0]),
-            control_bound=float(cfg.get("control_bound", 6.0)),
-            c_bias_first=float(cfg.get("c_bias_first", 0.2)),
-            c_bias_second=float(cfg.get("c_bias_second", 0.5)),
-        )
-        return scenario, params
+    """Check a preset mapping against its kind's builder, whose defaults fill
+    the keys it leaves out, and build it: ``(Scenario, LqParams)`` for a
+    control preset, ``(MatrixPreset, None)`` for a matrix preset.  Raises
+    ConfigError naming the bad key."""
+    kind = str(cfg.get("kind"))
+    if kind not in PRESET_BUILDERS:
+        raise ConfigError(f"preset key kind: unknown kind {kind!r} "
+                          f"(one of {', '.join(PRESET_BUILDERS)})")
+    builder = PRESET_BUILDERS[kind]
+    params = inspect.signature(builder).parameters
+    args = {key: param.default for key, param in params.items()}
+    for key, value in cfg.items():
+        if key in ("kind", "name"):
+            continue
+        if key not in params:
+            raise ConfigError(f"preset key {key}: unknown for kind {kind} "
+                              f"(keys: {', '.join(params)})")
+        args[key] = _checked_value(key, value, params[key].default)
+    if not args["T"] > 0:
+        raise ConfigError(f"preset key T: the horizon must be positive (got {args['T']})")
+    try:
+        built = builder(**args)
+    except DomainError as exc:
+        raise ConfigError(f"preset kind {kind}: {exc}") from exc
     if kind == "heat":
-        beta = float(cfg.get("beta", 0.1))
-        drift_gain = float(cfg.get("drift_gain", 1.0))
-        diffusion_gain = float(cfg.get("diffusion_gain", 0.2))
-        scenario = make_heat_scenario(
-            n_modes=int(cfg.get("n_modes", 4)),
-            control_dim=int(cfg.get("control_dim", 2)),
-            beta=beta,
-            drift_gain=drift_gain,
-            diffusion_gain=diffusion_gain,
-            length=float(cfg.get("length", 1.0)),
-            T=float(cfg.get("T", 1.0)),
-            x0=cfg.get("x0"),
-            control_bound=float(cfg.get("control_bound", 6.0)),
-            c_bias_first=float(cfg.get("c_bias_first", 0.2)),
-            c_bias_second=float(cfg.get("c_bias_second", 0.5)),
-        )
-        params = heat_lq_params(scenario, beta, drift_gain, diffusion_gain)
-        return scenario, params
-    if kind == "matrix_scalar":
-        return cfg, None
-    raise DomainError(f"unknown preset kind: {kind!r}")
+        return built, heat_lq_params(built)
+    return (built, None) if kind == "matrix_scalar" else built  # lq_scalar builds both

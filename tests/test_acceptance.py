@@ -54,7 +54,7 @@ def _first_identity_level(scenario, n_steps, n_paths, tuples, seed=101, tuple_se
     ens = sample_brownian(grid, n_paths, seed)
     control = OpenLoop(np.zeros((n_steps, scenario.control_dim)))
     traj = simulate_controlled(scenario, scenario.x0, control, ens)
-    pair = solve_first_adjoint(scenario, traj, None, ens)
+    pair = solve_first_adjoint(scenario, traj, ens)
     rng = np.random.default_rng(tuple_seed)
     tests = [make_test(scenario.op, ens, rng) for _ in range(tuples)]
     reports = verify_first_identities(
@@ -108,7 +108,7 @@ def _second_identity_case(op, J, K, F, P_T, scenario, n_steps, n_paths,
     if scenario is not None:
         control = OpenLoop(np.zeros((n_steps, scenario.control_dim)))
         traj = simulate_controlled(scenario, scenario.x0, control, ens)
-        pair = solve_first_adjoint(scenario, traj, None, ens)
+        pair = solve_first_adjoint(scenario, traj, ens)
         J, K, F, P_T = second_order_data(scenario, traj, pair)
         feature_states = traj.states
         op = scenario.op
@@ -241,7 +241,7 @@ def test_criterion_4_gradient_consistency():
     base_profile = 0.3 * np.cos(np.linspace(0.0, 3.0, grid.n_steps))[:, None]
     control = OpenLoop(base_profile)
     base_traj = simulate_controlled(scenario, scenario.x0, control, ens)
-    base_pair = solve_first_adjoint(scenario, base_traj, None, ens)
+    base_pair = solve_first_adjoint(scenario, base_traj, ens)
     grad = control_gradient(scenario, base_traj, base_pair)
     rng = np.random.default_rng(17)
     ok = True

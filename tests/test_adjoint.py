@@ -63,7 +63,7 @@ def test_basis_feature_count_and_overfit_guard():
     ens = sample_brownian(grid, 20, 0)  # 3 features > 20/10
     traj = simulate_controlled(scenario, scenario.x0, OpenLoop(np.zeros((5, 1))), ens)
     with pytest.raises(DegenerateBasisError):
-        solve_first_adjoint(scenario, traj, None, ens)
+        solve_first_adjoint(scenario, traj, ens)
 
 
 # ----------------------------------------------------------------------
@@ -127,7 +127,7 @@ def test_sweep_zero_data_gives_zero():
     grid = TimeGrid(0.0, 1.0, 20)
     ens = sample_brownian(grid, 200, 3)
     traj = simulate_controlled(scenario, np.array([1.0, 0.0]), OpenLoop(np.zeros((20, 1))), ens)
-    pair = solve_first_adjoint(scenario, traj, None, ens)
+    pair = solve_first_adjoint(scenario, traj, ens)
     np.testing.assert_array_equal(pair.y, 0.0)
     np.testing.assert_array_equal(pair.Y, 0.0)
 
@@ -140,7 +140,7 @@ def test_sweep_matches_deterministic_recursion():
     grid = TimeGrid(0.0, 1.0, 50)
     ens = sample_brownian(grid, 2000, 5)
     traj = simulate_controlled(scenario, np.array([1.0, 1.0]), OpenLoop(np.zeros((50, 1))), ens)
-    pair = solve_first_adjoint(scenario, traj, None, ens)
+    pair = solve_first_adjoint(scenario, traj, ens)
     oracle = deterministic_first_adjoint(op, -v, np.tile(c, (50, 1)), grid)
     # deterministic targets are in the span of the intercept: agreement is
     # regression-exact up to the tiny ridge shift
@@ -164,7 +164,7 @@ def test_terminal_condition_exact():
     grid = TimeGrid(0.0, 1.0, 50)
     ens = sample_brownian(grid, 500, 7)
     traj = simulate_controlled(scenario, scenario.x0, OpenLoop(np.zeros((50, 1))), ens)
-    pair = solve_first_adjoint(scenario, traj, None, ens)
+    pair = solve_first_adjoint(scenario, traj, ens)
     np.testing.assert_array_equal(pair.y[:, -1], -traj.states[:, -1])
 
 
@@ -173,7 +173,7 @@ def test_martingale_residual_centered():
     grid = TimeGrid(0.0, 1.0, 40)
     ens = sample_brownian(grid, 4000, 11)
     traj = simulate_controlled(scenario, scenario.x0, OpenLoop(np.zeros((40, 1))), ens)
-    pair = solve_first_adjoint(scenario, traj, None, ens)
+    pair = solve_first_adjoint(scenario, traj, ens)
     basis = RegressionBasis()
     decay = np.exp(scenario.op.eigenvalues * grid.dt)
     for j in (0, 13, 39):
@@ -196,8 +196,8 @@ def test_adjoint_linearity_in_cost_scaling():
     ens = sample_brownian(grid, 1000, 13)
     control = OpenLoop(np.zeros((30, 1)))
     traj = simulate_controlled(base, base.x0, control, ens)
-    p1 = solve_first_adjoint(base, traj, None, ens)
-    p2 = solve_first_adjoint(doubled, traj, None, ens)
+    p1 = solve_first_adjoint(base, traj, ens)
+    p2 = solve_first_adjoint(doubled, traj, ens)
     np.testing.assert_array_equal(p2.y, 2.0 * p1.y)
     np.testing.assert_array_equal(p2.Y, 2.0 * p1.Y)
 
@@ -212,7 +212,7 @@ def test_oracle_error_shrinks_under_refinement():
         grid = TimeGrid(0.0, 1.0, n_steps)
         ens = sample_brownian(grid, n_paths, seed)
         traj = simulate_controlled(scenario, np.array([1.0]), OpenLoop(np.zeros((n_steps, 1))), ens)
-        pair = solve_first_adjoint(scenario, traj, None, ens)
+        pair = solve_first_adjoint(scenario, traj, ens)
         exact = _exact_continuous_adjoint(op, -v, c, grid)
         err = np.max(np.abs(pair.y.mean(axis=0) - exact))
         errors.append(err)
@@ -225,7 +225,7 @@ def test_lq_adjoint_matches_riccati_representation():
     ens = sample_brownian(grid, 20_000, 19)
     oracle = riccati_oracle(params, grid)
     traj = simulate_controlled(scenario, scenario.x0, oracle.feedback(), ens)
-    pair = solve_first_adjoint(scenario, traj, None, ens)
+    pair = solve_first_adjoint(scenario, traj, ens)
     # representation y(t) = -p(t) xbar(t) with p = 1
     rel_err = []
     for j in (0, 50, 100, 150):
@@ -242,4 +242,4 @@ def test_ensemble_mismatch_rejected():
     ens_b = sample_brownian(grid, 400, 2)
     traj = simulate_controlled(scenario, scenario.x0, OpenLoop(np.zeros((20, 1))), ens_a)
     with pytest.raises(EnsembleMismatchError):
-        solve_first_adjoint(scenario, traj, None, ens_b)
+        solve_first_adjoint(scenario, traj, ens_b)

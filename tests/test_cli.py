@@ -133,3 +133,45 @@ def test_spike_experiment_artifact(tmp_path):
     lines = (out / "spike_table.csv").read_text().strip().splitlines()
     assert lines[0].startswith("epsilon,tau,J_perturbed,J_base,delta_J,predicted,remainder")
     assert len(lines) == 3
+
+
+BAD_PRESETS = {
+    "not_a_number": ("kind = lq_scalar\nsigma = abc\n", "preset key sigma"),
+    "unknown_key": ("kind = lq_scalar\nsigmaa = 0.1\n", "preset key sigmaa"),
+    "scalar_x0_given_two": ("kind = lq_scalar\nx0 = 1.0, 2.0\n", "preset key x0"),
+    "unknown_kind": ("kind = heatx\n", "preset key kind"),
+    "malformed_line": ("kind = lq_scalar\nthis is not a pair\n", "bad preset line"),
+    "heat_x0_wrong_length": ("kind = heat\nn_modes = 4\nx0 = 1.0, 0.5, 0.25\n", "x0 has 3 entries"),
+    "zero_horizon": ("kind = lq_scalar\nT = 0\n", "preset key T"),
+}
+MATRIX_MISUSE = {
+    command: [command] for command in ("simulate-forward", "solve-adjoint", "check-mp", "optimize",
+                                       "spike-experiment", "cross-validate-oracles")
+}
+MATRIX_MISUSE["verify-duality_order_first"] = ["verify-duality", "--order", "first"]
+
+
+@pytest.mark.parametrize("case", list(BAD_PRESETS) + list(MATRIX_MISUSE))
+def test_bad_preset_or_matrix_misuse_exits_2(tmp_path, capsys, case):
+    if case in BAD_PRESETS:
+        text, message = BAD_PRESETS[case]
+        preset = tmp_path / "bad.preset"
+        preset.write_text(text)
+        argv = ["simulate-forward", "--preset", str(preset)]
+    else:
+        argv = MATRIX_MISUSE[case] + ["--preset", "mat_scalar"]
+        message = " ".join(MATRIX_MISUSE[case]) + " needs a control problem"
+    code, out = run(tmp_path, "out", *argv, "--paths", "200", "--dt", "0.05", "--seed", "1")
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+    assert not list(out.glob("*.csv"))
+
+
+def test_cross_validate_rejects_vector_preset(tmp_path, capsys):
+    code, out = run(tmp_path, "cv", "cross-validate-oracles", "--preset", "heat4",
+                    "--paths", "100", "--dt", "0.05", "--seed", "1")
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: cross-validate-oracles needs a scalar preset; heat4 is not"]
+    assert not (out / "manifest.txt").exists() and not list(out.glob("*.csv"))

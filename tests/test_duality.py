@@ -55,7 +55,7 @@ def test_first_identity_deterministic_oracle_case():
     grid = TimeGrid(0.0, 1.0, 100)
     ens = sample_brownian(grid, 4000, 3)
     traj = simulate_controlled(scenario, np.array([1.0, 0.5]), OpenLoop(np.zeros((100, 1))), ens)
-    pair = solve_first_adjoint(scenario, traj, None, ens)
+    pair = solve_first_adjoint(scenario, traj, ens)
     rng = np.random.default_rng(0)
     for _ in range(5):
         test = random_first_test(op, ens, rng)
@@ -74,7 +74,7 @@ def test_first_identity_localizes_y():
     grid = TimeGrid(0.0, 1.0, 50)
     ens = sample_brownian(grid, 4000, 5)
     traj = simulate_controlled(scenario, np.array([1.0]), OpenLoop(np.zeros((50, 1))), ens)
-    pair = solve_first_adjoint(scenario, traj, None, ens)
+    pair = solve_first_adjoint(scenario, traj, ens)
     j_star = 20
     probe = np.array([1.0])
     v1 = np.zeros((50, 1))
@@ -95,7 +95,7 @@ def test_first_identity_bilinear_in_test_data():
     grid = TimeGrid(0.0, 1.0, 30)
     ens = sample_brownian(grid, 500, 7)
     traj = simulate_controlled(scenario, np.array([1.0]), OpenLoop(np.zeros((30, 1))), ens)
-    pair = solve_first_adjoint(scenario, traj, None, ens)
+    pair = solve_first_adjoint(scenario, traj, ens)
     rng = np.random.default_rng(1)
     t_index, eta, v1, v2 = random_first_test(op, ens, rng)
     base = verify_first_identity(pair, op, None, None, (t_index, eta, v1, v2), ens)
@@ -284,7 +284,7 @@ def _heat4_setup(n_steps=40, n_paths=600, seed=3):
     ens = sample_brownian(grid, n_paths, seed)
     traj = simulate_controlled(scenario, scenario.x0,
                                OpenLoop(np.zeros((n_steps, scenario.control_dim))), ens)
-    pair = solve_first_adjoint(scenario, traj, None, ens)
+    pair = solve_first_adjoint(scenario, traj, ens)
     return scenario, grid, ens, traj, pair
 
 

@@ -71,7 +71,7 @@ def test_forward_simulators_store_step_major():
 def test_adjoint_histories_and_gradient_store_step_major():
     scenario, grid, ens, traj = _heat4()
     n, m = scenario.n_modes, scenario.control_dim
-    pair = solve_first_adjoint(scenario, traj, None, ens)
+    pair = solve_first_adjoint(scenario, traj, ens)
     _assert_step_major(pair.y, (N_PATHS, N_STEPS + 1, n))
     _assert_step_major(pair.Y, (N_PATHS, N_STEPS, n))
     _assert_step_major(pair.driver, (N_PATHS, N_STEPS, n))
@@ -82,7 +82,7 @@ def test_dense_second_order_data_and_sweep_store_step_major():
     scenario, grid, ens, traj = _heat4()
     scenario = dataclasses.replace(scenario, constant_jacobians=False)
     n = scenario.n_modes
-    pair = solve_first_adjoint(scenario, traj, None, ens)
+    pair = solve_first_adjoint(scenario, traj, ens)
     J, K, F, P_T = second_order_data(scenario, traj, pair)
     for coeff in (J, K, F):
         _assert_step_major(coeff, (N_PATHS, N_STEPS, n, n))

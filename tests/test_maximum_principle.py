@@ -107,7 +107,7 @@ def test_convex_gradient_improvement_direction_when_suboptimal():
     grid = TimeGrid(0.0, 1.0, 200)
     ens = sample_brownian(grid, 20_000, 31)
     traj = simulate_controlled(scenario, scenario.x0, OpenLoop(np.zeros((200, 1))), ens)
-    pair = solve_first_adjoint(scenario, traj, None, ens)
+    pair = solve_first_adjoint(scenario, traj, ens)
     oracle = riccati_oracle(riccati_params := make_lq_scalar()[1], grid)
     # pairing of the gradient with (u* - 0) integrated over time: strictly
     # positive means moving toward u* improves

@@ -4,10 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from smpkit.errors import DomainError, LatticeEscapeError
+from smpkit.errors import ConfigError, DomainError, LatticeEscapeError
 from smpkit.forward import TimeGrid, sample_brownian, simulate_controlled
 from smpkit.scenarios import (
     LqParams,
+    MatrixPreset,
     available_presets,
     build_preset,
     dp_oracle_scalar,
@@ -205,6 +206,43 @@ def test_shipped_presets_load_and_build():
         assert scenario.x0 is not None
     mat = load_preset("mat_scalar")
     assert mat["kappa"] == 0.5
+
+
+@pytest.mark.parametrize("name", ["lq_scalar", "heat4", "mat_scalar"])
+def test_shipped_preset_values_reach_built_problem(name):
+    cfg = load_preset(name)
+    problem, lq = build_preset(cfg)
+    shared = [key for key in cfg if key not in ("kind", "name") and hasattr(problem, key)]
+    assert {"T", "c_bias_second"} <= set(shared)
+    for key in shared:
+        np.testing.assert_array_equal(getattr(problem, key), cfg[key], err_msg=key)
+    assert (lq is None) == isinstance(problem, MatrixPreset)
+
+
+def test_calibrated_bias_constants_reach_built_problem():
+    # heat4's second-order budget is 4.0, not the builder default
+    heat, _ = build_preset(load_preset("heat4"))
+    assert (heat.c_bias_first, heat.c_bias_second) == (0.2, 4.0)
+    mat, _ = build_preset(load_preset("mat_scalar"))
+    op, J, K, F, P_T = mat.second_order_data()
+    assert J is None and (K[0, 0], F[0, 0], P_T[0, 0]) == (0.5, 0.0, 1.0)
+    assert mat.c_bias_second == 0.5 and op.eigenvalues[0] == 0.0
+
+
+@pytest.mark.parametrize("text, key", [
+    ("kind = heat\nn_modes = 0\n", "n_modes"),
+    ("kind = heat\ncontrol_dim = 1.5\n", "control_dim"),
+    ("kind = lq_scalar\nsigma = nan\n", "sigma"),
+    ("kind = matrix_scalar\nkappa = inf\n", "kappa"),
+    ("kind = matrix_scalar\nT = -1\n", "T"),
+    ("kind = lq_scalar\nx0 = 1.0, abc\n", "x0"),
+    ("kind = heat\nn_modes = 1\ncontrol_dim = 2\n", "n_modes"),
+    ("sigma = 0.3\n", "kind"),
+], ids=["int_below_1", "int_not_integer", "nan", "inf", "negative_T", "bad_list",
+        "modes_below_controls", "no_kind"])
+def test_build_preset_rejects_bad_values(text, key):
+    with pytest.raises(ConfigError, match=key):
+        build_preset(parse_preset_text(text))
 
 
 def test_preset_dir_override(tmp_path, monkeypatch):

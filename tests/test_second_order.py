@@ -210,7 +210,7 @@ def test_coefficient_mode_matches_dense_mode_heat4():
     ens = sample_brownian(grid, n_paths, 21)
     control = OpenLoop(np.full((n_steps, scenario.control_dim), 0.2))
     traj = simulate_controlled(scenario, scenario.x0, control, ens)
-    pair = solve_first_adjoint(scenario, traj, None, ens)
+    pair = solve_first_adjoint(scenario, traj, ens)
     J, K, F, P_T = second_order_data(scenario, traj, pair)
     assert J.ndim == 3
     coeff = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, feature_states=traj.states)
