@@ -13,14 +13,18 @@ global least-squares regression on polynomial features of the forward state
 Two estimator details matter.  The semigroup factor inside the martingale
 target makes the discrete duality pairing exact up to regression error,
 uniformly over stiff modes.  Centering the martingale target by yhat_j
-leaves the estimand unchanged but removes its dominant variance term.  The
-driver values used at each step are recorded so identity checks can pair
-against exactly what the sweep did.
+leaves the estimand unchanged but removes its dominant variance term.
 
 Both adjoint orders run this scheme through :func:`regression_sweep` and
-supply only their driver update.
+supply only their driver update.  The sweep keeps y per path, since it is
+the next regression target, but Y and the driver only as the per-step
+coefficients of the two fits: a step slice of either is re-evaluated on
+demand through :class:`StepHistory`, the driver by the same function the
+sweep's update calls, so identity checks pair against exactly what the
+sweep did.
 """
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -63,7 +67,9 @@ class RegressionBasis:
 
 class RidgeSolver:
     """Normal-equation ridge solver with a factorization shared across
-    several target sets on the same features."""
+    several target sets on the same features.  The Cholesky factor L of the
+    (features, features) Gram matrix is inverted once per design, so each
+    target set is solved with two small matmuls, L^-T (L^-1 X^T Z)."""
 
     def __init__(self, features, ridge):
         self.X = np.asarray(features, dtype=float)
@@ -71,7 +77,7 @@ class RidgeSolver:
             raise DegenerateBasisError("ridge must be nonnegative")
         gram = self.X.T @ self.X + ridge * np.eye(self.X.shape[1])
         try:
-            self._chol = np.linalg.cholesky(gram)
+            self._inv_chol = np.linalg.inv(np.linalg.cholesky(gram))
         except np.linalg.LinAlgError as exc:
             raise DegenerateBasisError("singular regression normal matrix") from exc
 
@@ -79,8 +85,7 @@ class RidgeSolver:
         Z = np.asarray(targets, dtype=float)
         if Z.shape[0] != self.X.shape[0]:
             raise DimensionError("features and targets disagree on row count")
-        rhs = self.X.T @ Z
-        beta = np.linalg.solve(self._chol.T, np.linalg.solve(self._chol, rhs))
+        beta = self._inv_chol.T @ (self._inv_chol @ (self.X.T @ Z))
         return beta, self.X @ beta
 
 
@@ -92,16 +97,78 @@ def lsmc_regress(features, targets, ridge):
     return RidgeSolver(features, ridge).solve(targets)
 
 
+class StepFeatures:
+    """Regression features of a state history ``states`` (P, N+1, d), built
+    one step at a time.  The sweep fits on ``at(j)``, and coefficient-form
+    histories re-evaluate their step slices through the same object.  The
+    features of the last full-ensemble step are kept, so several histories
+    read at one step build them once."""
+
+    def __init__(self, basis, states):
+        self.basis = basis
+        self.states = states
+        self._last = (None, None)
+
+    @property
+    def n_features(self):
+        return self.basis.n_features(self.states.shape[2])
+
+    def at(self, j, paths=slice(None)):
+        """Features of ``states[paths, j]``; a subset of the paths is taken
+        before the features are built."""
+        if not (isinstance(paths, slice) and paths == slice(None)):
+            return self.basis.features(self.states[paths, j])
+        if self._last[0] != j:
+            self._last = (j, self.basis.features(self.states[:, j]))
+        return self._last[1]
+
+
+def _fitted(X, beta):
+    """``X @ beta`` as the sweep's solver computes it.  numpy takes its
+    vector path for a one-row product, which rounds differently from the
+    matrix path, so one row is evaluated as two."""
+    if X.shape[0] == 1:
+        return (np.concatenate([X, X]) @ beta)[:1]
+    return X @ beta
+
+
+class StepHistory:
+    """Read-only (n_paths, n_steps, ...) history that stores no per-path
+    values: ``h[paths, j, ...]`` evaluates step j on the selected paths
+    through ``step(j, paths)``, and ``nbytes`` counts the arrays actually
+    stored.  It deliberately has no ``__array__``, so the whole history is
+    never rebuilt by one stray ``np.asarray``."""
+
+    def __init__(self, shape, step, stored):
+        self.shape = tuple(shape)
+        self.ndim = len(self.shape)
+        self.nbytes = sum(a.nbytes for a in stored)
+        self._step = step
+
+    def __getitem__(self, key):
+        if not isinstance(key, tuple) or len(key) < 2:
+            raise TypeError("a step history is read one step at a time: h[paths, j, ...]")
+        paths, j, *rest = key
+        n_steps = self.shape[1]
+        j = operator.index(j)
+        if not -n_steps <= j < n_steps:
+            raise IndexError(f"step {j} is outside 0..{n_steps - 1}")
+        return self._step(j % n_steps, paths)[(slice(None), *rest)]
+
+
 @dataclass
 class AdjointPair:
     """Backward pair (y, Y) on the grid, per path; ``driver`` holds the f
-    values the sweep used at each step.  The histories are stored step-major
-    (see :func:`smpkit.forward.step_major`)."""
+    values the sweep used at each step.  ``y`` is stored step-major (see
+    :func:`smpkit.forward.step_major`).  ``Y`` and ``driver`` are read one
+    step slice at a time, ``Y[:, j]``: from the sweep they are
+    :class:`StepHistory` objects over the regression coefficients, while a
+    hand-built pair may pass dense arrays."""
 
     grid: object
-    y: np.ndarray                      # (n_paths, n_steps + 1, n)
-    Y: np.ndarray                      # (n_paths, n_steps, n)
-    driver: Optional[np.ndarray] = None  # (n_paths, n_steps, n)
+    y: np.ndarray                    # (n_paths, n_steps + 1, n)
+    Y: object                        # (n_paths, n_steps, n)
+    driver: Optional[object] = None  # (n_paths, n_steps, n)
     fingerprint: Optional[tuple] = None
 
     @property
@@ -116,21 +183,21 @@ def check_same_ensemble(*objects):
             raise EnsembleMismatchError(f"seed lineage differs: {prints[0]} vs {fp}")
 
 
-def regression_sweep(basis, states, terminal, decay, ens, update):
+def regression_sweep(features, terminal, decay, ens, update):
     """One-step regression scheme (Gobet, Lemor and Warin, Ann. Appl. Probab.
     2005) from ``target = terminal`` (P, k) back to step 0.  Step j fits the
-    mean and the martingale part of ``target * decay`` on the features X of
-    ``states[:, j]`` (P, N+1, d), then ``update(j, X, beta_mean, mean,
+    mean and the martingale part of ``target * decay`` on ``features.at(j)``
+    (a :class:`StepFeatures`), then ``update(j, X, beta_mean, mean,
     beta_mart, mart)`` applies the driver and returns the next target."""
     grid = ens.grid
-    n_feat = basis.n_features(states.shape[2])
+    n_feat = features.n_features
     if n_feat > ens.n_paths / 10:
         raise DegenerateBasisError(
             f"{n_feat} features against {ens.n_paths} paths violates the over-fit guard"
         )
     target = terminal
     for j in range(grid.n_steps - 1, -1, -1):
-        solver = RidgeSolver(basis.features(states[:, j]), basis.ridge)
+        solver = RidgeSolver(features.at(j), features.basis.ridge)
         propagated = target * decay
         beta_mean, mean = solver.solve(propagated)
         # martingale-increment form: centering by the conditional mean leaves
@@ -141,9 +208,25 @@ def regression_sweep(basis, states, terminal, decay, ens, update):
         target = update(j, solver.X, beta_mean, mean, beta_mart, mart)
 
 
+def _first_driver(scenario, t, x, u, y_hat, Y_j):
+    """Driver -a_x* y_hat - b_x* Y + g_x at one step, per path."""
+    a_x = scenario.jac_x("a", t, x, u)
+    b_x = scenario.jac_x("b", t, x, u)
+    return (
+        -np.einsum("pij,pi->pj", a_x, y_hat)
+        - np.einsum("pij,pi->pj", b_x, Y_j)
+        + scenario.grad_x_running(t, x, u)
+    )
+
+
 def solve_first_adjoint(scenario, trajectory, ens, basis=None):
     """Regression sweep for the adjoint pair along an optimal-candidate
-    trajectory, with terminal data -h_x and driver -a_x*y - b_x*Y + g_x."""
+    trajectory, with terminal data -h_x and driver -a_x*y - b_x*Y + g_x.
+
+    ``y`` is kept per path.  ``Y`` and ``driver`` keep the per-step
+    coefficients ``beta_mart``/``beta_mean`` (n_steps, n_features, n) and
+    re-evaluate a step on the trajectory's features, so the pair holds on
+    to ``trajectory.states``."""
     basis = basis or RegressionBasis()
     check_same_ensemble(trajectory, ens)
     op = scenario.op
@@ -151,27 +234,32 @@ def solve_first_adjoint(scenario, trajectory, ens, basis=None):
     n, N, P = op.n_modes, grid.n_steps, ens.n_paths
     dt = grid.dt
     times = grid.times()
+    states, controls = trajectory.states, trajectory.controls_used
+    features = StepFeatures(basis, states)
 
     y = step_major((P, N + 1, n))
-    Y = step_major((P, N, n))
-    driver = step_major((P, N, n))
-    y[:, N] = -scenario.grad_terminal(trajectory.states[:, N])
+    beta_mean = np.empty((N, features.n_features, n))
+    beta_mart = np.empty_like(beta_mean)
+    y[:, N] = -scenario.grad_terminal(states[:, N])
 
-    def update(j, X, beta_mean, y_hat, beta_mart, Y_j):
-        t, xj, uj = times[j], trajectory.states[:, j], trajectory.controls_used[:, j]
-        a_x = scenario.jac_x("a", t, xj, uj)
-        b_x = scenario.jac_x("b", t, xj, uj)
-        driver[:, j] = (
-            -np.einsum("pij,pi->pj", a_x, y_hat)
-            - np.einsum("pij,pi->pj", b_x, Y_j)
-            + scenario.grad_x_running(t, xj, uj)
-        )
-        y[:, j] = y_hat - dt * driver[:, j]
-        Y[:, j] = Y_j
+    def update(j, X, b_mean, y_hat, b_mart, Y_j):
+        beta_mean[j], beta_mart[j] = b_mean, b_mart
+        f_j = _first_driver(scenario, times[j], states[:, j], controls[:, j], y_hat, Y_j)
+        y[:, j] = y_hat - dt * f_j
         return y[:, j]
 
+    def Y_at(j, paths):
+        return _fitted(features.at(j, paths), beta_mart[j])
+
+    def driver_at(j, paths):
+        X = features.at(j, paths)
+        return _first_driver(scenario, times[j], states[paths, j], controls[paths, j],
+                             _fitted(X, beta_mean[j]), _fitted(X, beta_mart[j]))
+
     decay = np.exp(op.eigenvalues * dt)
-    regression_sweep(basis, trajectory.states, y[:, N], decay, ens, update)
+    regression_sweep(features, y[:, N], decay, ens, update)
+    Y = StepHistory((P, N, n), Y_at, (beta_mart,))
+    driver = StepHistory((P, N, n), driver_at, (beta_mean,))
     return AdjointPair(grid, y, Y, driver, ens.fingerprint)
 
 

@@ -109,12 +109,15 @@ MATRIX_COMMANDS = ("solve-second-adjoint", "verify-duality")  # need no control 
 
 def _grid_for(cfg, problem):
     """The time grid of the run.  Raises ConfigError for options no run can
-    honour: a command the preset cannot run, or a grid other than asked for."""
+    honour: a command the preset cannot run, or a grid other than asked for.
+    ``main`` creates the output directory only after this check."""
     if isinstance(problem, MatrixPreset) and (
             cfg.command not in MATRIX_COMMANDS or cfg.order == "first"):
         command = cfg.command + (" --order first" if cfg.order == "first" else "")
         raise ConfigError(f"{command} needs a control problem; "
                           f"preset {cfg.preset} is a matrix preset")
+    if cfg.command == "cross-validate-oracles" and problem.n_modes != 1:
+        raise ConfigError(f"cross-validate-oracles needs a scalar preset; {cfg.preset} is not")
     if cfg.paths < 2:
         raise ConfigError(f"--paths must be at least 2 (got {cfg.paths})")
     if cfg.tuples < 1:
@@ -179,9 +182,10 @@ def cmd_solve_adjoint(cfg, scenario, lq, grid):
     rows = []
     for j in range(grid.n_steps):
         row = {"step": j, "time": times[j]}
+        y_j, Y_j = pair.y[:, j], pair.Y[:, j]
         for k in range(n):
-            row[f"y_mean_{k+1}"] = float(pair.y[:, j, k].mean())
-            row[f"Y_mean_{k+1}"] = float(pair.Y[:, j, k].mean())
+            row[f"y_mean_{k+1}"] = float(y_j[:, k].mean())
+            row[f"Y_mean_{k+1}"] = float(Y_j[:, k].mean())
         rows.append(row)
     write_csv(os.path.join(cfg.outdir, "adjoint_stats.csv"), header, rows)
     return 0, None
@@ -323,8 +327,6 @@ def cmd_spike_experiment(cfg, scenario, lq, grid):
 
 
 def cmd_cross_validate(cfg, scenario, lq, grid):
-    if scenario.n_modes != 1:
-        raise ConfigError(f"cross-validate-oracles needs a scalar preset; {cfg.preset} is not")
     rc = riccati_oracle(lq, grid)
     lattice = np.linspace(cfg.lattice_lo, cfg.lattice_hi, cfg.lattice_points)
     span = 3.0
@@ -398,11 +400,12 @@ def main(argv=None):
     if "eps_list" in kwargs and isinstance(kwargs["eps_list"], str):
         kwargs["eps_list"] = tuple(float(tok) for tok in kwargs["eps_list"].split(","))
     cfg = RunConfig(**{k: v for k, v in kwargs.items() if k in RunConfig.__dataclass_fields__})
-    os.makedirs(cfg.outdir, exist_ok=True)
     start = time.time()
     try:
         problem, lq = build_preset(load_preset(cfg.preset))
         grid = _grid_for(cfg, problem)
+        # only a run that passed its checks leaves an output directory
+        os.makedirs(cfg.outdir, exist_ok=True)
         code, extra = COMMANDS[cfg.command](cfg, problem, lq, grid)
     except (FileNotFoundError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -412,9 +412,8 @@ def verify_first_identities(pair, op, driver, y_terminal, tests, ens, bias_budge
     check_same_ensemble(pair, ens)
     stack = _TupleStack(tests, 1, 2, op, ens)
     N, dt = stack.N, stack.dt
-    if driver is None:
-        driver = pair.driver
-    driver = None if driver is None else np.asarray(driver, dtype=float)
+    # the pair's own driver is a step history: it is read per step, never whole
+    driver = pair.driver if driver is None else np.asarray(driver, dtype=float)
     y_T = pair.y[:, N] if y_terminal is None else np.asarray(y_terminal, dtype=float)
     y_T = _modes_first(y_T)
 

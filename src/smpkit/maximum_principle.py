@@ -188,10 +188,11 @@ def check_condition(scenario, traj, pair, sa, u_grid, t_grid, bias_budget=0.0,
     for a, j in enumerate(t_grid):
         x_slice = traj.states[:, j]
         u_bar = traj.controls_used[:, j]
+        y_slice, Y_slice = pair.y[:, j], pair.Y[:, j]
         P_slice = sa.P_paths(j)
         for b, u in enumerate(u_grid):
             s = spike_functional(
-                scenario, times[j], x_slice, u_bar, u, pair.y[:, j], pair.Y[:, j], P_slice
+                scenario, times[j], x_slice, u_bar, u, y_slice, Y_slice, P_slice
             )
             values[a, b] = s.mean()
             stderrs[a, b] = s.std(ddof=1) / np.sqrt(P)

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .adjoint import RegressionBasis, regression_sweep
+from .adjoint import RegressionBasis, StepFeatures, regression_sweep
 from .errors import DimensionError, DomainError
 from .forward import at_step, step_major
 from .spectral import OperatorSpec
@@ -87,8 +87,7 @@ class SecondOrderAdjoint:
 
     grid: object
     op: OperatorSpec
-    basis: Optional[RegressionBasis] = None
-    feature_states: Optional[np.ndarray] = None   # (P, N+1, d) regressor states
+    features: Optional[StepFeatures] = None       # regressor features per step
     beta_P: Optional[np.ndarray] = None           # (N, F, n^2)
     beta_Q: Optional[np.ndarray] = None           # (N, F, n^2)
     feature_means: Optional[np.ndarray] = None    # (N, F) path means of the features
@@ -104,27 +103,19 @@ class SecondOrderAdjoint:
             return self.dense_P.shape[0]
         return self.P_terminal.shape[0]
 
-    def _features_at(self, j):
-        cached = getattr(self, "_feat_cache", None)
-        if cached is not None and cached[0] == j:
-            return cached[1]
-        X = self.basis.features(self.feature_states[:, j])
-        self._feat_cache = (j, X)
-        return X
-
     def P_paths(self, j):
         if self.dense_P is not None:
             return self.dense_P[:, j]
         if j == self.grid.n_steps:
             return self.P_terminal
-        return vec_to_mat(self._features_at(j) @ self.beta_P[j], self.op.n_modes)
+        return vec_to_mat(self.features.at(j) @ self.beta_P[j], self.op.n_modes)
 
     def Q_paths(self, j):
         if self.dense_Q is not None:
             return self.dense_Q[:, j]
         if j >= self.grid.n_steps:
             raise DomainError("martingale component is defined on steps 0..n_steps-1")
-        return vec_to_mat(self._features_at(j) @ self.beta_Q[j], self.op.n_modes)
+        return vec_to_mat(self.features.at(j) @ self.beta_Q[j], self.op.n_modes)
 
     def P_mean(self, j):
         if self.dense_P is None and j < self.grid.n_steps:
@@ -158,9 +149,9 @@ def solve_second_adjoint(op, J, K, F, P_T, ens, basis=None, feature_states=None)
     sym_data = max_asymmetry(P_T) <= 1e-12 and (F is None or max_asymmetry(F) <= 1e-12)
     drift_sym = 0.0
 
+    features = StepFeatures(basis, feature_states)
     result = SecondOrderAdjoint(
-        grid=grid, op=op, basis=basis,
-        feature_states=None if dense else feature_states,
+        grid=grid, op=op, features=None if dense else features,
         P_terminal=np.array(P_T, dtype=float, copy=True),
         fingerprint=ens.fingerprint,
     )
@@ -169,7 +160,7 @@ def solve_second_adjoint(op, J, K, F, P_T, ens, basis=None, feature_states=None)
         result.dense_Q = step_major((P, N, n, n))
         result.dense_P[:, N] = P_T
     else:
-        n_feat = basis.n_features(feature_states.shape[2])
+        n_feat = features.n_features
         result.beta_P = np.empty((N, n_feat, n * n))
         result.beta_Q = np.empty_like(result.beta_P)
         result.feature_means = np.empty((N, n_feat))
@@ -196,11 +187,14 @@ def solve_second_adjoint(op, J, K, F, P_T, ens, basis=None, feature_states=None)
             result.feature_means[j] = X.mean(axis=0)
             p_next = X @ result.beta_P[j]
         if sym_data:
-            drift_sym = max(drift_sym, max_asymmetry(vec_to_mat(p_next.mean(axis=0), n)))
+            # in coefficient mode P is affine in the features, so its path
+            # mean is mean(X) @ beta_P[j]
+            p_mean = p_next.mean(axis=0) if dense else result.feature_means[j] @ result.beta_P[j]
+            drift_sym = max(drift_sym, max_asymmetry(vec_to_mat(p_mean, n)))
         return p_next
 
     decay = mat_to_vec(np.exp(np.add.outer(op.eigenvalues, op.eigenvalues) * dt))
-    regression_sweep(basis, feature_states, mat_to_vec(P_T), decay, ens, update)
+    regression_sweep(features, mat_to_vec(P_T), decay, ens, update)
     result.symmetry_drift = drift_sym
     if sym_data and drift_sym > SYMMETRY_WARN:
         warnings.warn(f"symmetry drift {drift_sym:.2e} with symmetric data")

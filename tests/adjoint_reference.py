@@ -1,0 +1,41 @@
+"""Dense reference for the first-order sweep.
+
+It runs the same ``regression_sweep`` as ``solve_first_adjoint`` but stores
+the per-path ``y``, ``Y`` and driver histories in full, as the solver did
+before it kept ``Y`` and the driver as regression coefficients.  The driver
+formula is a local copy, so the reference shares no driver code with the
+solver under test.  The coefficient-form tests compare every step slice
+against it."""
+
+import numpy as np
+
+from smpkit.adjoint import RegressionBasis, StepFeatures, regression_sweep
+
+
+def dense_first_adjoint(scenario, traj, ens, basis=None):
+    """Returns (y, Y, driver): (P, N+1, n), (P, N, n) and (P, N, n)."""
+    basis = basis or RegressionBasis()
+    grid = ens.grid
+    n, N, P = scenario.n_modes, grid.n_steps, ens.n_paths
+    dt, times = grid.dt, grid.times()
+    y = np.empty((P, N + 1, n))
+    Y = np.empty((P, N, n))
+    driver = np.empty((P, N, n))
+    y[:, N] = -scenario.grad_terminal(traj.states[:, N])
+
+    def update(j, X, beta_mean, y_hat, beta_mart, Y_j):
+        t, xj, uj = times[j], traj.states[:, j], traj.controls_used[:, j]
+        a_x = scenario.jac_x("a", t, xj, uj)
+        b_x = scenario.jac_x("b", t, xj, uj)
+        driver[:, j] = (
+            -np.einsum("pij,pi->pj", a_x, y_hat)
+            - np.einsum("pij,pi->pj", b_x, Y_j)
+            + scenario.grad_x_running(t, xj, uj)
+        )
+        y[:, j] = y_hat - dt * driver[:, j]
+        Y[:, j] = Y_j
+        return y[:, j]
+
+    decay = np.exp(scenario.op.eigenvalues * dt)
+    regression_sweep(StepFeatures(basis, traj.states), y[:, N], decay, ens, update)
+    return y, Y, driver

@@ -46,9 +46,8 @@ def loop_first_identity(pair, op, driver, y_terminal, test, ens, bias_budget=0.0
     t_index, eta, v1, v2 = test
     grid = ens.grid
     N, dt, P = grid.n_steps, grid.dt, ens.n_paths
-    if driver is None:
-        driver = pair.driver
-    driver = None if driver is None else np.asarray(driver, dtype=float)
+    # the pair's own driver is a step history, read one step at a time
+    driver = pair.driver if driver is None else np.asarray(driver, dtype=float)
     y_T = pair.y[:, N] if y_terminal is None else np.asarray(y_terminal, dtype=float)
     v1 = None if v1 is None else np.asarray(v1, dtype=float)
     v2 = None if v2 is None else np.asarray(v2, dtype=float)

@@ -4,13 +4,24 @@ The heavyweight solves (optimal-pair adjoints, the optimizer run) are cached
 per process so the module tests and the acceptance gate share one
 computation."""
 
+import importlib.util
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
 from smpkit.forward import Box, OpenLoop, Scenario, TimeGrid, sample_brownian, simulate_controlled
 from smpkit.maximum_principle import projected_gradient, solve_adjoints
 from smpkit.scenarios import make_lq_scalar, riccati_oracle
+
+
+def load_tracing():
+    """perfbench/tracing.py, loaded from its file (perfbench is no package)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @lru_cache(maxsize=4)

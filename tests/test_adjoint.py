@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from smpkit.adjoint import (
     solve_first_adjoint,
 )
 from smpkit.errors import DegenerateBasisError, EnsembleMismatchError
-from smpkit.forward import OpenLoop, TimeGrid, sample_brownian, simulate_controlled
-from smpkit.scenarios import make_lq_scalar, riccati_oracle
+from smpkit.forward import Feedback, OpenLoop, TimeGrid, sample_brownian, simulate_controlled
+from smpkit.scenarios import build_preset, load_preset, make_lq_scalar, riccati_oracle
 from smpkit.spectral import OperatorSpec, make_dirichlet_laplacian
 
 
@@ -129,7 +131,8 @@ def test_sweep_zero_data_gives_zero():
     traj = simulate_controlled(scenario, np.array([1.0, 0.0]), OpenLoop(np.zeros((20, 1))), ens)
     pair = solve_first_adjoint(scenario, traj, ens)
     np.testing.assert_array_equal(pair.y, 0.0)
-    np.testing.assert_array_equal(pair.Y, 0.0)
+    for j in range(grid.n_steps):  # Y is read one step at a time
+        np.testing.assert_array_equal(pair.Y[:, j], 0.0)
 
 
 def test_sweep_matches_deterministic_recursion():
@@ -199,7 +202,8 @@ def test_adjoint_linearity_in_cost_scaling():
     p1 = solve_first_adjoint(base, traj, ens)
     p2 = solve_first_adjoint(doubled, traj, ens)
     np.testing.assert_array_equal(p2.y, 2.0 * p1.y)
-    np.testing.assert_array_equal(p2.Y, 2.0 * p1.Y)
+    for j in range(grid.n_steps):  # Y is read one step at a time
+        np.testing.assert_array_equal(p2.Y[:, j], 2.0 * p1.Y[:, j])
 
 
 def test_oracle_error_shrinks_under_refinement():
@@ -243,3 +247,70 @@ def test_ensemble_mismatch_rejected():
     traj = simulate_controlled(scenario, scenario.x0, OpenLoop(np.zeros((20, 1))), ens_a)
     with pytest.raises(EnsembleMismatchError):
         solve_first_adjoint(scenario, traj, ens_b)
+
+
+# ----------------------------------------------------------------------
+# coefficient form of Y and the driver
+# ----------------------------------------------------------------------
+
+from adjoint_reference import dense_first_adjoint
+
+
+def _feedback_pair(preset, n_steps, n_paths, seed):
+    # a linear feedback, so the controls differ across paths
+    scenario, _ = build_preset(load_preset(preset))
+    m = scenario.control_dim
+    grid = TimeGrid(0.0, scenario.T, n_steps)
+    ens = sample_brownian(grid, n_paths, seed)
+    control = Feedback(lambda t, x: -0.5 * x[:, :m])
+    traj = simulate_controlled(scenario, scenario.x0, control, ens)
+    return scenario, grid, ens, traj, solve_first_adjoint(scenario, traj, ens)
+
+
+@pytest.mark.parametrize("preset", ["heat4", "lq_scalar"])
+def test_coefficient_pair_matches_dense_reference(preset):
+    scenario, grid, ens, traj, pair = _feedback_pair(preset, 30, 600, 21)
+    y, Y, driver = dense_first_adjoint(scenario, traj, ens)
+    np.testing.assert_array_equal(pair.y, y)
+    for j in range(grid.n_steps):
+        np.testing.assert_array_equal(pair.Y[:, j], Y[:, j])
+        np.testing.assert_array_equal(pair.driver[:, j], driver[:, j])
+        # the paths are taken before the features are built
+        np.testing.assert_array_equal(pair.Y[:1, j], pair.Y[:, j][:1])
+
+
+def test_step_history_indexing():
+    scenario, grid, ens, traj, pair = _feedback_pair("heat4", 12, 300, 4)
+    n, N, P = scenario.n_modes, grid.n_steps, ens.n_paths
+    n_feat = RegressionBasis().n_features(n)
+    for hist in (pair.Y, pair.driver):
+        assert hist.shape == (P, N, n) and hist.ndim == 3
+        assert hist.nbytes == N * n_feat * n * 8  # the coefficients, not P * N * n
+        assert not hasattr(hist, "__array__")
+        full = hist[:, 5]
+        np.testing.assert_array_equal(hist[:, 5, 2], full[:, 2])
+        np.testing.assert_array_equal(hist[[7, -1], 5], full[[7, -1]])
+        np.testing.assert_array_equal(hist[:, -1], hist[:, N - 1])
+        np.testing.assert_array_equal(hist[10:20, 5], full[10:20])
+        with pytest.raises(IndexError):
+            hist[:, N]
+        with pytest.raises(TypeError):
+            hist[:, 2:4]  # one step at a time
+        with pytest.raises(TypeError):
+            hist[0]
+
+
+def test_first_adjoint_allocates_one_path_history():
+    # y is the only per-path history; Y and the driver are coefficients
+    scenario, _ = build_preset(load_preset("heat4"))
+    grid = TimeGrid(0.0, scenario.T, 50)
+    ens = sample_brownian(grid, 2000, 6)
+    control = OpenLoop(np.zeros((50, scenario.control_dim)))
+    traj = simulate_controlled(scenario, scenario.x0, control, ens)
+    tracemalloc.start()
+    try:
+        pair = solve_first_adjoint(scenario, traj, ens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * pair.y.nbytes, (peak, pair.y.nbytes)

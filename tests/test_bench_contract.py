@@ -1,13 +1,23 @@
 """The benchmark child (perfbench/child.py) builds its reference values from
-the preset API, outside the timed CLI run.  If that API breaks, every
-optimize check fails and ``pass_frac`` reads 0 while the rest of the suite
-stays green, so the calls it makes are pinned here."""
+the preset API, outside the timed CLI run, and its tracer
+(perfbench/tracing.py) reads storage sizes off the adjoint solves' results.
+If either breaks, the benchmark fails (``pass_frac`` reads 0, or every
+traced run crashes) while the rest of the suite stays green, so what they
+use is pinned here."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 import smpkit.cli as cli
-from smpkit.forward import TimeGrid
+from smpkit.adjoint import solve_first_adjoint
+from smpkit.forward import OpenLoop, TimeGrid, sample_brownian, simulate_controlled
+from smpkit.maximum_principle import second_order_data
 from smpkit.scenarios import build_preset, load_preset, riccati_oracle
+from smpkit.second_order import solve_second_adjoint
+
+from helpers import load_tracing
 
 
 def test_child_optimize_reference():
@@ -30,3 +40,34 @@ def test_main_looks_up_the_wrapped_preset_names(tmp_path, monkeypatch):
     code = cli.main(["simulate-forward", "--preset", "lq_scalar", "--paths", "2",
                      "--dt", "0.5", "--outdir", str(tmp_path)])
     assert code == 0 and calls == ["load_preset", "build_preset"]
+
+
+# the attributes perfbench/tracing.py::_observe reads off each solve's result
+OBSERVED = {
+    "adjoint.solve_first": ("y", "Y", "driver"),
+    "second_order.solve_second": ("beta_P", "beta_Q", "P_terminal", "dense_P", "dense_Q"),
+}
+
+
+def test_tracer_reads_every_adjoint_result():
+    # a missing attribute crashes every traced benchmark run, not a test
+    scenario, _ = build_preset(load_preset("heat4"))
+    grid = TimeGrid(0.0, 1.0, 8)
+    ens = sample_brownian(grid, 200, 2)
+    traj = simulate_controlled(scenario, scenario.x0, OpenLoop(np.zeros((8, 2))), ens)
+    pair = solve_first_adjoint(scenario, traj, ens)
+    J, K, F, P_T = second_order_data(scenario, traj, pair)
+    coeff = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, feature_states=traj.states)
+    dense_data = second_order_data(dataclasses.replace(scenario, constant_jacobians=False),
+                                   traj, pair)
+    dense = solve_second_adjoint(scenario.op, *dense_data, ens, feature_states=traj.states)
+    tracing = load_tracing()
+    for metric, result in (("adjoint.solve_first", pair),
+                           ("second_order.solve_second", coeff),
+                           ("second_order.solve_second", dense)):
+        for name in OBSERVED[metric]:
+            value = getattr(result, name)
+            assert value is None or isinstance(value.nbytes, int), (metric, name)
+        tracer = tracing.Tracer()
+        tracing._observe(tracer, metric, result)
+        assert max(tracer.mbytes.values()) > 0, metric

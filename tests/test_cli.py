@@ -166,6 +166,7 @@ def test_bad_preset_or_matrix_misuse_exits_2(tmp_path, capsys, case):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
     assert not list(out.glob("*.csv"))
+    assert not out.exists()  # no output directory is left behind
 
 
 def test_cross_validate_rejects_vector_preset(tmp_path, capsys):
@@ -175,3 +176,4 @@ def test_cross_validate_rejects_vector_preset(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: cross-validate-oracles needs a scalar preset; heat4 is not"]
     assert not (out / "manifest.txt").exists() and not list(out.glob("*.csv"))
+    assert not out.exists()

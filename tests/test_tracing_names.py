@@ -3,21 +3,12 @@ getattr when it installs its wrappers.  A name that disappears crashes
 every traced benchmark invocation, so each one it lists must resolve."""
 
 import importlib
-import importlib.util
-from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-
-
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from helpers import load_tracing
 
 
 def test_traced_names_resolve():
-    tracing = _tracing()
+    tracing = load_tracing()
     missing = []
     for module, attr, _ in tracing.FUNCTIONS + tracing.GENERATORS:
         if not callable(getattr(importlib.import_module(module), attr, None)):
