@@ -15,6 +15,19 @@ target makes the discrete duality pairing exact up to regression error,
 uniformly over stiff modes.  Centering the martingale target by yhat_j
 leaves the estimand unchanged but removes its dominant variance term.
 
+Both fits of a step come from one moment block.  With the features X
+(P, F), the target Z = S*(dt) y_{j+1} and W = [X; X*dw] stacked by rows,
+W X gives the Gram matrix G = X'X and the dw-weighted Gram E = (X*dw)'X,
+and W Z gives X'Z and (X*dw)'Z.  The centring identity
+
+    X'((Z - X beta_mean) * dw) = (X*dw)'Z - E beta_mean
+
+turns the centred martingale fit into (G + ridge)^-1 ((X*dw)'Z - E
+beta_mean) / dt, so no per-path residual is formed.  When the target is
+itself affine in the next step's features, Z = X_{j+1} beta, its moments are
+the cross moments (W X_{j+1}) beta, and the sweep touches no per-path
+target at all; the second-order sweep runs that way in coefficient mode.
+
 Both adjoint orders run this scheme through :func:`regression_sweep` and
 supply only their driver update.  The sweep keeps y per path, since it is
 the next regression target, but Y and the driver only as the per-step
@@ -26,7 +39,7 @@ sweep did.
 
 import operator
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -51,42 +64,46 @@ class RegressionBasis:
             count += m * (m + 1) // 2
         return count
 
-    def features(self, x):
+    def features(self, x, out=None):
+        """Features of the states ``x`` (P, d) as a (P, F) view of contiguous
+        (F, P) rows (``out`` if given), so each feature is one contiguous row
+        product and ``features(x).T`` is the row block the sweep's moments
+        are taken on."""
         x = np.asarray(x, dtype=float)
         p, n = x.shape
         m = min(n, self.mode_cap)
-        cols = [np.ones((p, 1))]
+        rows = np.empty((self.n_features(n), p)) if out is None else out
+        rows[0] = 1.0
         if self.degree >= 1:
-            cols.append(x[:, :m])
+            rows[1 : 1 + m] = x[:, :m].T
         if self.degree >= 2:
-            cols.extend(
-                x[:, k : k + 1] * x[:, l : l + 1] for k in range(m) for l in range(k, m)
-            )
-        return np.concatenate(cols, axis=1)
+            q = 1 + m
+            for k in range(m):  # x_k x_l for l >= k, in row-major order
+                np.multiply(rows[1 + k], rows[1 + k : 1 + m], out=rows[q : q + m - k])
+                q += m - k
+        return rows.T
 
 
 class RidgeSolver:
-    """Normal-equation ridge solver with a factorization shared across
-    several target sets on the same features.  The Cholesky factor L of the
-    (features, features) Gram matrix is inverted once per design, so each
-    target set is solved with two small matmuls, L^-T (L^-1 X^T Z)."""
+    """Normal-equation ridge solver built from a (F, F) Gram block X'X and
+    shared across several moment sets X'Z on the same features.  The
+    Cholesky factor L of the ridge-shifted Gram matrix is inverted once, so
+    each set is solved with two small matmuls, L^-T (L^-1 X'Z)."""
 
-    def __init__(self, features, ridge):
-        self.X = np.asarray(features, dtype=float)
+    def __init__(self, gram, ridge):
+        gram = np.asarray(gram, dtype=float)
         if ridge < 0:
             raise DegenerateBasisError("ridge must be nonnegative")
-        gram = self.X.T @ self.X + ridge * np.eye(self.X.shape[1])
         try:
-            self._inv_chol = np.linalg.inv(np.linalg.cholesky(gram))
+            self._inv_chol = np.linalg.inv(
+                np.linalg.cholesky(gram + ridge * np.eye(gram.shape[0]))
+            )
         except np.linalg.LinAlgError as exc:
             raise DegenerateBasisError("singular regression normal matrix") from exc
 
-    def solve(self, targets):
-        Z = np.asarray(targets, dtype=float)
-        if Z.shape[0] != self.X.shape[0]:
-            raise DimensionError("features and targets disagree on row count")
-        beta = self._inv_chol.T @ (self._inv_chol @ (self.X.T @ Z))
-        return beta, self.X @ beta
+    def solve(self, moments):
+        """Coefficients for the moments X'Z (F, k)."""
+        return self._inv_chol.T @ (self._inv_chol @ moments)
 
 
 def lsmc_regress(features, targets, ridge):
@@ -94,13 +111,19 @@ def lsmc_regress(features, targets, ridge):
 
     Raises when the (ridge-shifted) normal matrix is not positive definite.
     """
-    return RidgeSolver(features, ridge).solve(targets)
+    X = np.asarray(features, dtype=float)
+    Z = np.asarray(targets, dtype=float)
+    if Z.shape[0] != X.shape[0]:
+        raise DimensionError("features and targets disagree on row count")
+    beta = RidgeSolver(X.T @ X, ridge).solve(X.T @ Z)
+    return beta, X @ beta
 
 
 class StepFeatures:
     """Regression features of a state history ``states`` (P, N+1, d), built
-    one step at a time.  The sweep fits on ``at(j)``, and coefficient-form
-    histories re-evaluate their step slices through the same object.  The
+    one step at a time.  The sweep builds step j's features from its basis
+    and states, and coefficient-form histories re-evaluate their step slices
+    through ``at(j)``, which gives the same values.  The
     features of the last full-ensemble step are kept, so several histories
     read at one step build them once."""
 
@@ -123,13 +146,17 @@ class StepFeatures:
         return self._last[1]
 
 
-def _fitted(X, beta):
-    """``X @ beta`` as the sweep's solver computes it.  numpy takes its
-    vector path for a one-row product, which rounds differently from the
-    matrix path, so one row is evaluated as two."""
-    if X.shape[0] == 1:
-        return (np.concatenate([X, X]) @ beta)[:1]
-    return X @ beta
+def fitted(X, beta):
+    """Per-path values ``X @ beta`` of features ``X`` (P, F), rounded the
+    same for every subset of the paths.  numpy takes its vector path for a
+    one-row or one-column product, which rounds differently from the matrix
+    path, so either is evaluated as two."""
+    s, k = X.shape[0], beta.shape[1]
+    if s == 1:
+        X = np.concatenate([X.T, X.T], axis=1).T
+    if k == 1:
+        beta = np.concatenate([beta, beta], axis=1)
+    return (X @ beta)[:s, :k]
 
 
 class StepHistory:
@@ -183,38 +210,56 @@ def check_same_ensemble(*objects):
             raise EnsembleMismatchError(f"seed lineage differs: {prints[0]} vs {fp}")
 
 
+class FeatureAffine(NamedTuple):
+    """A regression target that is affine in the features of the step it
+    sits on, ``X_{j+1} @ beta``: :func:`regression_sweep` takes its moments
+    from the cross moments of the two steps' features."""
+
+    beta: np.ndarray  # (F, k)
+
+
 def regression_sweep(features, terminal, decay, ens, update):
     """One-step regression scheme (Gobet, Lemor and Warin, Ann. Appl. Probab.
     2005) from ``target = terminal`` (P, k) back to step 0.  Step j fits the
-    mean and the martingale part of ``target * decay`` on ``features.at(j)``
-    (a :class:`StepFeatures`), then ``update(j, X, beta_mean, mean,
-    beta_mart, mart)`` applies the driver and returns the next target."""
+    mean and the martingale part of ``target * decay`` on the features X of
+    step j (``features`` is a :class:`StepFeatures`), both from the moment
+    block of W = [X; X*dw] (see the module docstring), then ``update(j, X,
+    beta_mean, beta_mart)`` applies the driver and returns the next target:
+    per path (P, k), or a :class:`FeatureAffine` on X."""
     grid = ens.grid
     n_feat = features.n_features
     if n_feat > ens.n_paths / 10:
         raise DegenerateBasisError(
             f"{n_feat} features against {ens.n_paths} paths violates the over-fit guard"
         )
-    target = terminal
+    target, rows_next = terminal, None
+    n_paths = ens.n_paths
     for j in range(grid.n_steps - 1, -1, -1):
-        solver = RidgeSolver(features.at(j), features.basis.ridge)
-        propagated = target * decay
-        beta_mean, mean = solver.solve(propagated)
-        # martingale-increment form: centering by the conditional mean leaves
+        # W = [X; X*dw] (2F, P), the features built straight into its top half
+        W = np.empty((2 * n_feat, n_paths))
+        X = features.basis.features(features.states[:, j], out=W[:n_feat])
+        np.multiply(W[:n_feat], ens.increments[:, j], out=W[n_feat:])
+        moments = W @ X  # [X'X; (X*dw)'X]
+        if isinstance(target, FeatureAffine):
+            rhs = (W @ rows_next.T) @ (target.beta * decay)
+        else:
+            rhs = W @ (target * decay)
+        solver = RidgeSolver(moments[:n_feat], features.basis.ridge)
+        beta_mean = solver.solve(rhs[:n_feat])
+        # the centred martingale fit: centring by the conditional mean leaves
         # the estimand unchanged and strips the dominant variance term
-        beta_mart, mart = solver.solve(
-            (propagated - mean) * (ens.increments[:, j : j + 1] / grid.dt)
-        )
-        target = update(j, solver.X, beta_mean, mean, beta_mart, mart)
+        beta_mart = solver.solve((rhs[n_feat:] - moments[n_feat:] @ beta_mean) / grid.dt)
+        target = update(j, X, beta_mean, beta_mart)
+        # only a feature-affine target needs this step's rows at the next step
+        rows_next = X.T if isinstance(target, FeatureAffine) else None
+        del W, X  # the next step's block is built after this one is freed
 
 
 def _first_driver(scenario, t, x, u, y_hat, Y_j):
     """Driver -a_x* y_hat - b_x* Y + g_x at one step, per path."""
-    a_x = scenario.jac_x("a", t, x, u)
-    b_x = scenario.jac_x("b", t, x, u)
     return (
-        -np.einsum("pij,pi->pj", a_x, y_hat)
-        - np.einsum("pij,pi->pj", b_x, Y_j)
+        -scenario.vjp("a", "x", t, x, u, y_hat)
+        - scenario.vjp("b", "x", t, x, u, Y_j)
         + scenario.grad_x_running(t, x, u)
     )
 
@@ -242,19 +287,20 @@ def solve_first_adjoint(scenario, trajectory, ens, basis=None):
     beta_mart = np.empty_like(beta_mean)
     y[:, N] = -scenario.grad_terminal(states[:, N])
 
-    def update(j, X, b_mean, y_hat, b_mart, Y_j):
+    def update(j, X, b_mean, b_mart):
         beta_mean[j], beta_mart[j] = b_mean, b_mart
+        y_hat, Y_j = fitted(X, b_mean), fitted(X, b_mart)
         f_j = _first_driver(scenario, times[j], states[:, j], controls[:, j], y_hat, Y_j)
         y[:, j] = y_hat - dt * f_j
         return y[:, j]
 
     def Y_at(j, paths):
-        return _fitted(features.at(j, paths), beta_mart[j])
+        return fitted(features.at(j, paths), beta_mart[j])
 
     def driver_at(j, paths):
         X = features.at(j, paths)
         return _first_driver(scenario, times[j], states[paths, j], controls[paths, j],
-                             _fitted(X, beta_mean[j]), _fitted(X, beta_mart[j]))
+                             fitted(X, beta_mean[j]), fitted(X, beta_mart[j]))
 
     decay = np.exp(op.eigenvalues * dt)
     regression_sweep(features, y[:, N], decay, ens, update)

@@ -253,6 +253,7 @@ def cmd_verify_duality(cfg, problem, lq, grid):
 
     if cfg.order in ("second", "both"):
         op, J, K, F, P_T, traj = _second_order_inputs(cfg, problem, lq, grid, ens, first)
+        first = None  # the first adjoint's path history is not read past here
         feature_states = None if traj is None else traj.states
         sa = solve_second_adjoint(op, J, K, F, P_T, ens, feature_states=feature_states)
         tests = [describe_second_test(op, ens, np.random.default_rng([cfg.seed, 2000 + i]))

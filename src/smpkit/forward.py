@@ -267,6 +267,16 @@ class Scenario:
             return _expand(cb(t, x, u), x.shape[0], (self.n_modes, self.control_dim))
         return _fd_jac(lambda uu: fn(t, x, uu), u)
 
+    def vjp(self, which, wrt, t, x, u, k):
+        """Per-path k^T d(which)/d(wrt): sum_i k[p, i] jac[p, i, :] for the
+        Jacobian of a or b in x or u.  With ``constant_jacobians`` the
+        Jacobian is read on one path and applied with one product (``np.dot``:
+        ``@`` takes a slow path for a one-column k)."""
+        jac = self.jac_x if wrt == "x" else self.jac_u
+        if self.constant_jacobians:
+            return np.dot(k, jac(which, t, x[:1], u[:1])[0])
+        return np.einsum("pij,pi->pj", jac(which, t, x, u), k)
+
     def grad_x_running(self, t, x, u):
         if self.running_grad_x is not None:
             return _expand(self.running_grad_x(t, x, u), x.shape[0], (self.n_modes,))

@@ -49,11 +49,9 @@ def convex_gradient(scenario, t_index, x_slice, u_slice, y_slice, Y_slice, grid)
             "gradient condition needs a convex control set; use spike_functional"
         )
     t = grid.times()[t_index]
-    a_u = scenario.jac_u("a", t, x_slice, u_slice)
-    b_u = scenario.jac_u("b", t, x_slice, u_slice)
     return (
-        np.einsum("pim,pi->pm", a_u, y_slice)
-        + np.einsum("pim,pi->pm", b_u, Y_slice)
+        scenario.vjp("a", "u", t, x_slice, u_slice, y_slice)
+        + scenario.vjp("b", "u", t, x_slice, u_slice, Y_slice)
         - scenario.grad_u_running(t, x_slice, u_slice)
     )
 
@@ -217,6 +215,32 @@ class OptimizeHistory:
         return self.iterations[-1]["J"]
 
 
+def _gradient_step(scenario, x0, u, ens, step, basis):
+    """One projected-gradient iteration from the open-loop values ``u``:
+    (new values, cost mean, its standard error, step norm).  The trajectory,
+    adjoint and gradient histories are released when it returns, and the
+    update is formed in the gradient's buffer, so one iteration holds as few
+    (n_paths, n_steps, ...) histories as it needs."""
+    grid = ens.grid
+    m = scenario.control_dim
+    traj = simulate_controlled(scenario, x0, OpenLoop(u), ens)
+    costs = cost_paths(scenario, traj)
+    pair = solve_first_adjoint(scenario, traj, ens, basis=basis)
+    grad = control_gradient(scenario, traj, pair)
+    del pair
+    grad *= step
+    grad += traj.controls_used
+    # project the step-major buffer as one (n_steps * n_paths, m) view
+    new_u = scenario.control_set.projection(
+        grad.swapaxes(0, 1).reshape(-1, m)
+    ).reshape((grid.n_steps, ens.n_paths, m)).swapaxes(0, 1)
+    del grad
+    change = new_u - traj.controls_used
+    change **= 2
+    step_norm = float(np.sqrt(np.mean(np.sum(change, axis=-1)) * grid.dt * grid.n_steps))
+    return new_u, float(costs.mean()), float(costs.std(ddof=1) / np.sqrt(len(costs))), step_norm
+
+
 def projected_gradient(scenario, x0, control, ens, step_rule=0.8, max_iters=200,
                        basis=None, tol_step=1e-6):
     """Iterate u <- clamp(u + step * (a_u* y + b_u* Y - g_u)) on a per-path
@@ -239,9 +263,7 @@ def projected_gradient(scenario, x0, control, ens, step_rule=0.8, max_iters=200,
         )
     step_of = step_rule if callable(step_rule) else (lambda i: step_rule)
     grid = ens.grid
-    dt = grid.dt
-    m = scenario.control_dim
-    u = step_major((ens.n_paths, grid.n_steps, m))
+    u = step_major((ens.n_paths, grid.n_steps, scenario.control_dim))
     # shared (n_steps, m) values are broadcast over paths, per-path ones copied
     u[...] = control.values if isinstance(control, OpenLoop) else control
 
@@ -249,20 +271,7 @@ def projected_gradient(scenario, x0, control, ens, step_rule=0.8, max_iters=200,
     best = np.inf
     bad_streak = 0
     for i in range(max_iters + 1):
-        traj = simulate_controlled(scenario, x0, OpenLoop(u), ens)
-        costs = cost_paths(scenario, traj)
-        cost = float(costs.mean())
-        stderr = float(costs.std(ddof=1) / np.sqrt(len(costs)))
-        pair = solve_first_adjoint(scenario, traj, ens, basis=basis)
-        grad = control_gradient(scenario, traj, pair)
-        step = step_of(i)
-        # project the step-major buffer as one (n_steps * n_paths, m) view
-        new_u = scenario.control_set.projection(
-            (traj.controls_used + step * grad).swapaxes(0, 1).reshape(-1, m)
-        ).reshape((grid.n_steps, ens.n_paths, m)).swapaxes(0, 1)
-        step_norm = float(
-            np.sqrt(np.mean(np.sum((new_u - traj.controls_used) ** 2, axis=-1)) * dt * grid.n_steps)
-        )
+        new_u, cost, stderr, step_norm = _gradient_step(scenario, x0, u, ens, step_of(i), basis)
         history.append(i, cost, stderr, step_norm)
         if cost > best + 10 * max(stderr, 1e-300):
             bad_streak += 1

@@ -100,28 +100,40 @@ class OracleBundle:
 # Riccati oracle
 # ----------------------------------------------------------------------
 
-def _riccati_rhs(lq, P, q, r):
-    """Time derivatives of the value coefficients (so the exact solution
-    satisfies dP/dt = rhs_P, integrated backward from the terminal data)."""
-    theta = lq.N + lq.D.T @ P @ lq.D
-    try:
-        theta_inv = np.linalg.inv(theta)
-    except np.linalg.LinAlgError as exc:
-        raise OracleBreakdownError("singular control gain block") from exc
-    L = theta_inv @ (lq.B.T @ P + lq.D.T @ P @ lq.C)
-    ell = theta_inv @ (lq.B.T @ q + lq.D.T @ P @ lq.sigma)
-    CDL = lq.C - lq.D @ L
-    sig = lq.sigma - lq.D @ ell
-    dP = -(
-        lq.A.T @ P + P @ lq.A - L.T @ lq.B.T @ P - P @ lq.B @ L
-        + CDL.T @ P @ CDL + lq.M + L.T @ lq.N @ L
-    )
-    dq = -(
-        lq.A.T @ q - P @ lq.B @ ell - L.T @ lq.B.T @ q
-        + CDL.T @ P @ sig + L.T @ lq.N @ ell
-    )
-    dr = -(-ell @ lq.B.T @ q + 0.5 * sig @ P @ sig + 0.5 * ell @ lq.N @ ell)
-    return dP, dq, dr, L, ell
+def _riccati_rhs(lq):
+    """Time derivative of the value coefficients (so the exact solution
+    satisfies dP/dt = rhs, integrated backward from the terminal data).
+
+    The affine parts ride on an augmented state z = (x, 1): with A, B, C, D,
+    M padded by a zero row and column and sigma as C's last column, the
+    value 0.5 x'Px + q'x + r is 0.5 z' [[P, q], [q', 2 r]] z, and one matrix
+    Riccati equation carries P, q and r; its gain is [L, ell].  The padded
+    coefficients and their transposes are built once; the returned
+    function maps the augmented matrix to (its derivative, the gain)."""
+    n, m = lq.B.shape
+    A = np.zeros((n + 1, n + 1))
+    A[:n, :n] = lq.A
+    C = np.zeros((n + 1, n + 1))
+    C[:n, :n], C[:n, n] = lq.C, lq.sigma
+    M = np.zeros((n + 1, n + 1))
+    M[:n, :n] = lq.M
+    B = np.vstack([lq.B, np.zeros((1, m))])
+    D = np.vstack([lq.D, np.zeros((1, m))])
+    N = lq.N
+    At, Bt, Dt = A.T, B.T, D.T
+
+    def rhs(P):
+        DtP = Dt @ P
+        try:
+            L = np.linalg.solve(N + DtP @ D, Bt @ P + DtP @ C)
+        except np.linalg.LinAlgError as exc:
+            raise OracleBreakdownError("singular control gain block") from exc
+        AtP = At @ P
+        PBL = P @ B @ L
+        CDL = C - D @ L
+        return -(AtP + AtP.T - PBL.T - PBL + CDL.T @ P @ CDL + M + L.T @ N @ L), L
+
+    return rhs
 
 
 def _stiffness_substeps(lq, dt):
@@ -136,39 +148,27 @@ def riccati_oracle(lq, grid):
     degrade for strongly dissipative spectra.
     """
     n = lq.A.shape[0]
-    m = lq.B.shape[1]
     steps = grid.n_steps
-    P = np.empty((steps + 1, n, n))
-    q = np.empty((steps + 1, n))
-    r = np.empty(steps + 1)
-    gains = np.empty((steps + 1, m, n))
-    affine = np.empty((steps + 1, m))
-    P[steps], q[steps], r[steps] = lq.G, np.zeros(n), 0.0
     sub = _stiffness_substeps(lq, grid.dt)
     h = grid.dt / sub
-
-    def rhs(state):
-        dP, dq, dr, _, _ = _riccati_rhs(lq, *state)
-        return dP, dq, dr
-
-    state = (lq.G.copy(), np.zeros(n), 0.0)
-    gains[steps], affine[steps] = _riccati_rhs(lq, *state)[3:]
+    rhs = _riccati_rhs(lq)
+    value = np.empty((steps + 1, n + 1, n + 1))  # [[P, q], [q', 2 r]] per step
+    gain = np.empty((steps + 1, lq.B.shape[1], n + 1))  # [L, ell] per step
+    state = np.zeros((n + 1, n + 1))
+    state[:n, :n] = lq.G
+    value[steps], gain[steps] = state, rhs(state)[1]
     for j in range(steps - 1, -1, -1):
         for _ in range(sub):
             # integrating backward: step -h along the forward derivative
-            k1 = rhs(state)
-            k2 = rhs(tuple(s - 0.5 * h * k for s, k in zip(state, k1)))
-            k3 = rhs(tuple(s - 0.5 * h * k for s, k in zip(state, k2)))
-            k4 = rhs(tuple(s - h * k for s, k in zip(state, k3)))
-            state = tuple(
-                s - h / 6.0 * (a + 2 * b + 2 * c + d)
-                for s, a, b, c, d in zip(state, k1, k2, k3, k4)
-            )
-        Pj = 0.5 * (state[0] + state[0].T)
-        state = (Pj, state[1], state[2])
-        P[j], q[j], r[j] = Pj, state[1], state[2]
-        gains[j], affine[j] = _riccati_rhs(lq, *state)[3:]
-    return OracleBundle(grid, P=P, q=q, r=r, gains=gains, affine=affine)
+            k1 = rhs(state)[0]
+            k2 = rhs(state - 0.5 * h * k1)[0]
+            k3 = rhs(state - 0.5 * h * k2)[0]
+            k4 = rhs(state - h * k3)[0]
+            state = state - h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        state = 0.5 * (state + state.T)
+        value[j], gain[j] = state, rhs(state)[1]
+    return OracleBundle(grid, P=value[:, :n, :n], q=value[:, :n, n], r=0.5 * value[:, n, n],
+                        gains=gain[:, :, :n], affine=gain[:, :, n])
 
 
 # ----------------------------------------------------------------------

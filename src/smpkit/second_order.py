@@ -16,9 +16,12 @@ Two storage modes:
 * coefficient mode (J, K, F deterministic): per-step regression coefficients
   are kept and per-path matrices are re-evaluated on demand, so memory stays
   O(n_steps * n_features * n^2) even for large ensembles.  The driver is
-  affine in the features, so the update is done once in coefficient space
-  and the next regression target is the features times the new coefficients;
-  no per-path driver is evaluated;
+  affine in the features, so the update is done once in coefficient space,
+  P_j = X_j beta_P[j], and the update hands the sweep beta_P[j] itself (a
+  :class:`smpkit.adjoint.FeatureAffine`).  The sweep then takes step j-1's
+  moments from the cross moments [X_{j-1}; X_{j-1}*dw]' X_j times
+  beta_P[j]: after the per-path terminal step no per-path target or driver
+  is formed;
 * dense mode (path-dependent coefficients): full per-path histories, stored
   step-major (see :func:`smpkit.forward.step_major`).
 """
@@ -29,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .adjoint import RegressionBasis, StepFeatures, regression_sweep
+from .adjoint import FeatureAffine, RegressionBasis, StepFeatures, regression_sweep
 from .errors import DimensionError, DomainError
 from .forward import at_step, step_major
 from .spectral import OperatorSpec
@@ -150,10 +153,12 @@ def solve_second_adjoint(op, J, K, F, P_T, ens, basis=None, feature_states=None)
     drift_sym = 0.0
 
     features = StepFeatures(basis, feature_states)
+    # mat_to_vec(P_T) as an owned copy; the stored terminal slice is a
+    # column-major view of it, so the terminal target costs no second copy
+    P_T_vec = np.copy(np.swapaxes(P_T, -1, -2)).reshape(P, n * n)
     result = SecondOrderAdjoint(
         grid=grid, op=op, features=None if dense else features,
-        P_terminal=np.array(P_T, dtype=float, copy=True),
-        fingerprint=ens.fingerprint,
+        P_terminal=vec_to_mat(P_T_vec, n), fingerprint=ens.fingerprint,
     )
     if dense:
         result.dense_P = step_major((P, N + 1, n, n))
@@ -165,15 +170,16 @@ def solve_second_adjoint(op, J, K, F, P_T, ens, basis=None, feature_states=None)
         result.beta_Q = np.empty_like(result.beta_P)
         result.feature_means = np.empty((N, n_feat))
 
-    def update(j, X, beta_tilde, fitted_P, beta_q, fitted_Q):
+    def update(j, X, beta_tilde, beta_q):
         nonlocal drift_sym
         Jj, Kj, Fj = (at_step(c, j, 2) for c in (J, K, F))
         if dense:
-            p_tilde = vec_to_mat(fitted_P, n)
-            q_j = vec_to_mat(fitted_Q, n)
+            p_tilde = vec_to_mat(X @ beta_tilde, n)
+            q_j = vec_to_mat(X @ beta_q, n)
             result.dense_P[:, j] = p_tilde - dt * _driver(Jj, Kj, Fj, p_tilde, q_j)
             result.dense_Q[:, j] = q_j
             p_next = mat_to_vec(result.dense_P[:, j])
+            p_mean = p_next.mean(axis=0)
         else:
             # the driver is feature-affine, so the update is done once in
             # coefficient space and the next target is X @ beta_P[j]
@@ -185,16 +191,15 @@ def solve_second_adjoint(op, J, K, F, P_T, ens, basis=None, feature_states=None)
             result.beta_P[j] = mat_to_vec(new_bP)
             result.beta_Q[j] = mat_to_vec(bQ)
             result.feature_means[j] = X.mean(axis=0)
-            p_next = X @ result.beta_P[j]
+            p_next = FeatureAffine(result.beta_P[j])
+            # P is affine in the features, so its path mean is mean(X) @ beta_P[j]
+            p_mean = result.feature_means[j] @ result.beta_P[j]
         if sym_data:
-            # in coefficient mode P is affine in the features, so its path
-            # mean is mean(X) @ beta_P[j]
-            p_mean = p_next.mean(axis=0) if dense else result.feature_means[j] @ result.beta_P[j]
             drift_sym = max(drift_sym, max_asymmetry(vec_to_mat(p_mean, n)))
         return p_next
 
     decay = mat_to_vec(np.exp(np.add.outer(op.eigenvalues, op.eigenvalues) * dt))
-    regression_sweep(features, mat_to_vec(P_T), decay, ens, update)
+    regression_sweep(features, P_T_vec, decay, ens, update)
     result.symmetry_drift = drift_sym
     if sym_data and drift_sym > SYMMETRY_WARN:
         warnings.warn(f"symmetry drift {drift_sym:.2e} with symmetric data")

@@ -9,7 +9,7 @@ against it."""
 
 import numpy as np
 
-from smpkit.adjoint import RegressionBasis, StepFeatures, regression_sweep
+from smpkit.adjoint import RegressionBasis, StepFeatures, fitted, regression_sweep
 
 
 def dense_first_adjoint(scenario, traj, ens, basis=None):
@@ -23,7 +23,8 @@ def dense_first_adjoint(scenario, traj, ens, basis=None):
     driver = np.empty((P, N, n))
     y[:, N] = -scenario.grad_terminal(traj.states[:, N])
 
-    def update(j, X, beta_mean, y_hat, beta_mart, Y_j):
+    def update(j, X, beta_mean, beta_mart):
+        y_hat, Y_j = fitted(X, beta_mean), fitted(X, beta_mart)
         t, xj, uj = times[j], traj.states[:, j], traj.controls_used[:, j]
         a_x = scenario.jac_x("a", t, xj, uj)
         b_x = scenario.jac_x("b", t, xj, uj)

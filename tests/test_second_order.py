@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from smpkit.adjoint import solve_first_adjoint
+from smpkit.adjoint import RegressionBasis, solve_first_adjoint
 from smpkit.errors import DimensionError, DomainError
 from smpkit.forward import OpenLoop, TimeGrid, sample_brownian, simulate_controlled
 from smpkit.maximum_principle import second_order_data
@@ -228,3 +230,55 @@ def test_coefficient_mode_matches_dense_mode_heat4():
         np.testing.assert_allclose(q_coeff.mean(axis=0), q_dense.mean(axis=0), rtol=0, atol=1e-12)
         np.testing.assert_allclose(q_coeff, q_dense, rtol=0, atol=1e-10)
     assert coeff.symmetry_drift == pytest.approx(dense.symmetry_drift, abs=1e-12)
+
+
+def test_coefficient_mode_matches_dense_mode_nonsymmetric():
+    # heat4's data (J = 0, K = beta I, F = I, P_T = -I) are symmetric and
+    # constant, so a transposed cross moment X_{j+1}'X_j would go unseen
+    # there; non-symmetric time-indexed J, K, F and a non-symmetric per-path
+    # P_T do not hide it
+    scenario, _ = build_preset(load_preset("heat4"))
+    n, n_steps, n_paths = scenario.n_modes, 40, 600
+    grid = TimeGrid(0.0, 1.0, n_steps)
+    ens = sample_brownian(grid, n_paths, 23)
+    control = OpenLoop(np.full((n_steps, scenario.control_dim), 0.2))
+    traj = simulate_controlled(scenario, scenario.x0, control, ens)
+    rng = np.random.default_rng(8)
+    J, K, F = (scale * rng.standard_normal((n_steps, n, n)) for scale in (0.3, 0.3, 1.0))
+    P_T = -np.eye(n) + 0.2 * rng.standard_normal((n_paths, n, n))
+    coeff = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, feature_states=traj.states)
+    per_path = [np.broadcast_to(c, (n_paths,) + c.shape) for c in (J, K, F)]
+    dense = solve_second_adjoint(scenario.op, *per_path, P_T, ens, feature_states=traj.states)
+    assert coeff.dense_P is None and dense.dense_P is not None
+    assert max_asymmetry(coeff.P_mean(0)) > 1e-3
+    for j in range(n_steps + 1):
+        np.testing.assert_allclose(coeff.P_mean(j), dense.P_mean(j), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(coeff.P_paths(j), dense.P_paths(j), rtol=0, atol=1e-10)
+    for j in range(n_steps):
+        q_coeff, q_dense = coeff.Q_paths(j), dense.Q_paths(j)
+        np.testing.assert_allclose(q_coeff.mean(axis=0), q_dense.mean(axis=0), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(q_coeff, q_dense, rtol=0, atol=1e-10)
+
+
+def test_coefficient_sweep_allocates_no_path_target():
+    # after the per-path terminal step the sweep fits from moments: beyond
+    # what it returns it holds two steps' (F, P) features and the (2F, P)
+    # moment block (4 blocks, 5 allowed), and no (P, n^2) target or driver;
+    # a per-step (P, n^2) target and its fitted values take it past 8
+    scenario, _ = build_preset(load_preset("heat4"))
+    n_steps, n_paths = 50, 2000
+    grid = TimeGrid(0.0, scenario.T, n_steps)
+    ens = sample_brownian(grid, n_paths, 6)
+    control = OpenLoop(np.zeros((n_steps, scenario.control_dim)))
+    traj = simulate_controlled(scenario, scenario.x0, control, ens)
+    pair = solve_first_adjoint(scenario, traj, ens)
+    J, K, F, P_T = second_order_data(scenario, traj, pair)
+    block = RegressionBasis().n_features(scenario.n_modes) * n_paths * 8
+    tracemalloc.start()
+    try:
+        sa = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, feature_states=traj.states)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stored = sa.beta_P.nbytes + sa.beta_Q.nbytes + sa.P_terminal.nbytes
+    assert peak < stored + 5 * block, (peak, stored, block)
