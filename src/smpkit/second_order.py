@@ -179,7 +179,6 @@ def solve_second_adjoint(op, J, K, F, P_T, ens, basis=None, feature_states=None)
             result.dense_P[:, j] = p_tilde - dt * _driver(Jj, Kj, Fj, p_tilde, q_j)
             result.dense_Q[:, j] = q_j
             p_next = mat_to_vec(result.dense_P[:, j])
-            p_mean = p_next.mean(axis=0)
         else:
             # the driver is feature-affine, so the update is done once in
             # coefficient space and the next target is X @ beta_P[j]
@@ -192,9 +191,10 @@ def solve_second_adjoint(op, J, K, F, P_T, ens, basis=None, feature_states=None)
             result.beta_Q[j] = mat_to_vec(bQ)
             result.feature_means[j] = X.mean(axis=0)
             p_next = FeatureAffine(result.beta_P[j])
-            # P is affine in the features, so its path mean is mean(X) @ beta_P[j]
-            p_mean = result.feature_means[j] @ result.beta_P[j]
         if sym_data:
+            # in coefficient mode P is affine in the features, so its path
+            # mean is mean(X) @ beta_P[j]
+            p_mean = p_next.mean(axis=0) if dense else result.feature_means[j] @ result.beta_P[j]
             drift_sym = max(drift_sym, max_asymmetry(vec_to_mat(p_mean, n)))
         return p_next
 
