@@ -24,17 +24,25 @@ and W Z gives X'Z and (X*dw)'Z.  The centring identity
 
 turns the centred martingale fit into (G + ridge)^-1 ((X*dw)'Z - E
 beta_mean) / dt, so no per-path residual is formed.  When the target is
-itself affine in the next step's features, Z = X_{j+1} beta, its moments are
-the cross moments (W X_{j+1}) beta, and the sweep touches no per-path
-target at all; the second-order sweep runs that way in coefficient mode.
+affine in the next step's features, Z = X_{j+1} beta + R, its moments are
+the cross moments C_j = W X_{j+1} times beta, plus W R.
 
-Both adjoint orders run this scheme through :func:`regression_sweep` and
-supply only their driver update.  The sweep keeps y per path, since it is
-the next regression target, but Y and the driver only as the per-step
-coefficients of the two fits: a step slice of either is re-evaluated on
-demand through :class:`StepHistory`, the driver by the same function the
-sweep's update calls, so identity checks pair against exactly what the
-sweep did.
+One moment record serves both adjoint orders.  A :class:`StepFeatures`
+belongs to one trajectory, ensemble and basis; the first sweep on it
+records every step's G, E, C_j, feature means and ridge solver, and the
+second-order sweep on the same trajectory reads them instead of building
+the features again.  Both orders run this scheme through
+:func:`regression_sweep` and supply only their driver update.
+
+The first adjoint is kept in coefficient form.  Y and the driver are the
+per-step coefficients of the two fits; a step slice of either is
+re-evaluated on demand through :class:`StepHistory`, the driver by the
+same function the sweep would call, so identity checks pair against what
+the sweep fitted.  With constant Jacobians the driver is affine in the
+features up to the running-cost gradient g_x, so y_j = X_j beta_y[j] - dt
+g_x(t_j, x_j, u_j) is a step history as well, and the sweep takes its
+moments as C_j beta_y plus W times the per-path rest -dt g_x: no (P, N, n)
+history is kept.  Otherwise y is kept per path.
 """
 
 import operator
@@ -120,16 +128,26 @@ def lsmc_regress(features, targets, ridge):
 
 
 class StepFeatures:
-    """Regression features of a state history ``states`` (P, N+1, d), built
-    one step at a time.  The sweep builds step j's features from its basis
-    and states, and coefficient-form histories re-evaluate their step slices
-    through ``at(j)``, which gives the same values.  The
-    features of the last full-ensemble step are kept, so several histories
-    read at one step build them once."""
+    """Regression features of a state history ``states`` (P, N+1, d) on the
+    ensemble ``ens``, and the moment record of its steps.
 
-    def __init__(self, basis, states):
+    The first :func:`regression_sweep` to walk the steps records, for every
+    step j < N, the moment block [X_j; X_j*dw]' X_j (the Gram block and the
+    dw-weighted Gram), the cross moments C_j = [X_j; X_j*dw]' X_{j+1}, the
+    feature means and the step's :class:`RidgeSolver`.  A later sweep on the
+    same object reads them, and builds step j's features only when its
+    target at step j has per-path values.  Coefficient-form histories
+    re-evaluate their step slices through ``at(j)``, which gives the values
+    the sweep fitted on; the features of the last full-ensemble step are
+    kept, so several histories read at one step build them once."""
+
+    def __init__(self, basis, states, ens):
         self.basis = basis
         self.states = states
+        self.ens = ens
+        self.fingerprint = ens.fingerprint
+        self.moments = self.cross = self.means = self.solvers = None
+        self.recorded = False
         self._last = (None, None)
 
     @property
@@ -142,8 +160,32 @@ class StepFeatures:
         if not (isinstance(paths, slice) and paths == slice(None)):
             return self.basis.features(self.states[paths, j])
         if self._last[0] != j:
+            self._last = (None, None)  # released before the next step is built
             self._last = (j, self.basis.features(self.states[:, j]))
         return self._last[1]
+
+    def _build(self, j, W):
+        """Build W = [X_j; X_j*dw] into the (2F, P) rows ``W``, the features
+        in its top half; they are kept as the features of step j."""
+        n_feat = self.n_features
+        X = self.basis.features(self.states[:, j], out=W[:n_feat])
+        np.multiply(W[:n_feat], self.ens.increments[:, j], out=W[n_feat:])
+        self._last = (j, X)
+
+    def _record(self, j, moments):
+        """Record step j's moment block [X'X; (X*dw)'X], feature means and
+        solver.  The first feature is the constant 1, so the first row of
+        X'X holds the feature sums."""
+        self.moments[j] = moments
+        self.means[j] = moments[0] / self.ens.n_paths
+        self.solvers[j] = RidgeSolver(moments[:self.n_features], self.basis.ridge)
+
+    def _start_record(self):
+        n_steps, n_feat = self.states.shape[1] - 1, self.n_features
+        self.moments = np.empty((n_steps, 2 * n_feat, n_feat))
+        self.cross = np.empty_like(self.moments)
+        self.means = np.empty((n_steps, n_feat))
+        self.solvers = [None] * n_steps
 
 
 def fitted(X, beta):
@@ -186,17 +228,21 @@ class StepHistory:
 @dataclass
 class AdjointPair:
     """Backward pair (y, Y) on the grid, per path; ``driver`` holds the f
-    values the sweep used at each step.  ``y`` is stored step-major (see
-    :func:`smpkit.forward.step_major`).  ``Y`` and ``driver`` are read one
-    step slice at a time, ``Y[:, j]``: from the sweep they are
-    :class:`StepHistory` objects over the regression coefficients, while a
-    hand-built pair may pass dense arrays."""
+    values the sweep used at each step.  All three are read one step slice
+    at a time, ``y[:, j]``: from the sweep ``Y`` and ``driver`` are
+    :class:`StepHistory` objects over the regression coefficients, and so
+    is ``y`` when the scenario has constant Jacobians (otherwise it is a
+    step-major array, see :func:`smpkit.forward.step_major`).  ``features``
+    is the sweep's :class:`StepFeatures`, which a second-order sweep on the
+    same trajectory takes; a hand-built pair may pass dense arrays and no
+    features."""
 
     grid: object
-    y: np.ndarray                    # (n_paths, n_steps + 1, n)
+    y: object                        # (n_paths, n_steps + 1, n)
     Y: object                        # (n_paths, n_steps, n)
     driver: Optional[object] = None  # (n_paths, n_steps, n)
     fingerprint: Optional[tuple] = None
+    features: Optional[StepFeatures] = None
 
     @property
     def n_paths(self):
@@ -212,47 +258,80 @@ def check_same_ensemble(*objects):
 
 class FeatureAffine(NamedTuple):
     """A regression target that is affine in the features of the step it
-    sits on, ``X_{j+1} @ beta``: :func:`regression_sweep` takes its moments
-    from the cross moments of the two steps' features."""
+    sits on, ``X_{j+1} @ beta + rest``, with ``rest`` per path (P, k) or
+    absent: :func:`regression_sweep` takes the moments of ``X_{j+1} @
+    beta`` from the cross moments of the two steps' features."""
 
-    beta: np.ndarray  # (F, k)
+    beta: np.ndarray                    # (F, k)
+    rest: Optional[np.ndarray] = None   # (P, k)
 
 
-def regression_sweep(features, terminal, decay, ens, update):
+def regression_sweep(features, terminal, decay, update):
     """One-step regression scheme (Gobet, Lemor and Warin, Ann. Appl. Probab.
     2005) from ``target = terminal`` (P, k) back to step 0.  Step j fits the
     mean and the martingale part of ``target * decay`` on the features X of
-    step j (``features`` is a :class:`StepFeatures`), both from the moment
-    block of W = [X; X*dw] (see the module docstring), then ``update(j, X,
-    beta_mean, beta_mart)`` applies the driver and returns the next target:
-    per path (P, k), or a :class:`FeatureAffine` on X."""
+    step j, both from the moment block of W = [X; X*dw] (see the module
+    docstring), then ``update(j, beta_mean, beta_mart)`` applies the driver
+    and returns the next target: per path (P, k), or a
+    :class:`FeatureAffine` on X.  ``features`` is a :class:`StepFeatures`;
+    the first sweep on it records its moments, and a later one builds step
+    j's W only for a target with per-path values."""
+    ens = features.ens
     grid = ens.grid
     n_feat = features.n_features
     if n_feat > ens.n_paths / 10:
         raise DegenerateBasisError(
             f"{n_feat} features against {ens.n_paths} paths violates the over-fit guard"
         )
-    target, rows_next = terminal, None
+    recording = not features.recorded
+    if recording:
+        features._start_record()
     n_paths = ens.n_paths
+    target, X_next = terminal, None
     for j in range(grid.n_steps - 1, -1, -1):
-        # W = [X; X*dw] (2F, P), the features built straight into its top half
-        W = np.empty((2 * n_feat, n_paths))
-        X = features.basis.features(features.states[:, j], out=W[:n_feat])
-        np.multiply(W[:n_feat], ens.increments[:, j], out=W[n_feat:])
-        moments = W @ X  # [X'X; (X*dw)'X]
         if isinstance(target, FeatureAffine):
-            rhs = (W @ rows_next.T) @ (target.beta * decay)
+            beta, rest = target.beta, target.rest
         else:
-            rhs = W @ (target * decay)
-        solver = RidgeSolver(moments[:n_feat], features.basis.ridge)
+            beta, rest = None, target
+        rhs = 0.0
+        if recording or rest is not None:
+            # rows [rest*decay; X_{j+1}; X_j; X_j*dw]: one product of the
+            # bottom block W = [X_j; X_j*dw] with the rows above it gives the
+            # per-path rest's moments, the cross moments and the step's own
+            # moment block.  Its shape does not depend on whether the sweep
+            # records, so two sweeps of one target on one record agree bit
+            # for bit (BLAS may round a column differently in another shape)
+            r = 0 if rest is None else rest.shape[1]
+            c = 0 if X_next is None else n_feat
+            rows = np.empty((r + c + 2 * n_feat, n_paths))
+            if r:
+                np.multiply(rest.T, decay[:, None], out=rows[:r])
+            if c:
+                rows[r:r + c] = X_next
+            W = rows[r + c:]
+            features._build(j, W)
+            prod = W @ rows[:r + c + n_feat].T
+            if recording:
+                features._record(j, prod[:, r + c:])
+                if c:
+                    features.cross[j] = prod[:, r:r + c]
+            if r:
+                rhs = prod[:, :r]
+            X_next = W[:n_feat]
+            del rows, W, prod
+        else:
+            X_next = None
+        if beta is not None:
+            rhs = rhs + features.cross[j] @ (beta * decay)
+        solver = features.solvers[j]
         beta_mean = solver.solve(rhs[:n_feat])
         # the centred martingale fit: centring by the conditional mean leaves
         # the estimand unchanged and strips the dominant variance term
-        beta_mart = solver.solve((rhs[n_feat:] - moments[n_feat:] @ beta_mean) / grid.dt)
-        target = update(j, X, beta_mean, beta_mart)
-        # only a feature-affine target needs this step's rows at the next step
-        rows_next = X.T if isinstance(target, FeatureAffine) else None
-        del W, X  # the next step's block is built after this one is freed
+        beta_mart = solver.solve((rhs[n_feat:] - features.moments[j, n_feat:] @ beta_mean)
+                                 / grid.dt)
+        target = update(j, beta_mean, beta_mart)
+    features.recorded = True
+    features._last = (None, None)  # the last block is not kept past the sweep
 
 
 def _first_driver(scenario, t, x, u, y_hat, Y_j):
@@ -268,10 +347,15 @@ def solve_first_adjoint(scenario, trajectory, ens, basis=None):
     """Regression sweep for the adjoint pair along an optimal-candidate
     trajectory, with terminal data -h_x and driver -a_x*y - b_x*Y + g_x.
 
-    ``y`` is kept per path.  ``Y`` and ``driver`` keep the per-step
-    coefficients ``beta_mart``/``beta_mean`` (n_steps, n_features, n) and
-    re-evaluate a step on the trajectory's features, so the pair holds on
-    to ``trajectory.states``."""
+    ``Y`` and ``driver`` keep the per-step coefficients ``beta_mart``/
+    ``beta_mean`` (n_steps, n_features, n) and re-evaluate a step on the
+    trajectory's features, so the pair holds on to ``trajectory.states``.
+    With ``scenario.constant_jacobians`` the driver is X(-beta_mean a_x -
+    beta_mart b_x) + g_x, so y_j = X_j beta_y[j] - dt g_x(t_j, x_j, u_j)
+    with beta_y = beta_mean + dt (beta_mean a_x + beta_mart b_x): ``y``
+    keeps beta_y and the terminal slice, and the sweep takes the next
+    step's moments from the cross moments.  Otherwise ``y`` is kept per
+    path."""
     basis = basis or RegressionBasis()
     check_same_ensemble(trajectory, ens)
     op = scenario.op
@@ -280,19 +364,44 @@ def solve_first_adjoint(scenario, trajectory, ens, basis=None):
     dt = grid.dt
     times = grid.times()
     states, controls = trajectory.states, trajectory.controls_used
-    features = StepFeatures(basis, states)
+    features = StepFeatures(basis, states, ens)
 
-    y = step_major((P, N + 1, n))
+    y_T = -scenario.grad_terminal(states[:, N])
     beta_mean = np.empty((N, features.n_features, n))
     beta_mart = np.empty_like(beta_mean)
-    y[:, N] = -scenario.grad_terminal(states[:, N])
 
-    def update(j, X, b_mean, b_mart):
-        beta_mean[j], beta_mart[j] = b_mean, b_mart
-        y_hat, Y_j = fitted(X, b_mean), fitted(X, b_mart)
-        f_j = _first_driver(scenario, times[j], states[:, j], controls[:, j], y_hat, Y_j)
-        y[:, j] = y_hat - dt * f_j
-        return y[:, j]
+    def rest_at(j, paths=slice(None)):
+        # -dt g_x: the part of y_j that is not affine in the features
+        return -dt * scenario.grad_x_running(times[j], states[paths, j], controls[paths, j])
+
+    if scenario.constant_jacobians:
+        beta_y = np.empty_like(beta_mean)
+
+        def update(j, b_mean, b_mart):
+            beta_mean[j], beta_mart[j] = b_mean, b_mart
+            x1, u1 = states[:1, j], controls[:1, j]
+            a_x = scenario.jac_x("a", times[j], x1, u1)[0]
+            b_x = scenario.jac_x("b", times[j], x1, u1)[0]
+            beta_y[j] = b_mean + dt * (b_mean @ a_x + b_mart @ b_x)
+            return FeatureAffine(beta_y[j], rest_at(j))
+
+        def y_at(j, paths):
+            if j == N:
+                return y_T[paths]
+            return fitted(features.at(j, paths), beta_y[j]) + rest_at(j, paths)
+
+        y = StepHistory((P, N + 1, n), y_at, (beta_y, y_T))
+    else:
+        y = step_major((P, N + 1, n))
+        y[:, N] = y_T
+
+        def update(j, b_mean, b_mart):
+            beta_mean[j], beta_mart[j] = b_mean, b_mart
+            X = features.at(j)
+            y_hat, Y_j = fitted(X, b_mean), fitted(X, b_mart)
+            f_j = _first_driver(scenario, times[j], states[:, j], controls[:, j], y_hat, Y_j)
+            y[:, j] = y_hat - dt * f_j
+            return y[:, j]
 
     def Y_at(j, paths):
         return fitted(features.at(j, paths), beta_mart[j])
@@ -303,10 +412,10 @@ def solve_first_adjoint(scenario, trajectory, ens, basis=None):
                              fitted(X, beta_mean[j]), fitted(X, beta_mart[j]))
 
     decay = np.exp(op.eigenvalues * dt)
-    regression_sweep(features, y[:, N], decay, ens, update)
+    regression_sweep(features, y_T, decay, update)
     Y = StepHistory((P, N, n), Y_at, (beta_mart,))
     driver = StepHistory((P, N, n), driver_at, (beta_mean,))
-    return AdjointPair(grid, y, Y, driver, ens.fingerprint)
+    return AdjointPair(grid, y, Y, driver, ens.fingerprint, features)
 
 
 def deterministic_first_adjoint(op, y_terminal, f_path, grid):

@@ -6,12 +6,14 @@ floats with 17 significant digits) plus a manifest echoing the resolved
 configuration, and exits 0 only if the command's pass rule holds.
 
 Exit codes: 0 pass, 1 failed pass rule (the failing artifact is named on
-stderr), 2 unknown preset or unusable configuration (one line on stderr).
+stderr), 2 unknown preset, unusable configuration or inputs drawn from
+different noise ensembles (one line on stderr).
 """
 
 import argparse
 import csv
 import os
+import resource
 import sys
 import time
 from dataclasses import dataclass
@@ -32,7 +34,7 @@ from .duality import (  # noqa: F401
     verify_second_identities,
     verify_second_identity,
 )
-from .errors import ConfigError, SmpKitError, StepRuleError
+from .errors import ConfigError, EnsembleMismatchError, SmpKitError, StepRuleError
 from .forward import Box, OpenLoop, TimeGrid, cost_paths, sample_brownian, simulate_controlled
 from .maximum_principle import (
     check_condition,
@@ -101,6 +103,14 @@ def write_manifest(cfg, outdir, wall_time, extra=None):
             fh.write(f"{key} = {value}\n")
         fh.write(f"wall_time_seconds = {wall_time:.3f}\n")
     return path
+
+
+def _run_stats():
+    """Peak resident memory of the process so far and the numpy version, for
+    the manifest (``ru_maxrss`` counts KB on Linux and bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak_mb = peak / 2**20 if sys.platform == "darwin" else peak / 2**10
+    return {"peak_rss_mb": f"{peak_mb:.1f}", "numpy_version": np.__version__}
 
 
 DT_SLACK = 1e-9  # relative: how far n_steps * dt may miss the horizon T
@@ -192,14 +202,16 @@ def cmd_solve_adjoint(cfg, scenario, lq, grid):
 
 
 def _second_order_inputs(cfg, problem, lq, grid, ens, first=None):
-    """Matrix-equation data: either straight from a matrix preset or the
-    linearization along the chosen control.  ``first`` is the (trajectory,
-    first adjoint) along that control when the caller already has them."""
+    """Matrix-equation data and the features to regress on: either straight
+    from a matrix preset (the Brownian paths' features) or the linearization
+    along the chosen control and the first adjoint's features.  ``first`` is
+    the (trajectory, first adjoint) along that control when the caller
+    already has them."""
     if isinstance(problem, MatrixPreset):
         return (*problem.second_order_data(), None)
     traj, pair = first or _first_order(cfg, problem, lq, grid, ens)
     J, K, F, P_T = second_order_data(problem, traj, pair)
-    return problem.op, J, K, F, P_T, traj
+    return problem.op, J, K, F, P_T, pair.features
 
 
 def _first_order(cfg, scenario, lq, grid, ens):
@@ -211,9 +223,8 @@ def _first_order(cfg, scenario, lq, grid, ens):
 
 def cmd_solve_second_adjoint(cfg, problem, lq, grid):
     ens = sample_brownian(grid, cfg.paths, cfg.seed)
-    op, J, K, F, P_T, traj = _second_order_inputs(cfg, problem, lq, grid, ens)
-    feature_states = None if traj is None else traj.states
-    sa = solve_second_adjoint(op, J, K, F, P_T, ens, feature_states=feature_states)
+    op, J, K, F, P_T, features = _second_order_inputs(cfg, problem, lq, grid, ens)
+    sa = solve_second_adjoint(op, J, K, F, P_T, ens, features=features)
     times = grid.times()
     n = op.n_modes
     header = ["step", "time"] + [f"P_mean_{k+1}" for k in range(n * n)] + ["asymmetry"]
@@ -252,10 +263,9 @@ def cmd_verify_duality(cfg, problem, lq, grid):
         ))
 
     if cfg.order in ("second", "both"):
-        op, J, K, F, P_T, traj = _second_order_inputs(cfg, problem, lq, grid, ens, first)
-        first = None  # the first adjoint's path history is not read past here
-        feature_states = None if traj is None else traj.states
-        sa = solve_second_adjoint(op, J, K, F, P_T, ens, feature_states=feature_states)
+        op, J, K, F, P_T, features = _second_order_inputs(cfg, problem, lq, grid, ens, first)
+        first = None  # past here only the first adjoint's features are read
+        sa = solve_second_adjoint(op, J, K, F, P_T, ens, features=features)
         tests = [describe_second_test(op, ens, np.random.default_rng([cfg.seed, 2000 + i]))
                  for i in range(cfg.tuples)]
         record("duality_second", verify_second_identities(
@@ -408,14 +418,14 @@ def main(argv=None):
         # only a run that passed its checks leaves an output directory
         os.makedirs(cfg.outdir, exist_ok=True)
         code, extra = COMMANDS[cfg.command](cfg, problem, lq, grid)
-    except (FileNotFoundError, ConfigError) as exc:
+    except (FileNotFoundError, ConfigError, EnsembleMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SmpKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     used = {"n_steps": grid.n_steps, "dt_used": _fmt(grid.dt)}
-    write_manifest(cfg, cfg.outdir, time.time() - start, used | (extra or {}))
+    write_manifest(cfg, cfg.outdir, time.time() - start, used | _run_stats() | (extra or {}))
     if code != 0 and extra and "failed" in extra:
         print(f"pass rule failed: {extra['failed']}", file=sys.stderr)
     return code

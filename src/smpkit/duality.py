@@ -48,7 +48,7 @@ from .forward import (  # noqa: F401
     iter_linear_test,
     iter_linearized,
 )
-from .second_order import solve_second_adjoint
+from .second_order import brownian_features, solve_second_adjoint
 
 
 @dataclass
@@ -261,9 +261,18 @@ def _apply(M, x):
 
 def _form(a, M, b):
     """Per (tuple, path) bilinear form <a, M b>.  For a per-path M one
-    three-operand contraction, without the intermediate M b."""
+    three-operand contraction, without the intermediate M b.  When a or b
+    is shared by all paths (an (n, K, 1) forcing slot), M is contracted with
+    it first, one (K, n) x (n, P) product per row of M: a broadcast operand
+    would send the contraction down einsum's slower stride-0 path."""
     if M.ndim == 2:
         return _dot(a, _apply(M, b))
+    if b.shape[2] == 1:
+        b_t = b[:, :, 0].T
+        return sum(a[i] * (b_t @ M[i]) for i in range(M.shape[0]))
+    if a.shape[2] == 1:
+        a_t = a[:, :, 0].T
+        return sum((a_t @ M[:, l]) * b[l] for l in range(M.shape[1]))
     return np.einsum("ikp,ilp,lkp->kp", a, M, b)
 
 
@@ -547,8 +556,10 @@ def lipschitz_probe(op, J, K_base, K_perturbed, F, P_T, probes, ens, basis=None)
     )
     grid = ens.grid
     N, dt = grid.n_steps, grid.dt
-    sa_base = solve_second_adjoint(op, J, K_base, F, P_T, ens, basis=basis)
-    sa_pert = solve_second_adjoint(op, J, K_perturbed, F, P_T, ens, basis=basis)
+    # one moment record: the second solve reuses the first one's
+    features = brownian_features(ens, basis)
+    sa_base = solve_second_adjoint(op, J, K_base, F, P_T, ens, features=features)
+    sa_pert = solve_second_adjoint(op, J, K_perturbed, F, P_T, ens, features=features)
 
     discrepancies = []
     zero = np.zeros(n)

@@ -163,9 +163,7 @@ def solve_adjoints(scenario, traj, ens, basis=None):
     """First- and second-order backward solves along one trajectory."""
     pair = solve_first_adjoint(scenario, traj, ens, basis=basis)
     J, K, F, P_T = second_order_data(scenario, traj, pair)
-    sa = solve_second_adjoint(
-        scenario.op, J, K, F, P_T, ens, basis=basis, feature_states=traj.states
-    )
+    sa = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, features=pair.features)
     return pair, sa
 
 

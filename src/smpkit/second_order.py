@@ -18,10 +18,12 @@ Two storage modes:
   O(n_steps * n_features * n^2) even for large ensembles.  The driver is
   affine in the features, so the update is done once in coefficient space,
   P_j = X_j beta_P[j], and the update hands the sweep beta_P[j] itself (a
-  :class:`smpkit.adjoint.FeatureAffine`).  The sweep then takes step j-1's
+  :class:`smpkit.adjoint.FeatureAffine`).  The sweep takes step j-1's
   moments from the cross moments [X_{j-1}; X_{j-1}*dw]' X_j times
-  beta_P[j]: after the per-path terminal step no per-path target or driver
-  is formed;
+  beta_P[j].  On the first adjoint's :class:`smpkit.adjoint.StepFeatures`
+  those cross moments, the Gram blocks and the ridge solvers are already
+  recorded, so the sweep builds features and touches per-path data only at
+  its terminal step;
 * dense mode (path-dependent coefficients): full per-path histories, stored
   step-major (see :func:`smpkit.forward.step_major`).
 """
@@ -32,7 +34,13 @@ from typing import Optional
 
 import numpy as np
 
-from .adjoint import FeatureAffine, RegressionBasis, StepFeatures, regression_sweep
+from .adjoint import (
+    FeatureAffine,
+    RegressionBasis,
+    StepFeatures,
+    check_same_ensemble,
+    regression_sweep,
+)
 from .errors import DimensionError, DomainError
 from .forward import at_step, step_major
 from .spectral import OperatorSpec
@@ -93,7 +101,6 @@ class SecondOrderAdjoint:
     features: Optional[StepFeatures] = None       # regressor features per step
     beta_P: Optional[np.ndarray] = None           # (N, F, n^2)
     beta_Q: Optional[np.ndarray] = None           # (N, F, n^2)
-    feature_means: Optional[np.ndarray] = None    # (N, F) path means of the features
     P_terminal: Optional[np.ndarray] = None       # (P, n, n)
     dense_P: Optional[np.ndarray] = None          # (P, N+1, n, n)
     dense_Q: Optional[np.ndarray] = None          # (P, N, n, n)
@@ -123,26 +130,35 @@ class SecondOrderAdjoint:
     def P_mean(self, j):
         if self.dense_P is None and j < self.grid.n_steps:
             # P is affine in the features, so its mean is mean(X) @ beta_P[j]
-            return vec_to_mat(self.feature_means[j] @ self.beta_P[j], self.op.n_modes)
+            return vec_to_mat(self.features.means[j] @ self.beta_P[j], self.op.n_modes)
         return self.P_paths(j).mean(axis=0)
 
 
-def solve_second_adjoint(op, J, K, F, P_T, ens, basis=None, feature_states=None):
+def brownian_features(ens, basis=None):
+    """Features of the Brownian paths of ``ens``, the default regressor of
+    :func:`solve_second_adjoint`."""
+    return StepFeatures(basis or RegressionBasis(), ens.brownian_paths()[:, :, None], ens)
+
+
+def solve_second_adjoint(op, J, K, F, P_T, ens, basis=None, features=None):
     """Regression sweep for (P, Q).
 
     J, K, F may be None, constant (n, n), time-indexed (N, n, n), or
     path-indexed (P, N, n, n); P_T may be (n, n) or per path (P, n, n).
-    ``feature_states`` supplies the regressor state per step, shape
-    (n_paths, N+1, d); defaults to the Brownian path itself.
+    ``features`` is the :class:`smpkit.adjoint.StepFeatures` to regress on,
+    such as the first adjoint's ``pair.features``, whose recorded moments
+    the sweep reuses; by default the Brownian paths with ``basis``.
     """
-    basis = basis or RegressionBasis()
     grid = ens.grid
     n, N, P = op.n_modes, grid.n_steps, ens.n_paths
     dt = grid.dt
-    if feature_states is None:
-        feature_states = ens.brownian_paths()[:, :, None]
-    if feature_states.shape[:2] != (P, N + 1):
-        raise DimensionError("feature_states must cover every path and step")
+    if features is None:
+        features = brownian_features(ens, basis)
+    elif basis is not None and basis != features.basis:
+        raise DomainError("basis differs from the basis of the features")
+    check_same_ensemble(features, ens)
+    if features.states.shape[:2] != (P, N + 1):
+        raise DimensionError("features must cover every path and step")
 
     J, K, F = (None if c is None else np.asarray(c, dtype=float) for c in (J, K, F))
     P_T = np.asarray(P_T, dtype=float)
@@ -152,7 +168,6 @@ def solve_second_adjoint(op, J, K, F, P_T, ens, basis=None, feature_states=None)
     sym_data = max_asymmetry(P_T) <= 1e-12 and (F is None or max_asymmetry(F) <= 1e-12)
     drift_sym = 0.0
 
-    features = StepFeatures(basis, feature_states)
     # mat_to_vec(P_T) as an owned copy; the stored terminal slice is a
     # column-major view of it, so the terminal target costs no second copy
     P_T_vec = np.copy(np.swapaxes(P_T, -1, -2)).reshape(P, n * n)
@@ -165,15 +180,14 @@ def solve_second_adjoint(op, J, K, F, P_T, ens, basis=None, feature_states=None)
         result.dense_Q = step_major((P, N, n, n))
         result.dense_P[:, N] = P_T
     else:
-        n_feat = features.n_features
-        result.beta_P = np.empty((N, n_feat, n * n))
+        result.beta_P = np.empty((N, features.n_features, n * n))
         result.beta_Q = np.empty_like(result.beta_P)
-        result.feature_means = np.empty((N, n_feat))
 
-    def update(j, X, beta_tilde, beta_q):
+    def update(j, beta_tilde, beta_q):
         nonlocal drift_sym
         Jj, Kj, Fj = (at_step(c, j, 2) for c in (J, K, F))
         if dense:
+            X = features.at(j)
             p_tilde = vec_to_mat(X @ beta_tilde, n)
             q_j = vec_to_mat(X @ beta_q, n)
             result.dense_P[:, j] = p_tilde - dt * _driver(Jj, Kj, Fj, p_tilde, q_j)
@@ -189,17 +203,16 @@ def solve_second_adjoint(op, J, K, F, P_T, ens, basis=None, feature_states=None)
                 new_bP[0] = new_bP[0] - dt * Fj  # constant feature column is 1
             result.beta_P[j] = mat_to_vec(new_bP)
             result.beta_Q[j] = mat_to_vec(bQ)
-            result.feature_means[j] = X.mean(axis=0)
             p_next = FeatureAffine(result.beta_P[j])
         if sym_data:
             # in coefficient mode P is affine in the features, so its path
             # mean is mean(X) @ beta_P[j]
-            p_mean = p_next.mean(axis=0) if dense else result.feature_means[j] @ result.beta_P[j]
+            p_mean = p_next.mean(axis=0) if dense else features.means[j] @ result.beta_P[j]
             drift_sym = max(drift_sym, max_asymmetry(vec_to_mat(p_mean, n)))
         return p_next
 
     decay = mat_to_vec(np.exp(np.add.outer(op.eigenvalues, op.eigenvalues) * dt))
-    regression_sweep(features, P_T_vec, decay, ens, update)
+    regression_sweep(features, P_T_vec, decay, update)
     result.symmetry_drift = drift_sym
     if sym_data and drift_sym > SYMMETRY_WARN:
         warnings.warn(f"symmetry drift {drift_sym:.2e} with symmetric data")

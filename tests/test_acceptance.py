@@ -104,15 +104,15 @@ def _second_identity_case(op, J, K, F, P_T, scenario, n_steps, n_paths,
                           tuples, c_bias, seed=101, tuple_seed=66):
     grid = TimeGrid(0.0, 1.0, n_steps)
     ens = sample_brownian(grid, n_paths, seed)
-    feature_states = None
+    features = None
     if scenario is not None:
         control = OpenLoop(np.zeros((n_steps, scenario.control_dim)))
         traj = simulate_controlled(scenario, scenario.x0, control, ens)
         pair = solve_first_adjoint(scenario, traj, ens)
         J, K, F, P_T = second_order_data(scenario, traj, pair)
-        feature_states = traj.states
+        features = pair.features
         op = scenario.op
-    sa = solve_second_adjoint(op, J, K, F, P_T, ens, feature_states=feature_states)
+    sa = solve_second_adjoint(op, J, K, F, P_T, ens, features=features)
     rng = np.random.default_rng(tuple_seed)
     tests = [describe_second_test(op, ens, rng) for _ in range(tuples)]
     reports = verify_second_identities(

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,15 @@ from smpkit.adjoint import (
     solve_first_adjoint,
 )
 from smpkit.errors import DegenerateBasisError, EnsembleMismatchError
-from smpkit.forward import Feedback, OpenLoop, TimeGrid, sample_brownian, simulate_controlled
+from smpkit.forward import (
+    Box,
+    Feedback,
+    OpenLoop,
+    Scenario,
+    TimeGrid,
+    sample_brownian,
+    simulate_controlled,
+)
 from smpkit.scenarios import build_preset, load_preset, make_lq_scalar, riccati_oracle
 from smpkit.spectral import OperatorSpec, make_dirichlet_laplacian
 
@@ -130,7 +139,8 @@ def test_sweep_zero_data_gives_zero():
     ens = sample_brownian(grid, 200, 3)
     traj = simulate_controlled(scenario, np.array([1.0, 0.0]), OpenLoop(np.zeros((20, 1))), ens)
     pair = solve_first_adjoint(scenario, traj, ens)
-    np.testing.assert_array_equal(pair.y, 0.0)
+    for j in range(grid.n_steps + 1):  # y is read one step at a time
+        np.testing.assert_array_equal(pair.y[:, j], 0.0)
     for j in range(grid.n_steps):  # Y is read one step at a time
         np.testing.assert_array_equal(pair.Y[:, j], 0.0)
 
@@ -147,7 +157,8 @@ def test_sweep_matches_deterministic_recursion():
     oracle = deterministic_first_adjoint(op, -v, np.tile(c, (50, 1)), grid)
     # deterministic targets are in the span of the intercept: agreement is
     # regression-exact up to the tiny ridge shift
-    assert np.max(np.abs(pair.y - oracle[None, :, :])) < 1e-6
+    y_gap = max(np.max(np.abs(pair.y[:, j] - oracle[j])) for j in range(grid.n_steps + 1))
+    assert y_gap < 1e-6
     # Y is pure regression noise around 0; check its coefficients are
     # statistically indistinguishable from zero (t-statistics)
     basis = RegressionBasis()
@@ -201,7 +212,8 @@ def test_adjoint_linearity_in_cost_scaling():
     traj = simulate_controlled(base, base.x0, control, ens)
     p1 = solve_first_adjoint(base, traj, ens)
     p2 = solve_first_adjoint(doubled, traj, ens)
-    np.testing.assert_array_equal(p2.y, 2.0 * p1.y)
+    for j in range(grid.n_steps + 1):  # y is read one step at a time
+        np.testing.assert_array_equal(p2.y[:, j], 2.0 * p1.y[:, j])
     for j in range(grid.n_steps):  # Y is read one step at a time
         np.testing.assert_array_equal(p2.Y[:, j], 2.0 * p1.Y[:, j])
 
@@ -218,7 +230,8 @@ def test_oracle_error_shrinks_under_refinement():
         traj = simulate_controlled(scenario, np.array([1.0]), OpenLoop(np.zeros((n_steps, 1))), ens)
         pair = solve_first_adjoint(scenario, traj, ens)
         exact = _exact_continuous_adjoint(op, -v, c, grid)
-        err = np.max(np.abs(pair.y.mean(axis=0) - exact))
+        y_mean = np.array([pair.y[:, j].mean(axis=0) for j in range(n_steps + 1)])
+        err = np.max(np.abs(y_mean - exact))
         errors.append(err)
     assert errors[1] < errors[0]
 
@@ -271,7 +284,9 @@ def _feedback_pair(preset, n_steps, n_paths, seed):
 def test_coefficient_pair_matches_dense_reference(preset):
     scenario, grid, ens, traj, pair = _feedback_pair(preset, 30, 600, 21)
     y, Y, driver = dense_first_adjoint(scenario, traj, ens)
-    np.testing.assert_array_equal(pair.y, y)
+    for j in range(grid.n_steps + 1):
+        np.testing.assert_array_equal(pair.y[:, j], y[:, j])
+        np.testing.assert_array_equal(pair.y[:1, j], pair.y[:, j][:1])
     for j in range(grid.n_steps):
         np.testing.assert_array_equal(pair.Y[:, j], Y[:, j])
         np.testing.assert_array_equal(pair.driver[:, j], driver[:, j])
@@ -301,7 +316,8 @@ def test_step_history_indexing():
 
 
 def test_first_adjoint_allocates_one_path_history():
-    # y is the only per-path history; Y and the driver are coefficients
+    # with constant Jacobians y, Y and the driver are all coefficients: the
+    # sweep allocates no (P, N, n) history, only per-step blocks
     scenario, _ = build_preset(load_preset("heat4"))
     grid = TimeGrid(0.0, scenario.T, 50)
     ens = sample_brownian(grid, 2000, 6)
@@ -313,4 +329,60 @@ def test_first_adjoint_allocates_one_path_history():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * pair.y.nbytes, (peak, pair.y.nbytes)
+    history = ens.n_paths * grid.n_steps * scenario.n_modes * 8
+    assert peak < history, (peak, history)
+
+
+def _cross_cost_scenario():
+    # constant Jacobians, and g = |x|^2/2 + x'S u + |u|^2/2, so g_x = x + S u
+    # depends on the control
+    op = OperatorSpec(2, np.array([-0.5, -1.5]))
+    A = np.array([[0.1, -0.3], [0.2, 0.0]])
+    B = np.array([[1.0], [0.5]])
+    Kx = np.array([[0.2, 0.1], [0.0, 0.3]])
+    D = np.array([[0.3], [0.1]])
+    S = np.array([[0.7], [-0.4]])
+    return Scenario(
+        op=op,
+        drift=lambda t, x, u: x @ A.T + u @ B.T,
+        diffusion=lambda t, x, u: x @ Kx.T + u @ D.T,
+        running_cost=lambda t, x, u: (0.5 * np.sum(x * x, axis=-1)
+                                      + np.sum((x @ S) * u, axis=-1)
+                                      + 0.5 * np.sum(u * u, axis=-1)),
+        terminal_cost=lambda x: 0.5 * np.sum(x * x, axis=-1),
+        control_dim=1,
+        control_set=Box(lo=[-1.0], hi=[1.0]),
+        running_grad_x=lambda t, x, u: x + u @ S.T,
+        running_grad_u=lambda t, x, u: x @ S + u,
+        terminal_grad=lambda x: x,
+        drift_x=lambda t, x, u: A,
+        diffusion_x=lambda t, x, u: Kx,
+        drift_u=lambda t, x, u: B,
+        diffusion_u=lambda t, x, u: D,
+        constant_jacobians=True,
+    )
+
+
+def test_coefficient_y_keeps_the_control_dependent_gradient():
+    # y_j = X_j beta_y - dt g_x: the rest -dt g_x carries the control, which a
+    # nonlinear feedback puts outside the feature span, so dropping it or
+    # folding it into the features shows against the per-path sweep.  The
+    # initial states are spread per path: from one shared state the first
+    # steps' unscaled features are nearly collinear, and their Gram matrix
+    # would amplify the two sweeps' rounding differences to 1e-10
+    scenario = _cross_cost_scenario()
+    grid = TimeGrid(0.0, 1.0, 30)
+    ens = sample_brownian(grid, 1000, 31)
+    control = Feedback(lambda t, x: np.sin(3.0 * x[:, :1]))
+    x0 = np.random.default_rng(5).uniform(-1.0, 1.0, (ens.n_paths, 2))
+    traj = simulate_controlled(scenario, x0, control, ens)
+    coeff = solve_first_adjoint(scenario, traj, ens)
+    per_path = solve_first_adjoint(dataclasses.replace(scenario, constant_jacobians=False),
+                                   traj, ens)
+    assert isinstance(per_path.y, np.ndarray) and not isinstance(coeff.y, np.ndarray)
+    for j in range(grid.n_steps + 1):
+        np.testing.assert_allclose(coeff.y[:, j], per_path.y[:, j], rtol=0, atol=1e-12)
+    for j in range(grid.n_steps):
+        np.testing.assert_allclose(coeff.Y[:, j], per_path.Y[:, j], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(coeff.driver[:, j], per_path.driver[:, j], rtol=0,
+                                   atol=1e-12)

@@ -57,10 +57,10 @@ def test_tracer_reads_every_adjoint_result():
     traj = simulate_controlled(scenario, scenario.x0, OpenLoop(np.zeros((8, 2))), ens)
     pair = solve_first_adjoint(scenario, traj, ens)
     J, K, F, P_T = second_order_data(scenario, traj, pair)
-    coeff = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, feature_states=traj.states)
+    coeff = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, features=pair.features)
     dense_data = second_order_data(dataclasses.replace(scenario, constant_jacobians=False),
                                    traj, pair)
-    dense = solve_second_adjoint(scenario.op, *dense_data, ens, feature_states=traj.states)
+    dense = solve_second_adjoint(scenario.op, *dense_data, ens, features=pair.features)
     tracing = load_tracing()
     for metric, result in (("adjoint.solve_first", pair),
                            ("second_order.solve_second", coeff),

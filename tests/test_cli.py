@@ -1,9 +1,12 @@
 import filecmp
 import os
 
+import numpy as np
 import pytest
 
+import smpkit.cli as cli
 from smpkit.cli import main
+from smpkit.forward import OpenLoop, sample_brownian
 
 
 def run(tmp_path, name, *argv):
@@ -177,3 +180,41 @@ def test_cross_validate_rejects_vector_preset(tmp_path, capsys):
     assert err == ["error: cross-validate-oracles needs a scalar preset; heat4 is not"]
     assert not (out / "manifest.txt").exists() and not list(out.glob("*.csv"))
     assert not out.exists()
+
+
+def test_manifest_records_peak_memory_and_numpy_version(tmp_path, monkeypatch):
+    args = ["solve-adjoint", "--preset", "lq_scalar", "--paths", "500", "--dt", "0.05",
+            "--seed", "4"]
+    code, out = run(tmp_path, "with", *args)
+    monkeypatch.setattr(cli, "_run_stats", lambda: {})
+    code_bare, out_bare = run(tmp_path, "without", *args)
+    assert code == code_bare == 0
+    manifest = dict(line.split(" = ", 1)
+                    for line in (out / "manifest.txt").read_text().splitlines())
+    assert float(manifest["peak_rss_mb"]) > 0
+    assert manifest["numpy_version"] == np.__version__
+    # the two keys go to the manifest only: the primary CSVs are byte-identical
+    csvs = sorted(p.name for p in out_bare.glob("*.csv"))
+    assert csvs == sorted(p.name for p in out.glob("*.csv")) == ["adjoint_stats.csv"]
+    for name in csvs:
+        assert filecmp.cmp(out / name, out_bare / name, shallow=False)
+
+
+def test_first_adjoint_of_another_ensemble_exits_2(tmp_path, capsys, monkeypatch):
+    # the second sweep regresses on the first adjoint's features, which must
+    # come from the run's own ensemble
+    solve = cli.solve_first_adjoint
+
+    def on_another_ensemble(scenario, traj, ens):
+        other = sample_brownian(ens.grid, ens.n_paths, 99)
+        control = OpenLoop(np.zeros((ens.grid.n_steps, scenario.control_dim)))
+        return solve(scenario, cli.simulate_controlled(scenario, scenario.x0, control, other),
+                     other)
+
+    monkeypatch.setattr(cli, "solve_first_adjoint", on_another_ensemble)
+    code, out = run(tmp_path, "mix", "solve-second-adjoint", "--preset", "lq_scalar",
+                    "--paths", "200", "--dt", "0.05", "--seed", "1")
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: seed lineage differs"), err
+    assert not (out / "second_adjoint_stats.csv").exists()

@@ -123,10 +123,11 @@ def test_first_identity_leaves_single_path_pair_unchanged():
     rng = np.random.default_rng(2)
     pair = AdjointPair(grid, rng.normal(size=(1, 11, 2)), rng.normal(size=(1, 10, 2)),
                        rng.normal(size=(1, 10, 2)), ens.fingerprint)
-    y_before = pair.y.copy()
+    y_before = [pair.y[:, j].copy() for j in range(grid.n_steps + 1)]
     test = random_first_test(op, ens, np.random.default_rng(3))
     first = verify_first_identity(pair, op, None, None, test, ens)
-    np.testing.assert_array_equal(pair.y, y_before)
+    for j in range(grid.n_steps + 1):
+        np.testing.assert_array_equal(pair.y[:, j], y_before[j])
     second = verify_first_identity(pair, op, None, None, test, ens)
     assert (second.lhs, second.rhs) == (first.lhs, first.rhs)
 
@@ -317,7 +318,7 @@ def test_stacked_first_identities_match_single_tuple_heat4():
 def test_stacked_second_identities_match_single_tuple_heat4_coefficient_mode():
     scenario, grid, ens, traj, pair = _heat4_setup()
     J, K, F, P_T = second_order_data(scenario, traj, pair)
-    sa = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, feature_states=traj.states)
+    sa = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, features=pair.features)
     assert sa.dense_P is None  # coefficient storage
     _check_second_equivalence(scenario.op, J, K, F, P_T, sa, ens,
                               scenario.c_bias_second * grid.dt, 29)

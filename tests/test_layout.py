@@ -86,7 +86,7 @@ def test_dense_second_order_data_and_sweep_store_step_major():
     J, K, F, P_T = second_order_data(scenario, traj, pair)
     for coeff in (J, K, F):
         _assert_step_major(coeff, (N_PATHS, N_STEPS, n, n))
-    sa = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, feature_states=traj.states)
+    sa = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, features=pair.features)
     _assert_step_major(sa.dense_P, (N_PATHS, N_STEPS + 1, n, n))
     _assert_step_major(sa.dense_Q, (N_PATHS, N_STEPS, n, n))
 

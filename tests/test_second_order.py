@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from smpkit.adjoint import RegressionBasis, solve_first_adjoint
-from smpkit.errors import DimensionError, DomainError
+from smpkit.adjoint import RegressionBasis, StepFeatures, solve_first_adjoint
+from smpkit.errors import DimensionError, DomainError, EnsembleMismatchError
 from smpkit.forward import OpenLoop, TimeGrid, sample_brownian, simulate_controlled
 from smpkit.maximum_principle import second_order_data
 from smpkit.scenarios import build_preset, load_preset
@@ -138,6 +138,36 @@ def test_sweep_matches_lyapunov_oracle():
         assert err < 0.02 + 3 * 0.5 / np.sqrt(ens.n_paths * grid.dt)
 
 
+def test_sweep_matches_one_step_recursion():
+    # with deterministic data every target is constant, so the regression is
+    # exact up to the ridge (1e-12 here), Q vanishes, and both storage modes
+    # follow the explicit recursion P_j = S(P_{j+1}) - dt (-J*P - PJ - K*PK
+    # + F) with P = S(P_{j+1}) = S(dt) P_{j+1} S*(dt); non-symmetric,
+    # time-indexed J and K tell J*P + PJ apart from JP + PJ*, which the
+    # Monte Carlo tolerance of the Lyapunov-oracle test above cannot
+    op = OperatorSpec(2, np.array([-0.3, -1.0]))
+    n_steps, n_paths = 50, 2000
+    grid = TimeGrid(0.0, 1.0, n_steps)
+    ens = sample_brownian(grid, n_paths, 9)
+    ramp = np.linspace(0.5, 1.5, n_steps)[:, None, None]
+    J = ramp * np.array([[0.1, -0.4], [0.3, 0.0]])
+    K = ramp * np.array([[0.4, 0.2], [-0.3, 0.3]])
+    F = np.array([[1.0, 0.2], [0.2, 0.5]])
+    P_T = np.array([[-1.0, 0.3], [-0.2, -0.5]])
+    basis = RegressionBasis(ridge=1e-12)
+    coeff = solve_second_adjoint(op, J, K, F, P_T, ens, basis=basis)
+    per_path = [np.broadcast_to(c, (n_paths,) + c.shape) for c in (J, K)]
+    dense = solve_second_adjoint(op, *per_path, F, P_T, ens, basis=basis)
+    assert coeff.dense_P is None and dense.dense_P is not None
+    p = P_T
+    for j in range(n_steps - 1, -1, -1):
+        s = tensor_semigroup_apply(op, grid.dt, p)
+        p = s - grid.dt * (-J[j].T @ s - s @ J[j] - K[j].T @ s @ K[j] + F)
+        for sa in (coeff, dense):
+            np.testing.assert_allclose(sa.P_paths(j), np.broadcast_to(p, (n_paths, 2, 2)),
+                                       rtol=0, atol=1e-10)
+
+
 def test_sweep_symmetry_drift_small():
     op = OperatorSpec(2, np.array([-0.5, -1.5]))
     K = 0.3 * np.eye(2)
@@ -215,9 +245,9 @@ def test_coefficient_mode_matches_dense_mode_heat4():
     pair = solve_first_adjoint(scenario, traj, ens)
     J, K, F, P_T = second_order_data(scenario, traj, pair)
     assert J.ndim == 3
-    coeff = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, feature_states=traj.states)
+    coeff = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, features=pair.features)
     per_path = [np.broadcast_to(c, (n_paths,) + c.shape) for c in (J, K, F)]
-    dense = solve_second_adjoint(scenario.op, *per_path, P_T, ens, feature_states=traj.states)
+    dense = solve_second_adjoint(scenario.op, *per_path, P_T, ens, features=pair.features)
     assert coeff.dense_P is None and dense.dense_P is not None
     # path means to 1e-12; single paths carry the rounding of the unscaled
     # regression (heat4's high modes make the Gram matrix near singular), so
@@ -243,12 +273,13 @@ def test_coefficient_mode_matches_dense_mode_nonsymmetric():
     ens = sample_brownian(grid, n_paths, 23)
     control = OpenLoop(np.full((n_steps, scenario.control_dim), 0.2))
     traj = simulate_controlled(scenario, scenario.x0, control, ens)
+    pair = solve_first_adjoint(scenario, traj, ens)
     rng = np.random.default_rng(8)
     J, K, F = (scale * rng.standard_normal((n_steps, n, n)) for scale in (0.3, 0.3, 1.0))
     P_T = -np.eye(n) + 0.2 * rng.standard_normal((n_paths, n, n))
-    coeff = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, feature_states=traj.states)
+    coeff = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, features=pair.features)
     per_path = [np.broadcast_to(c, (n_paths,) + c.shape) for c in (J, K, F)]
-    dense = solve_second_adjoint(scenario.op, *per_path, P_T, ens, feature_states=traj.states)
+    dense = solve_second_adjoint(scenario.op, *per_path, P_T, ens, features=pair.features)
     assert coeff.dense_P is None and dense.dense_P is not None
     assert max_asymmetry(coeff.P_mean(0)) > 1e-3
     for j in range(n_steps + 1):
@@ -276,9 +307,56 @@ def test_coefficient_sweep_allocates_no_path_target():
     block = RegressionBasis().n_features(scenario.n_modes) * n_paths * 8
     tracemalloc.start()
     try:
-        sa = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, feature_states=traj.states)
+        sa = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, features=pair.features)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     stored = sa.beta_P.nbytes + sa.beta_Q.nbytes + sa.P_terminal.nbytes
     assert peak < stored + 5 * block, (peak, stored, block)
+
+
+def _heat4_pair(n_steps=40, n_paths=600, seed=25):
+    scenario, _ = build_preset(load_preset("heat4"))
+    grid = TimeGrid(0.0, 1.0, n_steps)
+    ens = sample_brownian(grid, n_paths, seed)
+    control = OpenLoop(np.full((n_steps, scenario.control_dim), 0.2))
+    traj = simulate_controlled(scenario, scenario.x0, control, ens)
+    return scenario, grid, ens, traj, solve_first_adjoint(scenario, traj, ens)
+
+
+@pytest.mark.parametrize("data", ["heat4", "nonsymmetric"])
+def test_second_sweep_reads_the_first_sweeps_moment_record(monkeypatch, data):
+    # on the first adjoint's features the coefficient-mode sweep reads the
+    # recorded Gram blocks, cross moments and solvers, and builds features
+    # only for the per-path terminal target; it fits what a sweep on fresh
+    # features of the same states fits
+    scenario, grid, ens, traj, pair = _heat4_pair()
+    n, N = scenario.n_modes, grid.n_steps
+    if data == "heat4":
+        J, K, F, P_T = second_order_data(scenario, traj, pair)
+    else:
+        rng = np.random.default_rng(8)
+        J, K, F = (scale * rng.standard_normal((N, n, n)) for scale in (0.3, 0.3, 1.0))
+        P_T = -np.eye(n) + 0.2 * rng.standard_normal((ens.n_paths, n, n))
+    built = []
+    features = RegressionBasis.features
+    monkeypatch.setattr(RegressionBasis, "features",
+                        lambda self, x, out=None: built.append(1) or features(self, x, out))
+    on_record = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, features=pair.features)
+    assert len(built) <= 1
+    monkeypatch.undo()
+    fresh = solve_second_adjoint(scenario.op, J, K, F, P_T, ens,
+                                 features=StepFeatures(RegressionBasis(), traj.states, ens))
+    for name in ("beta_P", "beta_Q"):
+        got, want = getattr(on_record, name), getattr(fresh, name)
+        for j in range(N):
+            scale = np.max(np.abs(want[j]))
+            assert np.max(np.abs(got[j] - want[j])) <= 1e-14 * scale, (name, j)
+
+
+def test_features_of_another_ensemble_rejected():
+    scenario, grid, ens, traj, pair = _heat4_pair(n_steps=10, n_paths=300)
+    J, K, F, P_T = second_order_data(scenario, traj, pair)
+    other = sample_brownian(grid, ens.n_paths, 26)
+    with pytest.raises(EnsembleMismatchError):
+        solve_second_adjoint(scenario.op, J, K, F, P_T, other, features=pair.features)
