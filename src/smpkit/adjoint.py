@@ -38,11 +38,11 @@ The first adjoint is kept in coefficient form.  Y and the driver are the
 per-step coefficients of the two fits; a step slice of either is
 re-evaluated on demand through :class:`StepHistory`, the driver by the
 same function the sweep would call, so identity checks pair against what
-the sweep fitted.  With constant Jacobians the driver is affine in the
-features up to the running-cost gradient g_x, so y_j = X_j beta_y[j] - dt
-g_x(t_j, x_j, u_j) is a step history as well, and the sweep takes its
-moments as C_j beta_y plus W times the per-path rest -dt g_x: no (P, N, n)
-history is kept.  Otherwise y is kept per path.
+the sweep fitted.  So is y, y_j = X_j beta_y[j] + rest_j, whose moments
+the sweep takes as C_j beta_y plus W times the per-path rest: with
+constant Jacobians the driver is affine in the features up to g_x, so
+beta_y folds it in and rest_j = -dt g_x(t_j, x_j, u_j); otherwise beta_y
+is the mean fit and rest_j = -dt f_j.  No (P, N, n) history is kept.
 """
 
 import operator
@@ -52,7 +52,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DegenerateBasisError, DimensionError, EnsembleMismatchError
-from .forward import step_major
 
 
 @dataclass(frozen=True)
@@ -229,12 +228,10 @@ class StepHistory:
 class AdjointPair:
     """Backward pair (y, Y) on the grid, per path; ``driver`` holds the f
     values the sweep used at each step.  All three are read one step slice
-    at a time, ``y[:, j]``: from the sweep ``Y`` and ``driver`` are
-    :class:`StepHistory` objects over the regression coefficients, and so
-    is ``y`` when the scenario has constant Jacobians (otherwise it is a
-    step-major array, see :func:`smpkit.forward.step_major`).  ``features``
-    is the sweep's :class:`StepFeatures`, which a second-order sweep on the
-    same trajectory takes; a hand-built pair may pass dense arrays and no
+    at a time, ``y[:, j]``: from the sweep they are :class:`StepHistory`
+    objects over the regression coefficients.  ``features`` is the sweep's
+    :class:`StepFeatures`, which a second-order sweep on the same
+    trajectory takes; a hand-built pair may pass dense arrays and no
     features."""
 
     grid: object
@@ -272,10 +269,10 @@ def regression_sweep(features, terminal, decay, update):
     mean and the martingale part of ``target * decay`` on the features X of
     step j, both from the moment block of W = [X; X*dw] (see the module
     docstring), then ``update(j, beta_mean, beta_mart)`` applies the driver
-    and returns the next target: per path (P, k), or a
-    :class:`FeatureAffine` on X.  ``features`` is a :class:`StepFeatures`;
-    the first sweep on it records its moments, and a later one builds step
-    j's W only for a target with per-path values."""
+    and returns the next target as a :class:`FeatureAffine` on X.
+    ``features`` is a :class:`StepFeatures`; the first sweep on it records
+    its moments, and a later one builds step j's W only for a target with
+    per-path values."""
     ens = features.ens
     grid = ens.grid
     n_feat = features.n_features
@@ -287,12 +284,8 @@ def regression_sweep(features, terminal, decay, update):
     if recording:
         features._start_record()
     n_paths = ens.n_paths
-    target, X_next = terminal, None
+    beta, rest, X_next = None, terminal, None
     for j in range(grid.n_steps - 1, -1, -1):
-        if isinstance(target, FeatureAffine):
-            beta, rest = target.beta, target.rest
-        else:
-            beta, rest = None, target
         rhs = 0.0
         if recording or rest is not None:
             # rows [rest*decay; X_{j+1}; X_j; X_j*dw]: one product of the
@@ -329,7 +322,7 @@ def regression_sweep(features, terminal, decay, update):
         # the estimand unchanged and strips the dominant variance term
         beta_mart = solver.solve((rhs[n_feat:] - features.moments[j, n_feat:] @ beta_mean)
                                  / grid.dt)
-        target = update(j, beta_mean, beta_mart)
+        beta, rest = update(j, beta_mean, beta_mart)
     features.recorded = True
     features._last = (None, None)  # the last block is not kept past the sweep
 
@@ -350,12 +343,13 @@ def solve_first_adjoint(scenario, trajectory, ens, basis=None):
     ``Y`` and ``driver`` keep the per-step coefficients ``beta_mart``/
     ``beta_mean`` (n_steps, n_features, n) and re-evaluate a step on the
     trajectory's features, so the pair holds on to ``trajectory.states``.
-    With ``scenario.constant_jacobians`` the driver is X(-beta_mean a_x -
-    beta_mart b_x) + g_x, so y_j = X_j beta_y[j] - dt g_x(t_j, x_j, u_j)
-    with beta_y = beta_mean + dt (beta_mean a_x + beta_mart b_x): ``y``
-    keeps beta_y and the terminal slice, and the sweep takes the next
-    step's moments from the cross moments.  Otherwise ``y`` is kept per
-    path."""
+    ``y`` keeps beta_y and the terminal slice, y_j = X_j beta_y[j] + rest_j,
+    and the sweep takes the next step's moments from the cross moments
+    plus the rest's.  With ``scenario.constant_jacobians`` the driver is
+    X(-beta_mean a_x - beta_mart b_x) + g_x, so beta_y = beta_mean + dt
+    (beta_mean a_x + beta_mart b_x) and rest_j = -dt g_x(t_j, x_j, u_j);
+    otherwise beta_y = beta_mean and rest_j = -dt f_j, the per-path driver,
+    which every read of ``y`` evaluates again."""
     basis = basis or RegressionBasis()
     check_same_ensemble(trajectory, ens)
     op = scenario.op
@@ -370,39 +364,6 @@ def solve_first_adjoint(scenario, trajectory, ens, basis=None):
     beta_mean = np.empty((N, features.n_features, n))
     beta_mart = np.empty_like(beta_mean)
 
-    def rest_at(j, paths=slice(None)):
-        # -dt g_x: the part of y_j that is not affine in the features
-        return -dt * scenario.grad_x_running(times[j], states[paths, j], controls[paths, j])
-
-    if scenario.constant_jacobians:
-        beta_y = np.empty_like(beta_mean)
-
-        def update(j, b_mean, b_mart):
-            beta_mean[j], beta_mart[j] = b_mean, b_mart
-            x1, u1 = states[:1, j], controls[:1, j]
-            a_x = scenario.jac_x("a", times[j], x1, u1)[0]
-            b_x = scenario.jac_x("b", times[j], x1, u1)[0]
-            beta_y[j] = b_mean + dt * (b_mean @ a_x + b_mart @ b_x)
-            return FeatureAffine(beta_y[j], rest_at(j))
-
-        def y_at(j, paths):
-            if j == N:
-                return y_T[paths]
-            return fitted(features.at(j, paths), beta_y[j]) + rest_at(j, paths)
-
-        y = StepHistory((P, N + 1, n), y_at, (beta_y, y_T))
-    else:
-        y = step_major((P, N + 1, n))
-        y[:, N] = y_T
-
-        def update(j, b_mean, b_mart):
-            beta_mean[j], beta_mart[j] = b_mean, b_mart
-            X = features.at(j)
-            y_hat, Y_j = fitted(X, b_mean), fitted(X, b_mart)
-            f_j = _first_driver(scenario, times[j], states[:, j], controls[:, j], y_hat, Y_j)
-            y[:, j] = y_hat - dt * f_j
-            return y[:, j]
-
     def Y_at(j, paths):
         return fitted(features.at(j, paths), beta_mart[j])
 
@@ -411,8 +372,32 @@ def solve_first_adjoint(scenario, trajectory, ens, basis=None):
         return _first_driver(scenario, times[j], states[paths, j], controls[paths, j],
                              fitted(X, beta_mean[j]), fitted(X, beta_mart[j]))
 
+    beta_y = np.empty_like(beta_mean) if scenario.constant_jacobians else beta_mean
+
+    def rest_at(j, paths=slice(None)):
+        # the part of y_j outside the features: with constant Jacobians the
+        # driver is X(-beta_mean a_x - beta_mart b_x) + g_x, which leaves -dt g_x
+        if scenario.constant_jacobians:
+            return -dt * scenario.grad_x_running(times[j], states[paths, j], controls[paths, j])
+        return -dt * driver_at(j, paths)
+
+    def update(j, b_mean, b_mart):
+        beta_mean[j], beta_mart[j] = b_mean, b_mart
+        if scenario.constant_jacobians:
+            x1, u1 = states[:1, j], controls[:1, j]
+            a_x = scenario.jac_x("a", times[j], x1, u1)[0]
+            b_x = scenario.jac_x("b", times[j], x1, u1)[0]
+            beta_y[j] = b_mean + dt * (b_mean @ a_x + b_mart @ b_x)
+        return FeatureAffine(beta_y[j], rest_at(j))
+
+    def y_at(j, paths):
+        if j == N:
+            return y_T[paths]
+        return fitted(features.at(j, paths), beta_y[j]) + rest_at(j, paths)
+
     decay = np.exp(op.eigenvalues * dt)
     regression_sweep(features, y_T, decay, update)
+    y = StepHistory((P, N + 1, n), y_at, (beta_y, y_T))
     Y = StepHistory((P, N, n), Y_at, (beta_mart,))
     driver = StepHistory((P, N, n), driver_at, (beta_mean,))
     return AdjointPair(grid, y, Y, driver, ens.fingerprint, features)

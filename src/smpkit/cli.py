@@ -258,7 +258,7 @@ def cmd_verify_duality(cfg, problem, lq, grid):
         tests = [describe_first_test(problem.op, ens, np.random.default_rng([cfg.seed, 1000 + i]))
                  for i in range(cfg.tuples)]
         record("duality_first", verify_first_identities(
-            first[1], problem.op, None, None, tests, ens,
+            first[1], problem.op, tests, ens,
             bias_budget=problem.c_bias_first * grid.dt, k_sigma=cfg.k_sigma,
         ))
 

@@ -411,8 +411,7 @@ class _TupleStack:
         ]
 
 
-def verify_first_identities(pair, op, driver, y_terminal, tests, ens, bias_budget=0.0,
-                            k_sigma=3.0):
+def verify_first_identities(pair, op, tests, ens, bias_budget=0.0, k_sigma=3.0):
     """Evaluate both sides of the first-order identity for every test tuple in
     one stacked pass; one report per tuple, in order.
 
@@ -421,10 +420,7 @@ def verify_first_identities(pair, op, driver, y_terminal, tests, ens, bias_budge
     check_same_ensemble(pair, ens)
     stack = _TupleStack(tests, 1, 2, op, ens)
     N, dt = stack.N, stack.dt
-    # the pair's own driver is a step history: it is read per step, never whole
-    driver = pair.driver if driver is None else np.asarray(driver, dtype=float)
-    y_T = pair.y[:, N] if y_terminal is None else np.asarray(y_terminal, dtype=float)
-    y_T = _modes_first(y_T)
+    y_T = _modes_first(pair.y[:, N])
 
     lhs = np.zeros((stack.K, stack.P))
     rhs = np.zeros((stack.K, stack.P))
@@ -438,7 +434,8 @@ def verify_first_identities(pair, op, driver, y_terminal, tests, ens, bias_budge
             lhs += _dot_vec(z, y_T)
             break
         v1, v2 = stack.forcings_at(j)
-        f_j = at_step(driver, j, 1)
+        # the pair's own driver: a step history, read per step, never whole
+        f_j = at_step(pair.driver, j, 1)
         # pair v1 against the pre-update conditional mean y_j + dt f_j: same
         # O(dt) quadrature of the integral, but the one the stepping scheme
         # telescopes exactly
@@ -454,12 +451,10 @@ def verify_first_identities(pair, op, driver, y_terminal, tests, ens, bias_budge
     return stack.reports("first", lhs, rhs, bias_budget, k_sigma)
 
 
-def verify_first_identity(pair, op, driver, y_terminal, test, ens, bias_budget=0.0,
-                          k_sigma=3.0):
+def verify_first_identity(pair, op, test, ens, bias_budget=0.0, k_sigma=3.0):
     """Evaluate both sides of the first-order identity for one test tuple
     (t_index, eta, v1, v2); see :func:`verify_first_identities`."""
-    return verify_first_identities(pair, op, driver, y_terminal, [test], ens,
-                                   bias_budget, k_sigma)[0]
+    return verify_first_identities(pair, op, [test], ens, bias_budget, k_sigma)[0]
 
 
 def verify_second_identities(sa, op, J, K, F, P_T, tests, ens, bias_budget=0.0,

@@ -9,7 +9,7 @@ Path ensembles are vectorized: states are arrays of shape
 ``(n_paths, n_steps + 1, n_modes)`` and every coefficient callback receives
 batched inputs ``x: (n_paths, n), u: (n_paths, control_dim)``.  Every
 step-indexed path array (increments, Brownian paths, states, controls,
-adjoint histories, gradients, dense coefficients) is stored step-major
+gradients, per-path second-order coefficients) is stored step-major
 behind that path-first shape: it comes from :func:`step_major`, so a step
 slice ``arr[:, j]`` is one contiguous block rather than one strided read
 per path.
@@ -219,6 +219,14 @@ class Scenario:
     maps (t, x, u) -> (n_paths,); ``terminal_cost`` maps x -> (n_paths,).
     Derivative callbacks are optional; missing ones are replaced by central
     finite differences with step 1e-5 * (1 + |x|).
+
+    ``constant_jacobians`` declares that a and b have the same Jacobians in
+    x and u on every path, so a_xx = b_xx = 0; it says nothing about the
+    costs.  Jacobians are then read on one path and applied with one
+    product, and the first adjoint's y folds its driver into coefficients
+    up to the per-path rest -dt g_x.  Without it every read of y, and of
+    the second adjoint's P on per-path J, K, F, re-evaluates the per-path
+    driver.
     """
 
     op: OperatorSpec

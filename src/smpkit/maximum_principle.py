@@ -126,37 +126,46 @@ def second_order_data(scenario, traj, pair):
     """Adjoint-equation coefficients along a candidate trajectory:
     J = a_x, K = b_x, F = -(state Hessian of H), P_T = -h_xx(x(T)).
 
-    With ``scenario.constant_jacobians`` the coefficients are evaluated on a
-    single path per step (they are state-independent by contract); otherwise
-    full per-path arrays are built."""
+    With ``scenario.constant_jacobians`` J and K are evaluated on a single
+    path per step (they are state-independent by contract) and a_xx = b_xx =
+    0, so F = g_xx needs no adjoint value (see :func:`_running_hessian`);
+    otherwise J, K and F are full per-path arrays."""
     grid = traj.grid
-    N = grid.n_steps
-    n = scenario.n_modes
+    N, n, P = grid.n_steps, scenario.n_modes, traj.n_paths
     times = grid.times()
     P_T = -scenario.hess_terminal(traj.states[:, N])
     if scenario.constant_jacobians:
-        J = np.empty((N, n, n))
-        K = np.empty((N, n, n))
-        F = np.empty((N, n, n))
-        for j in range(N):
-            x1 = traj.states[:1, j]
-            u1 = traj.controls_used[:1, j]
-            J[j] = scenario.jac_x("a", times[j], x1, u1)[0]
-            K[j] = scenario.jac_x("b", times[j], x1, u1)[0]
-            F[j] = -scenario.hamiltonian_hess_x(
-                times[j], x1, u1, pair.y[:1, j], pair.Y[:1, j]
-            )[0]
-        return J, K, F, P_T
-    P = traj.n_paths
-    J = step_major((P, N, n, n))
-    K = step_major((P, N, n, n))
-    F = step_major((P, N, n, n))
+        one_path = [(times[j], traj.states[:1, j], traj.controls_used[:1, j]) for j in range(N)]
+        J, K = (np.array([scenario.jac_x(c, *step)[0] for step in one_path]) for c in "ab")
+        return J, K, _running_hessian(scenario, traj), P_T
+    J, K, F = (step_major((P, N, n, n)) for _ in range(3))
     for j in range(N):
         xj, uj = traj.states[:, j], traj.controls_used[:, j]
         J[:, j] = scenario.jac_x("a", times[j], xj, uj)
         K[:, j] = scenario.jac_x("b", times[j], xj, uj)
         F[:, j] = -scenario.hamiltonian_hess_x(times[j], xj, uj, pair.y[:, j], pair.Y[:, j])
     return J, K, F, P_T
+
+
+def _running_hessian(scenario, traj):
+    """g_xx along ``traj``: (N, n, n) when the Hessian callback returns one
+    (n, n) matrix, path-constant by construction, at every step; otherwise
+    per path (P, N, n, n)."""
+    n, times = scenario.n_modes, traj.grid.times()
+    steps = [(times[j], traj.states[:, j], traj.controls_used[:, j])
+             for j in range(traj.grid.n_steps)]
+    if scenario.running_hess_x is not None:
+        F = []
+        for step in steps:
+            F.append(np.asarray(scenario.running_hess_x(*step), dtype=float))
+            if F[-1].shape != (n, n):
+                break
+        else:
+            return np.array(F)
+    F = step_major((traj.n_paths, len(steps), n, n))
+    for j, step in enumerate(steps):
+        F[:, j] = scenario.hess_x_running(*step)
+    return F
 
 
 def solve_adjoints(scenario, traj, ens, basis=None):

@@ -11,26 +11,25 @@ vector adjoint is; this module supplies the driver update.  The unbounded
 part acts exactly through the tensor flow M -> S(dt) M S*(dt), i.e. entry
 (k, l) is scaled by exp((mu_k + mu_l) dt).
 
-Two storage modes:
-
-* coefficient mode (J, K, F deterministic): per-step regression coefficients
-  are kept and per-path matrices are re-evaluated on demand, so memory stays
-  O(n_steps * n_features * n^2) even for large ensembles.  The driver is
-  affine in the features, so the update is done once in coefficient space,
-  P_j = X_j beta_P[j], and the update hands the sweep beta_P[j] itself (a
-  :class:`smpkit.adjoint.FeatureAffine`).  The sweep takes step j-1's
-  moments from the cross moments [X_{j-1}; X_{j-1}*dw]' X_j times
-  beta_P[j].  On the first adjoint's :class:`smpkit.adjoint.StepFeatures`
-  those cross moments, the Gram blocks and the ridge solvers are already
-  recorded, so the sweep builds features and touches per-path data only at
-  its terminal step;
-* dense mode (path-dependent coefficients): full per-path histories, stored
-  step-major (see :func:`smpkit.forward.step_major`).
+P and Q are kept as per-step regression coefficients on the features, and
+per-path matrices are re-evaluated on demand, so memory stays O(n_steps *
+n_features * n^2) even for large ensembles.  When J, K and F are the same
+on every path the driver is affine in the features, so the update is done
+once in coefficient space, P_j = X_j beta_P[j], and the update hands the
+sweep beta_P[j] itself (a :class:`smpkit.adjoint.FeatureAffine`).  The
+sweep takes step j-1's moments from the cross moments [X_{j-1};
+X_{j-1}*dw]' X_j times beta_P[j].  On the first adjoint's
+:class:`smpkit.adjoint.StepFeatures` those cross moments, the Gram blocks
+and the ridge solvers are already recorded, so the sweep builds features
+and touches per-path data only at its terminal step.  With a path-indexed
+J, K or F, beta_P[j] is the mean fit and P_j adds the per-path rest -dt
+times the driver on the fitted P and Q, which the sweep takes as the
+target's per-path part and every read of P_j evaluates again.
 """
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,7 +41,7 @@ from .adjoint import (
     regression_sweep,
 )
 from .errors import DimensionError, DomainError
-from .forward import at_step, step_major
+from .forward import at_step
 from .spectral import OperatorSpec
 
 SYMMETRY_WARN = 1e-6
@@ -90,10 +89,13 @@ def _driver(J, K, F, P, Q):
 
 @dataclass
 class SecondOrderAdjoint:
-    """Pair (P, Q) of matrix processes, per path.
+    """Pair (P, Q) of matrix processes, per path, kept as per-step regression
+    coefficients on ``features``: P_j = X_j beta_P[j] + rest(j) and Q_j = X_j
+    beta_Q[j], with ``rest`` None when the coefficients J, K, F are the same
+    on every path.
 
-    ``P_paths(j)``/``Q_paths(j)`` return (n_paths, n, n) slices regardless of
-    the storage mode; the terminal slice is stored exactly per path.
+    ``P_paths(j)``/``Q_paths(j)`` re-evaluate (n_paths, n, n) slices; the
+    terminal slice is stored exactly per path.
     """
 
     grid: object
@@ -102,33 +104,29 @@ class SecondOrderAdjoint:
     beta_P: Optional[np.ndarray] = None           # (N, F, n^2)
     beta_Q: Optional[np.ndarray] = None           # (N, F, n^2)
     P_terminal: Optional[np.ndarray] = None       # (P, n, n)
-    dense_P: Optional[np.ndarray] = None          # (P, N+1, n, n)
-    dense_Q: Optional[np.ndarray] = None          # (P, N, n, n)
+    rest: Optional[Callable] = None               # j -> (P, n, n), the per-path part of P_j
     fingerprint: Optional[tuple] = None
     symmetry_drift: float = 0.0
+    # no per-path history; kept as None for perfbench/tracing.py::_observe
+    dense_P = dense_Q = None
 
     @property
     def n_paths(self):
-        if self.dense_P is not None:
-            return self.dense_P.shape[0]
         return self.P_terminal.shape[0]
 
     def P_paths(self, j):
-        if self.dense_P is not None:
-            return self.dense_P[:, j]
         if j == self.grid.n_steps:
             return self.P_terminal
-        return vec_to_mat(self.features.at(j) @ self.beta_P[j], self.op.n_modes)
+        P_j = vec_to_mat(self.features.at(j) @ self.beta_P[j], self.op.n_modes)
+        return P_j if self.rest is None else P_j + self.rest(j)
 
     def Q_paths(self, j):
-        if self.dense_Q is not None:
-            return self.dense_Q[:, j]
         if j >= self.grid.n_steps:
             raise DomainError("martingale component is defined on steps 0..n_steps-1")
         return vec_to_mat(self.features.at(j) @ self.beta_Q[j], self.op.n_modes)
 
     def P_mean(self, j):
-        if self.dense_P is None and j < self.grid.n_steps:
+        if self.rest is None and j < self.grid.n_steps:
             # P is affine in the features, so its mean is mean(X) @ beta_P[j]
             return vec_to_mat(self.features.means[j] @ self.beta_P[j], self.op.n_modes)
         return self.P_paths(j).mean(axis=0)
@@ -164,35 +162,37 @@ def solve_second_adjoint(op, J, K, F, P_T, ens, basis=None, features=None):
     P_T = np.asarray(P_T, dtype=float)
     if P_T.ndim == 2:
         P_T = np.broadcast_to(P_T, (P, n, n))
-    dense = any(c is not None and c.ndim == 4 for c in (J, K, F))
-    sym_data = max_asymmetry(P_T) <= 1e-12 and (F is None or max_asymmetry(F) <= 1e-12)
+    per_path = any(c is not None and c.ndim == 4 for c in (J, K, F))
+    # F is checked step by step in the update, never copied whole
+    sym_data = max_asymmetry(P_T) <= 1e-12
     drift_sym = 0.0
 
     # mat_to_vec(P_T) as an owned copy; the stored terminal slice is a
     # column-major view of it, so the terminal target costs no second copy
     P_T_vec = np.copy(np.swapaxes(P_T, -1, -2)).reshape(P, n * n)
+    beta_P = np.empty((N, features.n_features, n * n))
+    beta_Q = np.empty_like(beta_P)
+
+    def rest_at(j):
+        # -dt times the per-path driver on the fitted X beta_P[j] and Q_j
+        X = features.at(j)
+        return -dt * _driver(*(at_step(c, j, 2) for c in (J, K, F)),
+                             vec_to_mat(X @ beta_P[j], n), vec_to_mat(X @ beta_Q[j], n))
+
     result = SecondOrderAdjoint(
-        grid=grid, op=op, features=None if dense else features,
-        P_terminal=vec_to_mat(P_T_vec, n), fingerprint=ens.fingerprint,
+        grid=grid, op=op, features=features, beta_P=beta_P, beta_Q=beta_Q,
+        P_terminal=vec_to_mat(P_T_vec, n), rest=rest_at if per_path else None,
+        fingerprint=ens.fingerprint,
     )
-    if dense:
-        result.dense_P = step_major((P, N + 1, n, n))
-        result.dense_Q = step_major((P, N, n, n))
-        result.dense_P[:, N] = P_T
-    else:
-        result.beta_P = np.empty((N, features.n_features, n * n))
-        result.beta_Q = np.empty_like(result.beta_P)
 
     def update(j, beta_tilde, beta_q):
-        nonlocal drift_sym
+        nonlocal drift_sym, sym_data
         Jj, Kj, Fj = (at_step(c, j, 2) for c in (J, K, F))
-        if dense:
-            X = features.at(j)
-            p_tilde = vec_to_mat(X @ beta_tilde, n)
-            q_j = vec_to_mat(X @ beta_q, n)
-            result.dense_P[:, j] = p_tilde - dt * _driver(Jj, Kj, Fj, p_tilde, q_j)
-            result.dense_Q[:, j] = q_j
-            p_next = mat_to_vec(result.dense_P[:, j])
+        sym_data = sym_data and (Fj is None or max_asymmetry(Fj) <= 1e-12)
+        if per_path:
+            # beta_P[j] is the mean fit and P_j adds the per-path rest
+            beta_P[j], beta_Q[j] = beta_tilde, beta_q
+            p_next = FeatureAffine(beta_P[j], mat_to_vec(rest_at(j)))
         else:
             # the driver is feature-affine, so the update is done once in
             # coefficient space and the next target is X @ beta_P[j]
@@ -201,19 +201,21 @@ def solve_second_adjoint(op, J, K, F, P_T, ens, basis=None, features=None):
             new_bP = bP - dt * _driver(Jj, Kj, None, bP, bQ)
             if Fj is not None:
                 new_bP[0] = new_bP[0] - dt * Fj  # constant feature column is 1
-            result.beta_P[j] = mat_to_vec(new_bP)
-            result.beta_Q[j] = mat_to_vec(bQ)
-            p_next = FeatureAffine(result.beta_P[j])
+            beta_P[j] = mat_to_vec(new_bP)
+            beta_Q[j] = mat_to_vec(bQ)
+            p_next = FeatureAffine(beta_P[j])
         if sym_data:
-            # in coefficient mode P is affine in the features, so its path
-            # mean is mean(X) @ beta_P[j]
-            p_mean = p_next.mean(axis=0) if dense else features.means[j] @ result.beta_P[j]
+            # X @ beta_P[j] is affine in the features, so its path mean is
+            # mean(X) @ beta_P[j]
+            p_mean = features.means[j] @ beta_P[j]
+            if per_path:
+                p_mean = p_mean + p_next.rest.mean(axis=0)
             drift_sym = max(drift_sym, max_asymmetry(vec_to_mat(p_mean, n)))
         return p_next
 
     decay = mat_to_vec(np.exp(np.add.outer(op.eigenvalues, op.eigenvalues) * dt))
     regression_sweep(features, P_T_vec, decay, update)
-    result.symmetry_drift = drift_sym
+    result.symmetry_drift = drift_sym if sym_data else 0.0
     if sym_data and drift_sym > SYMMETRY_WARN:
         warnings.warn(f"symmetry drift {drift_sym:.2e} with symmetric data")
     return result
@@ -228,7 +230,7 @@ def _stiff_substeps(op, J, K, dt):
     return max(1, int(np.ceil(rate * dt / 0.02)))
 
 
-def lyapunov_oracle(op, J, K, F, P_T, grid, substeps=None):
+def lyapunov_oracle(op, J, K, F, P_T, grid):
     """Deterministic reduction: with nonrandom data the martingale part
     vanishes and P solves P' = -(A+J)'P - P(A+J) - K'PK + F backward from
     P(T) = P_T.  Classical RK4 with stiffness-based substeps; coefficients
@@ -240,7 +242,7 @@ def lyapunov_oracle(op, J, K, F, P_T, grid, substeps=None):
     P_T = np.asarray(P_T, dtype=float)
     if P_T.shape != (n, n):
         raise DimensionError(f"P_T must be {n}x{n}")
-    sub = substeps or _stiff_substeps(op, J, K, grid.dt)
+    sub = _stiff_substeps(op, J, K, grid.dt)
     h = grid.dt / sub
 
     out = np.empty((N + 1, n, n))

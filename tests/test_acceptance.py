@@ -58,7 +58,7 @@ def _first_identity_level(scenario, n_steps, n_paths, tuples, seed=101, tuple_se
     rng = np.random.default_rng(tuple_seed)
     tests = [make_test(scenario.op, ens, rng) for _ in range(tuples)]
     reports = verify_first_identities(
-        pair, scenario.op, None, None, tests, ens,
+        pair, scenario.op, tests, ens,
         bias_budget=scenario.c_bias_first * grid.dt,
     )
     del traj, pair, ens

@@ -42,7 +42,7 @@ def test_first_identity_zero_data_exact():
     grid = TimeGrid(0.0, 1.0, 20)
     ens = sample_brownian(grid, 100, 1)
     pair = _zero_pair(grid, 2, 100, ens.fingerprint)
-    report = verify_first_identity(pair, op, None, None, (0, np.zeros(2), None, None), ens)
+    report = verify_first_identity(pair, op, (0, np.zeros(2), None, None), ens)
     assert report.lhs == 0.0 and report.rhs == 0.0 and report.residual == 0.0
     assert report.passed
 
@@ -59,7 +59,7 @@ def test_first_identity_deterministic_oracle_case():
     rng = np.random.default_rng(0)
     for _ in range(5):
         test = random_first_test(op, ens, rng)
-        report = verify_first_identity(pair, op, None, None, test, ens,
+        report = verify_first_identity(pair, op, test, ens,
                                        bias_budget=0.5 * grid.dt)
         assert report.passed, f"residual {report.residual} tol {report.tolerance}"
 
@@ -79,7 +79,7 @@ def test_first_identity_localizes_y():
     probe = np.array([1.0])
     v1 = np.zeros((50, 1))
     v1[j_star] = probe
-    report = verify_first_identity(pair, op, None, None, (0, np.zeros(1), v1, None), ens,
+    report = verify_first_identity(pair, op, (0, np.zeros(1), v1, None), ens,
                                    bias_budget=1e-9)
     recovered = report.lhs / grid.dt
     # the isolated value is the regressed conditional mean at j_star
@@ -98,8 +98,8 @@ def test_first_identity_bilinear_in_test_data():
     pair = solve_first_adjoint(scenario, traj, ens)
     rng = np.random.default_rng(1)
     t_index, eta, v1, v2 = random_first_test(op, ens, rng)
-    base = verify_first_identity(pair, op, None, None, (t_index, eta, v1, v2), ens)
-    twice = verify_first_identity(pair, op, None, None, (t_index, 2 * eta, 2 * v1, 2 * v2), ens)
+    base = verify_first_identity(pair, op, (t_index, eta, v1, v2), ens)
+    twice = verify_first_identity(pair, op, (t_index, 2 * eta, 2 * v1, 2 * v2), ens)
     assert twice.lhs == pytest.approx(2 * base.lhs, rel=1e-13)
     assert twice.rhs == pytest.approx(2 * base.rhs, rel=1e-13)
 
@@ -111,7 +111,7 @@ def test_first_identity_requires_same_ensemble():
     ens_b = sample_brownian(grid, 50, 2)
     pair = _zero_pair(grid, 1, 50, ens_a.fingerprint)
     with pytest.raises(EnsembleMismatchError):
-        verify_first_identity(pair, op, None, None, (0, np.zeros(1), None, None), ens_b)
+        verify_first_identity(pair, op, (0, np.zeros(1), None, None), ens_b)
 
 
 def test_first_identity_leaves_single_path_pair_unchanged():
@@ -125,10 +125,10 @@ def test_first_identity_leaves_single_path_pair_unchanged():
                        rng.normal(size=(1, 10, 2)), ens.fingerprint)
     y_before = [pair.y[:, j].copy() for j in range(grid.n_steps + 1)]
     test = random_first_test(op, ens, np.random.default_rng(3))
-    first = verify_first_identity(pair, op, None, None, test, ens)
+    first = verify_first_identity(pair, op, test, ens)
     for j in range(grid.n_steps + 1):
         np.testing.assert_array_equal(pair.y[:, j], y_before[j])
-    second = verify_first_identity(pair, op, None, None, test, ens)
+    second = verify_first_identity(pair, op, test, ens)
     assert (second.lhs, second.rhs) == (first.lhs, first.rhs)
 
 
@@ -307,8 +307,8 @@ def test_stacked_first_identities_match_single_tuple_heat4():
     w = ens.brownian_paths()
     budget = scenario.c_bias_first * grid.dt
     specs, tests = _mixed_tuples(describe_first_test, op, ens, w, 17)
-    stacked = verify_first_identities(pair, op, None, None, tests, ens, bias_budget=budget)
-    singles = [verify_first_identity(pair, op, None, None, t, ens, bias_budget=budget)
+    stacked = verify_first_identities(pair, op, tests, ens, bias_budget=budget)
+    singles = [verify_first_identity(pair, op, t, ens, bias_budget=budget)
                for t in tests]
     loops = [loop_first_identity(pair, op, None, None, spec.materialize(w), ens,
                                  bias_budget=budget) for spec in specs]
@@ -319,7 +319,7 @@ def test_stacked_second_identities_match_single_tuple_heat4_coefficient_mode():
     scenario, grid, ens, traj, pair = _heat4_setup()
     J, K, F, P_T = second_order_data(scenario, traj, pair)
     sa = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, features=pair.features)
-    assert sa.dense_P is None  # coefficient storage
+    assert sa.rest is None  # coefficient storage
     _check_second_equivalence(scenario.op, J, K, F, P_T, sa, ens,
                               scenario.c_bias_second * grid.dt, 29)
 
@@ -347,7 +347,7 @@ def test_stacked_second_identities_match_single_tuple_dense_mode():
     F_path = np.array([[1.0, 0.1], [0.1, 0.4]]) + 0.1 * rng.standard_normal((800, 30, 2, 2))
     P_T = -np.eye(2)
     sa = solve_second_adjoint(op, J_path, K_path, F_path, P_T, ens)
-    assert sa.dense_P is not None
+    assert sa.rest is not None
     _check_second_equivalence(op, J_path, K_path, F_path, P_T, sa, ens, 0.5 * grid.dt, 37)
 
 

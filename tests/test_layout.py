@@ -17,7 +17,6 @@ from smpkit.forward import (
 )
 from smpkit.maximum_principle import control_gradient, projected_gradient, second_order_data
 from smpkit.scenarios import build_preset, load_preset, make_lq_scalar
-from smpkit.second_order import solve_second_adjoint
 
 N_STEPS, N_PATHS = 12, 200
 
@@ -86,9 +85,6 @@ def test_dense_second_order_data_and_sweep_store_step_major():
     J, K, F, P_T = second_order_data(scenario, traj, pair)
     for coeff in (J, K, F):
         _assert_step_major(coeff, (N_PATHS, N_STEPS, n, n))
-    sa = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, features=pair.features)
-    _assert_step_major(sa.dense_P, (N_PATHS, N_STEPS + 1, n, n))
-    _assert_step_major(sa.dense_Q, (N_PATHS, N_STEPS, n, n))
 
 
 def test_projected_gradient_iterate_is_step_major():

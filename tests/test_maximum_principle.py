@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,29 @@ def test_second_order_data_deterministic_for_preset(lq_at_optimum):
     assert np.all(K == 0.0)
     np.testing.assert_allclose(F, 1.0, atol=1e-12)  # -H_xx = g_xx = 1
     np.testing.assert_allclose(P_T, -1.0, atol=1e-12)
+
+
+def test_second_order_data_keeps_a_path_dependent_cost_hessian():
+    # constant Jacobians say nothing about g: with g = x^4/4 + u^2/2 the
+    # state Hessian 3x^2 differs by path, and F must be per path as without
+    # the flag, not path 0's value on every path
+    scenario, _ = make_lq_scalar()
+    scenario = dataclasses.replace(
+        scenario,
+        running_cost=lambda t, x, u: 0.25 * np.sum(x**4, axis=-1) + 0.5 * np.sum(u * u, axis=-1),
+        running_grad_x=lambda t, x, u: x**3,
+        running_hess_x=lambda t, x, u: 3.0 * x[:, :, None] ** 2,
+    )
+    grid = TimeGrid(0.0, 1.0, 50)
+    ens = sample_brownian(grid, 2000, 1)
+    traj = simulate_controlled(scenario, scenario.x0, OpenLoop(np.zeros((50, 1))), ens)
+    J, K, F, P_T = second_order_data(scenario, traj, solve_first_adjoint(scenario, traj, ens))
+    assert J.shape == (50, 1, 1) and K.shape == (50, 1, 1)
+    per_path = dataclasses.replace(scenario, constant_jacobians=False)
+    F_ref = second_order_data(per_path, traj, solve_first_adjoint(per_path, traj, ens))[2]
+    assert F.shape == F_ref.shape == (2000, 50, 1, 1)
+    np.testing.assert_allclose(F, F_ref, rtol=1e-12, atol=0)
+    assert np.ptp(F[:, 25]) > 1.0
 
 
 def test_second_adjoint_matches_scalar_closed_form(lq_at_optimum):

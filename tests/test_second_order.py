@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -158,7 +159,7 @@ def test_sweep_matches_one_step_recursion():
     coeff = solve_second_adjoint(op, J, K, F, P_T, ens, basis=basis)
     per_path = [np.broadcast_to(c, (n_paths,) + c.shape) for c in (J, K)]
     dense = solve_second_adjoint(op, *per_path, F, P_T, ens, basis=basis)
-    assert coeff.dense_P is None and dense.dense_P is not None
+    assert coeff.rest is None and dense.rest is not None
     p = P_T
     for j in range(n_steps - 1, -1, -1):
         s = tensor_semigroup_apply(op, grid.dt, p)
@@ -223,8 +224,8 @@ def test_sweep_dense_mode_pathwise_coefficients():
     rng = np.random.default_rng(4)
     K_path = 0.3 + 0.05 * rng.standard_normal((800, 30, 1, 1))
     sa = solve_second_adjoint(op, None, K_path, None, np.array([[1.0]]), ens)
-    assert sa.dense_P is not None
-    assert sa.dense_P.shape == (800, 31, 1, 1)
+    assert sa.rest is not None
+    assert sa.P_paths(0).shape == (800, 1, 1)
     # sandwich between the constant-coefficient closed forms
     lo = np.exp(0.25**2)
     hi = np.exp(0.45**2)
@@ -248,7 +249,7 @@ def test_coefficient_mode_matches_dense_mode_heat4():
     coeff = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, features=pair.features)
     per_path = [np.broadcast_to(c, (n_paths,) + c.shape) for c in (J, K, F)]
     dense = solve_second_adjoint(scenario.op, *per_path, P_T, ens, features=pair.features)
-    assert coeff.dense_P is None and dense.dense_P is not None
+    assert coeff.rest is None and dense.rest is not None
     # path means to 1e-12; single paths carry the rounding of the unscaled
     # regression (heat4's high modes make the Gram matrix near singular), so
     # they get 1e-10
@@ -280,7 +281,7 @@ def test_coefficient_mode_matches_dense_mode_nonsymmetric():
     coeff = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, features=pair.features)
     per_path = [np.broadcast_to(c, (n_paths,) + c.shape) for c in (J, K, F)]
     dense = solve_second_adjoint(scenario.op, *per_path, P_T, ens, features=pair.features)
-    assert coeff.dense_P is None and dense.dense_P is not None
+    assert coeff.rest is None and dense.rest is not None
     assert max_asymmetry(coeff.P_mean(0)) > 1e-3
     for j in range(n_steps + 1):
         np.testing.assert_allclose(coeff.P_mean(j), dense.P_mean(j), rtol=0, atol=1e-12)
@@ -291,28 +292,38 @@ def test_coefficient_mode_matches_dense_mode_nonsymmetric():
         np.testing.assert_allclose(q_coeff, q_dense, rtol=0, atol=1e-10)
 
 
-def test_coefficient_sweep_allocates_no_path_target():
+@pytest.mark.parametrize("coefficients", ["time-indexed", "per-path"])
+def test_coefficient_sweep_allocates_no_path_target(coefficients):
     # after the per-path terminal step the sweep fits from moments: beyond
     # what it returns it holds two steps' (F, P) features and the (2F, P)
     # moment block (4 blocks, 5 allowed), and no (P, n^2) target or driver;
-    # a per-step (P, n^2) target and its fitted values take it past 8
+    # a per-step (P, n^2) target and its fitted values take it past 8.  With
+    # per-path J, K, F each step's per-path rest is re-evaluated, and the
+    # sweep stays under one (P, N+1, n^2) history
     scenario, _ = build_preset(load_preset("heat4"))
-    n_steps, n_paths = 50, 2000
+    if coefficients == "per-path":
+        scenario = dataclasses.replace(scenario, constant_jacobians=False)
+    n, n_steps, n_paths = scenario.n_modes, 50, 2000
     grid = TimeGrid(0.0, scenario.T, n_steps)
     ens = sample_brownian(grid, n_paths, 6)
     control = OpenLoop(np.zeros((n_steps, scenario.control_dim)))
     traj = simulate_controlled(scenario, scenario.x0, control, ens)
     pair = solve_first_adjoint(scenario, traj, ens)
     J, K, F, P_T = second_order_data(scenario, traj, pair)
-    block = RegressionBasis().n_features(scenario.n_modes) * n_paths * 8
+    assert J.ndim == (4 if coefficients == "per-path" else 3)
+    block = RegressionBasis().n_features(n) * n_paths * 8
     tracemalloc.start()
     try:
         sa = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, features=pair.features)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    stored = sa.beta_P.nbytes + sa.beta_Q.nbytes + sa.P_terminal.nbytes
-    assert peak < stored + 5 * block, (peak, stored, block)
+    if coefficients == "per-path":
+        history = n_paths * (n_steps + 1) * n * n * 8
+        assert peak < history, (peak, history)
+    else:
+        stored = sa.beta_P.nbytes + sa.beta_Q.nbytes + sa.P_terminal.nbytes
+        assert peak < stored + 5 * block, (peak, stored, block)
 
 
 def _heat4_pair(n_steps=40, n_paths=600, seed=25):
