@@ -13,37 +13,57 @@ and of the second-order identity
         = E<P(t) xi1, xi2> + E int [ <P u1, x2> + <P x1, u2> + <P K x1, v2>
           + <P v1, K x2 + v2> + <Q v1, x2> + <Q x1, v2> ] dt
 
-with left-endpoint quadrature.  All test tuples of one call share a single
-stacked pass: their test states sit on one tuple axis in an (n, K, P)
-layout, paths innermost so the per-path contractions run over contiguous
-memory, and the ensemble is streamed once from the smallest t_index.  Each
-tuple's state and forcings stay zero until its own t_index.  Per-path P_j
-and Q_j are built once per step for all tuples, and no full history is
-retained.  Residual standard errors come from the per-path residual (both
-sides share paths, so the difference is the low-variance statistic).  Pass
-rule: |residual| <= k_sigma * stderr + bias_budget, with bias_budget =
+with left-endpoint quadrature.  All test tuples of one call share one
+pass per order.  Residual standard errors come from the per-path residual
+(both sides share paths, so the difference is the low-variance statistic).
+Pass rule: |residual| <= k_sigma * stderr + bias_budget, with bias_budget =
 c_bias * dt calibrated per preset.
 
-Random test tuples are drawn as descriptions (``TupleSpec``): the adapted
-forcing is separable, a time profile times sin(c w + phase), so the stacked
-pass evaluates it one step at a time from the shared Brownian paths and no
-tuple's (P, N, n) forcing is ever built.  ``materialize`` turns a
-description into the arrays the single-tuple API takes.
+Factored forcings.  Random test tuples are drawn as descriptions
+(``TupleSpec``): a forcing is a time profile times m(w), with m = 1 for a
+deterministic one and sin(c w + phase) for an adapted one.  At step j the
+forcings of K tuples in one slot are therefore a shared (K, n) profile block
+times a (K, P) modulation.  A pairing contracts the profile first, in one
+product with whatever it meets, and then scales the (K, P) result by the
+modulation, so no tuple's (P, N, n) forcing, nor any (n, K, P) forcing
+stack, is built.  Arrays handed in per path are paired per path.
+``materialize`` turns a description into the arrays the single-tuple API
+takes.
+
+Active prefix.  The tuples are sorted by t_index, so the ones active at
+step j (t_index <= j) are a prefix and only that prefix is stepped and
+paired; reports come back in input order.
+
+First order, summation by parts.  With the pathwise recursion of the pair's
+own terminal value and driver, b_N = y_T and b_j = S(dt) b_{j+1} - dt f_j,
+the test state z of a tuple started at t telescopes out of the lhs exactly:
+
+    <z_N, y_T> - sum_{j>=t} dt <z_j, f_j>
+        = <eta, b_t> + sum_{j>=t} <dt v1_j + dw_j v2_j, S(dt) b_{j+1}>.
+
+So one backward pass over the (P, n) vector b serves every tuple, no test
+state is simulated, and each step costs a few (K, n) x (n, P) products.
+
+Second order.  The lhs is bilinear in the two test states, so x1 and x2 are
+stepped forward for all tuples at once, paths innermost.  P_j and Q_j are
+read in that layout (``SecondOrderAdjoint.P_paths(j, "klp")``), and the
+matrices the forcings meet, P, P*, Q + K*P and (P K + Q)*, are multiplied
+with the profiles as matrix products, not as per-path contractions.
 """
 
+import operator
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .adjoint import check_same_ensemble
-from .errors import DomainError
+from .errors import DimensionError, DomainError
 # iter_linear_test is unused here, but perfbench/tracing.py wraps its lookup
 # in this module, so the name stays importable from it
 from .forward import (  # noqa: F401
     OVERFLOW_GUARD,
     _check_finite,
-    _initial_states,
     at_step,
     iter_linear_test,
     iter_linearized,
@@ -214,189 +234,207 @@ def deterministic_first_test(op, ens, rng, scale=1.0):
 # the stacked pass
 # ----------------------------------------------------------------------
 
+def _shaped(arr, shapes, what):
+    """``arr`` as a float array whose shape is one of ``shapes``."""
+    arr = np.asarray(arr, dtype=float)
+    if arr.shape not in shapes:
+        raise DimensionError(f"{what} has shape {arr.shape}, expected one of {list(shapes)}")
+    return arr
+
+
+def _step_index(t_index, N):
+    try:
+        t = operator.index(t_index)
+    except TypeError:
+        raise DomainError(f"t_index {t_index!r} is not an integer step") from None
+    if not 0 <= t <= N:
+        raise DomainError(f"t_index {t} outside the grid 0..{N}")
+    return t
+
+
+def _guard(values, step):
+    """The simulators' divergence guard on what a pass computes: NaN, or an
+    entry beyond OVERFLOW_GUARD, raises SimulationDivergedError at ``step``.
+    ``values`` has paths on its last axis."""
+    # two reductions instead of the full scan; NaN fails the comparison
+    if not max(values.max(), -values.min()) <= OVERFLOW_GUARD:
+        # _check_finite reports the step after the one it is given
+        _check_finite(values.reshape(-1, values.shape[-1]).T, step - 1)
+
+
 def _dot(a, b):
-    """Per (tuple, path) inner product of two (n, K, P) stacks (either may
-    have a broadcast path axis of length 1)."""
-    return np.einsum("ikp,ikp->kp", a, b)
-
-
-def _modes_first(vec):
-    """A per-path (P, n) or shared (n,) vector as a contiguous (n, P) or
-    (n, 1) array.  The transpose of a step slice is made once per step, not
-    once per use."""
-    if vec.ndim == 1:
-        return vec[:, None]
-    return np.ascontiguousarray(vec.T)
-
-
-def _dot_vec(x, vec):
-    """Pair an (n, K, P) stack with an (n, P) or (n, 1) vector."""
-    return np.einsum("ikp,ip->kp", x, vec)
-
-
-def _stack_matrix(M):
-    """Step slice of a matrix, constant (n, n) or per path (P, n, n), in the
-    layout ``_apply`` and ``_form`` take: a constant stays (n, n), a per-path
-    one becomes (n, n, P) with paths innermost."""
-    if M.ndim == 2:
-        return M
-    return np.ascontiguousarray(M.transpose(1, 2, 0))
-
-
-def _coeff_step(coeff, j):
-    """Step-j layout of a coefficient spec; None when it is absent or zero
-    at this step (a zero coefficient contributes nothing)."""
-    M = at_step(coeff, j, 2)
-    if M is None or not M.any():
-        return None
-    return _stack_matrix(M)
+    """Per (tuple, path) inner product of two (m, n, P) stacks."""
+    return np.einsum("kip,kip->kp", a, b)
 
 
 def _apply(M, x):
-    """M x for every tuple and path of an (n, K, P) stack."""
+    """M x for every tuple and path of an (m, n, P) stack, with M constant
+    (n, n) or per path (P, n, n)."""
     if M.ndim == 2:
-        return (M @ x.reshape(x.shape[0], -1)).reshape((M.shape[0],) + x.shape[1:])
-    return np.einsum("ilp,lkp->ikp", M, x)
+        return np.matmul(M, x)
+    return np.einsum("pil,klp->kip", M, x)
 
 
-def _form(a, M, b):
-    """Per (tuple, path) bilinear form <a, M b>.  For a per-path M one
-    three-operand contraction, without the intermediate M b.  When a or b
-    is shared by all paths (an (n, K, 1) forcing slot), M is contracted with
-    it first, one (K, n) x (n, P) product per row of M: a broadcast operand
-    would send the contraction down einsum's slower stride-0 path."""
-    if M.ndim == 2:
-        return _dot(a, _apply(M, b))
-    if b.shape[2] == 1:
-        b_t = b[:, :, 0].T
-        return sum(a[i] * (b_t @ M[i]) for i in range(M.shape[0]))
-    if a.shape[2] == 1:
-        a_t = a[:, :, 0].T
-        return sum((a_t @ M[:, l]) * b[l] for l in range(M.shape[1]))
-    return np.einsum("ikp,ilp,lkp->kp", a, M, b)
+def _times(M_row, K):
+    """M K in the paths-innermost layout M_row[i, l, p] = M_p[i, l], for K
+    constant (n, n) or per path (P, n, n)."""
+    if K.ndim == 2:
+        return np.matmul(K.T, M_row)
+    return np.einsum("ilp,pla->iap", M_row, K)
 
 
-def _affine(M, x, v):
-    """M x + v for an (n, K, P) stack x; a missing M or v is zero, and the
-    result is None when both are missing."""
-    if M is None:
-        return v
-    out = _apply(M, x)
-    if v is not None:
-        out += v
-    return out
+def _coeff_step(coeff, j):
+    """Step j of a coefficient; None when it is absent or zero at this step
+    (a zero coefficient contributes nothing)."""
+    M = at_step(coeff, j, 2)
+    return None if M is None or not M.any() else M
 
 
-class _ForcingStack:
-    """One forcing slot of the stacked tuples.  ``at(j, w_j)`` gives the
-    step-j values as (n, K, 1), or (n, K, P) once an entry depends on the
-    path; an entry is zero before its tuple's t_index.  Entries are
-    ``ForcingSpec`` descriptions, (N, n) or (P, N, n) arrays, or None."""
+class _StepForcing(NamedTuple):
+    """One forcing slot of the m active tuples at one step, factored: row k
+    is profile[k] (n,) times modulation[k] (P,), a modulation of None being
+    1, plus the rows handed over per path, ``pathwise`` [(k, (P, n))], whose
+    profile rows are zero."""
+
+    profile: np.ndarray
+    modulation: Optional[np.ndarray]
+    pathwise: list
+
+    def modulate(self, out):
+        """Scale per-tuple pairings (m, P) of the profiles by the modulation."""
+        if self.modulation is not None:
+            out *= self.modulation
+        return out
+
+    def pair(self, V):
+        """<forcing, V> (m, P) for a per-path vector V (P, n)."""
+        out = self.modulate(self.profile @ V.T)
+        for k, v in self.pathwise:
+            out[k] = np.einsum("pi,pi->p", v, V)
+        return out
+
+    def apply(self, MT):
+        """M times the profiles, unmodulated, as an (m, n, P) stack: one
+        product with MT[l, i, p] = M_p[i, l]; pathwise rows are M_p v_p."""
+        n = MT.shape[0]
+        out = (self.profile @ MT.reshape(n, -1)).reshape(len(self.profile), n, -1)
+        for k, v in self.pathwise:
+            out[k] = np.einsum("lip,pl->ip", MT, v)
+        return out
+
+    def pair_stack(self, R):
+        """<forcing, R> (m, P) for an (m, n, P) stack R, one vector per tuple."""
+        out = self.modulate(np.einsum("ki,kip->kp", self.profile, R))
+        for k, v in self.pathwise:
+            out[k] = np.einsum("pi,ip->p", v, R[k])
+        return out
+
+
+class _Forcing:
+    """One forcing slot of the sorted tuples.  Described and (N, n) entries
+    are kept as step-major profiles (N, K, n), zero before their tuple's
+    t_index, with the frequency and phase of the adapted ones; (P, N, n)
+    entries are kept as given."""
 
     def __init__(self, entries, t_indices, N, n, n_paths):
         self.present = any(e is not None for e in entries)
         self.n_paths = n_paths
-        self.profiles = np.zeros((N, n, len(entries)))  # step-major: one block per step
+        self.profiles = np.zeros((N, len(entries), n))
         adapted = []
         self.pathwise = []
+        shapes = ((N, n), (n_paths, N, n))
         for k, (entry, t) in enumerate(zip(entries, t_indices)):
             if entry is None:
                 continue
             if isinstance(entry, ForcingSpec):
-                self.profiles[t:, :, k] = entry.profile[t:]
+                self.profiles[t:, k] = _shaped(entry.profile, shapes[:1], "a forcing profile")[t:]
                 if entry.freq is not None:
                     adapted.append((k, entry.freq, entry.phase))
                 continue
-            arr = np.asarray(entry, dtype=float)
+            arr = _shaped(entry, shapes, "a forcing")
             if arr.ndim == 2:
-                self.profiles[t:, :, k] = arr[t:]
+                self.profiles[t:, k] = arr[t:]
             else:
-                self.pathwise.append((k, t, arr))
-        self.rows = [k for k, _, _ in adapted]
+                self.pathwise.append((k, arr))
+        self.rows = np.array([k for k, _, _ in adapted], dtype=int)
         self.freq = np.array([f for _, f, _ in adapted])[:, None]
         self.phase = np.array([p for _, _, p in adapted])[:, None]
-        self.needs_paths = bool(adapted)
 
-    def at(self, j, w_j):
+    def at(self, j, m, w_j):
+        """The slot at step j over the first m tuples, or None if no tuple
+        has this forcing."""
         if not self.present:
             return None
-        profile = self.profiles[j]
-        if not self.rows and not self.pathwise:
-            return profile[:, :, None]
-        modulation = np.ones((profile.shape[1], self.n_paths))
-        if self.rows:
-            modulation[self.rows] = np.sin(self.freq * w_j + self.phase)
-        out = np.einsum("ik,kp->ikp", profile, modulation)
-        for k, t, arr in self.pathwise:
-            if j >= t:
-                out[:, k] = arr[:, j].T
-        return out
+        modulation = None
+        a = int(np.searchsorted(self.rows, m))  # adapted rows among the m
+        if a:
+            modulation = np.ones((m, self.n_paths))
+            modulation[self.rows[:a]] = np.sin(self.freq[:a] * w_j + self.phase[:a])
+        return _StepForcing(self.profiles[j, :m], modulation,
+                            [(k, arr[:, j]) for k, arr in self.pathwise if k < m])
 
 
-class _TupleStack:
-    """K test tuples on one tuple axis: their activation steps, initial data
-    and forcing slots, and the exponential-Euler step of their linear test
-    states in (n, K, P) layout."""
+class _Tuples:
+    """K test tuples sorted by t_index, so that those active at step j
+    (t_index <= j) are the first m: their initial data and forcing slots.
+    ``reports`` hands the results back in input order."""
 
     def __init__(self, tests, n_starts, n_forcings, op, ens):
         grid = ens.grid
         self.N, self.dt, self.n, self.P = grid.n_steps, grid.dt, op.n_modes, ens.n_paths
         self.K = len(tests)
-        self.t_index, self.starts, forcings = [], [], []
+        parsed = []
         for test in tests:
             if isinstance(test, TupleSpec):
                 t_index, starts, slots = test.t_index, test.starts, test.forcings
             else:
                 t_index, starts, slots = test[0], test[1:1 + n_starts], test[1 + n_starts:]
-            if not 0 <= t_index <= self.N:
-                raise DomainError(f"t_index {t_index} outside the grid 0..{self.N}")
-            self.t_index.append(int(t_index))
-            self.starts.append(starts)
-            forcings.append(slots)
+            if len(starts) != n_starts or len(slots) != n_forcings:
+                raise DimensionError(f"a test tuple has {n_starts} initial data and "
+                                     f"{n_forcings} forcings")
+            parsed.append((_step_index(t_index, self.N), starts, slots))
+        self.order = sorted(range(self.K), key=lambda k: parsed[k][0])
+        self.t_index = np.array([parsed[k][0] for k in self.order], dtype=int)
+        self.starts = [[self._start(s) for s in parsed[k][1]] for k in self.order]
         self.forcings = [
-            _ForcingStack([f[i] for f in forcings], self.t_index, self.N, self.n, self.P)
+            _Forcing([parsed[k][2][i] for k in self.order], self.t_index, self.N, self.n, self.P)
             for i in range(n_forcings)
         ]
-        needs_paths = any(f.needs_paths for f in self.forcings) or any(
+        needs_paths = any(f.rows.size for f in self.forcings) or any(
             isinstance(s, StartSpec) for starts in self.starts for s in starts)
         self.w = ens.brownian_paths() if needs_paths else None
-        self.first = min(self.t_index, default=self.N + 1)
-        self.decay = np.exp(op.eigenvalues * self.dt)[:, None, None]
+        self.first = int(self.t_index[0]) if self.K else self.N + 1
+        self.decay = np.exp(op.eigenvalues * self.dt)
         self.increments = ens.increments
 
+    def _start(self, start):
+        if isinstance(start, StartSpec):
+            for c in (start.c0, start.c1):
+                _shaped(c, ((self.n,),), "an initial datum's coefficient")
+            return start
+        return _shaped(start, ((self.n,), (self.P, self.n)), "an initial datum")
+
     def zeros(self):
-        return np.zeros((self.n, self.K, self.P))
+        return np.zeros((self.K, self.P))
 
-    def activate(self, j, states):
-        """Write the initial data of the tuples starting at step j into
-        ``states`` (one stack per initial datum); returns their indices."""
-        ks = [k for k, t in enumerate(self.t_index) if t == j]
-        for k in ks:
-            for x, start in zip(states, self.starts[k]):
-                if isinstance(start, StartSpec):
-                    x[:, k] = start.at(self.w[:, j]).T
-                else:
-                    x[:, k] = _initial_states(start, self.P, self.n).T
-        return ks
+    def active(self, j):
+        """Number of tuples with t_index <= j."""
+        return int(np.searchsorted(self.t_index, j, side="right"))
 
-    def forcings_at(self, j):
+    def starting(self, j):
+        """The (sorted) tuples that start at step j."""
+        return range(int(np.searchsorted(self.t_index, j)), self.active(j))
+
+    def start(self, k, i):
+        """Initial datum i of sorted tuple k, (n,) or per path (P, n)."""
+        start = self.starts[k][i]
+        if isinstance(start, StartSpec):
+            return start.at(self.w[:, self.t_index[k]])
+        return start
+
+    def forcings_at(self, j, m):
         w_j = None if self.w is None else self.w[:, j]
-        return [f.at(j, w_j) for f in self.forcings]
-
-    def increments_at(self, j):
-        """The step-j Brownian increments, (P,)."""
-        return self.increments[:, j]
-
-    def step(self, x, j, dw, drift, noise):
-        """x_{j+1} = S(dt) (x_j + drift dt + noise dw_j); None is zero."""
-        y = x.copy() if drift is None else x + drift * self.dt
-        if noise is not None:
-            y += noise * dw
-        y *= self.decay
-        # two reductions instead of the full scan; NaN fails the comparison
-        if not max(y.max(), -y.min()) <= OVERFLOW_GUARD:
-            _check_finite(y.reshape(-1, self.P).T, j)
-        return y
+        return [f.at(j, m, w_j) for f in self.forcings]
 
     def reports(self, identity, lhs, rhs, bias_budget, k_sigma):
         resid = lhs - rhs
@@ -404,57 +442,98 @@ class _TupleStack:
             stderr = resid.std(axis=1, ddof=1) / np.sqrt(self.P)
         else:
             stderr = np.zeros(self.K)
-        return [
-            IdentityReport(identity, t, float(lo), float(hi), float(se), self.P, self.dt,
-                           bias_budget, k_sigma)
-            for t, lo, hi, se in zip(self.t_index, lhs.mean(axis=1), rhs.mean(axis=1), stderr)
-        ]
+        out = [None] * self.K
+        for k, t, lo, hi, se in zip(self.order, self.t_index, lhs.mean(axis=1),
+                                    rhs.mean(axis=1), stderr):
+            out[k] = IdentityReport(identity, int(t), float(lo), float(hi), float(se), self.P,
+                                    self.dt, bias_budget, k_sigma)
+        return out
+
+
+def _pair_paths(a, V):
+    """<a, V> per path for a (n,) or (P, n) and V (P, n)."""
+    return V @ a if a.ndim == 1 else np.einsum("pi,pi->p", a, V)
 
 
 def verify_first_identities(pair, op, tests, ens, bias_budget=0.0, k_sigma=3.0):
     """Evaluate both sides of the first-order identity for every test tuple in
-    one stacked pass; one report per tuple, in order.
+    one backward pass; one report per tuple, in order.
 
     A tuple is a ``TupleSpec`` or (t_index, eta, v1, v2) with eta (n,) or
-    (n_paths, n) and v1/v2 None, (N, n) or (n_paths, N, n)."""
+    (n_paths, n) and v1/v2 None, (N, n) or (n_paths, N, n).  The lhs is
+    taken by summation by parts against b_j (see the module docstring), so
+    no test state is simulated."""
     check_same_ensemble(pair, ens)
-    stack = _TupleStack(tests, 1, 2, op, ens)
-    N, dt = stack.N, stack.dt
-    y_T = _modes_first(pair.y[:, N])
-
-    lhs = np.zeros((stack.K, stack.P))
-    rhs = np.zeros((stack.K, stack.P))
-    z = stack.zeros()
-    for j in range(stack.first, N + 1):
-        ks = stack.activate(j, (z,))
-        y_j = _modes_first(pair.y[:, j])
-        if ks:
-            rhs[ks] += _dot_vec(z[:, ks], y_j)
-        if j == N:
-            lhs += _dot_vec(z, y_T)
-            break
-        v1, v2 = stack.forcings_at(j)
-        # the pair's own driver: a step history, read per step, never whole
-        f_j = at_step(pair.driver, j, 1)
-        # pair v1 against the pre-update conditional mean y_j + dt f_j: same
-        # O(dt) quadrature of the integral, but the one the stepping scheme
-        # telescopes exactly
-        if f_j is not None:
-            f_j = _modes_first(f_j)
-            lhs -= dt * _dot_vec(z, f_j)
-            y_j = y_j + dt * f_j  # y_j may be a view of pair.y
-        if v1 is not None:
-            rhs += dt * _dot_vec(v1, y_j)
-        if v2 is not None:
-            rhs += dt * _dot_vec(v2, _modes_first(pair.Y[:, j]))
-        z = stack.step(z, j, stack.increments_at(j), v1, v2)
-    return stack.reports("first", lhs, rhs, bias_budget, k_sigma)
+    tuples = _Tuples(tests, 1, 2, op, ens)
+    N, dt = tuples.N, tuples.dt
+    lhs, rhs = tuples.zeros(), tuples.zeros()
+    b = y_j = pair.y[:, N]
+    for j in range(N, tuples.first - 1, -1):
+        m = tuples.active(j)
+        if j < N:
+            Sb = b * tuples.decay
+            v1, v2 = tuples.forcings_at(j, m)
+            # the pair's own driver: a step history, read per step, never whole
+            f_j = at_step(pair.driver, j, 1)
+            y_j = pair.y[:, j]
+            b = Sb if f_j is None else Sb - dt * f_j
+            if v1 is not None:
+                lhs[:m] += dt * v1.pair(Sb)
+                # pair v1 against the pre-update conditional mean y_j + dt f_j:
+                # same O(dt) quadrature of the integral, but the one the
+                # stepping scheme telescopes exactly
+                rhs[:m] += dt * v1.pair(y_j if f_j is None else y_j + dt * f_j)
+            if v2 is not None:
+                lhs[:m] += v2.pair(Sb) * tuples.increments[:, j]
+                rhs[:m] += dt * v2.pair(pair.Y[:, j])
+            _guard(b.T, j)
+        for k in tuples.starting(j):
+            eta = tuples.start(k, 0)
+            lhs[k] += _pair_paths(eta, b)
+            rhs[k] += _pair_paths(eta, y_j)
+        _guard(lhs[:m], j)
+        _guard(rhs[:m], j)
+    return tuples.reports("first", lhs, rhs, bias_budget, k_sigma)
 
 
 def verify_first_identity(pair, op, test, ens, bias_budget=0.0, k_sigma=3.0):
     """Evaluate both sides of the first-order identity for one test tuple
     (t_index, eta, v1, v2); see :func:`verify_first_identities`."""
     return verify_first_identities(pair, op, [test], ens, bias_budget, k_sigma)[0]
+
+
+def _step_states(xa, out, SG, SK, u, v, dt, dw, decay):
+    """x_{j+1} = S(dt) (x + (J x + u) dt + (K x + v) dw) for the m test states
+    of the blocks xa (m, 2n+2, P), written into out (m, n, P).  A block is
+    [x; dw x; dt u modulation; dw v modulation], so with J and K the same on
+    every path the step is one batched product with [S(dt) (I + dt J),
+    S(dt) K, S(dt) u profile, S(dt) v profile]; SG = S(dt) (I + dt J) and SK
+    = S(dt) K (None when K is) that differ per path are applied apart."""
+    m, n = out.shape[:2]
+    x, dw_x = xa[:, :n], xa[:, n:2 * n]
+    cols = np.zeros((m, n, 2 * n + 2))
+    per_path = []
+    if SG.ndim == 2:
+        cols[:, :, :n] = SG
+    else:
+        per_path.append((SG, x))
+    if SK is not None:
+        np.multiply(x, dw, out=dw_x)
+        if SK.ndim == 2:
+            cols[:, :, n:2 * n] = SK
+        else:
+            per_path.append((SK, dw_x))
+    for row, f, coef in ((2 * n, u, dt), (2 * n + 1, v, dw)):
+        if f is not None:
+            xa[:, row] = coef if f.modulation is None else f.modulation * coef
+            cols[:, :, row] = f.profile * decay
+    np.matmul(cols, xa, out=out)
+    for M, z in per_path:
+        out += _apply(M, z)
+    for f, coef in ((u, dt), (v, dw)):
+        for k, val in (() if f is None else f.pathwise):
+            out[k] += (val * decay).T * coef
+    return out
 
 
 def verify_second_identities(sa, op, J, K, F, P_T, tests, ens, bias_budget=0.0,
@@ -465,57 +544,69 @@ def verify_second_identities(sa, op, J, K, F, P_T, tests, ens, bias_budget=0.0,
     A tuple is a ``TupleSpec`` or (t_index, xi1, xi2, u1, u2, v1, v2) with
     the shapes :func:`verify_first_identities` takes.  J, K, F may be None,
     (n, n), (N, n, n) or per path (n_paths, N, n, n); P_T (n, n) or per path.
-    The pairings are grouped into five per-path bilinear forms per step:
-    <x2, P u1> + <u2, P x1> + <x2, Q v1> + <K x2 + v2, P v1>
-    + <v2, (P K + Q) x1>."""
+    The pairings are grouped by what the forcings meet: <x2, P u1 + (Q +
+    K*P) v1> + <P* u2 + (P K + Q)* v2, x1> + <v2, P v1>, each matrix times
+    a forcing profile being one product on P_j or Q_j with paths innermost."""
     check_same_ensemble(sa, ens)
-    stack = _TupleStack(tests, 2, 4, op, ens)
-    N, dt = stack.N, stack.dt
-    J, K, F = (None if c is None else np.asarray(c, dtype=float) for c in (J, K, F))
-    P_T = _stack_matrix(np.asarray(P_T, dtype=float))
-    forced = any(f.present for f in stack.forcings)
-    noisy = stack.forcings[2].present or stack.forcings[3].present
+    tuples = _Tuples(tests, 2, 4, op, ens)
+    N, dt, n, P = tuples.N, tuples.dt, tuples.n, tuples.P
+    J, K, F = (None if c is None else _shaped(c, ((n, n), (N, n, n), (P, N, n, n)), name)
+               for c, name in ((J, "J"), (K, "K"), (F, "F")))
+    P_T = _shaped(P_T, ((n, n), (P, n, n)), "P_T")
+    decay = tuples.decay
 
-    lhs = np.zeros((stack.K, stack.P))
-    rhs = np.zeros((stack.K, stack.P))
-    x1, x2 = stack.zeros(), stack.zeros()
-    for j in range(stack.first, N + 1):
-        ks = stack.activate(j, (x1, x2))
-        P_j = None
-        if ks or (forced and j < N):
-            P_j = _stack_matrix(sa.P_paths(j))
-        if ks:
-            rhs[ks] += _form(x2[:, ks], P_j, x1[:, ks])
+    lhs, rhs = tuples.zeros(), tuples.zeros()
+    # test-state blocks (K, 2n+2, P), paths innermost (see _step_states);
+    # each steps into its spare
+    x1, x2, spare1, spare2 = (np.zeros((tuples.K, 2 * n + 2, P)) for _ in range(4))
+    for j in range(tuples.first, N + 1):
+        m = tuples.active(j)
+        new = tuples.starting(j)
+        for k in new:
+            x1[k, :n], x2[k, :n] = (np.broadcast_to(tuples.start(k, i), (P, n)).T
+                                    for i in (0, 1))
+        a1, a2 = x1[:m, :n], x2[:m, :n]
+        if new:
+            rhs[new.start:new.stop] += _dot(a2[new.start:], _apply(sa.P_paths(j),
+                                                                   a1[new.start:]))
         if j == N:
-            lhs += _form(x2, P_T, x1)
+            lhs[:m] += _dot(a2, _apply(P_T, a1))
             break
-        u1, u2, v1, v2 = stack.forcings_at(j)
+        u1, u2, v1, v2 = tuples.forcings_at(j, m)
         Jj, Kj, Fj = (_coeff_step(c, j) for c in (J, K, F))
-        noise1, noise2 = _affine(Kj, x1, v1), _affine(Kj, x2, v2)
         if Fj is not None:
-            lhs -= dt * _form(x2, Fj, x1)
+            lhs[:m] -= dt * _dot(a2, _apply(Fj, a1))
 
-        Q_j = _stack_matrix(sa.Q_paths(j)) if noisy else None
-        acc = np.zeros((stack.K, stack.P))
+        acc = np.zeros((m, P))
+        if u1 is not None or v1 is not None:
+            PT_row = sa.P_paths(j, "lkp")  # [l, i, p] = P_p[i, l]
+        if u2 is not None or v2 is not None:
+            P_row = sa.P_paths(j, "klp")
         if u1 is not None:
-            acc += _form(x2, P_j, u1)
-        if u2 is not None:
-            acc += _form(u2, P_j, x1)
+            acc += u1.modulate(_dot(a2, u1.apply(PT_row)))
         if v1 is not None:
-            acc += _form(x2, Q_j, v1)
-            if noise2 is not None:
-                acc += _form(noise2, P_j, v1)
-        if v2 is not None:
-            PK_Q = Q_j
+            QK = sa.Q_paths(j, "lkp")  # Q* + P* K, the layout of (Q + K* P)*
             if Kj is not None:
-                PK_Q = Q_j + np.einsum("ilp,lm->imp" if Kj.ndim == 2 else "ilp,lmp->imp", P_j, Kj)
-            acc += _form(v2, PK_Q, x1)
-        rhs += dt * acc
+                QK += _times(PT_row, Kj)
+            acc += v1.modulate(_dot(a2, v1.apply(QK)))
+        if u2 is not None:
+            acc += u2.modulate(_dot(u2.apply(P_row), a1))
+        if v2 is not None:
+            PKQ = sa.Q_paths(j, "klp")  # P K + Q, the layout of its transpose's
+            if Kj is not None:
+                PKQ += _times(P_row, Kj)
+            acc += v2.modulate(_dot(v2.apply(PKQ), a1))
+            if v1 is not None:
+                acc += v1.modulate(v2.pair_stack(v1.apply(PT_row)))
+        rhs[:m] += dt * acc
 
-        dw = stack.increments_at(j)
-        x1 = stack.step(x1, j, dw, _affine(Jj, x1, u1), noise1)
-        x2 = stack.step(x2, j, dw, _affine(Jj, x2, u2), noise2)
-    return stack.reports("second", lhs, rhs, bias_budget, k_sigma)
+        SG = decay[:, None] * (np.eye(n) if Jj is None else np.eye(n) + dt * Jj)
+        SK = None if Kj is None else decay[:, None] * Kj
+        dw = tuples.increments[:, j]
+        for x, spare, u, v in ((x1, spare1, u1, v1), (x2, spare2, u2, v2)):
+            _guard(_step_states(x[:m], spare[:m, :n], SG, SK, u, v, dt, dw, decay), j + 1)
+        x1, spare1, x2, spare2 = spare1, x1, spare2, x2
+    return tuples.reports("second", lhs, rhs, bias_budget, k_sigma)
 
 
 def verify_second_identity(sa, op, J, K, F, P_T, test, ens, bias_budget=0.0,

@@ -87,6 +87,17 @@ def _driver(J, K, F, P, Q):
     return out
 
 
+_AXES = {"pkl": (0, 1, 2), "klp": (1, 2, 0), "lkp": (2, 1, 0)}
+
+
+def _laid_out(M, layout):
+    """A (n_paths, n, n) array in one of the layouts of
+    :meth:`SecondOrderAdjoint.P_paths`, as a view."""
+    if layout not in _AXES:
+        raise DomainError(f"unknown layout {layout!r}")
+    return M.transpose(_AXES[layout])
+
+
 @dataclass
 class SecondOrderAdjoint:
     """Pair (P, Q) of matrix processes, per path, kept as per-step regression
@@ -95,7 +106,11 @@ class SecondOrderAdjoint:
     on every path.
 
     ``P_paths(j)``/``Q_paths(j)`` re-evaluate (n_paths, n, n) slices; the
-    terminal slice is stored exactly per path.
+    terminal slice is stored exactly per path.  ``layout`` names the axes of
+    the returned slice M_j[p][k, l]: "pkl" (the default), or with paths
+    innermost "klp", or "lkp" for the transposes.  Both paths-innermost
+    layouts come straight out of one product beta[j].T @ X_j.T on the
+    contiguous feature rows, so no per-path slice is transposed.
     """
 
     grid: object
@@ -114,16 +129,28 @@ class SecondOrderAdjoint:
     def n_paths(self):
         return self.P_terminal.shape[0]
 
-    def P_paths(self, j):
-        if j == self.grid.n_steps:
-            return self.P_terminal
-        P_j = vec_to_mat(self.features.at(j) @ self.beta_P[j], self.op.n_modes)
-        return P_j if self.rest is None else P_j + self.rest(j)
+    def _fitted(self, beta, j, layout):
+        """X_j beta per path in ``layout``; beta is (F, n^2), column-major."""
+        n = self.op.n_modes
+        X = self.features.at(j)
+        if layout == "pkl":
+            return vec_to_mat(X @ beta, n)
+        if layout == "klp":  # row-major columns: M[k, l] at row k n + l
+            beta = vec_to_mat(beta, n).reshape(-1, n * n)
+        elif layout != "lkp":
+            raise DomainError(f"unknown layout {layout!r}")
+        return (beta.T @ X.T).reshape(n, n, -1)
 
-    def Q_paths(self, j):
+    def P_paths(self, j, layout="pkl"):
+        if j == self.grid.n_steps:
+            return _laid_out(self.P_terminal, layout)
+        P_j = self._fitted(self.beta_P[j], j, layout)
+        return P_j if self.rest is None else P_j + _laid_out(self.rest(j), layout)
+
+    def Q_paths(self, j, layout="pkl"):
         if j >= self.grid.n_steps:
             raise DomainError("martingale component is defined on steps 0..n_steps-1")
-        return vec_to_mat(self.features.at(j) @ self.beta_Q[j], self.op.n_modes)
+        return self._fitted(self.beta_Q[j], j, layout)
 
     def P_mean(self, j):
         if self.rest is None and j < self.grid.n_steps:

@@ -15,7 +15,7 @@ from smpkit.adjoint import solve_first_adjoint
 from smpkit.forward import OpenLoop, TimeGrid, sample_brownian, simulate_controlled
 from smpkit.maximum_principle import second_order_data
 from smpkit.scenarios import build_preset, load_preset, riccati_oracle
-from smpkit.second_order import solve_second_adjoint
+from smpkit.second_order import lyapunov_oracle, solve_second_adjoint
 
 from helpers import load_tracing
 
@@ -28,6 +28,24 @@ def test_child_optimize_reference():
     grid = TimeGrid(0.0, T, int(round(T / 0.005)))
     target = riccati_oracle(lq, grid).value_at(scenario.x0)
     assert target == pytest.approx(0.545, abs=1e-6)
+
+
+def test_child_second_adjoint_reference():
+    # what check_second_adjoint takes from the captured second_order_data on
+    # heat4: (N, n, n) J, K, F, a per-path P_T, and the Lyapunov sweep on
+    # P_T's path mean
+    scenario, _ = build_preset(load_preset("heat4"))
+    n, n_steps, n_paths = scenario.n_modes, 8, 200
+    grid = TimeGrid(0.0, 1.0, n_steps)
+    ens = sample_brownian(grid, n_paths, 2)
+    traj = simulate_controlled(scenario, scenario.x0,
+                               OpenLoop(np.zeros((n_steps, scenario.control_dim))), ens)
+    J, K, F, P_T = second_order_data(scenario, traj, solve_first_adjoint(scenario, traj, ens))
+    for c in (J, K, F):
+        assert c.shape == (n_steps, n, n)
+    assert P_T.shape == (n_paths, n, n)
+    oracle = lyapunov_oracle(scenario.op, J, K, F, P_T.mean(axis=0), grid)
+    assert oracle.shape == (n_steps + 1, n, n) and np.isfinite(oracle).all()
 
 
 def test_main_looks_up_the_wrapped_preset_names(tmp_path, monkeypatch):

@@ -13,6 +13,9 @@ from helpers import deterministic_data_scenario
 
 from smpkit.adjoint import AdjointPair, solve_first_adjoint
 from smpkit.duality import (
+    ForcingSpec,
+    StartSpec,
+    TupleSpec,
     describe_first_test,
     describe_second_test,
     lipschitz_probe,
@@ -23,7 +26,12 @@ from smpkit.duality import (
     verify_second_identities,
     verify_second_identity,
 )
-from smpkit.errors import EnsembleMismatchError
+from smpkit.errors import (
+    DimensionError,
+    DomainError,
+    EnsembleMismatchError,
+    SimulationDivergedError,
+)
 from smpkit.forward import OpenLoop, TimeGrid, sample_brownian, simulate_controlled
 from smpkit.maximum_principle import second_order_data
 from smpkit.scenarios import build_preset, load_preset
@@ -372,3 +380,112 @@ def test_materialized_descriptions_reproduce_tuple_arrays():
             # the same number of draws: the streams continue identically
             follow = [rng.standard_normal() for rng in rngs]
             assert follow[0] == follow[1] == follow[2]
+
+
+# ----------------------------------------------------------------------
+# malformed tuple data, divergence, tuple order and the active prefix
+# ----------------------------------------------------------------------
+
+def _two_mode_setup(n_paths=100):
+    op = make_dirichlet_laplacian(2, 1.0)
+    grid = TimeGrid(0.0, 1.0, 20)
+    ens = sample_brownian(grid, n_paths, 1)
+    return op, grid, ens
+
+
+@pytest.mark.parametrize("shape", [(19, 2), (20, 3)])
+def test_forcing_of_wrong_shape_is_a_dimension_error(shape):
+    op, grid, ens = _two_mode_setup()
+    pair = _zero_pair(grid, 2, 100, ens.fingerprint)
+    sa = solve_second_adjoint(op, None, None, None, np.zeros((2, 2)), ens)
+    bad = np.ones(shape)
+    with pytest.raises(DimensionError):
+        verify_first_identity(pair, op, (0, np.zeros(2), bad, None), ens)
+    with pytest.raises(DimensionError):
+        verify_second_identity(sa, op, None, None, None, np.zeros((2, 2)),
+                               (0, np.zeros(2), np.zeros(2), None, None, bad, None), ens)
+
+
+def test_terminal_matrix_of_wrong_size_is_a_dimension_error():
+    op, grid, ens = _two_mode_setup()
+    sa = solve_second_adjoint(op, None, None, None, np.zeros((2, 2)), ens)
+    test = (0, np.ones(2), np.ones(2), None, None, None, None)
+    with pytest.raises(DimensionError):
+        verify_second_identity(sa, op, None, None, None, np.eye(3), test, ens)
+
+
+def test_fractional_t_index_is_a_domain_error():
+    op, grid, ens = _two_mode_setup()
+    pair = _zero_pair(grid, 2, 100, ens.fingerprint)
+    sa = solve_second_adjoint(op, None, None, None, np.zeros((2, 2)), ens)
+    with pytest.raises(DomainError):
+        verify_first_identity(pair, op, (2.5, np.zeros(2), None, None), ens)
+    with pytest.raises(DomainError):
+        verify_second_identity(sa, op, None, None, None, np.zeros((2, 2)),
+                               (2.5, np.zeros(2), np.zeros(2), None, None, None, None), ens)
+
+
+@pytest.mark.parametrize("bad", [np.nan, 1e200])
+def test_nonfinite_or_huge_forcing_diverges_in_both_verifiers(bad):
+    scenario, grid, ens, traj, pair = _heat4_setup(n_steps=20, n_paths=200)
+    op, n = scenario.op, scenario.n_modes
+    forcing = np.ones((20, n))
+    forcing[5] = bad
+    with pytest.raises(SimulationDivergedError):
+        verify_first_identity(pair, op, (0, np.zeros(n), forcing, None), ens)
+    J, K, F, P_T = second_order_data(scenario, traj, pair)
+    sa = solve_second_adjoint(op, J, K, F, P_T, ens, features=pair.features)
+    test = (0, np.zeros(n), np.zeros(n), forcing, None, None, None)
+    with pytest.raises(SimulationDivergedError):
+        verify_second_identity(sa, op, J, K, F, P_T, test, ens)
+
+
+def _ordered_tuples(op, ens, starts, n_starts, n_forcings, adapted, seed):
+    """Tuples at the given start steps: described ones whose every forcing is
+    adapted, or array tuples with constant initial data and deterministic
+    (N, n) forcings."""
+    N, n = ens.grid.n_steps, op.n_modes
+    out = []
+    for i, t in enumerate(starts):
+        rng = np.random.default_rng([seed, i])
+        profiles = [np.cos(rng.uniform(0, 4) * np.linspace(0, 1, N))[:, None]
+                    * rng.standard_normal(n) for _ in range(n_forcings)]
+        if adapted:
+            out.append(TupleSpec(
+                t, tuple(StartSpec(rng.standard_normal(n), rng.standard_normal(n))
+                         for _ in range(n_starts)),
+                tuple(ForcingSpec(p, rng.uniform(0.5, 2.0), rng.uniform(0, 2 * np.pi))
+                      for p in profiles)))
+        else:
+            out.append((t, *(rng.standard_normal(n) for _ in range(n_starts)), *profiles))
+    return out
+
+
+def _materialized(test, w):
+    return test.materialize(w) if isinstance(test, TupleSpec) else test
+
+
+@pytest.mark.parametrize("adapted", [False, True])
+@pytest.mark.parametrize("order", ["descending", "mixed"])
+def test_reports_come_back_in_input_order(order, adapted):
+    scenario, grid, ens, traj, pair = _heat4_setup(n_steps=30, n_paths=400)
+    op, N = scenario.op, grid.n_steps
+    starts = {"descending": (N, N - 3, 17, 7, 2, 0),
+              "mixed": (7, 0, N, 2, 7, N // 2, 0)}[order]
+    w = ens.brownian_paths()
+
+    tests = _ordered_tuples(op, ens, starts, 1, 2, adapted, 41)
+    stacked = verify_first_identities(pair, op, tests, ens)
+    assert [r.t_index for r in stacked] == list(starts)
+    _assert_same_reports(
+        stacked, [verify_first_identity(pair, op, t, ens) for t in tests],
+        [loop_first_identity(pair, op, None, None, _materialized(t, w), ens) for t in tests])
+
+    J, K, F, P_T = second_order_data(scenario, traj, pair)
+    sa = solve_second_adjoint(op, J, K, F, P_T, ens, features=pair.features)
+    tests = _ordered_tuples(op, ens, starts, 2, 4, adapted, 43)
+    stacked = verify_second_identities(sa, op, J, K, F, P_T, tests, ens)
+    assert [r.t_index for r in stacked] == list(starts)
+    _assert_same_reports(
+        stacked, [verify_second_identity(sa, op, J, K, F, P_T, t, ens) for t in tests],
+        [loop_second_identity(sa, op, J, K, F, P_T, _materialized(t, w), ens) for t in tests])

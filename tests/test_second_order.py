@@ -371,3 +371,31 @@ def test_features_of_another_ensemble_rejected():
     other = sample_brownian(grid, ens.n_paths, 26)
     with pytest.raises(EnsembleMismatchError):
         solve_second_adjoint(scenario.op, J, K, F, P_T, other, features=pair.features)
+
+
+def test_paths_innermost_layouts_match_the_per_path_slices():
+    # non-symmetric data, so a layout that swapped k and l would show
+    scenario, _ = build_preset(load_preset("heat4"))
+    n, n_steps, n_paths = scenario.n_modes, 12, 300
+    grid = TimeGrid(0.0, 1.0, n_steps)
+    ens = sample_brownian(grid, n_paths, 27)
+    traj = simulate_controlled(scenario, scenario.x0,
+                               OpenLoop(np.full((n_steps, scenario.control_dim), 0.2)), ens)
+    pair = solve_first_adjoint(scenario, traj, ens)
+    rng = np.random.default_rng(9)
+    J, K, F = (scale * rng.standard_normal((n_steps, n, n)) for scale in (0.3, 0.3, 1.0))
+    P_T = -np.eye(n) + 0.2 * rng.standard_normal((n_paths, n, n))
+    coeff = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, features=pair.features)
+    per_path = [np.broadcast_to(c, (n_paths,) + c.shape) for c in (J, K, F)]
+    dense = solve_second_adjoint(scenario.op, *per_path, P_T, ens, features=pair.features)
+    for sa in (coeff, dense):
+        for j in range(n_steps + 1):
+            reads = [(sa.P_paths, j)] + ([(sa.Q_paths, j)] if j < n_steps else [])
+            for read, step in reads:
+                M = read(step)
+                scale = np.abs(M).max()
+                for layout, axes in (("klp", (1, 2, 0)), ("lkp", (2, 1, 0))):
+                    np.testing.assert_allclose(read(step, layout), M.transpose(axes),
+                                               rtol=0, atol=1e-14 * scale)
+    with pytest.raises(DomainError):
+        coeff.P_paths(0, "lpk")
