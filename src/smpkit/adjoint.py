@@ -39,10 +39,12 @@ per-step coefficients of the two fits; a step slice of either is
 re-evaluated on demand through :class:`StepHistory`, the driver by the
 same function the sweep would call, so identity checks pair against what
 the sweep fitted.  So is y, y_j = X_j beta_y[j] + rest_j, whose moments
-the sweep takes as C_j beta_y plus W times the per-path rest: with
-constant Jacobians the driver is affine in the features up to g_x, so
-beta_y folds it in and rest_j = -dt g_x(t_j, x_j, u_j); otherwise beta_y
-is the mean fit and rest_j = -dt f_j.  No (P, N, n) history is kept.
+the sweep takes as C_j beta_y plus W times the per-path rest.  When the
+Jacobian callbacks of a and b each return one matrix at every step (the
+same on every path, so a_xx = b_xx = 0) the driver is affine in the
+features up to g_x, so beta_y folds it in and rest_j = -dt g_x(t_j, x_j,
+u_j); otherwise beta_y is the mean fit and rest_j = -dt f_j.  No (P, N,
+n) history is kept.
 """
 
 import operator
@@ -52,6 +54,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DegenerateBasisError, DimensionError, EnsembleMismatchError
+from .forward import path_constant_steps
 
 
 @dataclass(frozen=True)
@@ -137,8 +140,8 @@ class StepFeatures:
     same object reads them, and builds step j's features only when its
     target at step j has per-path values.  Coefficient-form histories
     re-evaluate their step slices through ``at(j)``, which gives the values
-    the sweep fitted on; the features of the last full-ensemble step are
-    kept, so several histories read at one step build them once."""
+    the sweep fitted on; the features of the last step read are kept, so
+    several histories read at one step build them once."""
 
     def __init__(self, basis, states, ens):
         self.basis = basis
@@ -153,11 +156,8 @@ class StepFeatures:
     def n_features(self):
         return self.basis.n_features(self.states.shape[2])
 
-    def at(self, j, paths=slice(None)):
-        """Features of ``states[paths, j]``; a subset of the paths is taken
-        before the features are built."""
-        if not (isinstance(paths, slice) and paths == slice(None)):
-            return self.basis.features(self.states[paths, j])
+    def at(self, j):
+        """Features of ``states[:, j]``."""
         if self._last[0] != j:
             self._last = (None, None)  # released before the next step is built
             self._last = (j, self.basis.features(self.states[:, j]))
@@ -187,25 +187,12 @@ class StepFeatures:
         self.solvers = [None] * n_steps
 
 
-def fitted(X, beta):
-    """Per-path values ``X @ beta`` of features ``X`` (P, F), rounded the
-    same for every subset of the paths.  numpy takes its vector path for a
-    one-row or one-column product, which rounds differently from the matrix
-    path, so either is evaluated as two."""
-    s, k = X.shape[0], beta.shape[1]
-    if s == 1:
-        X = np.concatenate([X.T, X.T], axis=1).T
-    if k == 1:
-        beta = np.concatenate([beta, beta], axis=1)
-    return (X @ beta)[:s, :k]
-
-
 class StepHistory:
     """Read-only (n_paths, n_steps, ...) history that stores no per-path
-    values: ``h[paths, j, ...]`` evaluates step j on the selected paths
-    through ``step(j, paths)``, and ``nbytes`` counts the arrays actually
-    stored.  It deliberately has no ``__array__``, so the whole history is
-    never rebuilt by one stray ``np.asarray``."""
+    values: ``h[:, j, ...]`` evaluates step j on every path through
+    ``step(j)``, and ``nbytes`` counts the arrays actually stored.  It
+    deliberately has no ``__array__``, so the whole history is never
+    rebuilt by one stray ``np.asarray``."""
 
     def __init__(self, shape, step, stored):
         self.shape = tuple(shape)
@@ -214,14 +201,15 @@ class StepHistory:
         self._step = step
 
     def __getitem__(self, key):
-        if not isinstance(key, tuple) or len(key) < 2:
-            raise TypeError("a step history is read one step at a time: h[paths, j, ...]")
-        paths, j, *rest = key
+        if not isinstance(key, tuple) or len(key) < 2 or not (
+                isinstance(key[0], slice) and key[0] == slice(None)):
+            raise TypeError("a step history is read one whole step at a time: h[:, j, ...]")
+        _, j, *rest = key
         n_steps = self.shape[1]
         j = operator.index(j)
         if not -n_steps <= j < n_steps:
             raise IndexError(f"step {j} is outside 0..{n_steps - 1}")
-        return self._step(j % n_steps, paths)[(slice(None), *rest)]
+        return self._step(j % n_steps)[(slice(None), *rest)]
 
 
 @dataclass
@@ -345,11 +333,13 @@ def solve_first_adjoint(scenario, trajectory, ens, basis=None):
     trajectory's features, so the pair holds on to ``trajectory.states``.
     ``y`` keeps beta_y and the terminal slice, y_j = X_j beta_y[j] + rest_j,
     and the sweep takes the next step's moments from the cross moments
-    plus the rest's.  With ``scenario.constant_jacobians`` the driver is
-    X(-beta_mean a_x - beta_mart b_x) + g_x, so beta_y = beta_mean + dt
-    (beta_mean a_x + beta_mart b_x) and rest_j = -dt g_x(t_j, x_j, u_j);
-    otherwise beta_y = beta_mean and rest_j = -dt f_j, the per-path driver,
-    which every read of ``y`` evaluates again."""
+    plus the rest's.  When ``drift_x`` and ``diffusion_x`` each return one
+    (n, n) matrix at every step, a_x and b_x are the same on every path
+    (and a_xx = b_xx = 0), so the driver is X(-beta_mean a_x - beta_mart
+    b_x) + g_x, beta_y = beta_mean + dt (beta_mean a_x + beta_mart b_x) and
+    rest_j = -dt g_x(t_j, x_j, u_j); otherwise beta_y = beta_mean and
+    rest_j = -dt f_j, the per-path driver, which every read of ``y``
+    evaluates again."""
     basis = basis or RegressionBasis()
     check_same_ensemble(trajectory, ens)
     op = scenario.op
@@ -363,37 +353,36 @@ def solve_first_adjoint(scenario, trajectory, ens, basis=None):
     y_T = -scenario.grad_terminal(states[:, N])
     beta_mean = np.empty((N, features.n_features, n))
     beta_mart = np.empty_like(beta_mean)
+    a_x = path_constant_steps(scenario.drift_x, trajectory, (n, n))
+    b_x = None if a_x is None else path_constant_steps(scenario.diffusion_x, trajectory, (n, n))
+    folded = b_x is not None
 
-    def Y_at(j, paths):
-        return fitted(features.at(j, paths), beta_mart[j])
+    def Y_at(j):
+        return features.at(j) @ beta_mart[j]
 
-    def driver_at(j, paths):
-        X = features.at(j, paths)
-        return _first_driver(scenario, times[j], states[paths, j], controls[paths, j],
-                             fitted(X, beta_mean[j]), fitted(X, beta_mart[j]))
+    def driver_at(j):
+        X = features.at(j)
+        return _first_driver(scenario, times[j], states[:, j], controls[:, j],
+                             X @ beta_mean[j], X @ beta_mart[j])
 
-    beta_y = np.empty_like(beta_mean) if scenario.constant_jacobians else beta_mean
+    beta_y = np.empty_like(beta_mean) if folded else beta_mean
 
-    def rest_at(j, paths=slice(None)):
-        # the part of y_j outside the features: with constant Jacobians the
-        # driver is X(-beta_mean a_x - beta_mart b_x) + g_x, which leaves -dt g_x
-        if scenario.constant_jacobians:
-            return -dt * scenario.grad_x_running(times[j], states[paths, j], controls[paths, j])
-        return -dt * driver_at(j, paths)
+    def rest_at(j):
+        # the part of y_j outside the features; a folded driver leaves -dt g_x
+        if folded:
+            return -dt * scenario.grad_x_running(times[j], states[:, j], controls[:, j])
+        return -dt * driver_at(j)
 
     def update(j, b_mean, b_mart):
         beta_mean[j], beta_mart[j] = b_mean, b_mart
-        if scenario.constant_jacobians:
-            x1, u1 = states[:1, j], controls[:1, j]
-            a_x = scenario.jac_x("a", times[j], x1, u1)[0]
-            b_x = scenario.jac_x("b", times[j], x1, u1)[0]
-            beta_y[j] = b_mean + dt * (b_mean @ a_x + b_mart @ b_x)
+        if folded:
+            beta_y[j] = b_mean + dt * (b_mean @ a_x[j] + b_mart @ b_x[j])
         return FeatureAffine(beta_y[j], rest_at(j))
 
-    def y_at(j, paths):
+    def y_at(j):
         if j == N:
-            return y_T[paths]
-        return fitted(features.at(j, paths), beta_y[j]) + rest_at(j, paths)
+            return y_T
+        return features.at(j) @ beta_y[j] + rest_at(j)
 
     decay = np.exp(op.eigenvalues * dt)
     regression_sweep(features, y_T, decay, update)

@@ -220,13 +220,13 @@ class Scenario:
     Derivative callbacks are optional; missing ones are replaced by central
     finite differences with step 1e-5 * (1 + |x|).
 
-    ``constant_jacobians`` declares that a and b have the same Jacobians in
-    x and u on every path, so a_xx = b_xx = 0; it says nothing about the
-    costs.  Jacobians are then read on one path and applied with one
-    product, and the first adjoint's y folds its driver into coefficients
-    up to the per-path rest -dt g_x.  Without it every read of y, and of
-    the second adjoint's P on per-path J, K, F, re-evaluates the per-path
-    driver.
+    A derivative callback returns its per-path stack, (P, n, n) for
+    ``drift_x``, or one matrix, (n, n), the same on every path; another
+    shape raises DimensionError.  ``drift_x`` (or ``diffusion_x``) giving
+    one matrix at every step says a_xx (or b_xx) is 0.  With both, the
+    first adjoint's y folds its driver into coefficients up to the per-path
+    rest -dt g_x and J, K are (N, n, n); otherwise every read of y, and of
+    the second adjoint's P, re-evaluates the per-path driver.
     """
 
     op: OperatorSpec
@@ -249,7 +249,6 @@ class Scenario:
     terminal_hess: Optional[Callable] = None    # x -> (P,n,n)
     drift_xx: Optional[Callable] = None         # (t,x,u) -> (P,n,n,n), [p,k,i,j]
     diffusion_xx: Optional[Callable] = None
-    constant_jacobians: bool = False
     # preset metadata (pass-rule bias constants, initial state, horizon)
     x0: Optional[np.ndarray] = None
     c_bias_first: float = 1.0
@@ -261,29 +260,29 @@ class Scenario:
         return self.op.n_modes
 
     # -- first derivatives ------------------------------------------------
-    def jac_x(self, which, t, x, u):
-        fn = self.drift if which == "a" else self.diffusion
-        cb = self.drift_x if which == "a" else self.diffusion_x
+    def jacobian(self, which, wrt, t, x, u):
+        """d which_i / d wrt_j for ``which`` "a"/"b" and ``wrt`` "x"/"u": the
+        callback's one (n, k) matrix as it is, or else per path (P, n, k),
+        by central differences when the callback is missing."""
+        name = "drift" if which == "a" else "diffusion"
+        fn, cb = getattr(self, name), getattr(self, f"{name}_{wrt}")
+        shape = (self.n_modes, self.n_modes if wrt == "x" else self.control_dim)
         if cb is not None:
-            return _expand(cb(t, x, u), x.shape[0], (self.n_modes, self.n_modes))
-        return _fd_jac(lambda xx: fn(t, xx, u), x)
-
-    def jac_u(self, which, t, x, u):
-        fn = self.drift if which == "a" else self.diffusion
-        cb = self.drift_u if which == "a" else self.diffusion_u
-        if cb is not None:
-            return _expand(cb(t, x, u), x.shape[0], (self.n_modes, self.control_dim))
+            jac = np.asarray(cb(t, x, u), dtype=float)
+            return jac if jac.shape == shape else _expand(jac, x.shape[0], shape)
+        if wrt == "x":
+            return _fd_jac(lambda xx: fn(t, xx, u), x)
         return _fd_jac(lambda uu: fn(t, x, uu), u)
 
     def vjp(self, which, wrt, t, x, u, k):
         """Per-path k^T d(which)/d(wrt): sum_i k[p, i] jac[p, i, :] for the
-        Jacobian of a or b in x or u.  With ``constant_jacobians`` the
-        Jacobian is read on one path and applied with one product (``np.dot``:
-        ``@`` takes a slow path for a one-column k)."""
-        jac = self.jac_x if wrt == "x" else self.jac_u
-        if self.constant_jacobians:
-            return np.dot(k, jac(which, t, x[:1], u[:1])[0])
-        return np.einsum("pij,pi->pj", jac(which, t, x, u), k)
+        Jacobian of a or b in x or u.  A Jacobian that is one matrix is
+        applied with one product (``np.dot``: ``@`` takes a slow path for a
+        one-column k)."""
+        jac = self.jacobian(which, wrt, t, x, u)
+        if jac.ndim == 2:
+            return np.dot(k, jac)
+        return np.einsum("pij,pi->pj", jac, k)
 
     def grad_x_running(self, t, x, u):
         if self.running_grad_x is not None:
@@ -329,12 +328,32 @@ class Scenario:
 
 
 def _expand(arr, n_paths, trailing):
-    """Broadcast a callback result to (n_paths, *trailing)."""
+    """A derivative callback's result as (n_paths, *trailing): a per-path
+    stack as it is, or one ``trailing`` block, the same on every path."""
     arr = np.asarray(arr, dtype=float)
     target = (n_paths,) + tuple(trailing)
     if arr.shape == target:
         return arr
+    if arr.shape != tuple(trailing):
+        raise DimensionError(f"derivative callback returned shape {arr.shape}, "
+                             f"expected {target} or {tuple(trailing)}")
     return np.broadcast_to(arr, target)
+
+
+def path_constant_steps(callback, traj, shape):
+    """(N, *shape) values of a derivative ``callback(t_j, x_j, u_j)`` along
+    ``traj`` when it returns one ``shape`` matrix, the same on every path,
+    at every step; otherwise, or with no callback, None."""
+    if callback is None:
+        return None
+    times = traj.grid.times()
+    steps = []
+    for j in range(traj.grid.n_steps):
+        steps.append(np.asarray(callback(times[j], traj.states[:, j], traj.controls_used[:, j]),
+                                dtype=float))
+        if steps[-1].shape != shape:
+            return None
+    return np.array(steps)
 
 
 def _fd_grad(fn, x):

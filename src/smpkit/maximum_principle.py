@@ -19,7 +19,8 @@ import numpy as np
 
 from .adjoint import check_same_ensemble, solve_first_adjoint
 from .errors import DomainError, StepRuleError, WrongTheoremError
-from .forward import Feedback, OpenLoop, cost_paths, simulate_controlled, step_major
+from .forward import (Feedback, OpenLoop, cost_paths, path_constant_steps, simulate_controlled,
+                      step_major)
 from .second_order import solve_second_adjoint
 
 
@@ -126,45 +127,38 @@ def second_order_data(scenario, traj, pair):
     """Adjoint-equation coefficients along a candidate trajectory:
     J = a_x, K = b_x, F = -(state Hessian of H), P_T = -h_xx(x(T)).
 
-    With ``scenario.constant_jacobians`` J and K are evaluated on a single
-    path per step (they are state-independent by contract) and a_xx = b_xx =
-    0, so F = g_xx needs no adjoint value (see :func:`_running_hessian`);
-    otherwise J, K and F are full per-path arrays."""
+    When ``drift_x`` and ``diffusion_x`` each return one (n, n) matrix at
+    every step, J and K are those (N, n, n) stacks, the same on every path,
+    and a_xx = b_xx = 0, so F = g_xx needs no adjoint value (see
+    :func:`_running_hessian`); otherwise J, K and F are full per-path
+    arrays."""
     grid = traj.grid
     N, n, P = grid.n_steps, scenario.n_modes, traj.n_paths
     times = grid.times()
     P_T = -scenario.hess_terminal(traj.states[:, N])
-    if scenario.constant_jacobians:
-        one_path = [(times[j], traj.states[:1, j], traj.controls_used[:1, j]) for j in range(N)]
-        J, K = (np.array([scenario.jac_x(c, *step)[0] for step in one_path]) for c in "ab")
+    J = path_constant_steps(scenario.drift_x, traj, (n, n))
+    K = None if J is None else path_constant_steps(scenario.diffusion_x, traj, (n, n))
+    if K is not None:
         return J, K, _running_hessian(scenario, traj), P_T
     J, K, F = (step_major((P, N, n, n)) for _ in range(3))
     for j in range(N):
         xj, uj = traj.states[:, j], traj.controls_used[:, j]
-        J[:, j] = scenario.jac_x("a", times[j], xj, uj)
-        K[:, j] = scenario.jac_x("b", times[j], xj, uj)
+        J[:, j] = scenario.jacobian("a", "x", times[j], xj, uj)
+        K[:, j] = scenario.jacobian("b", "x", times[j], xj, uj)
         F[:, j] = -scenario.hamiltonian_hess_x(times[j], xj, uj, pair.y[:, j], pair.Y[:, j])
     return J, K, F, P_T
 
 
 def _running_hessian(scenario, traj):
     """g_xx along ``traj``: (N, n, n) when the Hessian callback returns one
-    (n, n) matrix, path-constant by construction, at every step; otherwise
-    per path (P, N, n, n)."""
+    (n, n) matrix at every step; otherwise per path (P, N, n, n)."""
     n, times = scenario.n_modes, traj.grid.times()
-    steps = [(times[j], traj.states[:, j], traj.controls_used[:, j])
-             for j in range(traj.grid.n_steps)]
-    if scenario.running_hess_x is not None:
-        F = []
-        for step in steps:
-            F.append(np.asarray(scenario.running_hess_x(*step), dtype=float))
-            if F[-1].shape != (n, n):
-                break
-        else:
-            return np.array(F)
-    F = step_major((traj.n_paths, len(steps), n, n))
-    for j, step in enumerate(steps):
-        F[:, j] = scenario.hess_x_running(*step)
+    F = path_constant_steps(scenario.running_hess_x, traj, (n, n))
+    if F is not None:
+        return F
+    F = step_major((traj.n_paths, traj.grid.n_steps, n, n))
+    for j in range(traj.grid.n_steps):
+        F[:, j] = scenario.hess_x_running(times[j], traj.states[:, j], traj.controls_used[:, j])
     return F
 
 
@@ -304,9 +298,6 @@ def projected_gradient(scenario, x0, control, ens, step_rule=0.8, max_iters=200,
 class SpikeTable:
     tau: float
     rows: list
-
-    def as_rows(self):
-        return self.rows
 
 
 def spike_experiment(scenario, x0, u_bar, u_alt, tau, eps_list, ens,

@@ -261,7 +261,6 @@ def make_lq_scalar(sigma=0.3, T=1.0, x0=1.0, control_bound=6.0,
         terminal_hess=lambda x: np.eye(1),
         drift_xx=lambda t, x, u: np.zeros((1, 1, 1)),
         diffusion_xx=lambda t, x, u: np.zeros((1, 1, 1)),
-        constant_jacobians=True,
         x0=np.array([x0]),
         c_bias_first=c_bias_first,
         c_bias_second=c_bias_second,
@@ -314,7 +313,6 @@ def make_heat_scenario(n_modes=4, control_dim=2, beta=0.1, drift_gain=1.0,
         terminal_hess=lambda x: eye,
         drift_xx=lambda t, x, u: np.zeros((n_modes,) * 3),
         diffusion_xx=lambda t, x, u: np.zeros((n_modes,) * 3),
-        constant_jacobians=True,
         x0=x0,
         c_bias_first=c_bias_first,
         c_bias_second=c_bias_second,

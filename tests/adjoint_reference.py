@@ -4,7 +4,7 @@ It runs the same ``regression_sweep`` as ``solve_first_adjoint`` but stores
 the per-path ``y``, ``Y`` and driver histories in full, as the solver did
 before it kept them as regression coefficients.  The driver formula is a
 local copy, so the reference shares no driver code with the solver under
-test.  With constant Jacobians (every scenario the reference takes),
+test.  With one-matrix Jacobians (every scenario the reference takes),
 y_j = X_j beta_y - dt g_x with beta_y = beta_mean + dt (beta_mean a_x +
 beta_mart b_x), and the next target is handed to the sweep in that affine
 form.  The coefficient-form tests compare every step slice against it."""
@@ -15,14 +15,12 @@ from smpkit.adjoint import (
     FeatureAffine,
     RegressionBasis,
     StepFeatures,
-    fitted,
     regression_sweep,
 )
 
 
 def dense_first_adjoint(scenario, traj, ens, basis=None):
     """Returns (y, Y, driver): (P, N+1, n), (P, N, n) and (P, N, n)."""
-    assert scenario.constant_jacobians
     basis = basis or RegressionBasis()
     grid = ens.grid
     n, N, P = scenario.n_modes, grid.n_steps, ens.n_paths
@@ -35,19 +33,20 @@ def dense_first_adjoint(scenario, traj, ens, basis=None):
 
     def update(j, beta_mean, beta_mart):
         X = features.at(j)
-        y_hat, Y_j = fitted(X, beta_mean), fitted(X, beta_mart)
+        y_hat, Y_j = X @ beta_mean, X @ beta_mart
         t, xj, uj = times[j], traj.states[:, j], traj.controls_used[:, j]
-        a_x = scenario.jac_x("a", t, xj, uj)
-        b_x = scenario.jac_x("b", t, xj, uj)
+        a_x = scenario.jacobian("a", "x", t, xj, uj)
+        b_x = scenario.jacobian("b", "x", t, xj, uj)
+        assert a_x.shape == b_x.shape == (n, n)
         g_x = scenario.grad_x_running(t, xj, uj)
         driver[:, j] = (
-            -np.einsum("pij,pi->pj", a_x, y_hat)
-            - np.einsum("pij,pi->pj", b_x, Y_j)
+            -np.einsum("pij,pi->pj", np.broadcast_to(a_x, (P, n, n)), y_hat)
+            - np.einsum("pij,pi->pj", np.broadcast_to(b_x, (P, n, n)), Y_j)
             + g_x
         )
-        beta_y = beta_mean + dt * (beta_mean @ a_x[0] + beta_mart @ b_x[0])
+        beta_y = beta_mean + dt * (beta_mean @ a_x + beta_mart @ b_x)
         rest = -dt * g_x
-        y[:, j] = fitted(X, beta_y) + rest
+        y[:, j] = X @ beta_y + rest
         Y[:, j] = Y_j
         return FeatureAffine(beta_y, rest)
 

@@ -4,6 +4,7 @@ The heavyweight solves (optimal-pair adjoints, the optimizer run) are cached
 per process so the module tests and the acceptance gate share one
 computation."""
 
+import dataclasses
 import importlib.util
 from functools import lru_cache
 from pathlib import Path
@@ -22,6 +23,22 @@ def load_tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def per_path_jacobians(scenario):
+    """``scenario`` with its four Jacobian callbacks batched: each returns
+    the (P, n, k) stack of its one matrix, so the solvers take their
+    per-path branch on the same values."""
+    def batched(cb):
+        def jac(t, x, u):
+            m = np.asarray(cb(t, x, u), dtype=float)
+            return np.broadcast_to(m, (x.shape[0],) + m.shape[-2:])
+        return jac
+
+    return dataclasses.replace(scenario, **{
+        name: batched(getattr(scenario, name))
+        for name in ("drift_x", "drift_u", "diffusion_x", "diffusion_u")
+    })
 
 
 @lru_cache(maxsize=4)

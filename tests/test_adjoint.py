@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -17,9 +16,11 @@ from smpkit.forward import (
     OpenLoop,
     Scenario,
     TimeGrid,
+    path_constant_steps,
     sample_brownian,
     simulate_controlled,
 )
+from smpkit.maximum_principle import second_order_data
 from smpkit.scenarios import build_preset, load_preset, make_lq_scalar, riccati_oracle
 from smpkit.spectral import OperatorSpec, make_dirichlet_laplacian
 
@@ -130,6 +131,7 @@ def test_deterministic_adjoint_quadrature_error_bound():
 # ----------------------------------------------------------------------
 
 from helpers import deterministic_data_scenario as _deterministic_data_scenario
+from helpers import per_path_jacobians
 
 
 def test_sweep_zero_data_gives_zero():
@@ -286,12 +288,9 @@ def test_coefficient_pair_matches_dense_reference(preset):
     y, Y, driver = dense_first_adjoint(scenario, traj, ens)
     for j in range(grid.n_steps + 1):
         np.testing.assert_array_equal(pair.y[:, j], y[:, j])
-        np.testing.assert_array_equal(pair.y[:1, j], pair.y[:, j][:1])
     for j in range(grid.n_steps):
         np.testing.assert_array_equal(pair.Y[:, j], Y[:, j])
         np.testing.assert_array_equal(pair.driver[:, j], driver[:, j])
-        # the paths are taken before the features are built
-        np.testing.assert_array_equal(pair.Y[:1, j], pair.Y[:, j][:1])
 
 
 def test_step_history_indexing():
@@ -304,28 +303,32 @@ def test_step_history_indexing():
         assert not hasattr(hist, "__array__")
         full = hist[:, 5]
         np.testing.assert_array_equal(hist[:, 5, 2], full[:, 2])
-        np.testing.assert_array_equal(hist[[7, -1], 5], full[[7, -1]])
         np.testing.assert_array_equal(hist[:, -1], hist[:, N - 1])
-        np.testing.assert_array_equal(hist[10:20, 5], full[10:20])
         with pytest.raises(IndexError):
             hist[:, N]
         with pytest.raises(TypeError):
             hist[:, 2:4]  # one step at a time
         with pytest.raises(TypeError):
             hist[0]
+        for paths in (slice(0, 1), [7, -1], 0):  # and on every path
+            with pytest.raises(TypeError):
+                hist[paths, 5]
 
 
-@pytest.mark.parametrize("constant_jacobians", [True, False])
-def test_first_adjoint_allocates_one_path_history(constant_jacobians):
+@pytest.mark.parametrize("path_constant", [True, False])
+def test_first_adjoint_allocates_one_path_history(path_constant):
     # y, Y and the driver are all coefficients, y with a per-path rest that
     # is re-evaluated on read: the sweep allocates no (P, N, n) history, only
     # per-step blocks
     scenario, _ = build_preset(load_preset("heat4"))
-    scenario = dataclasses.replace(scenario, constant_jacobians=constant_jacobians)
+    if not path_constant:
+        scenario = per_path_jacobians(scenario)
     grid = TimeGrid(0.0, scenario.T, 50)
     ens = sample_brownian(grid, 2000, 6)
     control = OpenLoop(np.zeros((50, scenario.control_dim)))
     traj = simulate_controlled(scenario, scenario.x0, control, ens)
+    n = scenario.n_modes
+    assert (path_constant_steps(scenario.drift_x, traj, (n, n)) is None) != path_constant
     tracemalloc.start()
     try:
         pair = solve_first_adjoint(scenario, traj, ens)
@@ -337,8 +340,8 @@ def test_first_adjoint_allocates_one_path_history(constant_jacobians):
 
 
 def _cross_cost_scenario():
-    # constant Jacobians, and g = |x|^2/2 + x'S u + |u|^2/2, so g_x = x + S u
-    # depends on the control
+    # Jacobian callbacks that return one matrix, declared nowhere else, and
+    # g = |x|^2/2 + x'S u + |u|^2/2, so g_x = x + S u depends on the control
     op = OperatorSpec(2, np.array([-0.5, -1.5]))
     A = np.array([[0.1, -0.3], [0.2, 0.0]])
     B = np.array([[1.0], [0.5]])
@@ -362,7 +365,6 @@ def _cross_cost_scenario():
         diffusion_x=lambda t, x, u: Kx,
         drift_u=lambda t, x, u: B,
         diffusion_u=lambda t, x, u: D,
-        constant_jacobians=True,
     )
 
 
@@ -372,16 +374,27 @@ def test_coefficient_y_keeps_the_control_dependent_gradient():
     # folding it into the features shows against the per-path sweep.  The
     # initial states are spread per path: from one shared state the first
     # steps' unscaled features are nearly collinear, and their Gram matrix
-    # would amplify the two sweeps' rounding differences to 1e-10
+    # would amplify the two sweeps' rounding differences to 1e-10.  The
+    # one-matrix callbacks alone make the sweep fold y's driver (a read of y
+    # calls no Jacobian) and second_order_data return (N, n, n) J and K
+    calls = []
     scenario = _cross_cost_scenario()
+    drift_x = scenario.drift_x
+    scenario.drift_x = lambda t, x, u: calls.append(t) or drift_x(t, x, u)
     grid = TimeGrid(0.0, 1.0, 30)
     ens = sample_brownian(grid, 1000, 31)
     control = Feedback(lambda t, x: np.sin(3.0 * x[:, :1]))
     x0 = np.random.default_rng(5).uniform(-1.0, 1.0, (ens.n_paths, 2))
     traj = simulate_controlled(scenario, x0, control, ens)
     coeff = solve_first_adjoint(scenario, traj, ens)
-    per_path = solve_first_adjoint(dataclasses.replace(scenario, constant_jacobians=False),
-                                   traj, ens)
+    calls.clear()
+    coeff.y[:, 5]
+    assert calls == []
+    J, K, _, _ = second_order_data(scenario, traj, coeff)
+    assert J.shape == K.shape == (grid.n_steps, 2, 2)
+    per_path_scenario = per_path_jacobians(scenario)
+    assert path_constant_steps(per_path_scenario.drift_x, traj, (2, 2)) is None
+    per_path = solve_first_adjoint(per_path_scenario, traj, ens)
     for j in range(grid.n_steps + 1):
         np.testing.assert_allclose(coeff.y[:, j], per_path.y[:, j], rtol=0, atol=1e-12)
     for j in range(grid.n_steps):

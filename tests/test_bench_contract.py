@@ -5,8 +5,6 @@ If either breaks, the benchmark fails (``pass_frac`` reads 0, or every
 traced run crashes) while the rest of the suite stays green, so what they
 use is pinned here."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -17,7 +15,7 @@ from smpkit.maximum_principle import second_order_data
 from smpkit.scenarios import build_preset, load_preset, riccati_oracle
 from smpkit.second_order import lyapunov_oracle, solve_second_adjoint
 
-from helpers import load_tracing
+from helpers import load_tracing, per_path_jacobians
 
 
 def test_child_optimize_reference():
@@ -76,8 +74,8 @@ def test_tracer_reads_every_adjoint_result():
     pair = solve_first_adjoint(scenario, traj, ens)
     J, K, F, P_T = second_order_data(scenario, traj, pair)
     coeff = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, features=pair.features)
-    dense_data = second_order_data(dataclasses.replace(scenario, constant_jacobians=False),
-                                   traj, pair)
+    dense_data = second_order_data(per_path_jacobians(scenario), traj, pair)
+    assert dense_data[0].ndim == 4
     dense = solve_second_adjoint(scenario.op, *dense_data, ens, features=pair.features)
     tracing = load_tracing()
     for metric, result in (("adjoint.solve_first", pair),

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from smpkit.errors import DomainError, SimulationDivergedError
+from smpkit.errors import DimensionError, DomainError, SimulationDivergedError
 from smpkit.forward import (
     Box,
     Feedback,
@@ -15,7 +17,7 @@ from smpkit.forward import (
     simulate_linear_test,
     simulate_linearized,
 )
-from smpkit.scenarios import make_lq_scalar
+from smpkit.scenarios import make_heat_scenario, make_lq_scalar
 from smpkit.spectral import OperatorSpec, make_dirichlet_laplacian, semigroup_apply
 
 
@@ -386,11 +388,11 @@ def test_derivative_fallbacks_match_analytic():
     rng = np.random.default_rng(31)
     x = rng.standard_normal((20, 2)) * 0.5
     u = rng.uniform(-0.5, 0.5, (20, 2))
-    jac = bare.jac_x("a", 0.1, x, u)
+    jac = bare.jacobian("a", "x", 0.1, x, u)
     exact = (1.0 - np.tanh(x) ** 2)[:, None, :] * W[None, :, :]
     np.testing.assert_allclose(jac, exact, atol=1e-7)
     np.testing.assert_allclose(
-        bare.jac_u("a", 0.1, x, u), np.broadcast_to(np.eye(2), (20, 2, 2)), atol=1e-7
+        bare.jacobian("a", "u", 0.1, x, u), np.broadcast_to(np.eye(2), (20, 2, 2)), atol=1e-7
     )
     np.testing.assert_allclose(bare.grad_x_running(0.1, x, u), 4 * x**3, atol=1e-6)
     hess = bare.hess_terminal(x)
@@ -398,6 +400,28 @@ def test_derivative_fallbacks_match_analytic():
     exact_h[:, 0, 0] = 6 * x[:, 0]
     exact_h[:, 1, 1] = 6 * x[:, 1]
     np.testing.assert_allclose(hess, exact_h, atol=1e-4)
+
+
+@pytest.mark.parametrize("name, shape, read, expected", [
+    ("drift_x", (4, 5), lambda s, x, u: s.jacobian("a", "x", 0.1, x, u), "(6, 4, 4)"),
+    ("drift_x", (4,), lambda s, x, u: s.jacobian("a", "x", 0.1, x, u), "(6, 4, 4)"),
+    ("diffusion_u", (4, 3), lambda s, x, u: s.vjp("b", "u", 0.1, x, u, x), "(6, 4, 2)"),
+    ("running_grad_x", (5,), lambda s, x, u: s.grad_x_running(0.1, x, u), "(6, 4)"),
+    ("running_hess_x", (4, 5), lambda s, x, u: s.hess_x_running(0.1, x, u), "(6, 4, 4)"),
+    ("drift_xx", (4, 4, 5), lambda s, x, u: s.hamiltonian_hess_x(0.1, x, u, x, x),
+     "(6, 4, 4, 4)"),
+], ids=["drift_x", "drift_x_row", "diffusion_u", "running_grad_x", "running_hess_x",
+        "drift_xx"])
+def test_derivative_callback_of_the_wrong_shape_is_named(name, shape, read, expected):
+    # heat4 has n = 4 modes and m = 2 controls; a callback returning another
+    # shape than its per-path stack or its one matrix fails with the shape
+    # it should have had, not with numpy's broadcast error, and a row is not
+    # broadcast into a Jacobian
+    scenario = make_heat_scenario()
+    setattr(scenario, name, lambda *args: np.zeros(shape))
+    x, u = np.ones((6, 4)), np.ones((6, 2))
+    with pytest.raises(DimensionError, match=re.escape(expected)):
+        read(scenario, x, u)
 
 
 def test_cost_at_feedback_matches_oracle_value():

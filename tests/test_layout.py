@@ -1,8 +1,6 @@
 """Layout guard: every step-indexed path array keeps its path-first shape
 and is stored step-major, so each step slice ``arr[:, j]`` is contiguous."""
 
-import dataclasses
-
 import numpy as np
 
 from smpkit.adjoint import solve_first_adjoint
@@ -17,6 +15,8 @@ from smpkit.forward import (
 )
 from smpkit.maximum_principle import control_gradient, projected_gradient, second_order_data
 from smpkit.scenarios import build_preset, load_preset, make_lq_scalar
+
+from helpers import per_path_jacobians
 
 N_STEPS, N_PATHS = 12, 200
 
@@ -79,7 +79,7 @@ def test_adjoint_histories_and_gradient_store_step_major():
 
 def test_dense_second_order_data_and_sweep_store_step_major():
     scenario, grid, ens, traj = _heat4()
-    scenario = dataclasses.replace(scenario, constant_jacobians=False)
+    scenario = per_path_jacobians(scenario)
     n = scenario.n_modes
     pair = solve_first_adjoint(scenario, traj, ens)
     J, K, F, P_T = second_order_data(scenario, traj, pair)

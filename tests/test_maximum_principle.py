@@ -85,7 +85,7 @@ def test_convex_gradient_requires_grid():
         convex_gradient(scenario, 3, np.zeros((2, 1)), y, y, np.zeros((2, 1)))
 
 
-from helpers import lq_optimizer_run, lq_optimum_bundle
+from helpers import lq_optimizer_run, lq_optimum_bundle, per_path_jacobians
 
 
 @pytest.fixture(scope="module")
@@ -245,10 +245,35 @@ def test_second_order_data_deterministic_for_preset(lq_at_optimum):
     np.testing.assert_allclose(P_T, -1.0, atol=1e-12)
 
 
+def test_second_order_data_reads_per_path_jacobians_on_each_path():
+    # a = u - x^3/3 and b = sigma + x^2/20: a_x = -x^2 and b_x = x/10 differ
+    # by path, and J and K must be the callbacks' values on every path, not
+    # path 0's
+    scenario, _ = make_lq_scalar()
+    scenario = dataclasses.replace(
+        scenario,
+        drift=lambda t, x, u: u - x**3 / 3.0,
+        diffusion=lambda t, x, u: 0.3 + x**2 / 20.0,
+        drift_x=lambda t, x, u: -(x**2)[:, :, None],
+        diffusion_x=lambda t, x, u: (x / 10.0)[:, :, None],
+        drift_xx=lambda t, x, u: (-2.0 * x)[:, :, None, None],
+        diffusion_xx=lambda t, x, u: np.full((x.shape[0], 1, 1, 1), 0.1),
+    )
+    grid = TimeGrid(0.0, 1.0, 20)
+    ens = sample_brownian(grid, 500, 3)
+    traj = simulate_controlled(scenario, scenario.x0, OpenLoop(np.zeros((20, 1))), ens)
+    J, K, F, P_T = second_order_data(scenario, traj, solve_first_adjoint(scenario, traj, ens))
+    x = traj.states[:, :-1, 0]
+    assert J.shape == K.shape == F.shape == (500, 20, 1, 1)
+    np.testing.assert_array_equal(J[:, :, 0, 0], -(x**2))
+    np.testing.assert_array_equal(K[:, :, 0, 0], x / 10.0)
+    assert np.ptp(J[:, 10]) > 0.1
+
+
 def test_second_order_data_keeps_a_path_dependent_cost_hessian():
-    # constant Jacobians say nothing about g: with g = x^4/4 + u^2/2 the
-    # state Hessian 3x^2 differs by path, and F must be per path as without
-    # the flag, not path 0's value on every path
+    # path-constant Jacobians say nothing about g: with g = x^4/4 + u^2/2
+    # the state Hessian 3x^2 differs by path, and F must be per path as with
+    # per-path Jacobians, not path 0's value on every path
     scenario, _ = make_lq_scalar()
     scenario = dataclasses.replace(
         scenario,
@@ -261,8 +286,10 @@ def test_second_order_data_keeps_a_path_dependent_cost_hessian():
     traj = simulate_controlled(scenario, scenario.x0, OpenLoop(np.zeros((50, 1))), ens)
     J, K, F, P_T = second_order_data(scenario, traj, solve_first_adjoint(scenario, traj, ens))
     assert J.shape == (50, 1, 1) and K.shape == (50, 1, 1)
-    per_path = dataclasses.replace(scenario, constant_jacobians=False)
-    F_ref = second_order_data(per_path, traj, solve_first_adjoint(per_path, traj, ens))[2]
+    per_path = per_path_jacobians(scenario)
+    J_ref, _, F_ref, _ = second_order_data(per_path, traj,
+                                           solve_first_adjoint(per_path, traj, ens))
+    assert J_ref.ndim == 4
     assert F.shape == F_ref.shape == (2000, 50, 1, 1)
     np.testing.assert_allclose(F, F_ref, rtol=1e-12, atol=0)
     assert np.ptp(F[:, 25]) > 1.0

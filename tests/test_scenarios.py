@@ -84,14 +84,15 @@ def test_heat_diffusion_control_jacobian():
     scenario = make_heat_scenario(diffusion_gain=0.2)
     x = np.random.default_rng(0).standard_normal((5, 4))
     u = np.random.default_rng(1).standard_normal((5, 2))
-    jac = scenario.jac_u("b", 0.3, x, u)
-    fd = np.empty_like(jac)
+    jac = scenario.jacobian("b", "u", 0.3, x, u)
+    assert jac.shape == (4, 2)  # one matrix, the same on every path
+    fd = np.empty((5, 4, 2))
     h = 1e-6
     for k in range(2):
         e = np.zeros(2)
         e[k] = h
         fd[:, :, k] = (scenario.diffusion(0.3, x, u + e) - scenario.diffusion(0.3, x, u - e)) / (2 * h)
-    np.testing.assert_allclose(jac, fd, atol=1e-8)
+    np.testing.assert_allclose(np.broadcast_to(jac, fd.shape), fd, atol=1e-8)
 
 
 def test_heat_lipschitz_spot_check():
@@ -113,8 +114,8 @@ def test_preset_derivatives_match_finite_differences():
         x = rng.standard_normal((100, n))
         u = rng.uniform(-1, 1, (100, m))
         pairs = [
-            (scenario.jac_x("a", 0.2, x, u), _fd_jac(lambda z: scenario.drift(0.2, z, u), x)),
-            (scenario.jac_x("b", 0.2, x, u), _fd_jac(lambda z: scenario.diffusion(0.2, z, u), x)),
+            (scenario.jacobian("a", "x", 0.2, x, u), _fd_jac(lambda z: scenario.drift(0.2, z, u), x)),
+            (scenario.jacobian("b", "x", 0.2, x, u), _fd_jac(lambda z: scenario.diffusion(0.2, z, u), x)),
             (scenario.grad_x_running(0.2, x, u), _fd_grad(lambda z: scenario.running_cost(0.2, z, u), x)),
             (scenario.grad_terminal(x), _fd_grad(scenario.terminal_cost, x)),
         ]

@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -18,6 +17,8 @@ from smpkit.second_order import (
     vec_to_mat,
 )
 from smpkit.spectral import OperatorSpec, make_dirichlet_laplacian
+
+from helpers import per_path_jacobians
 
 
 def test_vec_convention_column_major():
@@ -302,7 +303,7 @@ def test_coefficient_sweep_allocates_no_path_target(coefficients):
     # sweep stays under one (P, N+1, n^2) history
     scenario, _ = build_preset(load_preset("heat4"))
     if coefficients == "per-path":
-        scenario = dataclasses.replace(scenario, constant_jacobians=False)
+        scenario = per_path_jacobians(scenario)
     n, n_steps, n_paths = scenario.n_modes, 50, 2000
     grid = TimeGrid(0.0, scenario.T, n_steps)
     ens = sample_brownian(grid, n_paths, 6)
