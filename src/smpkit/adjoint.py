@@ -49,7 +49,7 @@ n) history is kept.
 
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -217,7 +217,9 @@ class AdjointPair:
     """Backward pair (y, Y) on the grid, per path; ``driver`` holds the f
     values the sweep used at each step.  All three are read one step slice
     at a time, ``y[:, j]``: from the sweep they are :class:`StepHistory`
-    objects over the regression coefficients.  ``features`` is the sweep's
+    objects over the regression coefficients.  ``at(j)`` reads y_j and Y_j
+    together, which from the sweep costs one product on step j's features
+    (see :func:`solve_first_adjoint`).  ``features`` is the sweep's
     :class:`StepFeatures`, which a second-order sweep on the same
     trajectory takes; a hand-built pair may pass dense arrays and no
     features."""
@@ -228,10 +230,18 @@ class AdjointPair:
     driver: Optional[object] = None  # (n_paths, n_steps, n)
     fingerprint: Optional[tuple] = None
     features: Optional[StepFeatures] = None
+    read: Optional[Callable] = None  # j -> (y_j, Y_j); absent: two slice reads
 
     @property
     def n_paths(self):
         return self.y.shape[0]
+
+    def at(self, j):
+        """(y_j, Y_j), each (n_paths, n), at a step 0 <= j < n_steps."""
+        j = operator.index(j)
+        if not 0 <= j < self.grid.n_steps:
+            raise IndexError(f"step {j} is outside 0..{self.grid.n_steps - 1}")
+        return (self.y[:, j], self.Y[:, j]) if self.read is None else self.read(j)
 
 
 def check_same_ensemble(*objects):
@@ -339,7 +349,12 @@ def solve_first_adjoint(scenario, trajectory, ens, basis=None):
     b_x) + g_x, beta_y = beta_mean + dt (beta_mean a_x + beta_mart b_x) and
     rest_j = -dt g_x(t_j, x_j, u_j); otherwise beta_y = beta_mean and
     rest_j = -dt f_j, the per-path driver, which every read of ``y``
-    evaluates again."""
+    evaluates again.
+
+    ``pair.at(j)`` reads y_j and Y_j from one product of X_j with the
+    stacked [beta_y[j] | beta_mart[j]], plus y's rest; when beta_y is
+    beta_mean that product also gives the driver's y_hat and Y, so the
+    driver is evaluated once."""
     basis = basis or RegressionBasis()
     check_same_ensemble(trajectory, ens)
     op = scenario.op
@@ -351,11 +366,14 @@ def solve_first_adjoint(scenario, trajectory, ens, basis=None):
     features = StepFeatures(basis, states, ens)
 
     y_T = -scenario.grad_terminal(states[:, N])
-    beta_mean = np.empty((N, features.n_features, n))
-    beta_mart = np.empty_like(beta_mean)
+    y_T.flags.writeable = False  # pair.y[:, N] hands out this array itself
     a_x = path_constant_steps(scenario.drift_x, trajectory, (n, n))
     b_x = None if a_x is None else path_constant_steps(scenario.diffusion_x, trajectory, (n, n))
     folded = b_x is not None
+    # [beta_y | beta_mart] per step, so that one product reads y and Y
+    stacked = np.empty((N, features.n_features, 2 * n))
+    beta_y, beta_mart = stacked[:, :, :n], stacked[:, :, n:]
+    beta_mean = np.empty_like(beta_y) if folded else beta_y
 
     def Y_at(j):
         return features.at(j) @ beta_mart[j]
@@ -364,8 +382,6 @@ def solve_first_adjoint(scenario, trajectory, ens, basis=None):
         X = features.at(j)
         return _first_driver(scenario, times[j], states[:, j], controls[:, j],
                              X @ beta_mean[j], X @ beta_mart[j])
-
-    beta_y = np.empty_like(beta_mean) if folded else beta_mean
 
     def rest_at(j):
         # the part of y_j outside the features; a folded driver leaves -dt g_x
@@ -386,10 +402,21 @@ def solve_first_adjoint(scenario, trajectory, ens, basis=None):
 
     decay = np.exp(op.eigenvalues * dt)
     regression_sweep(features, y_T, decay, update)
+
+    def read(j):
+        fit = features.at(j) @ stacked[j]
+        y_fit, Y_j = fit[:, :n], fit[:, n:]
+        if folded:
+            return y_fit + rest_at(j), Y_j
+        # beta_y is beta_mean here: y_fit is y_hat, and the driver on it
+        # needs no second product
+        return y_fit - dt * _first_driver(scenario, times[j], states[:, j], controls[:, j],
+                                          y_fit, Y_j), Y_j
+
     y = StepHistory((P, N + 1, n), y_at, (beta_y, y_T))
     Y = StepHistory((P, N, n), Y_at, (beta_mart,))
     driver = StepHistory((P, N, n), driver_at, (beta_mean,))
-    return AdjointPair(grid, y, Y, driver, ens.fingerprint, features)
+    return AdjointPair(grid, y, Y, driver, ens.fingerprint, features, read)
 
 
 def deterministic_first_adjoint(op, y_terminal, f_path, grid):

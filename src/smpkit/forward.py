@@ -433,7 +433,9 @@ def simulate_controlled(scenario, x0, control, ens):
     """Integrate the controlled dynamics over the full grid.
 
     Controls are projected onto the scenario's control set before use and the
-    projected values are recorded in ``controls_used``.
+    projected values are recorded in ``controls_used``.  An ``OpenLoop``
+    with shared (n_steps, m) values is projected once, as one block;
+    per-path values and a ``Feedback`` are projected step by step.
     """
     op = scenario.op
     grid = ens.grid
@@ -445,10 +447,16 @@ def simulate_controlled(scenario, x0, control, ens):
     controls = step_major((ens.n_paths, grid.n_steps, m))
     states[:, 0] = x
     times = grid.times()
+    shared = None
+    if isinstance(control, OpenLoop) and control.values.ndim == 2:
+        shared = scenario.control_set.projection(control.values)
     for j in range(grid.n_steps):
         t = times[j]
-        u = scenario.control_set.projection(control.at(j, t, x))
-        controls[:, j] = u
+        if shared is None:
+            controls[:, j] = scenario.control_set.projection(control.at(j, t, x))
+        else:
+            controls[:, j] = shared[j]
+        u = controls[:, j]
         dw = ens.increments[:, j : j + 1]
         x = decay * (
             x + scenario.drift(t, x, u) * dt + scenario.diffusion(t, x, u) * dw

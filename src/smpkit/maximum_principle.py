@@ -57,15 +57,22 @@ def convex_gradient(scenario, t_index, x_slice, u_slice, y_slice, Y_slice, grid)
     )
 
 
+def _step_gradient(scenario, traj, pair, j):
+    """:func:`convex_gradient` at step j along ``traj``, with y_j and Y_j
+    from one read of ``pair``."""
+    y_j, Y_j = pair.at(j)
+    return convex_gradient(scenario, j, traj.states[:, j], traj.controls_used[:, j],
+                           y_j, Y_j, grid=traj.grid)
+
+
 def control_gradient(scenario, traj, pair):
-    """Per-path, per-step gradient direction, shape (n_paths, n_steps, m)."""
+    """Per-path, per-step gradient direction, shape (n_paths, n_steps, m),
+    stored step-major.  The optimizer forms the same step gradients one at
+    a time and keeps no such history (see :func:`_gradient_step`)."""
     grid = traj.grid
     out = step_major((traj.n_paths, grid.n_steps, scenario.control_dim))
     for j in range(grid.n_steps):
-        out[:, j] = convex_gradient(
-            scenario, j, traj.states[:, j], traj.controls_used[:, j],
-            pair.y[:, j], pair.Y[:, j], grid=grid,
-        )
+        out[:, j] = _step_gradient(scenario, traj, pair, j)
     return out
 
 
@@ -145,7 +152,7 @@ def second_order_data(scenario, traj, pair):
         xj, uj = traj.states[:, j], traj.controls_used[:, j]
         J[:, j] = scenario.jacobian("a", "x", times[j], xj, uj)
         K[:, j] = scenario.jacobian("b", "x", times[j], xj, uj)
-        F[:, j] = -scenario.hamiltonian_hess_x(times[j], xj, uj, pair.y[:, j], pair.Y[:, j])
+        F[:, j] = -scenario.hamiltonian_hess_x(times[j], xj, uj, *pair.at(j))
     return J, K, F, P_T
 
 
@@ -187,7 +194,7 @@ def check_condition(scenario, traj, pair, sa, u_grid, t_grid, bias_budget=0.0,
     for a, j in enumerate(t_grid):
         x_slice = traj.states[:, j]
         u_bar = traj.controls_used[:, j]
-        y_slice, Y_slice = pair.y[:, j], pair.Y[:, j]
+        y_slice, Y_slice = pair.at(j)
         P_slice = sa.P_paths(j)
         for b, u in enumerate(u_grid):
             s = spike_functional(
@@ -218,27 +225,27 @@ class OptimizeHistory:
 
 def _gradient_step(scenario, x0, u, ens, step, basis):
     """One projected-gradient iteration from the open-loop values ``u``:
-    (new values, cost mean, its standard error, step norm).  The trajectory,
-    adjoint and gradient histories are released when it returns, and the
-    update is formed in the gradient's buffer, so one iteration holds as few
-    (n_paths, n_steps, ...) histories as it needs."""
+    (new values, cost mean, its standard error, step norm).
+
+    The update is formed one step at a time: step j reads (y_j, Y_j) once,
+    forms g_j = a_u* y_j + b_u* Y_j - g_u and writes Pi(u_j + step g_j)
+    straight into the new values, adding |new u_j - u_j|^2 to the step
+    norm's sum.  So beside the trajectory and the adjoint coefficients the
+    iteration allocates one (n_paths, n_steps, m) history, the new values,
+    and per-step slices."""
     grid = ens.grid
-    m = scenario.control_dim
     traj = simulate_controlled(scenario, x0, OpenLoop(u), ens)
     costs = cost_paths(scenario, traj)
     pair = solve_first_adjoint(scenario, traj, ens, basis=basis)
-    grad = control_gradient(scenario, traj, pair)
-    del pair
-    grad *= step
-    grad += traj.controls_used
-    # project the step-major buffer as one (n_steps * n_paths, m) view
-    new_u = scenario.control_set.projection(
-        grad.swapaxes(0, 1).reshape(-1, m)
-    ).reshape((grid.n_steps, ens.n_paths, m)).swapaxes(0, 1)
-    del grad
-    change = new_u - traj.controls_used
-    change **= 2
-    step_norm = float(np.sqrt(np.mean(np.sum(change, axis=-1)) * grid.dt * grid.n_steps))
+    project = scenario.control_set.projection
+    new_u = step_major((ens.n_paths, grid.n_steps, scenario.control_dim))
+    total = 0.0
+    for j in range(grid.n_steps):
+        u_j = traj.controls_used[:, j]
+        new_u[:, j] = project(u_j + step * _step_gradient(scenario, traj, pair, j))
+        change = new_u[:, j] - u_j
+        total += float(np.vdot(change, change))
+    step_norm = float(np.sqrt(total / ens.n_paths * grid.dt))
     return new_u, float(costs.mean()), float(costs.std(ddof=1) / np.sqrt(len(costs))), step_norm
 
 
@@ -254,7 +261,9 @@ def projected_gradient(scenario, x0, control, ens, step_rule=0.8, max_iters=200,
     Persistent cost increase (more than 10 stderr for 5 straight iterations)
     raises a step-rule error.  ``control`` is an ``OpenLoop`` or its values,
     (n_steps, m) or (n_paths, n_steps, m); a ``Feedback`` is rejected, since
-    the search runs over open-loop values.
+    the search runs over open-loop values.  Each iteration
+    (:func:`_gradient_step`) forms the update step by step from one adjoint
+    read per step, and keeps no gradient history.
     """
     if not scenario.control_set.convex:
         raise WrongTheoremError("projected gradient needs a convex control set")
@@ -343,7 +352,7 @@ def spike_experiment(scenario, x0, u_bar, u_alt, tau, eps_list, ens,
         for j in range(j_tau, j_hi):
             s = spike_functional(
                 scenario, times[j], base_traj.states[:, j], base_traj.controls_used[:, j],
-                u_alt, pair.y[:, j], pair.Y[:, j], sa.P_paths(j),
+                u_alt, *pair.at(j), sa.P_paths(j),
             )
             predicted += dt * float(s.mean())
         remainder = delta - predicted

@@ -197,6 +197,7 @@ def solve_second_adjoint(op, J, K, F, P_T, ens, basis=None, features=None):
     # mat_to_vec(P_T) as an owned copy; the stored terminal slice is a
     # column-major view of it, so the terminal target costs no second copy
     P_T_vec = np.copy(np.swapaxes(P_T, -1, -2)).reshape(P, n * n)
+    P_T_vec.flags.writeable = False  # P_paths(N) hands out views of it
     beta_P = np.empty((N, features.n_features, n * n))
     beta_Q = np.empty_like(beta_P)
 

@@ -339,6 +339,31 @@ def test_first_adjoint_allocates_one_path_history(path_constant):
     assert peak < history, (peak, history)
 
 
+@pytest.mark.parametrize("preset", ["heat4", "lq_scalar"])
+@pytest.mark.parametrize("path_constant", [True, False])
+def test_one_read_gives_the_slices_of_y_and_Y(preset, path_constant):
+    scenario, grid, ens, traj, pair = _feedback_pair(preset, 12, 300, 9)
+    if not path_constant:
+        scenario = per_path_jacobians(scenario)
+        pair = solve_first_adjoint(scenario, traj, ens)
+    for j in range(grid.n_steps):
+        y_j, Y_j = pair.at(j)
+        np.testing.assert_allclose(y_j, pair.y[:, j], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(Y_j, pair.Y[:, j], rtol=0, atol=1e-13)
+    for j in (-1, grid.n_steps):
+        with pytest.raises(IndexError):
+            pair.at(j)
+
+
+def test_terminal_slice_of_y_is_read_only():
+    scenario, grid, ens, traj, pair = _feedback_pair("heat4", 10, 200, 3)
+    before = pair.y[:, 10].copy()
+    v = pair.y[:, 10]
+    with pytest.raises(ValueError):
+        v *= 2
+    np.testing.assert_array_equal(pair.y[:, 10], before)
+
+
 def _cross_cost_scenario():
     # Jacobian callbacks that return one matrix, declared nowhere else, and
     # g = |x|^2/2 + x'S u + |u|^2/2, so g_x = x + S u depends on the control

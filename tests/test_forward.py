@@ -453,3 +453,21 @@ def test_controls_recorded_after_projection():
     ens = sample_brownian(g, 3, 0)
     traj = simulate_controlled(scenario, scenario.x0, OpenLoop(np.full((10, 1), 2.0)), ens)
     np.testing.assert_array_equal(traj.controls_used, np.full((3, 10, 1), 0.5))
+
+
+@pytest.mark.parametrize("control_set", [Box(lo=[-0.5, -0.2], hi=[0.5, 0.3]),
+                                         FiniteGrid(points=[[0.0, 0.0], [0.4, -0.1], [-1.0, 1.0]])])
+def test_shared_open_loop_projected_once_matches_per_step(control_set):
+    # shared (N, m) values are projected as one block; per-path copies of
+    # the same values are projected step by step, and must give the same bits
+    scenario = make_heat_scenario(n_modes=4, control_dim=2)
+    scenario.control_set = control_set
+    g = TimeGrid(0.0, 1.0, 12)
+    ens = sample_brownian(g, 200, 11)
+    values = np.random.default_rng(2).uniform(-2.0, 2.0, (12, 2))
+    shared = simulate_controlled(scenario, scenario.x0, OpenLoop(values), ens)
+    per_path = simulate_controlled(
+        scenario, scenario.x0, OpenLoop(np.broadcast_to(values, (200, 12, 2)).copy()), ens)
+    np.testing.assert_array_equal(shared.controls_used, per_path.controls_used)
+    np.testing.assert_array_equal(shared.states, per_path.states)
+    assert not np.array_equal(shared.controls_used[0], values)  # the projection acted

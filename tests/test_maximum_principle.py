@@ -1,17 +1,22 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import smpkit.maximum_principle as mp
 from smpkit.adjoint import solve_first_adjoint
 from smpkit.errors import DomainError, WrongTheoremError
 from smpkit.forward import (
+    Box,
     Feedback,
     FiniteGrid,
     OpenLoop,
     TimeGrid,
+    cost_paths,
     sample_brownian,
     simulate_controlled,
+    step_major,
 )
 from smpkit.maximum_principle import (
     check_condition,
@@ -23,7 +28,10 @@ from smpkit.maximum_principle import (
     spike_experiment,
     spike_functional,
 )
-from smpkit.scenarios import make_lq_scalar, riccati_oracle
+from smpkit.scenarios import build_preset, load_preset, make_lq_scalar, riccati_oracle
+
+from helpers import per_path_jacobians
+from optimizer_reference import whole_history_gradient_step
 
 
 def test_hamiltonian_values():
@@ -343,6 +351,63 @@ def test_projected_gradient_fixed_point_at_optimum():
     assert history.iterations[0]["step_norm"] < 0.05
     effective = [r for r in history.iterations if r["step_norm"] >= 0.05]
     assert len(effective) <= 1
+
+
+def _box_limited(case):
+    """A scenario whose box the test controls reach, so the projection acts."""
+    if case == "lq_scalar":
+        return make_lq_scalar(control_bound=0.5)[0]
+    scenario, _ = build_preset(load_preset("heat4"))
+    return per_path_jacobians(dataclasses.replace(scenario, control_set=Box([-0.3] * 2, [0.3] * 2)))
+
+
+def _per_path_values(ens, m, seed):
+    u = step_major((ens.n_paths, ens.grid.n_steps, m))
+    u[...] = np.random.default_rng(seed).uniform(-0.4, 0.4, u.shape)
+    return u
+
+
+@pytest.mark.parametrize("case", ["lq_scalar", "heat4-per-path"])
+def test_gradient_step_matches_whole_history_reference(case):
+    # lq_scalar's Jacobian callbacks return one matrix (the folded y);
+    # heat4 with batched callbacks takes the per-path branch of the read
+    scenario = _box_limited(case)
+    grid = TimeGrid(0.0, scenario.T, 40)
+    ens = sample_brownian(grid, 1000, 59)
+    u = _per_path_values(ens, scenario.control_dim, 7)
+    # a long step overshoots, so the projection acts
+    new_u, cost, stderr, step_norm = mp._gradient_step(scenario, scenario.x0, u, ens, 3.0, None)
+    ref_u, ref_cost, ref_stderr, ref_norm = whole_history_gradient_step(
+        scenario, scenario.x0, u, ens, 3.0)
+    box = scenario.control_set
+    assert np.any((ref_u == box.lo) | (ref_u == box.hi))
+    assert np.max(np.abs(new_u - ref_u)) <= 1e-13 * np.max(np.abs(ref_u))
+    assert (cost, stderr) == (ref_cost, ref_stderr)
+    assert step_norm == pytest.approx(ref_norm, rel=1e-13, abs=0)
+
+
+def test_gradient_step_allocates_one_control_history(monkeypatch):
+    # with the trajectory and the adjoint already built, an iteration holds
+    # the new values and per-step slices, and no gradient history
+    scenario, _ = make_lq_scalar()
+    grid = TimeGrid(0.0, 1.0, 50)
+    ens = sample_brownian(grid, 2000, 61)
+    u = _per_path_values(ens, scenario.control_dim, 8)
+    traj = simulate_controlled(scenario, scenario.x0, OpenLoop(u), ens)
+    costs = cost_paths(scenario, traj)
+    pair = solve_first_adjoint(scenario, traj, ens)
+    monkeypatch.setattr(mp, "simulate_controlled", lambda *args, **kwargs: traj)
+    monkeypatch.setattr(mp, "cost_paths", lambda *args: costs)
+    monkeypatch.setattr(mp, "solve_first_adjoint", lambda *args, **kwargs: pair)
+    tracemalloc.start()
+    try:
+        mp._gradient_step(scenario, scenario.x0, u, ens, 0.8, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    history = u.nbytes
+    slices = 16 * ens.n_paths * 8  # sixteen (n_paths,) columns of one step
+    assert peak <= history + slices, (peak, history, slices)
 
 
 def test_projected_gradient_reaches_oracle_value():

@@ -112,6 +112,24 @@ def test_sweep_terminal_exact_per_path():
     np.testing.assert_array_equal(sa.P_paths(10), P_T)
 
 
+@pytest.mark.parametrize("layout", ["pkl", "klp", "lkp"])
+def test_terminal_slice_of_P_is_read_only(layout):
+    scenario, _ = build_preset(load_preset("heat4"))
+    grid = TimeGrid(0.0, scenario.T, 10)
+    ens = sample_brownian(grid, 200, 3)
+    traj = simulate_controlled(scenario, scenario.x0,
+                               OpenLoop(np.zeros((10, scenario.control_dim))), ens)
+    pair = solve_first_adjoint(scenario, traj, ens)
+    J, K, F, P_T = second_order_data(scenario, traj, pair)
+    sa = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, features=pair.features)
+    before = sa.P_paths(10, layout).copy()
+    w = sa.P_paths(10, layout)
+    with pytest.raises(ValueError):
+        w *= 2
+    np.testing.assert_array_equal(sa.P_paths(10, layout), before)
+    np.testing.assert_array_equal(sa.P_terminal, P_T)
+
+
 def test_sweep_scalar_closed_form_one_percent():
     op = OperatorSpec(1, np.array([0.0]))
     kappa, p_T = 0.5, 1.0
