@@ -13,7 +13,6 @@ from .adjoint import (
     AdjointPair,
     RegressionBasis,
     deterministic_first_adjoint,
-    lsmc_regress,
     solve_first_adjoint,
 )
 from .duality import (
@@ -34,11 +33,8 @@ from .forward import (
     Scenario,
     StateEnsemble,
     TimeGrid,
-    estimate_cost,
     sample_brownian,
     simulate_controlled,
-    simulate_linear_test,
-    simulate_linearized,
 )
 from .maximum_principle import (
     MPReport,
@@ -64,14 +60,11 @@ from .second_order import (
     SecondOrderAdjoint,
     lyapunov_oracle,
     solve_second_adjoint,
-    tensor_semigroup_apply,
 )
 from .spectral import (
     OperatorSpec,
     embed,
-    inner,
     make_dirichlet_laplacian,
-    norm,
     project,
     semigroup_apply,
     yosida_generator,

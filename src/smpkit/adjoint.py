@@ -116,19 +116,6 @@ class RidgeSolver:
         return self._inv_chol.T @ (self._inv_chol @ moments)
 
 
-def lsmc_regress(features, targets, ridge):
-    """Ridge least squares; returns (coefficients, fitted values).
-
-    Raises when the (ridge-shifted) normal matrix is not positive definite.
-    """
-    X = np.asarray(features, dtype=float)
-    Z = np.asarray(targets, dtype=float)
-    if Z.shape[0] != X.shape[0]:
-        raise DimensionError("features and targets disagree on row count")
-    beta = RidgeSolver(X.T @ X, ridge).solve(X.T @ Z)
-    return beta, X @ beta
-
-
 class StepFeatures:
     """Regression features of a state history ``states`` (P, N+1, d) on the
     ensemble ``ens``, and the moment record of its steps.

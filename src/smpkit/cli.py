@@ -128,17 +128,39 @@ def _grid_for(cfg, problem):
                           f"preset {cfg.preset} is a matrix preset")
     if cfg.command == "cross-validate-oracles" and problem.n_modes != 1:
         raise ConfigError(f"cross-validate-oracles needs a scalar preset; {cfg.preset} is not")
-    if cfg.paths < 2:
-        raise ConfigError(f"--paths must be at least 2 (got {cfg.paths})")
-    if cfg.tuples < 1:
-        raise ConfigError(f"--tuples must be at least 1 (got {cfg.tuples})")
+    for flag, value, least in (("--paths", cfg.paths, 2), ("--tuples", cfg.tuples, 1),
+                               ("--max-iters", cfg.max_iters, 0),
+                               ("--t-points", cfg.t_points, 1), ("--u-points", cfg.u_points, 1)):
+        if value < least:
+            raise ConfigError(f"{flag} must be at least {least} (got {value})")
     T = problem.T
     if not (np.isfinite(cfg.dt) and cfg.dt > 0):
         raise ConfigError(f"--dt must be positive (got {cfg.dt})")
     n_steps = round(T / cfg.dt)
     if n_steps < 1 or abs(n_steps * cfg.dt - T) > DT_SLACK * T:
         raise ConfigError(f"--dt {cfg.dt} does not divide the horizon T = {T}")
+    if cfg.command == "spike-experiment":
+        eps = cfg.eps_list
+        if not all(e > 0 for e in eps) or not all(b < a for a, b in zip(eps, eps[1:])):
+            raise ConfigError(f"--eps-list must be positive and strictly decreasing "
+                              f"(got {','.join(map(str, eps))})")
+        tau = _spike_time(cfg.tau, cfg.dt)
+        if tau < 0 or tau + max(eps) > T + 1e-12:
+            raise ConfigError(f"the spike window from --tau {cfg.tau} over --eps-list "
+                              f"{max(eps)} leaves the horizon T = {T}")
     return TimeGrid(0.0, T, n_steps)
+
+
+def _spike_time(tau, dt):
+    """The spike start: --tau rounded to the grid."""
+    return round(tau / dt) * dt
+
+
+def _eps_list(raw):
+    try:
+        return tuple(float(tok) for tok in raw.split(","))
+    except ValueError:
+        raise ConfigError(f"--eps-list must be comma-separated numbers (got {raw})") from None
 
 
 def _control_for(cfg, scenario, lq, grid):
@@ -322,7 +344,7 @@ def cmd_optimize(cfg, scenario, lq, grid):
 def cmd_spike_experiment(cfg, scenario, lq, grid):
     ens = sample_brownian(grid, cfg.paths, cfg.seed)
     control = _control_for(cfg, scenario, lq, grid)
-    tau = round(cfg.tau / grid.dt) * grid.dt
+    tau = _spike_time(cfg.tau, grid.dt)
     table = spike_experiment(
         scenario, scenario.x0, control,
         np.full(scenario.control_dim, cfg.u_alt), tau, list(cfg.eps_list), ens,
@@ -407,12 +429,12 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    kwargs = {k: v for k, v in vars(args).items() if v is not None}
-    if "eps_list" in kwargs and isinstance(kwargs["eps_list"], str):
-        kwargs["eps_list"] = tuple(float(tok) for tok in kwargs["eps_list"].split(","))
-    cfg = RunConfig(**{k: v for k, v in kwargs.items() if k in RunConfig.__dataclass_fields__})
+    kwargs = {k: v for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__}
     start = time.time()
     try:
+        if "eps_list" in kwargs:
+            kwargs["eps_list"] = _eps_list(kwargs["eps_list"])
+        cfg = RunConfig(**kwargs)
         problem, lq = build_preset(load_preset(cfg.preset))
         grid = _grid_for(cfg, problem)
         # only a run that passed its checks leaves an output directory

@@ -26,15 +26,14 @@ forcings of K tuples in one slot are therefore a shared (K, n) profile block
 times a (K, P) modulation.  A pairing contracts the profile first, in one
 product with whatever it meets, and then scales the (K, P) result by the
 modulation, so no tuple's (P, N, n) forcing, nor any (n, K, P) forcing
-stack, is built.  Arrays handed in per path are paired per path.
-``materialize`` turns a description into the arrays the single-tuple API
-takes.
+stack, is built.  The verifiers take only descriptions; ``materialize``
+turns one into the per-path arrays it stands for.
 
 Active prefix.  The tuples are sorted by t_index, so the ones active at
 step j (t_index <= j) are a prefix and only that prefix is stepped and
 paired; reports come back in input order.
 
-First order, summation by parts.  With the pathwise recursion of the pair's
+First order, summation by parts.  With the per-path recursion of the pair's
 own terminal value and driver, b_N = y_T and b_j = S(dt) b_{j+1} - dt f_j,
 the test state z of a tuple started at t telescopes out of the lhs exactly:
 
@@ -152,10 +151,11 @@ class TupleSpec:
     forcings: tuple
 
     def materialize(self, w):
-        """The arrays of the tuple, given the Brownian paths w of the ensemble."""
+        """The arrays of the tuple, given the Brownian paths w of the ensemble;
+        an absent forcing stays None."""
         return (self.t_index,
                 *(s.at(w[:, self.t_index]) for s in self.starts),
-                *(f.materialize(w) for f in self.forcings))
+                *(None if f is None else f.materialize(w) for f in self.forcings))
 
 
 def _smooth_profile(op, ens, rng, scale):
@@ -211,23 +211,6 @@ def random_first_test(op, ens, rng, scale=1.0):
 def random_second_test(op, ens, rng, scale=1.0):
     """Random tuple (t_index, xi1, xi2, u1, u2, v1, v2)."""
     return describe_second_test(op, ens, rng, scale).materialize(ens.brownian_paths())
-
-
-def deterministic_first_test(op, ens, rng, scale=1.0):
-    """Deterministic-data tuple: nonrandom eta and forcing profiles.  The
-    identity residual is then a pure systematic of the solver and grid, which
-    makes it the right probe for refinement studies (adapted tuples sit at
-    the Monte Carlo noise floor, where a single residual draw has no
-    dt-trend)."""
-    N = ens.grid.n_steps
-    n = op.n_modes
-    t_index = int(rng.integers(0, N // 2 + 1))
-    eta = scale * rng.standard_normal(n)
-    v1 = np.ascontiguousarray(
-        np.broadcast_to(_smooth_profile(op, ens, rng, scale), (N, n)))
-    v2 = np.ascontiguousarray(
-        np.broadcast_to(_smooth_profile(op, ens, rng, scale), (N, n)))
-    return t_index, eta, v1, v2
 
 
 # ----------------------------------------------------------------------
@@ -293,12 +276,10 @@ def _coeff_step(coeff, j):
 class _StepForcing(NamedTuple):
     """One forcing slot of the m active tuples at one step, factored: row k
     is profile[k] (n,) times modulation[k] (P,), a modulation of None being
-    1, plus the rows handed over per path, ``pathwise`` [(k, (P, n))], whose
-    profile rows are zero."""
+    1."""
 
     profile: np.ndarray
     modulation: Optional[np.ndarray]
-    pathwise: list
 
     def modulate(self, out):
         """Scale per-tuple pairings (m, P) of the profiles by the modulation."""
@@ -308,54 +289,38 @@ class _StepForcing(NamedTuple):
 
     def pair(self, V):
         """<forcing, V> (m, P) for a per-path vector V (P, n)."""
-        out = self.modulate(self.profile @ V.T)
-        for k, v in self.pathwise:
-            out[k] = np.einsum("pi,pi->p", v, V)
-        return out
+        return self.modulate(self.profile @ V.T)
 
     def apply(self, MT):
         """M times the profiles, unmodulated, as an (m, n, P) stack: one
-        product with MT[l, i, p] = M_p[i, l]; pathwise rows are M_p v_p."""
+        product with MT[l, i, p] = M_p[i, l]."""
         n = MT.shape[0]
-        out = (self.profile @ MT.reshape(n, -1)).reshape(len(self.profile), n, -1)
-        for k, v in self.pathwise:
-            out[k] = np.einsum("lip,pl->ip", MT, v)
-        return out
+        return (self.profile @ MT.reshape(n, -1)).reshape(len(self.profile), n, -1)
 
     def pair_stack(self, R):
         """<forcing, R> (m, P) for an (m, n, P) stack R, one vector per tuple."""
-        out = self.modulate(np.einsum("ki,kip->kp", self.profile, R))
-        for k, v in self.pathwise:
-            out[k] = np.einsum("pi,ip->p", v, R[k])
-        return out
+        return self.modulate(np.einsum("ki,kip->kp", self.profile, R))
 
 
 class _Forcing:
-    """One forcing slot of the sorted tuples.  Described and (N, n) entries
-    are kept as step-major profiles (N, K, n), zero before their tuple's
-    t_index, with the frequency and phase of the adapted ones; (P, N, n)
-    entries are kept as given."""
+    """One forcing slot of the sorted tuples, kept as step-major profiles
+    (N, K, n), zero before their tuple's t_index, with the frequency and
+    phase of the adapted ones."""
 
     def __init__(self, entries, t_indices, N, n, n_paths):
         self.present = any(e is not None for e in entries)
         self.n_paths = n_paths
         self.profiles = np.zeros((N, len(entries), n))
         adapted = []
-        self.pathwise = []
-        shapes = ((N, n), (n_paths, N, n))
         for k, (entry, t) in enumerate(zip(entries, t_indices)):
             if entry is None:
                 continue
-            if isinstance(entry, ForcingSpec):
-                self.profiles[t:, k] = _shaped(entry.profile, shapes[:1], "a forcing profile")[t:]
-                if entry.freq is not None:
-                    adapted.append((k, entry.freq, entry.phase))
-                continue
-            arr = _shaped(entry, shapes, "a forcing")
-            if arr.ndim == 2:
-                self.profiles[t:, k] = arr[t:]
-            else:
-                self.pathwise.append((k, arr))
+            if not isinstance(entry, ForcingSpec):
+                raise DimensionError(f"a forcing is a ForcingSpec or None, not "
+                                     f"{type(entry).__name__}")
+            self.profiles[t:, k] = _shaped(entry.profile, ((N, n),), "a forcing profile")[t:]
+            if entry.freq is not None:
+                adapted.append((k, entry.freq, entry.phase))
         self.rows = np.array([k for k, _, _ in adapted], dtype=int)
         self.freq = np.array([f for _, f, _ in adapted])[:, None]
         self.phase = np.array([p for _, _, p in adapted])[:, None]
@@ -370,8 +335,7 @@ class _Forcing:
         if a:
             modulation = np.ones((m, self.n_paths))
             modulation[self.rows[:a]] = np.sin(self.freq[:a] * w_j + self.phase[:a])
-        return _StepForcing(self.profiles[j, :m], modulation,
-                            [(k, arr[:, j]) for k, arr in self.pathwise if k < m])
+        return _StepForcing(self.profiles[j, :m], modulation)
 
 
 class _Tuples:
@@ -383,36 +347,31 @@ class _Tuples:
         grid = ens.grid
         self.N, self.dt, self.n, self.P = grid.n_steps, grid.dt, op.n_modes, ens.n_paths
         self.K = len(tests)
-        parsed = []
         for test in tests:
-            if isinstance(test, TupleSpec):
-                t_index, starts, slots = test.t_index, test.starts, test.forcings
-            else:
-                t_index, starts, slots = test[0], test[1:1 + n_starts], test[1 + n_starts:]
-            if len(starts) != n_starts or len(slots) != n_forcings:
+            if not isinstance(test, TupleSpec):
+                raise DimensionError(f"a test tuple is a TupleSpec, not {type(test).__name__}")
+            if len(test.starts) != n_starts or len(test.forcings) != n_forcings:
                 raise DimensionError(f"a test tuple has {n_starts} initial data and "
                                      f"{n_forcings} forcings")
-            parsed.append((_step_index(t_index, self.N), starts, slots))
-        self.order = sorted(range(self.K), key=lambda k: parsed[k][0])
-        self.t_index = np.array([parsed[k][0] for k in self.order], dtype=int)
-        self.starts = [[self._start(s) for s in parsed[k][1]] for k in self.order]
+            for start in test.starts:
+                if not isinstance(start, StartSpec):
+                    raise DimensionError(f"an initial datum is a StartSpec, not "
+                                         f"{type(start).__name__}")
+                for c in (start.c0, start.c1):
+                    _shaped(c, ((self.n,),), "an initial datum's coefficient")
+        t_indices = [_step_index(test.t_index, self.N) for test in tests]
+        self.order = sorted(range(self.K), key=lambda k: t_indices[k])
+        self.t_index = np.array([t_indices[k] for k in self.order], dtype=int)
+        self.starts = [tests[k].starts for k in self.order]
         self.forcings = [
-            _Forcing([parsed[k][2][i] for k in self.order], self.t_index, self.N, self.n, self.P)
+            _Forcing([tests[k].forcings[i] for k in self.order], self.t_index, self.N, self.n,
+                     self.P)
             for i in range(n_forcings)
         ]
-        needs_paths = any(f.rows.size for f in self.forcings) or any(
-            isinstance(s, StartSpec) for starts in self.starts for s in starts)
-        self.w = ens.brownian_paths() if needs_paths else None
+        self.w = ens.brownian_paths()
         self.first = int(self.t_index[0]) if self.K else self.N + 1
         self.decay = np.exp(op.eigenvalues * self.dt)
         self.increments = ens.increments
-
-    def _start(self, start):
-        if isinstance(start, StartSpec):
-            for c in (start.c0, start.c1):
-                _shaped(c, ((self.n,),), "an initial datum's coefficient")
-            return start
-        return _shaped(start, ((self.n,), (self.P, self.n)), "an initial datum")
 
     def zeros(self):
         return np.zeros((self.K, self.P))
@@ -426,15 +385,11 @@ class _Tuples:
         return range(int(np.searchsorted(self.t_index, j)), self.active(j))
 
     def start(self, k, i):
-        """Initial datum i of sorted tuple k, (n,) or per path (P, n)."""
-        start = self.starts[k][i]
-        if isinstance(start, StartSpec):
-            return start.at(self.w[:, self.t_index[k]])
-        return start
+        """Initial datum i of sorted tuple k, per path (P, n)."""
+        return self.starts[k][i].at(self.w[:, self.t_index[k]])
 
     def forcings_at(self, j, m):
-        w_j = None if self.w is None else self.w[:, j]
-        return [f.at(j, m, w_j) for f in self.forcings]
+        return [f.at(j, m, self.w[:, j]) for f in self.forcings]
 
     def reports(self, identity, lhs, rhs, bias_budget, k_sigma):
         resid = lhs - rhs
@@ -450,19 +405,14 @@ class _Tuples:
         return out
 
 
-def _pair_paths(a, V):
-    """<a, V> per path for a (n,) or (P, n) and V (P, n)."""
-    return V @ a if a.ndim == 1 else np.einsum("pi,pi->p", a, V)
-
-
 def verify_first_identities(pair, op, tests, ens, bias_budget=0.0, k_sigma=3.0):
     """Evaluate both sides of the first-order identity for every test tuple in
     one backward pass; one report per tuple, in order.
 
-    A tuple is a ``TupleSpec`` or (t_index, eta, v1, v2) with eta (n,) or
-    (n_paths, n) and v1/v2 None, (N, n) or (n_paths, N, n).  The lhs is
-    taken by summation by parts against b_j (see the module docstring), so
-    no test state is simulated."""
+    A tuple is a ``TupleSpec`` of (t_index, eta, v1, v2): eta a
+    ``StartSpec``, v1 and v2 a ``ForcingSpec`` or None.  The lhs is taken by
+    summation by parts against b_j (see the module docstring), so no test
+    state is simulated."""
     check_same_ensemble(pair, ens)
     tuples = _Tuples(tests, 1, 2, op, ens)
     N, dt = tuples.N, tuples.dt
@@ -489,15 +439,15 @@ def verify_first_identities(pair, op, tests, ens, bias_budget=0.0, k_sigma=3.0):
             _guard(b.T, j)
         for k in tuples.starting(j):
             eta = tuples.start(k, 0)
-            lhs[k] += _pair_paths(eta, b)
-            rhs[k] += _pair_paths(eta, y_j)
+            lhs[k] += np.einsum("pi,pi->p", eta, b)
+            rhs[k] += np.einsum("pi,pi->p", eta, y_j)
         _guard(lhs[:m], j)
         _guard(rhs[:m], j)
     return tuples.reports("first", lhs, rhs, bias_budget, k_sigma)
 
 
 def verify_first_identity(pair, op, test, ens, bias_budget=0.0, k_sigma=3.0):
-    """Evaluate both sides of the first-order identity for one test tuple
+    """Evaluate both sides of the first-order identity for one ``TupleSpec``
     (t_index, eta, v1, v2); see :func:`verify_first_identities`."""
     return verify_first_identities(pair, op, [test], ens, bias_budget, k_sigma)[0]
 
@@ -530,9 +480,6 @@ def _step_states(xa, out, SG, SK, u, v, dt, dw, decay):
     np.matmul(cols, xa, out=out)
     for M, z in per_path:
         out += _apply(M, z)
-    for f, coef in ((u, dt), (v, dw)):
-        for k, val in (() if f is None else f.pathwise):
-            out[k] += (val * decay).T * coef
     return out
 
 
@@ -541,9 +488,10 @@ def verify_second_identities(sa, op, J, K, F, P_T, tests, ens, bias_budget=0.0,
     """Evaluate both sides of the second-order identity for every test tuple
     in one stacked pass; one report per tuple, in order.
 
-    A tuple is a ``TupleSpec`` or (t_index, xi1, xi2, u1, u2, v1, v2) with
-    the shapes :func:`verify_first_identities` takes.  J, K, F may be None,
-    (n, n), (N, n, n) or per path (n_paths, N, n, n); P_T (n, n) or per path.
+    A tuple is a ``TupleSpec`` of (t_index, xi1, xi2, u1, u2, v1, v2), with
+    starts and forcings as :func:`verify_first_identities` takes them.  J, K,
+    F may be None, (n, n), (N, n, n) or per path (n_paths, N, n, n); P_T
+    (n, n) or per path.
     The pairings are grouped by what the forcings meet: <x2, P u1 + (Q +
     K*P) v1> + <P* u2 + (P K + Q)* v2, x1> + <v2, P v1>, each matrix times
     a forcing profile being one product on P_j or Q_j with paths innermost."""
@@ -563,8 +511,7 @@ def verify_second_identities(sa, op, J, K, F, P_T, tests, ens, bias_budget=0.0,
         m = tuples.active(j)
         new = tuples.starting(j)
         for k in new:
-            x1[k, :n], x2[k, :n] = (np.broadcast_to(tuples.start(k, i), (P, n)).T
-                                    for i in (0, 1))
+            x1[k, :n], x2[k, :n] = (tuples.start(k, i).T for i in (0, 1))
         a1, a2 = x1[:m, :n], x2[:m, :n]
         if new:
             rhs[new.start:new.stop] += _dot(a2[new.start:], _apply(sa.P_paths(j),
@@ -611,7 +558,7 @@ def verify_second_identities(sa, op, J, K, F, P_T, tests, ens, bias_budget=0.0,
 
 def verify_second_identity(sa, op, J, K, F, P_T, test, ens, bias_budget=0.0,
                            k_sigma=3.0):
-    """Evaluate both sides of the second-order identity for one test tuple
+    """Evaluate both sides of the second-order identity for one ``TupleSpec``
     (t_index, xi1, xi2, u1, u2, v1, v2); see :func:`verify_second_identities`."""
     return verify_second_identities(sa, op, J, K, F, P_T, [test], ens,
                                     bias_budget, k_sigma)[0]

@@ -507,25 +507,10 @@ def iter_linearized(op, J, K, t0_index, xi, u, v, ens):
         yield j + 1, x
 
 
-def simulate_linearized(op, J, K, t0_index, xi, u, v, ens):
-    """Full-history version of :func:`iter_linearized` (zero before t0)."""
-    grid = ens.grid
-    states = step_major((ens.n_paths, grid.n_steps + 1, op.n_modes))
-    states[:, :t0_index] = 0.0
-    for j, x in iter_linearized(op, J, K, t0_index, xi, u, v, ens):
-        states[:, j] = x
-    return StateEnsemble(grid, states, None, ens.fingerprint)
-
-
 def iter_linear_test(op, t0_index, eta, v1, v2, ens):
     """Test dynamics dz = (Az + v1)dt + v2 dw: :func:`iter_linearized` with
     J = K = None."""
     return iter_linearized(op, None, None, t0_index, eta, v1, v2, ens)
-
-
-def simulate_linear_test(op, t0_index, eta, v1, v2, ens):
-    """Full-history version of :func:`iter_linear_test` (zero before t0)."""
-    return simulate_linearized(op, None, None, t0_index, eta, v1, v2, ens)
 
 
 def cost_paths(scenario, traj):
@@ -539,10 +524,3 @@ def cost_paths(scenario, traj):
     total *= grid.dt
     total += scenario.terminal_cost(traj.states[:, -1])
     return total
-
-
-def estimate_cost(scenario, x0, control, ens):
-    traj = simulate_controlled(scenario, x0, control, ens)
-    c = cost_paths(scenario, traj)
-    stderr = float(np.std(c, ddof=1) / np.sqrt(len(c))) if len(c) > 1 else 0.0
-    return float(np.mean(c)), stderr

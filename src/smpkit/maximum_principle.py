@@ -267,6 +267,8 @@ def projected_gradient(scenario, x0, control, ens, step_rule=0.8, max_iters=200,
     """
     if not scenario.control_set.convex:
         raise WrongTheoremError("projected gradient needs a convex control set")
+    if max_iters < 0:
+        raise DomainError(f"max_iters must be nonnegative (got {max_iters})")
     if isinstance(control, Feedback):
         raise DomainError(
             "projected gradient needs open-loop control values, not a Feedback"

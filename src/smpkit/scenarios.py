@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, LatticeEscapeError, OracleBreakdownError
 from .forward import Box, Feedback, Scenario, TimeGrid
+from .second_order import rk4_backward
 from .spectral import OperatorSpec, make_dirichlet_laplacian
 
 
@@ -158,13 +159,7 @@ def riccati_oracle(lq, grid):
     state[:n, :n] = lq.G
     value[steps], gain[steps] = state, rhs(state)[1]
     for j in range(steps - 1, -1, -1):
-        for _ in range(sub):
-            # integrating backward: step -h along the forward derivative
-            k1 = rhs(state)[0]
-            k2 = rhs(state - 0.5 * h * k1)[0]
-            k3 = rhs(state - 0.5 * h * k2)[0]
-            k4 = rhs(state - h * k3)[0]
-            state = state - h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        state = rk4_backward(lambda P: rhs(P)[0], state, h, sub)
         state = 0.5 * (state + state.T)
         value[j], gain[j] = state, rhs(state)[1]
     return OracleBundle(grid, P=value[:, :n, :n], q=value[:, :n, n], r=0.5 * value[:, n, n],
@@ -387,11 +382,6 @@ def preset_dir():
     if override:
         return override
     return str(resources.files("smpkit") / "presets")
-
-
-def available_presets():
-    d = preset_dir()
-    return sorted(f[: -len(".preset")] for f in os.listdir(d) if f.endswith(".preset"))
 
 
 def load_preset(name):

@@ -57,19 +57,6 @@ def vec_to_mat(v, n):
     return v.reshape(v.shape[:-1] + (n, n)).swapaxes(-1, -2)
 
 
-def tensor_semigroup_apply(op, dt, m):
-    """Congruence flow S(dt) M S*(dt): entry (k, l) scaled by exp((mu_k+mu_l)dt)."""
-    if dt < 0:
-        raise DomainError("dt must be nonnegative")
-    m = np.asarray(m, dtype=float)
-    n = op.n_modes
-    if m.shape[-2:] != (n, n):
-        raise DimensionError(f"matrix must be {n}x{n}")
-    if dt == 0:
-        return m.copy()
-    return m * np.exp(np.add.outer(op.eigenvalues, op.eigenvalues) * dt)
-
-
 def max_asymmetry(m):
     return float(np.max(np.abs(m - np.swapaxes(m, -1, -2)))) if m.size else 0.0
 
@@ -258,6 +245,18 @@ def _stiff_substeps(op, J, K, dt):
     return max(1, int(np.ceil(rate * dt / 0.02)))
 
 
+def rk4_backward(rhs, p, h, sub):
+    """``sub`` classical RK4 steps of size h backward in time along
+    dp/dt = rhs(p), from p."""
+    for _ in range(sub):
+        k1 = rhs(p)
+        k2 = rhs(p - 0.5 * h * k1)
+        k3 = rhs(p - 0.5 * h * k2)
+        k4 = rhs(p - h * k3)
+        p = p - h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return p
+
+
 def lyapunov_oracle(op, J, K, F, P_T, grid):
     """Deterministic reduction: with nonrandom data the martingale part
     vanishes and P solves P' = -(A+J)'P - P(A+J) - K'PK + F backward from
@@ -289,11 +288,5 @@ def lyapunov_oracle(op, J, K, F, P_T, grid):
                 d = d + Fj
             return d
 
-        for _ in range(sub):
-            k1 = rhs(p)
-            k2 = rhs(p - 0.5 * h * k1)
-            k3 = rhs(p - 0.5 * h * k2)
-            k4 = rhs(p - h * k3)
-            p = p - h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[j] = p
+        out[j] = p = rk4_backward(rhs, p, h, sub)
     return out

@@ -100,16 +100,3 @@ def embed(v, n):
     out = np.zeros(v.shape[:-1] + (n,))
     out[..., :m] = v
     return out
-
-
-def inner(u, v):
-    """Euclidean pairing of coefficient vectors (broadcasts over paths)."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape[-1] != v.shape[-1]:
-        raise DimensionError(f"dimension mismatch: {u.shape[-1]} vs {v.shape[-1]}")
-    return np.sum(u * v, axis=-1)
-
-
-def norm(v):
-    return np.sqrt(inner(v, v))

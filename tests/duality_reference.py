@@ -3,14 +3,38 @@
 These are the loop verifiers and array generators the stacked pass in
 ``smpkit.duality`` replaced: each tuple streams its own test dynamics
 through the single-tuple iterators and rebuilds P_j and Q_j at every step.
-The equivalence tests compare the stacked pass against them.
+The equivalence tests compare the stacked pass against them, handing the
+loops ``spec.materialize(w)``.  Deterministic test tuples are built here
+as descriptions, the only form the stacked pass takes.
 """
 
 import numpy as np
 
 from smpkit.adjoint import check_same_ensemble
-from smpkit.duality import IdentityReport
+from smpkit.duality import ForcingSpec, IdentityReport, StartSpec, TupleSpec
 from smpkit.forward import iter_linear_test, iter_linearized
+
+
+def fixed_tuple(t_index, starts, forcings):
+    """A ``TupleSpec`` with deterministic data: each start an (n,) vector,
+    each forcing an (N, n) profile or None."""
+    return TupleSpec(
+        t_index,
+        tuple(StartSpec(np.asarray(c0, dtype=float), np.zeros(len(c0))) for c0 in starts),
+        tuple(None if f is None else ForcingSpec(np.asarray(f, dtype=float)) for f in forcings))
+
+
+def deterministic_first_test(op, ens, rng, scale=1.0):
+    """Deterministic-data tuple (t_index, eta, v1, v2): nonrandom eta and
+    forcing profiles.  The identity residual is then a pure systematic of the
+    solver and grid, which makes it the right probe for refinement studies
+    (adapted tuples sit at the Monte Carlo noise floor, where a single
+    residual draw has no dt-trend)."""
+    t_index = int(rng.integers(0, ens.grid.n_steps // 2 + 1))
+    eta = scale * rng.standard_normal(op.n_modes)
+    v1 = _smooth_profile(op, ens, rng, scale)
+    v2 = _smooth_profile(op, ens, rng, scale)
+    return fixed_tuple(t_index, (eta,), (v1, v2))
 
 
 def _proc_at(proc, j):

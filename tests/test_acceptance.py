@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 
+from duality_reference import deterministic_first_test, fixed_tuple
 from helpers import lq_optimizer_run, lq_optimum_bundle
 
 from smpkit.adjoint import deterministic_first_adjoint, solve_first_adjoint
@@ -21,7 +22,6 @@ from smpkit.cli import main as cli_main
 from smpkit.duality import (
     describe_first_test,
     describe_second_test,
-    deterministic_first_test,
     lipschitz_probe,
     verify_first_identities,
     verify_second_identities,
@@ -171,7 +171,7 @@ def test_criterion_2_second_order_duality():
     for t_index in (0, 50, 100):
         xi1 = rng.standard_normal(4)
         xi2 = rng.standard_normal(4)
-        test = (t_index, xi1, xi2, None, None, None, None)
+        test = fixed_tuple(t_index, (xi1, xi2), (None,) * 4)
         rep = verify_second_identity(sa, op, J, K, F, P_T, test, ens,
                                      bias_budget=heat.c_bias_second * grid.dt)
         gap = abs(rep.rhs - xi1 @ oracle[t_index] @ xi2)

@@ -5,8 +5,8 @@ import pytest
 
 from smpkit.adjoint import (
     RegressionBasis,
+    RidgeSolver,
     deterministic_first_adjoint,
-    lsmc_regress,
     solve_first_adjoint,
 )
 from smpkit.errors import DegenerateBasisError, EnsembleMismatchError
@@ -34,14 +34,15 @@ def test_regress_exact_interpolation():
     X = rng.standard_normal((500, 4))
     beta_true = rng.standard_normal((4, 2))
     Z = X @ beta_true
-    beta, fitted = lsmc_regress(X, Z, ridge=0.0)
-    np.testing.assert_allclose(fitted, Z, atol=1e-10)
+    beta = RidgeSolver(X.T @ X, 0.0).solve(X.T @ Z)
+    np.testing.assert_allclose(X @ beta, Z, atol=1e-10)
 
 
 def test_regress_constant_column_gives_mean():
     Z = np.array([[1.0], [2.0], [3.0], [6.0]])
-    _, fitted = lsmc_regress(np.ones((4, 1)), Z, ridge=0.0)
-    np.testing.assert_allclose(fitted, 3.0, rtol=1e-14)
+    X = np.ones((4, 1))
+    beta = RidgeSolver(X.T @ X, 0.0).solve(X.T @ Z)
+    np.testing.assert_allclose(X @ beta, 3.0, rtol=1e-14)
 
 
 def test_regress_recovers_coefficients_under_noise():
@@ -50,7 +51,7 @@ def test_regress_recovers_coefficients_under_noise():
     beta_true = np.array([[0.5], [1.0], [-2.0], [0.3]])
     noise = 0.5 * rng.standard_normal((10_000, 1))
     Z = X @ beta_true + noise
-    beta, _ = lsmc_regress(X, Z, ridge=0.0)
+    beta = RidgeSolver(X.T @ X, 0.0).solve(X.T @ Z)
     # classical stderr of each coefficient ~ sigma / sqrt(n)
     se = 0.5 / np.sqrt(10_000)
     assert np.all(np.abs(beta - beta_true) < 3 * se * 1.5)
@@ -59,7 +60,7 @@ def test_regress_recovers_coefficients_under_noise():
 def test_regress_singular_raises():
     X = np.zeros((50, 2))
     with pytest.raises(DegenerateBasisError):
-        lsmc_regress(X, np.ones((50, 1)), ridge=0.0)
+        RidgeSolver(X.T @ X, 0.0)
 
 
 def test_basis_feature_count_and_overfit_guard():
@@ -168,7 +169,8 @@ def test_sweep_matches_deterministic_recursion():
     for j in (10, 25, 49):  # skip j=0, where all paths share the initial state
         X = basis.features(traj.states[:, j])
         target = pair.y[:, j + 1] * decay * (ens.increments[:, j : j + 1] / grid.dt)
-        beta, fitted = lsmc_regress(X, target, 0.0)
+        beta = RidgeSolver(X.T @ X, 0.0).solve(X.T @ target)
+        fitted = X @ beta
         resid_sd = (target - fitted).std(axis=0, ddof=X.shape[1])
         cov_diag = np.sqrt(np.diag(np.linalg.inv(X.T @ X)))
         t_stats = np.abs(beta) / (cov_diag[:, None] * resid_sd[None, :])
@@ -195,7 +197,7 @@ def test_martingale_residual_centered():
     for j in (0, 13, 39):
         X = basis.features(traj.states[:, j])
         target = pair.y[:, j + 1] * decay
-        _, fitted = lsmc_regress(X, target, basis.ridge)
+        fitted = X @ RidgeSolver(X.T @ X, basis.ridge).solve(X.T @ target)
         resid = (target - fitted)[:, 0]
         se = resid.std(ddof=1) / np.sqrt(len(resid))
         assert abs(resid.mean()) <= 3 * se + 1e-12

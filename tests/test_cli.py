@@ -41,6 +41,26 @@ def test_unusable_options_exit_2(tmp_path, capsys, flag, value, message):
     assert not (out / "duality_first.csv").exists()
 
 
+SMALL_RUN = ["--preset", "lq_scalar", "--paths", "100", "--dt", "0.05", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spike-experiment", "--eps-list", "0.2,abc"], "--eps-list must be comma-separated"),
+    (["spike-experiment", "--eps-list", "0.1,0.2"], "strictly decreasing"),
+    (["spike-experiment", "--tau", "5"], "leaves the horizon"),
+    (["optimize", "--max-iters", "-1"], "--max-iters must be at least 0"),
+    (["check-mp", "--t-points", "0"], "--t-points must be at least 1"),
+    (["check-mp", "--u-points", "0"], "--u-points must be at least 1"),
+], ids=["eps_not_a_number", "eps_increasing", "tau_past_horizon", "negative_max_iters",
+        "no_t_points", "no_u_points"])
+def test_options_no_run_can_honour_exit_2(tmp_path, capsys, argv, message):
+    code, out = run(tmp_path, "bad", *argv, *SMALL_RUN)
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+    assert not out.exists()
+
+
 def test_manifest_records_grid_used(tmp_path):
     code, out = run(tmp_path, "g", "simulate-forward", "--preset", "lq_scalar",
                     "--paths", "200", "--dt", "0.005", "--seed", "2")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from duality_reference import (
+    fixed_tuple,
     loop_first_identity,
     loop_random_first_test,
     loop_random_second_test,
@@ -50,7 +51,7 @@ def test_first_identity_zero_data_exact():
     grid = TimeGrid(0.0, 1.0, 20)
     ens = sample_brownian(grid, 100, 1)
     pair = _zero_pair(grid, 2, 100, ens.fingerprint)
-    report = verify_first_identity(pair, op, (0, np.zeros(2), None, None), ens)
+    report = verify_first_identity(pair, op, fixed_tuple(0, (np.zeros(2),), (None, None)), ens)
     assert report.lhs == 0.0 and report.rhs == 0.0 and report.residual == 0.0
     assert report.passed
 
@@ -66,7 +67,7 @@ def test_first_identity_deterministic_oracle_case():
     pair = solve_first_adjoint(scenario, traj, ens)
     rng = np.random.default_rng(0)
     for _ in range(5):
-        test = random_first_test(op, ens, rng)
+        test = describe_first_test(op, ens, rng)
         report = verify_first_identity(pair, op, test, ens,
                                        bias_budget=0.5 * grid.dt)
         assert report.passed, f"residual {report.residual} tol {report.tolerance}"
@@ -87,7 +88,7 @@ def test_first_identity_localizes_y():
     probe = np.array([1.0])
     v1 = np.zeros((50, 1))
     v1[j_star] = probe
-    report = verify_first_identity(pair, op, (0, np.zeros(1), v1, None), ens,
+    report = verify_first_identity(pair, op, fixed_tuple(0, (np.zeros(1),), (v1, None)), ens,
                                    bias_budget=1e-9)
     recovered = report.lhs / grid.dt
     # the isolated value is the regressed conditional mean at j_star
@@ -105,9 +106,13 @@ def test_first_identity_bilinear_in_test_data():
     traj = simulate_controlled(scenario, np.array([1.0]), OpenLoop(np.zeros((30, 1))), ens)
     pair = solve_first_adjoint(scenario, traj, ens)
     rng = np.random.default_rng(1)
-    t_index, eta, v1, v2 = random_first_test(op, ens, rng)
-    base = verify_first_identity(pair, op, (t_index, eta, v1, v2), ens)
-    twice = verify_first_identity(pair, op, (t_index, 2 * eta, 2 * v1, 2 * v2), ens)
+    test = describe_first_test(op, ens, rng)
+    doubled = dataclasses.replace(
+        test,
+        starts=tuple(StartSpec(2 * s.c0, 2 * s.c1) for s in test.starts),
+        forcings=tuple(dataclasses.replace(f, profile=2 * f.profile) for f in test.forcings))
+    base = verify_first_identity(pair, op, test, ens)
+    twice = verify_first_identity(pair, op, doubled, ens)
     assert twice.lhs == pytest.approx(2 * base.lhs, rel=1e-13)
     assert twice.rhs == pytest.approx(2 * base.rhs, rel=1e-13)
 
@@ -119,7 +124,7 @@ def test_first_identity_requires_same_ensemble():
     ens_b = sample_brownian(grid, 50, 2)
     pair = _zero_pair(grid, 1, 50, ens_a.fingerprint)
     with pytest.raises(EnsembleMismatchError):
-        verify_first_identity(pair, op, (0, np.zeros(1), None, None), ens_b)
+        verify_first_identity(pair, op, fixed_tuple(0, (np.zeros(1),), (None, None)), ens_b)
 
 
 def test_first_identity_leaves_single_path_pair_unchanged():
@@ -132,7 +137,7 @@ def test_first_identity_leaves_single_path_pair_unchanged():
     pair = AdjointPair(grid, rng.normal(size=(1, 11, 2)), rng.normal(size=(1, 10, 2)),
                        rng.normal(size=(1, 10, 2)), ens.fingerprint)
     y_before = [pair.y[:, j].copy() for j in range(grid.n_steps + 1)]
-    test = random_first_test(op, ens, np.random.default_rng(3))
+    test = describe_first_test(op, ens, np.random.default_rng(3))
     first = verify_first_identity(pair, op, test, ens)
     for j in range(grid.n_steps + 1):
         np.testing.assert_array_equal(pair.y[:, j], y_before[j])
@@ -149,7 +154,7 @@ def test_second_identity_zero_data_exact():
     grid = TimeGrid(0.0, 1.0, 10)
     ens = sample_brownian(grid, 100, 2)
     sa = solve_second_adjoint(op, None, None, None, np.zeros((1, 1)), ens)
-    test = (0, np.zeros(1), np.zeros(1), None, None, None, None)
+    test = fixed_tuple(0, (np.zeros(1), np.zeros(1)), (None,) * 4)
     report = verify_second_identity(sa, op, None, None, None, np.zeros((1, 1)), test, ens)
     assert report.lhs == 0.0 and report.rhs == 0.0 and report.passed
 
@@ -168,7 +173,7 @@ def test_second_identity_state_only_reduction_matches_oracle():
     for t_index in (0, 25, 50):
         xi1 = rng.standard_normal(2)
         xi2 = rng.standard_normal(2)
-        test = (t_index, xi1, xi2, None, None, None, None)
+        test = fixed_tuple(t_index, (xi1, xi2), (None,) * 4)
         report = verify_second_identity(sa, op, J, K, F, P_T, test, ens,
                                         bias_budget=0.5 * grid.dt)
         assert report.passed
@@ -194,7 +199,7 @@ def test_second_identity_full_refinement_monotone():
         rng = np.random.default_rng(99)
         worst = 0.0
         for _ in range(3):
-            test = random_second_test(op, ens, rng)
+            test = describe_second_test(op, ens, rng)
             report = verify_second_identity(sa, op, None, K, F, P_T, test, ens)
             worst = max(worst, abs(report.residual))
         residuals.append(worst)
@@ -263,17 +268,14 @@ def test_probe_scales_linearly_with_data():
 EQUIV_RTOL = 1e-12
 
 
-def _mixed_tuples(describe, op, ens, w, seed):
-    """Eight described tuples with mixed start steps (0, N//2 and others);
-    every other one is handed over materialized, so descriptions, (N, n)
-    profiles and per-path (P, N, n) arrays share one stack."""
+def _mixed_tuples(describe, op, ens, seed):
+    """Eight described tuples with mixed start steps (0, N//2 and others)."""
     N = ens.grid.n_steps
     starts = (0, N // 2, 3, 0, N // 2, 7, 1, N // 2 - 1)
-    specs = [
+    return [
         dataclasses.replace(describe(op, ens, np.random.default_rng([seed, i])), t_index=t)
         for i, t in enumerate(starts)
     ]
-    return specs, [spec if i % 2 else spec.materialize(w) for i, spec in enumerate(specs)]
 
 
 def _assert_same_reports(stacked, singles, loops):
@@ -299,13 +301,13 @@ def _heat4_setup(n_steps=40, n_paths=600, seed=3):
 
 def _check_second_equivalence(op, J, K, F, P_T, sa, ens, bias_budget, seed):
     w = ens.brownian_paths()
-    specs, tests = _mixed_tuples(describe_second_test, op, ens, w, seed)
+    tests = _mixed_tuples(describe_second_test, op, ens, seed)
     stacked = verify_second_identities(sa, op, J, K, F, P_T, tests, ens,
                                        bias_budget=bias_budget)
     singles = [verify_second_identity(sa, op, J, K, F, P_T, t, ens, bias_budget=bias_budget)
                for t in tests]
-    loops = [loop_second_identity(sa, op, J, K, F, P_T, spec.materialize(w), ens,
-                                  bias_budget=bias_budget) for spec in specs]
+    loops = [loop_second_identity(sa, op, J, K, F, P_T, t.materialize(w), ens,
+                                  bias_budget=bias_budget) for t in tests]
     _assert_same_reports(stacked, singles, loops)
 
 
@@ -314,12 +316,12 @@ def test_stacked_first_identities_match_single_tuple_heat4():
     op = scenario.op
     w = ens.brownian_paths()
     budget = scenario.c_bias_first * grid.dt
-    specs, tests = _mixed_tuples(describe_first_test, op, ens, w, 17)
+    tests = _mixed_tuples(describe_first_test, op, ens, 17)
     stacked = verify_first_identities(pair, op, tests, ens, bias_budget=budget)
     singles = [verify_first_identity(pair, op, t, ens, bias_budget=budget)
                for t in tests]
-    loops = [loop_first_identity(pair, op, None, None, spec.materialize(w), ens,
-                                 bias_budget=budget) for spec in specs]
+    loops = [loop_first_identity(pair, op, None, None, t.materialize(w), ens,
+                                 bias_budget=budget) for t in tests]
     _assert_same_reports(stacked, singles, loops)
 
 
@@ -382,6 +384,24 @@ def test_materialized_descriptions_reproduce_tuple_arrays():
             assert follow[0] == follow[1] == follow[2]
 
 
+def test_materialize_passes_an_absent_forcing_through():
+    # a None slot is a zero forcing to the verifiers, and stays None in the
+    # arrays the loop references take
+    scenario, grid, ens, traj, pair = _heat4_setup(n_steps=20, n_paths=200)
+    op, n, w = scenario.op, scenario.n_modes, ens.brownian_paths()
+    rng = np.random.default_rng(6)
+    profile = np.cos(np.linspace(0.0, 1.0, 20))[:, None] * rng.standard_normal(n)
+    spec = TupleSpec(3, (StartSpec(rng.standard_normal(n), rng.standard_normal(n)),),
+                     (None, ForcingSpec(profile, 1.3, 0.4)))
+    t_index, eta, v1, v2 = spec.materialize(w)
+    assert t_index == 3 and v1 is None and v2.shape == (200, 20, n)
+    got = verify_first_identity(pair, op, spec, ens)
+    ref = loop_first_identity(pair, op, None, None, spec.materialize(w), ens)
+    for field in ("lhs", "rhs", "stderr"):
+        np.testing.assert_allclose(getattr(got, field), getattr(ref, field),
+                                   rtol=EQUIV_RTOL, atol=0.0, err_msg=field)
+
+
 # ----------------------------------------------------------------------
 # malformed tuple data, divergence, tuple order and the active prefix
 # ----------------------------------------------------------------------
@@ -400,16 +420,35 @@ def test_forcing_of_wrong_shape_is_a_dimension_error(shape):
     sa = solve_second_adjoint(op, None, None, None, np.zeros((2, 2)), ens)
     bad = np.ones(shape)
     with pytest.raises(DimensionError):
-        verify_first_identity(pair, op, (0, np.zeros(2), bad, None), ens)
+        verify_first_identity(pair, op, fixed_tuple(0, (np.zeros(2),), (bad, None)), ens)
     with pytest.raises(DimensionError):
         verify_second_identity(sa, op, None, None, None, np.zeros((2, 2)),
-                               (0, np.zeros(2), np.zeros(2), None, None, bad, None), ens)
+                               fixed_tuple(0, (np.zeros(2),) * 2, (None, None, bad, None)), ens)
+
+
+def test_tuples_other_than_descriptions_are_a_dimension_error():
+    # the verifiers take only TupleSpec; raw per-path arrays are no input
+    op, grid, ens = _two_mode_setup()
+    pair = _zero_pair(grid, 2, 100, ens.fingerprint)
+    sa = solve_second_adjoint(op, None, None, None, np.zeros((2, 2)), ens)
+    with pytest.raises(DimensionError, match="TupleSpec"):
+        verify_first_identity(pair, op, (0, np.zeros(2), None, None), ens)
+    with pytest.raises(DimensionError, match="TupleSpec"):
+        verify_second_identity(sa, op, None, None, None, np.zeros((2, 2)),
+                               (0, np.zeros(2), np.zeros(2), None, None, None, None), ens)
+    with pytest.raises(DimensionError, match="StartSpec"):
+        verify_first_identity(pair, op, TupleSpec(0, (np.zeros(2),), (None, None)), ens)
+    with pytest.raises(DimensionError, match="ForcingSpec"):
+        verify_first_identity(pair, op, TupleSpec(0, (StartSpec(np.zeros(2), np.zeros(2)),),
+                                                  (np.ones((20, 2)), None)), ens)
+    with pytest.raises(DimensionError, match="2 forcings"):
+        verify_first_identity(pair, op, fixed_tuple(0, (np.zeros(2),), (None,)), ens)
 
 
 def test_terminal_matrix_of_wrong_size_is_a_dimension_error():
     op, grid, ens = _two_mode_setup()
     sa = solve_second_adjoint(op, None, None, None, np.zeros((2, 2)), ens)
-    test = (0, np.ones(2), np.ones(2), None, None, None, None)
+    test = fixed_tuple(0, (np.ones(2), np.ones(2)), (None,) * 4)
     with pytest.raises(DimensionError):
         verify_second_identity(sa, op, None, None, None, np.eye(3), test, ens)
 
@@ -419,10 +458,10 @@ def test_fractional_t_index_is_a_domain_error():
     pair = _zero_pair(grid, 2, 100, ens.fingerprint)
     sa = solve_second_adjoint(op, None, None, None, np.zeros((2, 2)), ens)
     with pytest.raises(DomainError):
-        verify_first_identity(pair, op, (2.5, np.zeros(2), None, None), ens)
+        verify_first_identity(pair, op, fixed_tuple(2.5, (np.zeros(2),), (None, None)), ens)
     with pytest.raises(DomainError):
         verify_second_identity(sa, op, None, None, None, np.zeros((2, 2)),
-                               (2.5, np.zeros(2), np.zeros(2), None, None, None, None), ens)
+                               fixed_tuple(2.5, (np.zeros(2),) * 2, (None,) * 4), ens)
 
 
 @pytest.mark.parametrize("bad", [np.nan, 1e200])
@@ -432,18 +471,17 @@ def test_nonfinite_or_huge_forcing_diverges_in_both_verifiers(bad):
     forcing = np.ones((20, n))
     forcing[5] = bad
     with pytest.raises(SimulationDivergedError):
-        verify_first_identity(pair, op, (0, np.zeros(n), forcing, None), ens)
+        verify_first_identity(pair, op, fixed_tuple(0, (np.zeros(n),), (forcing, None)), ens)
     J, K, F, P_T = second_order_data(scenario, traj, pair)
     sa = solve_second_adjoint(op, J, K, F, P_T, ens, features=pair.features)
-    test = (0, np.zeros(n), np.zeros(n), forcing, None, None, None)
+    test = fixed_tuple(0, (np.zeros(n),) * 2, (forcing, None, None, None))
     with pytest.raises(SimulationDivergedError):
         verify_second_identity(sa, op, J, K, F, P_T, test, ens)
 
 
 def _ordered_tuples(op, ens, starts, n_starts, n_forcings, adapted, seed):
-    """Tuples at the given start steps: described ones whose every forcing is
-    adapted, or array tuples with constant initial data and deterministic
-    (N, n) forcings."""
+    """Tuples at the given start steps whose every forcing is adapted, or
+    whose data are all deterministic."""
     N, n = ens.grid.n_steps, op.n_modes
     out = []
     for i, t in enumerate(starts):
@@ -457,12 +495,9 @@ def _ordered_tuples(op, ens, starts, n_starts, n_forcings, adapted, seed):
                 tuple(ForcingSpec(p, rng.uniform(0.5, 2.0), rng.uniform(0, 2 * np.pi))
                       for p in profiles)))
         else:
-            out.append((t, *(rng.standard_normal(n) for _ in range(n_starts)), *profiles))
+            out.append(fixed_tuple(t, [rng.standard_normal(n) for _ in range(n_starts)],
+                                   profiles))
     return out
-
-
-def _materialized(test, w):
-    return test.materialize(w) if isinstance(test, TupleSpec) else test
 
 
 @pytest.mark.parametrize("adapted", [False, True])
@@ -479,7 +514,7 @@ def test_reports_come_back_in_input_order(order, adapted):
     assert [r.t_index for r in stacked] == list(starts)
     _assert_same_reports(
         stacked, [verify_first_identity(pair, op, t, ens) for t in tests],
-        [loop_first_identity(pair, op, None, None, _materialized(t, w), ens) for t in tests])
+        [loop_first_identity(pair, op, None, None, t.materialize(w), ens) for t in tests])
 
     J, K, F, P_T = second_order_data(scenario, traj, pair)
     sa = solve_second_adjoint(op, J, K, F, P_T, ens, features=pair.features)
@@ -488,4 +523,4 @@ def test_reports_come_back_in_input_order(order, adapted):
     assert [r.t_index for r in stacked] == list(starts)
     _assert_same_reports(
         stacked, [verify_second_identity(sa, op, J, K, F, P_T, t, ens) for t in tests],
-        [loop_second_identity(sa, op, J, K, F, P_T, _materialized(t, w), ens) for t in tests])
+        [loop_second_identity(sa, op, J, K, F, P_T, t.materialize(w), ens) for t in tests])

@@ -11,11 +11,10 @@ from smpkit.forward import (
     OpenLoop,
     Scenario,
     TimeGrid,
-    estimate_cost,
+    cost_paths,
+    iter_linearized,
     sample_brownian,
     simulate_controlled,
-    simulate_linear_test,
-    simulate_linearized,
 )
 from smpkit.scenarios import make_heat_scenario, make_lq_scalar
 from smpkit.spectral import OperatorSpec, make_dirichlet_laplacian, semigroup_apply
@@ -23,6 +22,21 @@ from smpkit.spectral import OperatorSpec, make_dirichlet_laplacian, semigroup_ap
 
 def grid_200():
     return TimeGrid(0.0, 1.0, 200)
+
+
+def linearized_states(op, J, K, t0_index, xi, u, v, ens):
+    """The (n_paths, N + 1, n) history of :func:`iter_linearized`, zero
+    before t0_index."""
+    states = np.zeros((ens.n_paths, ens.grid.n_steps + 1, op.n_modes))
+    for j, x in iter_linearized(op, J, K, t0_index, xi, u, v, ens):
+        states[:, j] = x
+    return states
+
+
+def cost_estimate(scenario, x0, control, ens):
+    """Mean cost over the paths and its standard error."""
+    costs = cost_paths(scenario, simulate_controlled(scenario, x0, control, ens))
+    return float(costs.mean()), float(costs.std(ddof=1) / np.sqrt(len(costs)))
 
 
 def test_timegrid_validation():
@@ -197,11 +211,11 @@ def test_linear_test_homogeneous_flow():
     g = TimeGrid(0.0, 1.0, 40)
     ens = sample_brownian(g, 8, 2)
     eta = np.array([1.0, -1.0])
-    traj = simulate_linear_test(op, 10, eta, None, None, ens)
-    np.testing.assert_array_equal(traj.states[:, :10], 0.0)
+    states = linearized_states(op, None, None, 10, eta, None, None, ens)
+    np.testing.assert_array_equal(states[:, :10], 0.0)
     for j in (10, 25, 40):
         expected = semigroup_apply(op, (j - 10) * g.dt, eta)
-        np.testing.assert_allclose(traj.states[:, j], np.tile(expected, (8, 1)), rtol=1e-12)
+        np.testing.assert_allclose(states[:, j], np.tile(expected, (8, 1)), rtol=1e-12)
 
 
 def test_linear_test_constant_forcing_integral():
@@ -210,9 +224,9 @@ def test_linear_test_constant_forcing_integral():
     ens = sample_brownian(g, 4, 6)
     c = 0.7
     v1 = np.full((100, 1), c)
-    traj = simulate_linear_test(op, 20, np.array([0.0]), v1, None, ens)
+    states = linearized_states(op, None, None, 20, np.array([0.0]), v1, None, ens)
     elapsed = (100 - 20) * g.dt
-    np.testing.assert_allclose(traj.states[:, -1, 0], c * elapsed, rtol=1e-12)
+    np.testing.assert_allclose(states[:, -1, 0], c * elapsed, rtol=1e-12)
 
 
 def test_linear_test_noise_is_mean_zero():
@@ -220,8 +234,8 @@ def test_linear_test_noise_is_mean_zero():
     g = grid_200()
     ens = sample_brownian(g, 20_000, 13)
     v2 = np.ones((200, 1))
-    traj = simulate_linear_test(op, 0, np.array([0.0]), None, v2, ens)
-    zT = traj.states[:, -1, 0]
+    states = linearized_states(op, None, None, 0, np.array([0.0]), None, v2, ens)
+    zT = states[:, -1, 0]
     stderr = zT.std(ddof=1) / np.sqrt(len(zT))
     assert abs(zT.mean()) < 3 * stderr
 
@@ -240,11 +254,11 @@ def test_linear_test_bounded_generator_approximation():
     v2 = np.ones((50, 3)) * 0.2
     from smpkit.spectral import yosida_generator
 
-    exact = simulate_linear_test(op, 0, eta, None, v2, ens)
+    exact = linearized_states(op, None, None, 0, eta, None, v2, ens)
     gaps = []
     for lam in (1e2, 1e4):
-        approx = simulate_linear_test(yosida_generator(op, lam), 0, eta, None, v2, ens)
-        gaps.append(np.max(np.abs(approx.states - exact.states)))
+        approx = linearized_states(yosida_generator(op, lam), None, None, 0, eta, None, v2, ens)
+        gaps.append(np.max(np.abs(approx - exact)))
     assert gaps[1] < gaps[0]
     assert gaps[1] < 1e-2
 
@@ -254,10 +268,10 @@ def test_linearized_homogeneous_matches_semigroup():
     g = TimeGrid(0.0, 1.0, 40)
     ens = sample_brownian(g, 4, 4)
     xi = np.array([1.0, 0.0])
-    traj = simulate_linearized(op, None, None, 0, xi, None, None, ens)
+    states = linearized_states(op, None, None, 0, xi, None, None, ens)
     for j in (0, 15, 40):
         expected = semigroup_apply(op, j * g.dt, xi)
-        np.testing.assert_allclose(traj.states[:, j], np.tile(expected, (4, 1)), rtol=1e-12)
+        np.testing.assert_allclose(states[:, j], np.tile(expected, (4, 1)), rtol=1e-12)
 
 
 def test_linearized_second_moment_recursion():
@@ -266,8 +280,8 @@ def test_linearized_second_moment_recursion():
     g = grid_200()
     ens = sample_brownian(g, 20_000, 17)
     K = np.full((200, 1, 1), kappa)
-    traj = simulate_linearized(op, None, K, 0, np.array([1.0]), None, None, ens)
-    xT2 = traj.states[:, -1, 0] ** 2
+    states = linearized_states(op, None, K, 0, np.array([1.0]), None, None, ens)
+    xT2 = states[:, -1, 0] ** 2
     exact_discrete = (1.0 + kappa**2 * g.dt) ** 200
     stderr = xT2.std(ddof=1) / np.sqrt(len(xT2))
     assert abs(xT2.mean() - exact_discrete) < 3 * stderr
@@ -282,10 +296,10 @@ def test_linearized_superposition():
     K = rng.standard_normal((30, 2, 2)) * 0.1
     xi = np.array([0.3, -0.4])
     v = rng.standard_normal((30, 2)) * 0.2
-    a = simulate_linearized(op, J, K, 0, xi, None, None, ens)
-    b = simulate_linearized(op, J, K, 0, np.zeros(2), None, v, ens)
-    c = simulate_linearized(op, J, K, 0, xi, None, v, ens)
-    np.testing.assert_allclose(a.states + b.states, c.states, atol=1e-12)
+    a = linearized_states(op, J, K, 0, xi, None, None, ens)
+    b = linearized_states(op, J, K, 0, np.zeros(2), None, v, ens)
+    c = linearized_states(op, J, K, 0, xi, None, v, ens)
+    np.testing.assert_allclose(a + b, c, atol=1e-12)
 
 
 def test_linearized_coefficient_layouts_agree():
@@ -301,14 +315,14 @@ def test_linearized_coefficient_layouts_agree():
     u = np.cos(s) * np.array([0.5, -0.3])
     v = np.sin(s) * np.array([0.2, 0.4])
     xi = np.array([1.0, -0.5])
-    ref = simulate_linearized(op, J, K, 3, xi, u, v, ens).states
+    ref = linearized_states(op, J, K, 3, xi, u, v, ens)
     for JK in ((N, 2, 2), (P, N, 2, 2)):
-        got = simulate_linearized(
+        got = linearized_states(
             op, np.broadcast_to(J, JK), np.broadcast_to(K, JK), 3, xi, u, v, ens)
-        np.testing.assert_allclose(got.states, ref, rtol=0, atol=1e-14)
-    got = simulate_linearized(
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
+    got = linearized_states(
         op, J, K, 3, xi, np.broadcast_to(u, (P, N, 2)), np.broadcast_to(v, (P, N, 2)), ens)
-    np.testing.assert_allclose(got.states, ref, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
 
 
 def test_strong_order_window():
@@ -349,7 +363,7 @@ def test_cost_zero():
     scenario = _free_decay_scenario()
     g = TimeGrid(0.0, 1.0, 20)
     ens = sample_brownian(g, 8, 1)
-    est, se = estimate_cost(scenario, np.zeros(3), OpenLoop(np.zeros((20, 1))), ens)
+    est, se = cost_estimate(scenario, np.zeros(3), OpenLoop(np.zeros((20, 1))), ens)
     assert est == 0.0 and se == 0.0
 
 
@@ -366,7 +380,7 @@ def test_cost_constant_running():
     )
     g = TimeGrid(0.0, 1.0, 200)
     ens = sample_brownian(g, 16, 2)
-    est, se = estimate_cost(scenario, np.zeros(2), OpenLoop(np.zeros((200, 1))), ens)
+    est, se = cost_estimate(scenario, np.zeros(2), OpenLoop(np.zeros((200, 1))), ens)
     assert se == 0.0
     assert est == pytest.approx(1.0, rel=1e-12)
 
@@ -431,7 +445,7 @@ def test_cost_at_feedback_matches_oracle_value():
     g = grid_200()
     ens = sample_brownian(g, 10_000, 61)
     oracle = riccati_oracle(params, g)
-    est, se = estimate_cost(scenario, scenario.x0, oracle.feedback(), ens)
+    est, se = cost_estimate(scenario, scenario.x0, oracle.feedback(), ens)
     target = oracle.value_at(scenario.x0)
     assert abs(est - target) <= 3 * se + 1.0 * g.dt
 

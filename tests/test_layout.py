@@ -1,5 +1,10 @@
-"""Layout guard: every step-indexed path array keeps its path-first shape
-and is stored step-major, so each step slice ``arr[:, j]`` is contiguous."""
+"""Layout guards.  Every step-indexed path array keeps its path-first shape
+and is stored step-major, so each step slice ``arr[:, j]`` is contiguous.
+Every name the package exports is used inside the package or kept for a
+stated reason."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 
@@ -9,8 +14,6 @@ from smpkit.forward import (
     TimeGrid,
     sample_brownian,
     simulate_controlled,
-    simulate_linear_test,
-    simulate_linearized,
     step_major,
 )
 from smpkit.maximum_principle import control_gradient, projected_gradient, second_order_data
@@ -59,12 +62,6 @@ def test_forward_simulators_store_step_major():
     n, m = scenario.n_modes, scenario.control_dim
     _assert_step_major(traj.states, (N_PATHS, N_STEPS + 1, n))
     _assert_step_major(traj.controls_used, (N_PATHS, N_STEPS, m))
-    v = np.ones((N_STEPS, n))
-    test = simulate_linear_test(scenario.op, 3, np.ones(n), v, v, ens)
-    _assert_step_major(test.states, (N_PATHS, N_STEPS + 1, n))
-    assert not test.states[:, :3].any()
-    lin = simulate_linearized(scenario.op, 0.1 * np.eye(n), None, 0, np.ones(n), None, v, ens)
-    _assert_step_major(lin.states, (N_PATHS, N_STEPS + 1, n))
 
 
 def test_adjoint_histories_and_gradient_store_step_major():
@@ -94,3 +91,51 @@ def test_projected_gradient_iterate_is_step_major():
     for init in (np.zeros((N_STEPS, 1)), np.zeros((N_PATHS, N_STEPS, 1))):
         final, _ = projected_gradient(scenario, scenario.x0, OpenLoop(init), ens, max_iters=2)
         _assert_step_major(final.values, (N_PATHS, N_STEPS, 1))
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "smpkit"
+
+# exported names nothing in the package reads, each with the reason it stays
+KEPT = {
+    "deterministic_first_adjoint": "test oracle",
+    "lyapunov_oracle": "test oracle",
+    "yosida_generator": "test oracle",
+    "semigroup_apply": "test oracle",
+    "project": "mode-refinement study (ROADMAP item 6)",
+    "embed": "mode-refinement study (ROADMAP item 6)",
+    "lipschitz_probe": "criterion 7 API",
+    "FiniteGrid": "control-set type",
+    "verify_first_identity": "perfbench-pinned: the tracer wraps it",
+    "verify_second_identity": "perfbench-pinned: the tracer wraps it",
+}
+
+
+def _exports():
+    """(defining module, name) for every name smpkit/__init__.py imports."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    return [(node.module, alias.asname or alias.name)
+            for node in tree.body if isinstance(node, ast.ImportFrom)
+            for alias in node.names]
+
+
+def _reads_and_imports(module):
+    """The bare names a module reads, and the names it imports."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    reads = {n.id for n in ast.walk(tree)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    imports = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return reads, imports
+
+
+def test_every_export_is_used_in_the_package_or_kept():
+    # used: read in its own module, or imported and read by another one (an
+    # import kept only for the tracer's lookup does not count)
+    modules = {p.stem: _reads_and_imports(p.stem) for p in SRC.glob("*.py")
+               if p.stem != "__init__"}
+    unused = {name for home, name in _exports()
+              if name not in modules[home][0]
+              and not any(name in reads and name in imports
+                          for m, (reads, imports) in modules.items() if m != home)}
+    assert sorted(unused - set(KEPT)) == [], "exported, but only tests call it"
+    assert sorted(set(KEPT) - unused) == [], "kept for a reason, but used after all"

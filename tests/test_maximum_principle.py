@@ -338,6 +338,15 @@ def test_projected_gradient_rejects_feedback():
         projected_gradient(scenario, scenario.x0, feedback, ens, max_iters=1)
 
 
+def test_projected_gradient_rejects_negative_max_iters():
+    # no iteration would run, and the history would have no final cost
+    scenario, _ = make_lq_scalar()
+    grid = TimeGrid(0.0, 1.0, 20)
+    ens = sample_brownian(grid, 200, 37)
+    with pytest.raises(DomainError, match="max_iters"):
+        projected_gradient(scenario, scenario.x0, OpenLoop(np.zeros((20, 1))), ens, max_iters=-1)
+
+
 def test_projected_gradient_fixed_point_at_optimum():
     scenario, params = make_lq_scalar()
     grid = TimeGrid(0.0, 1.0, 100)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from smpkit.adjoint import RegressionBasis, StepFeatures, solve_first_adjoint
-from smpkit.errors import DimensionError, DomainError, EnsembleMismatchError
+from smpkit.errors import DomainError, EnsembleMismatchError
 from smpkit.forward import OpenLoop, TimeGrid, sample_brownian, simulate_controlled
 from smpkit.maximum_principle import second_order_data
 from smpkit.scenarios import build_preset, load_preset
@@ -13,10 +13,9 @@ from smpkit.second_order import (
     mat_to_vec,
     max_asymmetry,
     solve_second_adjoint,
-    tensor_semigroup_apply,
     vec_to_mat,
 )
-from smpkit.spectral import OperatorSpec, make_dirichlet_laplacian
+from smpkit.spectral import OperatorSpec, make_dirichlet_laplacian, semigroup_apply
 
 from helpers import per_path_jacobians
 
@@ -27,26 +26,31 @@ def test_vec_convention_column_major():
     np.testing.assert_array_equal(vec_to_mat(mat_to_vec(m), 2), m)
 
 
+def _congruence_flow(op, dt, m):
+    """S(dt) M S*(dt) in the diagonal model: entry (k, l) scaled by
+    exp((mu_k + mu_l) dt)."""
+    return m * np.exp(np.add.outer(op.eigenvalues, op.eigenvalues) * dt)
+
+
 def test_tensor_semigroup_identity_and_scaling():
     op = make_dirichlet_laplacian(1, 1.0)
     m = np.array([[1.0]])
-    np.testing.assert_array_equal(tensor_semigroup_apply(op, 0.0, m), m)
-    out = tensor_semigroup_apply(op, 0.05, m)
+    np.testing.assert_array_equal(_congruence_flow(op, 0.0, m), m)
+    out = _congruence_flow(op, 0.05, m)
     assert out[0, 0] == pytest.approx(np.exp(-2 * np.pi**2 * 0.05), rel=1e-12)
     assert out[0, 0] == pytest.approx(0.3727078, abs=5e-7)
 
 
 def test_tensor_semigroup_law():
+    # the congruence flow the oracle tests use is S(dt) M S*(dt) with the
+    # library semigroup, and composes as a flow
     op = make_dirichlet_laplacian(3, 1.0)
     rng = np.random.default_rng(0)
     m = rng.standard_normal((3, 3))
-    a = tensor_semigroup_apply(op, 0.07, tensor_semigroup_apply(op, 0.03, m))
-    b = tensor_semigroup_apply(op, 0.10, m)
-    np.testing.assert_allclose(a, b, rtol=1e-12)
-    with pytest.raises(DimensionError):
-        tensor_semigroup_apply(op, 0.1, np.zeros((2, 2)))
-    with pytest.raises(DomainError):
-        tensor_semigroup_apply(op, -0.1, m)
+    S = semigroup_apply(op, 0.1, np.eye(3))
+    np.testing.assert_allclose(_congruence_flow(op, 0.1, m), S @ m @ S.T, rtol=1e-12)
+    a = _congruence_flow(op, 0.07, _congruence_flow(op, 0.03, m))
+    np.testing.assert_allclose(a, _congruence_flow(op, 0.10, m), rtol=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -63,7 +67,7 @@ def test_lyapunov_congruence_flow():
     times = grid.times()
     for j in (0, 100, 400):
         tau = grid.T - times[j]
-        expected = tensor_semigroup_apply(op, tau, P_T)
+        expected = _congruence_flow(op, tau, P_T)
         assert np.max(np.abs(sol[j] - expected)) < 1e-8
 
 
@@ -181,7 +185,7 @@ def test_sweep_matches_one_step_recursion():
     assert coeff.rest is None and dense.rest is not None
     p = P_T
     for j in range(n_steps - 1, -1, -1):
-        s = tensor_semigroup_apply(op, grid.dt, p)
+        s = _congruence_flow(op, grid.dt, p)
         p = s - grid.dt * (-J[j].T @ s - s @ J[j] - K[j].T @ s @ K[j] + F)
         for sa in (coeff, dense):
             np.testing.assert_allclose(sa.P_paths(j), np.broadcast_to(p, (n_paths, 2, 2)),
@@ -212,7 +216,7 @@ def test_tensor_propagator_one_step_consistency():
     F = np.eye(3)
 
     def gap(dt):
-        flow_step = tensor_semigroup_apply(op, dt, P1) + dt * F
+        flow_step = _congruence_flow(op, dt, P1) + dt * F
         euler_step = P1 + dt * (A.T @ P1 + P1 @ A) + dt * F
         return np.max(np.abs(flow_step - euler_step))
 
