@@ -36,10 +36,10 @@ the features again.  Both orders run this scheme through
 
 The first adjoint is kept in coefficient form.  Y and the driver are the
 per-step coefficients of the two fits; a step slice of either is
-re-evaluated on demand through :class:`StepHistory`, the driver by the
-same function the sweep would call, so identity checks pair against what
-the sweep fitted.  So is y, y_j = X_j beta_y[j] + rest_j, whose moments
-the sweep takes as C_j beta_y plus W times the per-path rest.  When the
+re-evaluated on demand through :class:`StepHistory`, so identity checks
+pair against what the sweep fitted.  So is y, y_j = X_j beta_y[j] +
+rest_j, whose moments the sweep takes as C_j beta_y plus W times the
+per-path rest; y_j and Y_j come from one product per step.  When the
 Jacobian callbacks of a and b each return one matrix at every step (the
 same on every path, so a_xx = b_xx = 0) the driver is affine in the
 features up to g_x, so beta_y folds it in and rest_j = -dt g_x(t_j, x_j,
@@ -59,20 +59,15 @@ from .forward import path_constant_steps
 
 @dataclass(frozen=True)
 class RegressionBasis:
-    """Polynomial regression features: 1, x_k, x_k x_l on the leading modes."""
+    """Quadratic regression features: 1, x_k, x_k x_l on the leading ``mode_cap``
+    modes."""
 
-    degree: int = 2
     mode_cap: int = 4
     ridge: float = 1e-8
 
     def n_features(self, n_modes):
         m = min(n_modes, self.mode_cap)
-        count = 1
-        if self.degree >= 1:
-            count += m
-        if self.degree >= 2:
-            count += m * (m + 1) // 2
-        return count
+        return 1 + m + m * (m + 1) // 2
 
     def features(self, x, out=None):
         """Features of the states ``x`` (P, d) as a (P, F) view of contiguous
@@ -84,13 +79,11 @@ class RegressionBasis:
         m = min(n, self.mode_cap)
         rows = np.empty((self.n_features(n), p)) if out is None else out
         rows[0] = 1.0
-        if self.degree >= 1:
-            rows[1 : 1 + m] = x[:, :m].T
-        if self.degree >= 2:
-            q = 1 + m
-            for k in range(m):  # x_k x_l for l >= k, in row-major order
-                np.multiply(rows[1 + k], rows[1 + k : 1 + m], out=rows[q : q + m - k])
-                q += m - k
+        rows[1 : 1 + m] = x[:, :m].T
+        q = 1 + m
+        for k in range(m):  # x_k x_l for l >= k, in row-major order
+            np.multiply(rows[1 + k], rows[1 + k : 1 + m], out=rows[q : q + m - k])
+            q += m - k
         return rows.T
 
 
@@ -205,8 +198,9 @@ class AdjointPair:
     values the sweep used at each step.  All three are read one step slice
     at a time, ``y[:, j]``: from the sweep they are :class:`StepHistory`
     objects over the regression coefficients.  ``at(j)`` reads y_j and Y_j
-    together, which from the sweep costs one product on step j's features
-    (see :func:`solve_first_adjoint`).  ``features`` is the sweep's
+    together, which from the sweep costs one product on step j's features,
+    and the step slices of y and Y are halves of that same read (see
+    :func:`solve_first_adjoint`).  ``features`` is the sweep's
     :class:`StepFeatures`, which a second-order sweep on the same
     trajectory takes; a hand-built pair may pass dense arrays and no
     features."""
@@ -335,13 +329,13 @@ def solve_first_adjoint(scenario, trajectory, ens, basis=None):
     (and a_xx = b_xx = 0), so the driver is X(-beta_mean a_x - beta_mart
     b_x) + g_x, beta_y = beta_mean + dt (beta_mean a_x + beta_mart b_x) and
     rest_j = -dt g_x(t_j, x_j, u_j); otherwise beta_y = beta_mean and
-    rest_j = -dt f_j, the per-path driver, which every read of ``y``
-    evaluates again.
+    rest_j = -dt f_j, the per-path driver.
 
-    ``pair.at(j)`` reads y_j and Y_j from one product of X_j with the
+    A step is read once: ``pair.at(j)``, ``pair.y[:, j]`` (j < n_steps) and
+    ``pair.Y[:, j]`` all take y_j and Y_j from one product of X_j with the
     stacked [beta_y[j] | beta_mart[j]], plus y's rest; when beta_y is
-    beta_mean that product also gives the driver's y_hat and Y, so the
-    driver is evaluated once."""
+    beta_mean that product also gives the driver's y_hat and Y, from which
+    the rest is formed, in the sweep's update as in a read."""
     basis = basis or RegressionBasis()
     check_same_ensemble(trajectory, ens)
     op = scenario.op
@@ -362,19 +356,21 @@ def solve_first_adjoint(scenario, trajectory, ens, basis=None):
     beta_y, beta_mart = stacked[:, :, :n], stacked[:, :, n:]
     beta_mean = np.empty_like(beta_y) if folded else beta_y
 
-    def Y_at(j):
-        return features.at(j) @ beta_mart[j]
-
     def driver_at(j):
         X = features.at(j)
         return _first_driver(scenario, times[j], states[:, j], controls[:, j],
                              X @ beta_mean[j], X @ beta_mart[j])
 
-    def rest_at(j):
-        # the part of y_j outside the features; a folded driver leaves -dt g_x
+    def rest_at(j, fit=None):
+        # the part of y_j outside the features: a folded driver leaves -dt g_x;
+        # otherwise -dt f_j, on y_hat and Y from the step's product ``fit``
+        # with [beta_y | beta_mart], beta_y being beta_mean
+        x, u = states[:, j], controls[:, j]
         if folded:
-            return -dt * scenario.grad_x_running(times[j], states[:, j], controls[:, j])
-        return -dt * driver_at(j)
+            return -dt * scenario.grad_x_running(times[j], x, u)
+        if fit is None:
+            fit = features.at(j) @ stacked[j]
+        return -dt * _first_driver(scenario, times[j], x, u, fit[:, :n], fit[:, n:])
 
     def update(j, b_mean, b_mart):
         beta_mean[j], beta_mart[j] = b_mean, b_mart
@@ -382,26 +378,15 @@ def solve_first_adjoint(scenario, trajectory, ens, basis=None):
             beta_y[j] = b_mean + dt * (b_mean @ a_x[j] + b_mart @ b_x[j])
         return FeatureAffine(beta_y[j], rest_at(j))
 
-    def y_at(j):
-        if j == N:
-            return y_T
-        return features.at(j) @ beta_y[j] + rest_at(j)
-
     decay = np.exp(op.eigenvalues * dt)
     regression_sweep(features, y_T, decay, update)
 
     def read(j):
         fit = features.at(j) @ stacked[j]
-        y_fit, Y_j = fit[:, :n], fit[:, n:]
-        if folded:
-            return y_fit + rest_at(j), Y_j
-        # beta_y is beta_mean here: y_fit is y_hat, and the driver on it
-        # needs no second product
-        return y_fit - dt * _first_driver(scenario, times[j], states[:, j], controls[:, j],
-                                          y_fit, Y_j), Y_j
+        return fit[:, :n] + rest_at(j, fit), fit[:, n:]
 
-    y = StepHistory((P, N + 1, n), y_at, (beta_y, y_T))
-    Y = StepHistory((P, N, n), Y_at, (beta_mart,))
+    y = StepHistory((P, N + 1, n), lambda j: y_T if j == N else read(j)[0], (beta_y, y_T))
+    Y = StepHistory((P, N, n), lambda j: np.ascontiguousarray(read(j)[1]), (beta_mart,))
     driver = StepHistory((P, N, n), driver_at, (beta_mean,))
     return AdjointPair(grid, y, Y, driver, ens.fingerprint, features, read)
 

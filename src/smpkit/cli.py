@@ -34,7 +34,7 @@ from .duality import (  # noqa: F401
     verify_second_identities,
     verify_second_identity,
 )
-from .errors import ConfigError, EnsembleMismatchError, SmpKitError, StepRuleError
+from .errors import ConfigError, DomainError, EnsembleMismatchError, SmpKitError, StepRuleError
 from .forward import Box, OpenLoop, TimeGrid, cost_paths, sample_brownian, simulate_controlled
 from .maximum_principle import (
     check_condition,
@@ -42,6 +42,7 @@ from .maximum_principle import (
     second_order_data,
     solve_adjoints,
     spike_experiment,
+    spike_widths,
 )
 from .scenarios import MatrixPreset, build_preset, dp_oracle_scalar, load_preset, riccati_oracle
 from .second_order import mat_to_vec, max_asymmetry, solve_second_adjoint
@@ -133,6 +134,8 @@ def _grid_for(cfg, problem):
                                ("--t-points", cfg.t_points, 1), ("--u-points", cfg.u_points, 1)):
         if value < least:
             raise ConfigError(f"{flag} must be at least {least} (got {value})")
+    if not (np.isfinite(cfg.k_sigma) and cfg.k_sigma >= 0):
+        raise ConfigError(f"--k-sigma must be finite and nonnegative (got {cfg.k_sigma})")
     T = problem.T
     if not (np.isfinite(cfg.dt) and cfg.dt > 0):
         raise ConfigError(f"--dt must be positive (got {cfg.dt})")
@@ -148,6 +151,10 @@ def _grid_for(cfg, problem):
         if tau < 0 or tau + max(eps) > T + 1e-12:
             raise ConfigError(f"the spike window from --tau {cfg.tau} over --eps-list "
                               f"{max(eps)} leaves the horizon T = {T}")
+        try:
+            spike_widths(eps, T / n_steps)
+        except DomainError as exc:
+            raise ConfigError(f"--eps-list: {exc}") from None
     return TimeGrid(0.0, T, n_steps)
 
 
@@ -214,7 +221,7 @@ def cmd_solve_adjoint(cfg, scenario, lq, grid):
     rows = []
     for j in range(grid.n_steps):
         row = {"step": j, "time": times[j]}
-        y_j, Y_j = pair.y[:, j], pair.Y[:, j]
+        y_j, Y_j = pair.at(j)
         for k in range(n):
             row[f"y_mean_{k+1}"] = float(y_j[:, k].mean())
             row[f"Y_mean_{k+1}"] = float(Y_j[:, k].mean())

@@ -44,10 +44,11 @@ So one backward pass over the (P, n) vector b serves every tuple, no test
 state is simulated, and each step costs a few (K, n) x (n, P) products.
 
 Second order.  The lhs is bilinear in the two test states, so x1 and x2 are
-stepped forward for all tuples at once, paths innermost.  P_j and Q_j are
-read in that layout (``SecondOrderAdjoint.P_paths(j, "klp")``), and the
-matrices the forcings meet, P, P*, Q + K*P and (P K + Q)*, are multiplied
-with the profiles as matrix products, not as per-path contractions.
+stepped forward for all tuples at once, paths innermost.  Each step reads
+(P_j, Q_j) once (``SecondOrderAdjoint.at(j)``); the matrices the forcings
+meet, P, P*, Q + K*P and (P K + Q)*, are transposes of that read with paths
+innermost, multiplied with the profiles as matrix products, not as
+per-path contractions.
 """
 
 import operator
@@ -425,7 +426,7 @@ def verify_first_identities(pair, op, tests, ens, bias_budget=0.0, k_sigma=3.0):
             v1, v2 = tuples.forcings_at(j, m)
             # the pair's own driver: a step history, read per step, never whole
             f_j = at_step(pair.driver, j, 1)
-            y_j = pair.y[:, j]
+            y_j, Y_j = pair.at(j)
             b = Sb if f_j is None else Sb - dt * f_j
             if v1 is not None:
                 lhs[:m] += dt * v1.pair(Sb)
@@ -435,7 +436,7 @@ def verify_first_identities(pair, op, tests, ens, bias_budget=0.0, k_sigma=3.0):
                 rhs[:m] += dt * v1.pair(y_j if f_j is None else y_j + dt * f_j)
             if v2 is not None:
                 lhs[:m] += v2.pair(Sb) * tuples.increments[:, j]
-                rhs[:m] += dt * v2.pair(pair.Y[:, j])
+                rhs[:m] += dt * v2.pair(Y_j)
             _guard(b.T, j)
         for k in tuples.starting(j):
             eta = tuples.start(k, 0)
@@ -513,9 +514,9 @@ def verify_second_identities(sa, op, J, K, F, P_T, tests, ens, bias_budget=0.0,
         for k in new:
             x1[k, :n], x2[k, :n] = (tuples.start(k, i).T for i in (0, 1))
         a1, a2 = x1[:m, :n], x2[:m, :n]
+        P_j, Q_j = (sa.P_paths(N), None) if j == N else sa.at(j)
         if new:
-            rhs[new.start:new.stop] += _dot(a2[new.start:], _apply(sa.P_paths(j),
-                                                                   a1[new.start:]))
+            rhs[new.start:new.stop] += _dot(a2[new.start:], _apply(P_j, a1[new.start:]))
         if j == N:
             lhs[:m] += _dot(a2, _apply(P_T, a1))
             break
@@ -524,24 +525,25 @@ def verify_second_identities(sa, op, J, K, F, P_T, tests, ens, bias_budget=0.0,
         if Fj is not None:
             lhs[:m] -= dt * _dot(a2, _apply(Fj, a1))
 
+        # paths innermost, as transposes of the read: PT_row[l, i, p] =
+        # P_p[i, l] and P_row[i, l, p] = P_p[i, l]; sums with them are new
+        # arrays, so the read itself is never written
         acc = np.zeros((m, P))
-        if u1 is not None or v1 is not None:
-            PT_row = sa.P_paths(j, "lkp")  # [l, i, p] = P_p[i, l]
-        if u2 is not None or v2 is not None:
-            P_row = sa.P_paths(j, "klp")
+        PT_row = np.ascontiguousarray(P_j.T)
+        P_row = np.ascontiguousarray(P_j.transpose(1, 2, 0))
         if u1 is not None:
             acc += u1.modulate(_dot(a2, u1.apply(PT_row)))
         if v1 is not None:
-            QK = sa.Q_paths(j, "lkp")  # Q* + P* K, the layout of (Q + K* P)*
+            QK = Q_j.T  # Q* + P* K, the layout of (Q + K* P)*
             if Kj is not None:
-                QK += _times(PT_row, Kj)
+                QK = QK + _times(PT_row, Kj)
             acc += v1.modulate(_dot(a2, v1.apply(QK)))
         if u2 is not None:
             acc += u2.modulate(_dot(u2.apply(P_row), a1))
         if v2 is not None:
-            PKQ = sa.Q_paths(j, "klp")  # P K + Q, the layout of its transpose's
+            PKQ = Q_j.transpose(1, 2, 0)  # P K + Q, the layout of its transpose's
             if Kj is not None:
-                PKQ += _times(P_row, Kj)
+                PKQ = PKQ + _times(P_row, Kj)
             acc += v2.modulate(_dot(v2.apply(PKQ), a1))
             if v1 is not None:
                 acc += v1.modulate(v2.pair_stack(v1.apply(PT_row)))

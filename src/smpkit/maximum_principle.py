@@ -186,6 +186,10 @@ def check_condition(scenario, traj, pair, sa, u_grid, t_grid, bias_budget=0.0,
     t_grid = np.asarray(t_grid, dtype=int)
     if t_grid.size == 0:
         raise DomainError("empty time grid makes the condition vacuous")
+    last = traj.grid.n_steps - 1
+    if t_grid.min() < 0 or t_grid.max() > last:
+        raise DomainError(f"time indices must lie in 0..{last} "
+                          f"(got {t_grid.min()}..{t_grid.max()})")
     check_same_ensemble(traj, pair, sa)
     times = traj.grid.times()
     P = traj.n_paths
@@ -311,6 +315,20 @@ class SpikeTable:
     rows: list
 
 
+def spike_widths(eps_list, dt):
+    """The spike windows round(eps / dt), in grid steps.  A window of 0
+    steps makes a vacuous row, and two equal ones the same spike, so both
+    raise DomainError."""
+    widths = [int(round(eps / dt)) for eps in eps_list]
+    for k, (eps, width) in enumerate(zip(eps_list, widths)):
+        if width == 0:
+            raise DomainError(f"epsilon {eps} rounds to a spike of 0 steps at dt = {dt}")
+        if k and width == widths[k - 1]:
+            raise DomainError(f"epsilons {eps_list[k - 1]} and {eps} round to the same spike "
+                              f"of {width} steps at dt = {dt}")
+    return widths
+
+
 def spike_experiment(scenario, x0, u_bar, u_alt, tau, eps_list, ens,
                      basis=None, adjoints=None):
     """Cost response to spiking the control to ``u_alt`` on [tau, tau+eps).
@@ -328,6 +346,7 @@ def spike_experiment(scenario, x0, u_bar, u_alt, tau, eps_list, ens,
     dt = grid.dt
     if tau + max(eps_list) > grid.T + 1e-12:
         raise DomainError("spike window exceeds the horizon")
+    widths = spike_widths(eps_list, dt)
     times = grid.times()
     j_tau = int(round((tau - grid.t0) / dt))
 
@@ -340,8 +359,7 @@ def spike_experiment(scenario, x0, u_bar, u_alt, tau, eps_list, ens,
 
     u_alt = np.asarray(u_alt, dtype=float)
     rows = []
-    for eps in eps_list:
-        width = int(round(eps / dt))
+    for eps, width in zip(eps_list, widths):
         j_hi = j_tau + width
         spiked = np.array(base_traj.controls_used, copy=True)
         spiked[:, j_tau:j_hi] = u_alt

@@ -24,9 +24,12 @@ and the ridge solvers are already recorded, so the sweep builds features
 and touches per-path data only at its terminal step.  With a path-indexed
 J, K or F, beta_P[j] is the mean fit and P_j adds the per-path rest -dt
 times the driver on the fitted P and Q, which the sweep takes as the
-target's per-path part and every read of P_j evaluates again.
+target's per-path part.  A step is read once, (P_j, Q_j) =
+``SecondOrderAdjoint.at(j)``: the two products X_j beta_P[j] and X_j
+beta_Q[j] give both halves and the rest.
 """
 
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -74,30 +77,18 @@ def _driver(J, K, F, P, Q):
     return out
 
 
-_AXES = {"pkl": (0, 1, 2), "klp": (1, 2, 0), "lkp": (2, 1, 0)}
-
-
-def _laid_out(M, layout):
-    """A (n_paths, n, n) array in one of the layouts of
-    :meth:`SecondOrderAdjoint.P_paths`, as a view."""
-    if layout not in _AXES:
-        raise DomainError(f"unknown layout {layout!r}")
-    return M.transpose(_AXES[layout])
-
-
 @dataclass
 class SecondOrderAdjoint:
     """Pair (P, Q) of matrix processes, per path, kept as per-step regression
-    coefficients on ``features``: P_j = X_j beta_P[j] + rest(j) and Q_j = X_j
+    coefficients on ``features``: P_j = X_j beta_P[j] + rest_j and Q_j = X_j
     beta_Q[j], with ``rest`` None when the coefficients J, K, F are the same
     on every path.
 
-    ``P_paths(j)``/``Q_paths(j)`` re-evaluate (n_paths, n, n) slices; the
-    terminal slice is stored exactly per path.  ``layout`` names the axes of
-    the returned slice M_j[p][k, l]: "pkl" (the default), or with paths
-    innermost "klp", or "lkp" for the transposes.  Both paths-innermost
-    layouts come straight out of one product beta[j].T @ X_j.T on the
-    contiguous feature rows, so no per-path slice is transposed.
+    ``at(j)`` reads (P_j, Q_j), each (n_paths, n, n), from the two products
+    X_j beta_P[j] and X_j beta_Q[j]; ``rest(j, fit_P, Q_j)`` forms the
+    per-path rest from those same products.  ``P_paths(j)``/``Q_paths(j)``
+    are the halves of that read, and ``P_paths(n_steps)`` is the terminal
+    slice, stored exactly per path.
     """
 
     grid: object
@@ -106,7 +97,7 @@ class SecondOrderAdjoint:
     beta_P: Optional[np.ndarray] = None           # (N, F, n^2)
     beta_Q: Optional[np.ndarray] = None           # (N, F, n^2)
     P_terminal: Optional[np.ndarray] = None       # (P, n, n)
-    rest: Optional[Callable] = None               # j -> (P, n, n), the per-path part of P_j
+    rest: Optional[Callable] = None               # (j, fit_P, Q_j) -> the per-path part of P_j
     fingerprint: Optional[tuple] = None
     symmetry_drift: float = 0.0
     # no per-path history; kept as None for perfbench/tracing.py::_observe
@@ -116,28 +107,26 @@ class SecondOrderAdjoint:
     def n_paths(self):
         return self.P_terminal.shape[0]
 
-    def _fitted(self, beta, j, layout):
-        """X_j beta per path in ``layout``; beta is (F, n^2), column-major."""
-        n = self.op.n_modes
-        X = self.features.at(j)
-        if layout == "pkl":
-            return vec_to_mat(X @ beta, n)
-        if layout == "klp":  # row-major columns: M[k, l] at row k n + l
-            beta = vec_to_mat(beta, n).reshape(-1, n * n)
-        elif layout != "lkp":
-            raise DomainError(f"unknown layout {layout!r}")
-        return (beta.T @ X.T).reshape(n, n, -1)
+    def _fitted(self, j):
+        """X_j beta_P[j] and X_j beta_Q[j] per path, (n_paths, n, n) each, as
+        views of the products beta[j].T X_j.T on the contiguous feature rows,
+        so with paths innermost in memory."""
+        rows, n = self.features.at(j).T, self.op.n_modes
+        return tuple((beta[j].T @ rows).reshape(n, n, -1).T for beta in (self.beta_P, self.beta_Q))
 
-    def P_paths(self, j, layout="pkl"):
-        if j == self.grid.n_steps:
-            return _laid_out(self.P_terminal, layout)
-        P_j = self._fitted(self.beta_P[j], j, layout)
-        return P_j if self.rest is None else P_j + _laid_out(self.rest(j), layout)
+    def at(self, j):
+        """(P_j, Q_j), each (n_paths, n, n), at a step 0 <= j < n_steps."""
+        j = operator.index(j)
+        if not 0 <= j < self.grid.n_steps:
+            raise DomainError(f"step {j} is outside 0..{self.grid.n_steps - 1}")
+        P_j, Q_j = self._fitted(j)
+        return (P_j if self.rest is None else P_j + self.rest(j, P_j, Q_j)), Q_j
 
-    def Q_paths(self, j, layout="pkl"):
-        if j >= self.grid.n_steps:
-            raise DomainError("martingale component is defined on steps 0..n_steps-1")
-        return self._fitted(self.beta_Q[j], j, layout)
+    def P_paths(self, j):
+        return self.P_terminal if j == self.grid.n_steps else self.at(j)[0]
+
+    def Q_paths(self, j):
+        return self.at(j)[1]
 
     def P_mean(self, j):
         if self.rest is None and j < self.grid.n_steps:
@@ -188,11 +177,9 @@ def solve_second_adjoint(op, J, K, F, P_T, ens, basis=None, features=None):
     beta_P = np.empty((N, features.n_features, n * n))
     beta_Q = np.empty_like(beta_P)
 
-    def rest_at(j):
+    def rest_at(j, fit_P, Q_j):
         # -dt times the per-path driver on the fitted X beta_P[j] and Q_j
-        X = features.at(j)
-        return -dt * _driver(*(at_step(c, j, 2) for c in (J, K, F)),
-                             vec_to_mat(X @ beta_P[j], n), vec_to_mat(X @ beta_Q[j], n))
+        return -dt * _driver(*(at_step(c, j, 2) for c in (J, K, F)), fit_P, Q_j)
 
     result = SecondOrderAdjoint(
         grid=grid, op=op, features=features, beta_P=beta_P, beta_Q=beta_Q,
@@ -207,7 +194,7 @@ def solve_second_adjoint(op, J, K, F, P_T, ens, basis=None, features=None):
         if per_path:
             # beta_P[j] is the mean fit and P_j adds the per-path rest
             beta_P[j], beta_Q[j] = beta_tilde, beta_q
-            p_next = FeatureAffine(beta_P[j], mat_to_vec(rest_at(j)))
+            p_next = FeatureAffine(beta_P[j], mat_to_vec(rest_at(j, *result._fitted(j))))
         else:
             # the driver is feature-affine, so the update is done once in
             # coefficient space and the next target is X @ beta_P[j]

@@ -7,7 +7,8 @@ local copy, so the reference shares no driver code with the solver under
 test.  With one-matrix Jacobians (every scenario the reference takes),
 y_j = X_j beta_y - dt g_x with beta_y = beta_mean + dt (beta_mean a_x +
 beta_mart b_x), and the next target is handed to the sweep in that affine
-form.  The coefficient-form tests compare every step slice against it."""
+form; y_j and Y_j come from one product per step.  The coefficient-form
+tests compare every step slice against it."""
 
 import numpy as np
 
@@ -46,8 +47,11 @@ def dense_first_adjoint(scenario, traj, ens, basis=None):
         )
         beta_y = beta_mean + dt * (beta_mean @ a_x + beta_mart @ b_x)
         rest = -dt * g_x
-        y[:, j] = X @ beta_y + rest
-        Y[:, j] = Y_j
+        # y_j and Y_j from one product on [beta_y | beta_mart], as the
+        # solver reads a step
+        fit = X @ np.concatenate([beta_y, beta_mart], axis=1)
+        y[:, j] = fit[:, :n] + rest
+        Y[:, j] = fit[:, n:]
         return FeatureAffine(beta_y, rest)
 
     decay = np.exp(scenario.op.eigenvalues * dt)

@@ -350,8 +350,8 @@ def test_one_read_gives_the_slices_of_y_and_Y(preset, path_constant):
         pair = solve_first_adjoint(scenario, traj, ens)
     for j in range(grid.n_steps):
         y_j, Y_j = pair.at(j)
-        np.testing.assert_allclose(y_j, pair.y[:, j], rtol=0, atol=1e-13)
-        np.testing.assert_allclose(Y_j, pair.Y[:, j], rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(y_j, pair.y[:, j])
+        np.testing.assert_array_equal(Y_j, pair.Y[:, j])
     for j in (-1, grid.n_steps):
         with pytest.raises(IndexError):
             pair.at(j)

@@ -51,8 +51,14 @@ SMALL_RUN = ["--preset", "lq_scalar", "--paths", "100", "--dt", "0.05", "--seed"
     (["optimize", "--max-iters", "-1"], "--max-iters must be at least 0"),
     (["check-mp", "--t-points", "0"], "--t-points must be at least 1"),
     (["check-mp", "--u-points", "0"], "--u-points must be at least 1"),
+    (["spike-experiment", "--eps-list", "0.2,0.01"], "rounds to a spike of 0 steps"),
+    (["spike-experiment", "--eps-list", "0.1,0.09"], "round to the same spike of 2 steps"),
+    (["verify-duality", "--k-sigma", "inf"], "--k-sigma must be finite and nonnegative"),
+    (["verify-duality", "--k-sigma", "nan"], "--k-sigma must be finite and nonnegative"),
+    (["verify-duality", "--k-sigma", "-1"], "--k-sigma must be finite and nonnegative"),
 ], ids=["eps_not_a_number", "eps_increasing", "tau_past_horizon", "negative_max_iters",
-        "no_t_points", "no_u_points"])
+        "no_t_points", "no_u_points", "eps_empty_window", "eps_same_width", "k_sigma_inf",
+        "k_sigma_nan", "k_sigma_negative"])
 def test_options_no_run_can_honour_exit_2(tmp_path, capsys, argv, message):
     code, out = run(tmp_path, "bad", *argv, *SMALL_RUN)
     assert code == 2

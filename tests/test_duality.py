@@ -334,6 +334,20 @@ def test_stacked_second_identities_match_single_tuple_heat4_coefficient_mode():
                               scenario.c_bias_second * grid.dt, 29)
 
 
+def test_stacked_second_identities_match_single_tuple_nonsymmetric_data():
+    # non-symmetric J, K, F and P_T, so a transpose swapped in the verifier's
+    # paths-innermost arrangements of P_j or Q_j would show
+    scenario, grid, ens, traj, pair = _heat4_setup(n_steps=12, n_paths=300, seed=27)
+    n = scenario.n_modes
+    rng = np.random.default_rng(9)
+    J, K, F = (scale * rng.standard_normal((grid.n_steps, n, n)) for scale in (0.3, 0.3, 1.0))
+    P_T = -np.eye(n) + 0.2 * rng.standard_normal((ens.n_paths, n, n))
+    sa = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, features=pair.features)
+    assert sa.rest is None  # coefficient storage
+    _check_second_equivalence(scenario.op, J, K, F, P_T, sa, ens,
+                              scenario.c_bias_second * grid.dt, 41)
+
+
 def test_stacked_second_identities_match_single_tuple_mat_scalar():
     mat = load_preset("mat_scalar")
     op = OperatorSpec(1, np.array([0.0]))

@@ -242,6 +242,9 @@ def test_check_condition_empty_grid_errors(lq_at_optimum):
         check_condition(scenario, traj, pair, sa, np.zeros((0, 1)), [0])
     with pytest.raises(DomainError):
         check_condition(scenario, traj, pair, sa, np.zeros((3, 1)), [])
+    for t_grid in ([grid.n_steps], [-1]):
+        with pytest.raises(DomainError, match=f"0..{grid.n_steps - 1}"):
+            check_condition(scenario, traj, pair, sa, np.zeros((3, 1)), t_grid)
 
 
 def test_second_order_data_deterministic_for_preset(lq_at_optimum):
@@ -458,6 +461,10 @@ def test_spike_epsilon_validation(lq_at_optimum):
         spike_experiment(scen, scen.x0, base, np.array([0.5]), 0.3, [0.1, 0.2], e)
     with pytest.raises(DomainError):
         spike_experiment(scen, scen.x0, base, np.array([0.5]), 0.9, [0.3, 0.1], e)
+    # at dt = 0.05, 0.01 rounds to an empty window and 0.09 to the width of 0.1
+    for eps_list in ([0.2, 0.01], [0.1, 0.09]):
+        with pytest.raises(DomainError, match="rounds? to"):
+            spike_experiment(scen, scen.x0, base, np.array([0.5]), 0.3, eps_list, e)
 
 
 def test_spike_remainder_vanishes_at_optimum(lq_at_optimum):

@@ -116,8 +116,7 @@ def test_sweep_terminal_exact_per_path():
     np.testing.assert_array_equal(sa.P_paths(10), P_T)
 
 
-@pytest.mark.parametrize("layout", ["pkl", "klp", "lkp"])
-def test_terminal_slice_of_P_is_read_only(layout):
+def test_terminal_slice_of_P_is_read_only():
     scenario, _ = build_preset(load_preset("heat4"))
     grid = TimeGrid(0.0, scenario.T, 10)
     ens = sample_brownian(grid, 200, 3)
@@ -126,11 +125,11 @@ def test_terminal_slice_of_P_is_read_only(layout):
     pair = solve_first_adjoint(scenario, traj, ens)
     J, K, F, P_T = second_order_data(scenario, traj, pair)
     sa = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, features=pair.features)
-    before = sa.P_paths(10, layout).copy()
-    w = sa.P_paths(10, layout)
+    before = sa.P_paths(10).copy()
+    w = sa.P_paths(10)
     with pytest.raises(ValueError):
         w *= 2
-    np.testing.assert_array_equal(sa.P_paths(10, layout), before)
+    np.testing.assert_array_equal(sa.P_paths(10), before)
     np.testing.assert_array_equal(sa.P_terminal, P_T)
 
 
@@ -396,8 +395,9 @@ def test_features_of_another_ensemble_rejected():
         solve_second_adjoint(scenario.op, J, K, F, P_T, other, features=pair.features)
 
 
-def test_paths_innermost_layouts_match_the_per_path_slices():
-    # non-symmetric data, so a layout that swapped k and l would show
+def test_one_read_gives_the_slices_of_P_and_Q():
+    # coefficient mode and per-path mode, whose P_j adds a rest formed from
+    # the same two products
     scenario, _ = build_preset(load_preset("heat4"))
     n, n_steps, n_paths = scenario.n_modes, 12, 300
     grid = TimeGrid(0.0, 1.0, n_steps)
@@ -411,14 +411,12 @@ def test_paths_innermost_layouts_match_the_per_path_slices():
     coeff = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, features=pair.features)
     per_path = [np.broadcast_to(c, (n_paths,) + c.shape) for c in (J, K, F)]
     dense = solve_second_adjoint(scenario.op, *per_path, P_T, ens, features=pair.features)
+    assert coeff.rest is None and dense.rest is not None
     for sa in (coeff, dense):
-        for j in range(n_steps + 1):
-            reads = [(sa.P_paths, j)] + ([(sa.Q_paths, j)] if j < n_steps else [])
-            for read, step in reads:
-                M = read(step)
-                scale = np.abs(M).max()
-                for layout, axes in (("klp", (1, 2, 0)), ("lkp", (2, 1, 0))):
-                    np.testing.assert_allclose(read(step, layout), M.transpose(axes),
-                                               rtol=0, atol=1e-14 * scale)
-    with pytest.raises(DomainError):
-        coeff.P_paths(0, "lpk")
+        for j in range(n_steps):
+            P_j, Q_j = sa.at(j)
+            np.testing.assert_array_equal(P_j, sa.P_paths(j))
+            np.testing.assert_array_equal(Q_j, sa.Q_paths(j))
+        for j in (-1, n_steps):
+            with pytest.raises(DomainError):
+                sa.at(j)
