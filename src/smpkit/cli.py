@@ -131,11 +131,16 @@ def _grid_for(cfg, problem):
         raise ConfigError(f"cross-validate-oracles needs a scalar preset; {cfg.preset} is not")
     for flag, value, least in (("--paths", cfg.paths, 2), ("--tuples", cfg.tuples, 1),
                                ("--max-iters", cfg.max_iters, 0),
-                               ("--t-points", cfg.t_points, 1), ("--u-points", cfg.u_points, 1)):
+                               ("--t-points", cfg.t_points, 1), ("--u-points", cfg.u_points, 1),
+                               ("--workers", cfg.workers, 1)):
         if value < least:
             raise ConfigError(f"{flag} must be at least {least} (got {value})")
+    if cfg.seed < 0:
+        raise ConfigError(f"--seed must be a nonnegative integer (got {cfg.seed})")
     if not (np.isfinite(cfg.k_sigma) and cfg.k_sigma >= 0):
         raise ConfigError(f"--k-sigma must be finite and nonnegative (got {cfg.k_sigma})")
+    if not (np.isfinite(cfg.step) and cfg.step > 0):
+        raise ConfigError(f"--step must be finite and positive (got {cfg.step})")
     T = problem.T
     if not (np.isfinite(cfg.dt) and cfg.dt > 0):
         raise ConfigError(f"--dt must be positive (got {cfg.dt})")

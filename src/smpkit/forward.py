@@ -57,9 +57,10 @@ class TimeGrid:
 class BrownianEnsemble:
     """Seeded scalar Brownian increments on a uniform grid.
 
-    Row i is drawn from a child stream keyed by (seed, i), so a path's
-    increments do not depend on how many other paths were sampled or on any
-    worker layout.
+    Row i is drawn from numpy's child stream ``SeedSequence(seed).spawn(n)[i]``
+    (keyed by (seed, i), and computed without building the children), so a
+    path's increments do not depend on how many other paths were sampled or
+    on any worker layout.
     """
 
     grid: TimeGrid
@@ -81,18 +82,70 @@ class BrownianEnsemble:
 
 SAMPLE_BLOCK = 256  # paths drawn into one path-major block before the transpose
 
+# the hash constants of numpy's SeedSequence (O'Neill's seed_seq_fe)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hashmix(value, const, mult):
+    """One hashmix step of numpy's SeedSequence on uint32 values: the mixed
+    values and the next hash constant."""
+    nxt = const * mult & 0xFFFFFFFF
+    value = (value ^ np.uint32(const)) * np.uint32(nxt)
+    return value ^ (value >> 16), nxt
+
+
+def child_states(seed, n_paths):
+    """``SeedSequence(seed).spawn(n_paths)[i].generate_state(4, np.uint64)``
+    as row i of an (n_paths, 4) array, computed for all i at once.
+
+    A child's entropy is the parent's, zero-padded to the 4-word pool, and
+    then its spawn key i.  So its pool is the parent's pool with the one word
+    i mixed in, by the hash constant the parent's mixing left behind: 16
+    hashmix calls, plus 4 for each seed word beyond the fourth.
+    """
+    extra = max(0, -(-seed.bit_length() // 32) - 4)
+    hash_a = _INIT_A * pow(_MULT_A, 16 + 4 * extra, 1 << 32) & 0xFFFFFFFF
+    key = np.arange(n_paths, dtype=np.uint32)
+    pool = []
+    for word in np.random.SeedSequence(seed).pool:
+        value, hash_a = _hashmix(key, hash_a, _MULT_A)
+        mixed = np.uint32(_MIX_L * int(word) & 0xFFFFFFFF) - np.uint32(_MIX_R) * value
+        pool.append(mixed ^ (mixed >> 16))
+    state = np.empty((n_paths, 8), dtype="<u4")
+    hash_b = _INIT_B
+    for k in range(8):
+        state[:, k], hash_b = _hashmix(pool[k % 4], hash_b, _MULT_B)
+    return state.view("<u8").astype(np.uint64)
+
+
+class _Words(np.random.bit_generator.ISeedSequence):
+    """Hands precomputed ``generate_state(4, np.uint64)`` words to PCG64."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
 
 def sample_brownian(grid, n_paths, seed):
+    """Seeded increments: path i is drawn from PCG64 seeded as numpy's
+    ``SeedSequence(seed).spawn(n_paths)[i]`` would seed it, with the child
+    words of every path computed at once by :func:`child_states` instead of
+    building the children."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer (got {seed!r})")
     if n_paths < 1:
         raise DomainError("n_paths must be >= 1")
-    children = np.random.SeedSequence(seed).spawn(n_paths)
+    words = child_states(int(seed), n_paths)
     incr = step_major((n_paths, grid.n_steps))
     block = np.empty((min(n_paths, SAMPLE_BLOCK), grid.n_steps))
     scale = np.sqrt(grid.dt)
     for lo in range(0, n_paths, SAMPLE_BLOCK):
         rows = block[: min(SAMPLE_BLOCK, n_paths - lo)]
-        for row, child in zip(rows, children[lo : lo + len(rows)]):
-            np.random.default_rng(child).standard_normal(out=row)
+        for row, w in zip(rows, words[lo : lo + len(rows)]):
+            np.random.Generator(np.random.PCG64(_Words(w))).standard_normal(out=row)
         rows *= scale
         incr[lo : lo + len(rows)] = rows
     return BrownianEnsemble(grid, n_paths, incr, seed)

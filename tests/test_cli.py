@@ -56,11 +56,20 @@ SMALL_RUN = ["--preset", "lq_scalar", "--paths", "100", "--dt", "0.05", "--seed"
     (["verify-duality", "--k-sigma", "inf"], "--k-sigma must be finite and nonnegative"),
     (["verify-duality", "--k-sigma", "nan"], "--k-sigma must be finite and nonnegative"),
     (["verify-duality", "--k-sigma", "-1"], "--k-sigma must be finite and nonnegative"),
+    (["solve-adjoint", "--preset", "heat4", "--paths", "200", "--dt", "0.05", "--seed", "-1"],
+     "--seed must be a nonnegative integer"),
+    (["optimize", "--paths", "200", "--step", "nan", "--max-iters", "2"],
+     "--step must be finite and positive"),
+    (["optimize", "--step", "-1"], "--step must be finite and positive"),
+    (["verify-duality", "--workers", "0"], "--workers must be at least 1"),
+    (["verify-duality", "--workers", "-3"], "--workers must be at least 1"),
 ], ids=["eps_not_a_number", "eps_increasing", "tau_past_horizon", "negative_max_iters",
         "no_t_points", "no_u_points", "eps_empty_window", "eps_same_width", "k_sigma_inf",
-        "k_sigma_nan", "k_sigma_negative"])
+        "k_sigma_nan", "k_sigma_negative", "seed_negative", "step_nan", "step_negative",
+        "workers_zero", "workers_negative"])
 def test_options_no_run_can_honour_exit_2(tmp_path, capsys, argv, message):
-    code, out = run(tmp_path, "bad", *argv, *SMALL_RUN)
+    # the case's own options come last, so they override SMALL_RUN's
+    code, out = run(tmp_path, "bad", argv[0], *SMALL_RUN, *argv[1:])
     assert code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err

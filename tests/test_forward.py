@@ -5,12 +5,14 @@ import pytest
 
 from smpkit.errors import DimensionError, DomainError, SimulationDivergedError
 from smpkit.forward import (
+    SAMPLE_BLOCK,
     Box,
     Feedback,
     FiniteGrid,
     OpenLoop,
     Scenario,
     TimeGrid,
+    child_states,
     cost_paths,
     iter_linearized,
     sample_brownian,
@@ -63,6 +65,33 @@ def test_brownian_prefix_stable_in_path_count():
     small = sample_brownian(g, 10, 3)
     big = sample_brownian(g, 40, 3)
     np.testing.assert_array_equal(big.increments[:10], small.increments)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 17, 2**32 + 5, 2**127 + 3, 2**200 + 9])
+def test_child_states_are_numpys_spawned_words(seed):
+    # one-word seeds and seeds of 2, 4 and 7 words; 7 words move the hash
+    # constant past the parent's extra mixing
+    n = 600
+    words = child_states(seed, n)
+    assert words.shape == (n, 4) and words.dtype == np.uint64
+    children = np.random.SeedSequence(seed).spawn(n)
+    for i in (0, 1, 255, 256, 511, n - 1):
+        np.testing.assert_array_equal(words[i], children[i].generate_state(4, np.uint64))
+
+
+@pytest.mark.parametrize("n_paths", [1, 2 * SAMPLE_BLOCK])
+def test_brownian_rows_are_the_spawned_streams(n_paths):
+    g = TimeGrid(0.0, 1.0, 30)
+    ens = sample_brownian(g, n_paths, 4)
+    children = np.random.SeedSequence(4).spawn(n_paths)
+    expected = np.stack([np.random.default_rng(c).standard_normal(30) for c in children])
+    np.testing.assert_array_equal(ens.increments, expected * np.sqrt(g.dt))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.0, "3", None, True])
+def test_brownian_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
+    with pytest.raises(DomainError, match="seed must be a nonnegative integer"):
+        sample_brownian(grid_200(), 4, seed)
 
 
 def test_brownian_column_variance():
