@@ -211,18 +211,25 @@ class AdjointPair:
     driver: Optional[object] = None  # (n_paths, n_steps, n)
     fingerprint: Optional[tuple] = None
     features: Optional[StepFeatures] = None
-    read: Optional[Callable] = None  # j -> (y_j, Y_j); absent: two slice reads
+    read: Optional[Callable] = None  # (j, with_driver) -> at(j, with_driver); absent: slices
 
     @property
     def n_paths(self):
         return self.y.shape[0]
 
-    def at(self, j):
-        """(y_j, Y_j), each (n_paths, n), at a step 0 <= j < n_steps."""
+    def at(self, j, with_driver=False):
+        """(y_j, Y_j), each (n_paths, n), at a step 0 <= j < n_steps; with
+        ``with_driver`` also the driver f_j (None for a pair without one),
+        which from the sweep comes out of the same read."""
         j = operator.index(j)
         if not 0 <= j < self.grid.n_steps:
             raise IndexError(f"step {j} is outside 0..{self.grid.n_steps - 1}")
-        return (self.y[:, j], self.Y[:, j]) if self.read is None else self.read(j)
+        if self.read is not None:
+            return self.read(j, with_driver)
+        out = (self.y[:, j], self.Y[:, j])
+        if not with_driver:
+            return out
+        return out + (None if self.driver is None else self.driver[:, j],)
 
 
 def check_same_ensemble(*objects):
@@ -335,7 +342,10 @@ def solve_first_adjoint(scenario, trajectory, ens, basis=None):
     ``pair.Y[:, j]`` all take y_j and Y_j from one product of X_j with the
     stacked [beta_y[j] | beta_mart[j]], plus y's rest; when beta_y is
     beta_mean that product also gives the driver's y_hat and Y, from which
-    the rest is formed, in the sweep's update as in a read."""
+    the rest is formed, in the sweep's update as in a read.
+    ``pair.at(j, with_driver=True)`` hands back that read's driver as well:
+    the one the rest was formed from, or, when the driver is folded, one
+    formed from the read's Y_j and one more product, X_j beta_mean[j]."""
     basis = basis or RegressionBasis()
     check_same_ensemble(trajectory, ens)
     op = scenario.op
@@ -361,16 +371,19 @@ def solve_first_adjoint(scenario, trajectory, ens, basis=None):
         return _first_driver(scenario, times[j], states[:, j], controls[:, j],
                              X @ beta_mean[j], X @ beta_mart[j])
 
+    def driver_from(j, fit):
+        # f_j on the step's product ``fit`` with [beta_y | beta_mart]: Y_j is
+        # its right half, and y_hat its left half, or one more product with
+        # beta_mean when the driver is folded into beta_y
+        y_hat = features.at(j) @ beta_mean[j] if folded else fit[:, :n]
+        return _first_driver(scenario, times[j], states[:, j], controls[:, j], y_hat, fit[:, n:])
+
     def rest_at(j, fit=None):
         # the part of y_j outside the features: a folded driver leaves -dt g_x;
-        # otherwise -dt f_j, on y_hat and Y from the step's product ``fit``
-        # with [beta_y | beta_mart], beta_y being beta_mean
-        x, u = states[:, j], controls[:, j]
+        # otherwise -dt f_j
         if folded:
-            return -dt * scenario.grad_x_running(times[j], x, u)
-        if fit is None:
-            fit = features.at(j) @ stacked[j]
-        return -dt * _first_driver(scenario, times[j], x, u, fit[:, :n], fit[:, n:])
+            return -dt * scenario.grad_x_running(times[j], states[:, j], controls[:, j])
+        return -dt * driver_from(j, features.at(j) @ stacked[j] if fit is None else fit)
 
     def update(j, b_mean, b_mart):
         beta_mean[j], beta_mart[j] = b_mean, b_mart
@@ -381,9 +394,16 @@ def solve_first_adjoint(scenario, trajectory, ens, basis=None):
     decay = np.exp(op.eigenvalues * dt)
     regression_sweep(features, y_T, decay, update)
 
-    def read(j):
+    def read(j, with_driver=False):
         fit = features.at(j) @ stacked[j]
-        return fit[:, :n] + rest_at(j, fit), fit[:, n:]
+        if folded:
+            rest = rest_at(j)
+            f_j = driver_from(j, fit) if with_driver else None
+        else:
+            f_j = driver_from(j, fit)
+            rest = -dt * f_j
+        y_j, Y_j = fit[:, :n] + rest, fit[:, n:]
+        return (y_j, Y_j, f_j) if with_driver else (y_j, Y_j)
 
     y = StepHistory((P, N + 1, n), lambda j: y_T if j == N else read(j)[0], (beta_y, y_T))
     Y = StepHistory((P, N, n), lambda j: np.ascontiguousarray(read(j)[1]), (beta_mart,))

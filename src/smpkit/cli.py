@@ -106,12 +106,30 @@ def write_manifest(cfg, outdir, wall_time, extra=None):
     return path
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas():
+    """Name and version of the BLAS numpy was built against, from numpy's
+    own build record ("unknown" where numpy keeps none)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.25 has no mode="dicts"
+        return "unknown"
+    return f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"
+
+
 def _run_stats():
-    """Peak resident memory of the process so far and the numpy version, for
-    the manifest (``ru_maxrss`` counts KB on Linux and bytes on macOS)."""
+    """Peak resident memory of the process so far, the numpy version, the
+    BLAS library and the BLAS thread variables as set in the environment
+    (CSV bytes depend on the BLAS thread count), for the manifest
+    (``ru_maxrss`` counts KB on Linux and bytes on macOS)."""
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     peak_mb = peak / 2**20 if sys.platform == "darwin" else peak / 2**10
-    return {"peak_rss_mb": f"{peak_mb:.1f}", "numpy_version": np.__version__}
+    threads = ";".join(f"{var}={os.environ[var]}" for var in BLAS_THREAD_VARS
+                       if var in os.environ)
+    return {"peak_rss_mb": f"{peak_mb:.1f}", "numpy_version": np.__version__,
+            "blas": _blas(), "blas_threads_env": threads or "default"}
 
 
 DT_SLACK = 1e-9  # relative: how far n_steps * dt may miss the horizon T
@@ -320,7 +338,9 @@ def cmd_check_mp(cfg, scenario, lq, grid):
     control_set = scenario.control_set
     if isinstance(control_set, Box):
         # keep the control grid in the region the candidate control visits
-        span = max(1.0, float(np.max(np.abs(traj.controls_used))) * 2.0)
+        # max |u| by two reductions: no |u| array, on a broadcast shared control
+        used = traj.controls_used
+        span = max(1.0, float(max(used.max(), -used.min())) * 2.0)
         control_set = Box(np.maximum(control_set.lo, -span), np.minimum(control_set.hi, span))
     u_grid = control_set.sample_grid(cfg.u_points)
     t_grid = np.linspace(0, grid.n_steps - 1, cfg.t_points, dtype=int)

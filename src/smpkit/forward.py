@@ -8,11 +8,12 @@ dynamics and is unconditionally stable for stiff dissipative spectra.
 Path ensembles are vectorized: states are arrays of shape
 ``(n_paths, n_steps + 1, n_modes)`` and every coefficient callback receives
 batched inputs ``x: (n_paths, n), u: (n_paths, control_dim)``.  Every
-step-indexed path array (increments, Brownian paths, states, controls,
-gradients, per-path second-order coefficients) is stored step-major
-behind that path-first shape: it comes from :func:`step_major`, so a step
-slice ``arr[:, j]`` is one contiguous block rather than one strided read
-per path.
+step-indexed path array (increments, Brownian paths, states, per-path
+controls, gradients, per-path second-order coefficients) is stored
+step-major behind that path-first shape: it comes from :func:`step_major`,
+so a step slice ``arr[:, j]`` is one contiguous block rather than one
+strided read per path.  A control shared by every path is stored once, as
+its (n_steps, m) block, and recorded as a read-only broadcast of it.
 """
 
 from dataclasses import dataclass
@@ -454,9 +455,13 @@ def _fd_hess(fn, x):
 
 @dataclass
 class StateEnsemble:
+    """A simulated ensemble.  ``controls_used`` is (n_paths, n_steps, m):
+    step-major, or for a shared open-loop control a read-only broadcast of
+    its projected (n_steps, m) block, with stride 0 on paths."""
+
     grid: TimeGrid
     states: np.ndarray          # (n_paths, n_steps + 1, n), step-major
-    controls_used: Optional[np.ndarray] = None  # (n_paths, n_steps, m), step-major
+    controls_used: Optional[np.ndarray] = None
     fingerprint: Optional[tuple] = None
 
     @property
@@ -464,11 +469,17 @@ class StateEnsemble:
         return self.states.shape[0]
 
 
-def _check_finite(x_next, j):
-    bad = ~np.isfinite(x_next) | (np.abs(x_next) > OVERFLOW_GUARD)
-    if bad.any():
-        path = int(np.argwhere(bad.any(axis=-1))[0, 0])
-        raise SimulationDivergedError(j + 1, path)
+def _check_finite(values, step, path_axis=0):
+    """Divergence guard: NaN, +-inf or an entry beyond OVERFLOW_GUARD in
+    ``values`` raises SimulationDivergedError at ``step``, naming the first
+    path (an index along ``path_axis``) that holds one."""
+    # two reductions decide (NaN fails the comparison); only a failure pays
+    # for the scan that finds the path
+    if max(values.max(), -values.min()) <= OVERFLOW_GUARD:
+        return
+    per_path = np.moveaxis(values, path_axis, 0).reshape(values.shape[path_axis], -1)
+    bad = ~np.isfinite(per_path) | (np.abs(per_path) > OVERFLOW_GUARD)
+    raise SimulationDivergedError(step, int(np.flatnonzero(bad.any(axis=1))[0]))
 
 
 def _initial_states(x0, n_paths, n):
@@ -487,34 +498,44 @@ def simulate_controlled(scenario, x0, control, ens):
 
     Controls are projected onto the scenario's control set before use and the
     projected values are recorded in ``controls_used``.  An ``OpenLoop``
-    with shared (n_steps, m) values is projected once, as one block;
-    per-path values and a ``Feedback`` are projected step by step.
+    takes (n_steps, m) values shared by every path or (n_paths, n_steps, m)
+    per path; any other shape raises DimensionError.  Shared values are
+    projected once, as one block, and recorded as a read-only broadcast of
+    it (no per-path copy), so the callbacks receive a read-only ``u``;
+    per-path values and a ``Feedback`` are projected step by step into a
+    step-major buffer.
     """
     op = scenario.op
     grid = ens.grid
     dt = grid.dt
-    n, m = op.n_modes, scenario.control_dim
+    n, m, N = op.n_modes, scenario.control_dim, grid.n_steps
+    shared = False
+    if isinstance(control, OpenLoop):
+        shape = control.values.shape
+        if shape not in ((N, m), (ens.n_paths, N, m)):
+            raise DimensionError(f"open-loop values have shape {shape}, expected "
+                                 f"{(N, m)} or {(ens.n_paths, N, m)}")
+        shared = len(shape) == 2
     decay = np.exp(op.eigenvalues * dt)
     x = _initial_states(x0, ens.n_paths, n)
-    states = step_major((ens.n_paths, grid.n_steps + 1, n))
-    controls = step_major((ens.n_paths, grid.n_steps, m))
+    states = step_major((ens.n_paths, N + 1, n))
+    if shared:
+        controls = np.broadcast_to(scenario.control_set.projection(control.values),
+                                   (ens.n_paths, N, m))
+    else:
+        controls = step_major((ens.n_paths, N, m))
     states[:, 0] = x
     times = grid.times()
-    shared = None
-    if isinstance(control, OpenLoop) and control.values.ndim == 2:
-        shared = scenario.control_set.projection(control.values)
-    for j in range(grid.n_steps):
+    for j in range(N):
         t = times[j]
-        if shared is None:
+        if not shared:
             controls[:, j] = scenario.control_set.projection(control.at(j, t, x))
-        else:
-            controls[:, j] = shared[j]
         u = controls[:, j]
         dw = ens.increments[:, j : j + 1]
         x = decay * (
             x + scenario.drift(t, x, u) * dt + scenario.diffusion(t, x, u) * dw
         )
-        _check_finite(x, j)
+        _check_finite(x, j + 1)
         states[:, j + 1] = x
     return StateEnsemble(grid, states, controls, ens.fingerprint)
 
@@ -556,7 +577,7 @@ def iter_linearized(op, J, K, t0_index, xi, u, v, ens):
         drift = _linear_part(at_step(J, j, 2), x, at_step(u, j, 1))
         noise = _linear_part(at_step(K, j, 2), x, at_step(v, j, 1))
         x = decay * (x + drift * dt + noise * dw)
-        _check_finite(x, j)
+        _check_finite(x, j + 1)
         yield j + 1, x
 
 

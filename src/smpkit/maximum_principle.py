@@ -227,9 +227,10 @@ class OptimizeHistory:
         return self.iterations[-1]["J"]
 
 
-def _gradient_step(scenario, x0, u, ens, step, basis):
-    """One projected-gradient iteration from the open-loop values ``u``:
-    (new values, cost mean, its standard error, step norm).
+def _gradient_step(scenario, traj, ens, step, basis):
+    """One projected-gradient iteration from the trajectory ``traj`` of the
+    current values, which ``traj.controls_used`` holds projected: (new
+    values, cost mean, its standard error, step norm).
 
     The update is formed one step at a time: step j reads (y_j, Y_j) once,
     forms g_j = a_u* y_j + b_u* Y_j - g_u and writes Pi(u_j + step g_j)
@@ -238,7 +239,6 @@ def _gradient_step(scenario, x0, u, ens, step, basis):
     iteration allocates one (n_paths, n_steps, m) history, the new values,
     and per-step slices."""
     grid = ens.grid
-    traj = simulate_controlled(scenario, x0, OpenLoop(u), ens)
     costs = cost_paths(scenario, traj)
     pair = solve_first_adjoint(scenario, traj, ens, basis=basis)
     project = scenario.control_set.projection
@@ -265,8 +265,11 @@ def projected_gradient(scenario, x0, control, ens, step_rule=0.8, max_iters=200,
     Persistent cost increase (more than 10 stderr for 5 straight iterations)
     raises a step-rule error.  ``control`` is an ``OpenLoop`` or its values,
     (n_steps, m) or (n_paths, n_steps, m); a ``Feedback`` is rejected, since
-    the search runs over open-loop values.  Each iteration
-    (:func:`_gradient_step`) forms the update step by step from one adjoint
+    the search runs over open-loop values.  Each iteration simulates the
+    current values and then keeps them only as the trajectory's projected
+    ``controls_used`` (a shared initial block is not expanded per path), so
+    it holds one per-path control beside the new values;
+    :func:`_gradient_step` forms the update step by step from one adjoint
     read per step, and keeps no gradient history.
     """
     if not scenario.control_set.convex:
@@ -278,16 +281,18 @@ def projected_gradient(scenario, x0, control, ens, step_rule=0.8, max_iters=200,
             "projected gradient needs open-loop control values, not a Feedback"
         )
     step_of = step_rule if callable(step_rule) else (lambda i: step_rule)
-    grid = ens.grid
-    u = step_major((ens.n_paths, grid.n_steps, scenario.control_dim))
-    # shared (n_steps, m) values are broadcast over paths, per-path ones copied
-    u[...] = control.values if isinstance(control, OpenLoop) else control
+    u = control if isinstance(control, OpenLoop) else OpenLoop(control)
 
     history = OptimizeHistory()
     best = np.inf
     bad_streak = 0
     for i in range(max_iters + 1):
-        new_u, cost, stderr, step_norm = _gradient_step(scenario, x0, u, ens, step_of(i), basis)
+        traj = simulate_controlled(scenario, x0, u, ens)
+        del u  # traj.controls_used holds the values, projected
+        new_u, cost, stderr, step_norm = _gradient_step(scenario, traj, ens, step_of(i), basis)
+        del traj
+        u = OpenLoop(new_u)
+        del new_u  # so that the next simulation drops the values with u
         history.append(i, cost, stderr, step_norm)
         if cost > best + 10 * max(stderr, 1e-300):
             bad_streak += 1
@@ -298,11 +303,9 @@ def projected_gradient(scenario, x0, control, ens, step_rule=0.8, max_iters=200,
         else:
             bad_streak = 0
         best = min(best, cost)
-        if step_norm < tol_step or i == max_iters:
-            u = new_u
+        if step_norm < tol_step:
             break
-        u = new_u
-    return OpenLoop(u), history
+    return u, history
 
 
 # ----------------------------------------------------------------------
@@ -361,7 +364,10 @@ def spike_experiment(scenario, x0, u_bar, u_alt, tau, eps_list, ens,
     rows = []
     for eps, width in zip(eps_list, widths):
         j_hi = j_tau + width
-        spiked = np.array(base_traj.controls_used, copy=True)
+        # step-major like any per-path control (a plain copy of a shared
+        # control's broadcast would come back path-major)
+        spiked = step_major(base_traj.controls_used.shape)
+        spiked[...] = base_traj.controls_used
         spiked[:, j_tau:j_hi] = u_alt
         pert_traj = simulate_controlled(scenario, x0, OpenLoop(spiked), ens)
         pert_costs = cost_paths(scenario, pert_traj)

@@ -6,6 +6,7 @@ computation."""
 
 import dataclasses
 import importlib.util
+import tracemalloc
 from functools import lru_cache
 from pathlib import Path
 
@@ -23,6 +24,18 @@ def load_tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Peak bytes tracemalloc traces while ``fn(*args, **kwargs)`` runs
+    (numpy's array buffers included), and what the call returned."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, result
 
 
 def per_path_jacobians(scenario):

@@ -235,6 +235,32 @@ def test_manifest_records_peak_memory_and_numpy_version(tmp_path, monkeypatch):
         assert filecmp.cmp(out / name, out_bare / name, shallow=False)
 
 
+def _manifest(outdir):
+    return dict(line.split(" = ", 1) for line in (outdir / "manifest.txt").read_text().splitlines())
+
+
+def test_manifest_records_blas_and_its_thread_variables(tmp_path, monkeypatch):
+    args = ["solve-adjoint", "--preset", "lq_scalar", "--paths", "500", "--dt", "0.05",
+            "--seed", "4"]
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    code_set, out_set = run(tmp_path, "set", *args)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    code_default, out_default = run(tmp_path, "default", *args)
+    monkeypatch.setattr(cli, "_run_stats", lambda: {})
+    code_bare, out_bare = run(tmp_path, "bare", *args)
+    assert code_set == code_default == code_bare == 0
+    assert _manifest(out_set)["blas_threads_env"] == "OPENBLAS_NUM_THREADS=1"
+    assert _manifest(out_default)["blas_threads_env"] == "default"
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert _manifest(out_set)["blas"] == f"{blas['name']} {blas['version']}"
+    # the keys go to the manifest only: the primary CSVs are byte-identical
+    for out in (out_set, out_default):
+        assert sorted(p.name for p in out.glob("*.csv")) == ["adjoint_stats.csv"]
+        assert filecmp.cmp(out / "adjoint_stats.csv", out_bare / "adjoint_stats.csv",
+                           shallow=False)
+
+
 def test_first_adjoint_of_another_ensemble_exits_2(tmp_path, capsys, monkeypatch):
     # the second sweep regresses on the first adjoint's features, which must
     # come from the run's own ensemble

@@ -33,7 +33,7 @@ from smpkit.errors import (
     EnsembleMismatchError,
     SimulationDivergedError,
 )
-from smpkit.forward import OpenLoop, TimeGrid, sample_brownian, simulate_controlled
+from smpkit.forward import Box, OpenLoop, Scenario, TimeGrid, sample_brownian, simulate_controlled
 from smpkit.maximum_principle import second_order_data
 from smpkit.scenarios import build_preset, load_preset
 from smpkit.second_order import lyapunov_oracle, solve_second_adjoint
@@ -491,6 +491,42 @@ def test_nonfinite_or_huge_forcing_diverges_in_both_verifiers(bad):
     test = fixed_tuple(0, (np.zeros(n),) * 2, (forcing, None, None, None))
     with pytest.raises(SimulationDivergedError):
         verify_second_identity(sa, op, J, K, F, P_T, test, ens)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_divergence_is_reported_at_its_step_and_path(bad):
+    # one bad entry on one path: the simulator and both verifiers name the
+    # step it reaches the guarded values at, and that path
+    op, grid, ens = _two_mode_setup()
+    step, path = 7, 42
+    times = grid.times()
+
+    def drift(t, x, u):
+        out = np.zeros_like(x)
+        if t == times[step - 1]:
+            out[path, 1] = bad
+        return out
+
+    scenario = Scenario(op=op, drift=drift, diffusion=lambda t, x, u: np.zeros_like(x),
+                        running_cost=lambda t, x, u: np.zeros(x.shape[0]),
+                        terminal_cost=lambda x: np.zeros(x.shape[0]),
+                        control_dim=1, control_set=Box(lo=[-1.0], hi=[1.0]))
+    pair = _zero_pair(grid, 2, 100, ens.fingerprint)
+    pair.driver[path, step, 0] = bad  # b_step = S(dt) b_{step+1} - dt f_step
+    J = np.zeros((100, 20, 2, 2))
+    J[path, step - 1, 0, 0] = bad     # x_step = S(dt) (I + dt J_{step-1}) x_{step-1}
+    sa = solve_second_adjoint(op, None, None, None, np.zeros((2, 2)), ens)
+    runs = (
+        lambda: simulate_controlled(scenario, np.ones(2), OpenLoop(np.zeros((20, 1))), ens),
+        lambda: verify_first_identity(pair, op, fixed_tuple(0, (np.ones(2),), (None, None)), ens),
+        lambda: verify_second_identity(sa, op, J, None, None, np.zeros((2, 2)),
+                                       fixed_tuple(0, (np.ones(2),) * 2, (None,) * 4), ens),
+    )
+    for run in runs:
+        with pytest.raises(SimulationDivergedError,
+                           match=f"^simulation diverged at step {step}, path {path}$") as err:
+            run()
+        assert (err.value.step, err.value.path) == (step, path)
 
 
 def _ordered_tuples(op, ens, starts, n_starts, n_forcings, adapted, seed):

@@ -18,8 +18,11 @@ from smpkit.forward import (
     sample_brownian,
     simulate_controlled,
 )
+from smpkit.maximum_principle import projected_gradient
 from smpkit.scenarios import make_heat_scenario, make_lq_scalar
 from smpkit.spectral import OperatorSpec, make_dirichlet_laplacian, semigroup_apply
+
+from helpers import traced_peak
 
 
 def grid_200():
@@ -514,3 +517,32 @@ def test_shared_open_loop_projected_once_matches_per_step(control_set):
     np.testing.assert_array_equal(shared.controls_used, per_path.controls_used)
     np.testing.assert_array_equal(shared.states, per_path.states)
     assert not np.array_equal(shared.controls_used[0], values)  # the projection acted
+
+
+def test_shared_control_is_stored_once():
+    # the shared (N, m) block is recorded as a read-only broadcast over paths:
+    # no (P, N, m) controls are allocated, only the states and per-step work
+    scenario, _ = make_lq_scalar(control_bound=0.5)
+    g = TimeGrid(0.0, 1.0, 50)
+    ens = sample_brownian(g, 2000, 7)
+    values = np.linspace(-1.0, 1.0, 50)[:, None]
+    peak, traj = traced_peak(simulate_controlled, scenario, scenario.x0, OpenLoop(values), ens)
+    slack = 16 * ens.n_paths * 8  # sixteen (n_paths,) columns of one step
+    assert peak <= traj.states.nbytes + slack, (peak, traj.states.nbytes, slack)
+    used = traj.controls_used
+    assert used.shape == (2000, 50, 1) and used.strides[0] == 0
+    np.testing.assert_array_equal(used[7], np.clip(values, -0.5, 0.5))
+    with pytest.raises(ValueError, match="read-only"):
+        used[0, 0, 0] = 0.0
+
+
+@pytest.mark.parametrize("shape", [(5, 1), (10, 2), (7, 10, 1), (12, 1)])
+def test_open_loop_values_of_wrong_shape_are_a_dimension_error(shape):
+    # 10 steps, 20 paths, m = 1: only (10, 1) and (20, 10, 1) are values
+    scenario, _ = make_lq_scalar()
+    ens = sample_brownian(TimeGrid(0.0, 1.0, 10), 20, 3)
+    with pytest.raises(DimensionError, match="open-loop values have shape"):
+        simulate_controlled(scenario, scenario.x0, OpenLoop(np.zeros(shape)), ens)
+    for control in (OpenLoop(np.zeros(shape)), np.zeros(shape)):
+        with pytest.raises(DimensionError, match="open-loop values have shape"):
+            projected_gradient(scenario, scenario.x0, control, ens, max_iters=1)

@@ -1,5 +1,6 @@
 """Layout guards.  Every step-indexed path array keeps its path-first shape
-and is stored step-major, so each step slice ``arr[:, j]`` is contiguous.
+and is stored step-major, so each step slice ``arr[:, j]`` is contiguous; a
+control shared by every path is a read-only view of its one (N, m) block.
 Every name the package exports is used inside the package or kept for a
 stated reason."""
 
@@ -61,6 +62,13 @@ def test_forward_simulators_store_step_major():
     scenario, grid, ens, traj = _heat4()
     n, m = scenario.n_modes, scenario.control_dim
     _assert_step_major(traj.states, (N_PATHS, N_STEPS + 1, n))
+    # a shared control is stored once: a read-only view of its (N, m) block
+    shared = traj.controls_used
+    assert shared.shape == (N_PATHS, N_STEPS, m) and shared.strides[0] == 0
+    assert not shared.flags.writeable
+    # per-path values are recorded step-major
+    per_path = OpenLoop(np.random.default_rng(1).uniform(-0.2, 0.2, (N_PATHS, N_STEPS, m)))
+    traj = simulate_controlled(scenario, scenario.x0, per_path, ens)
     _assert_step_major(traj.controls_used, (N_PATHS, N_STEPS, m))
 
 

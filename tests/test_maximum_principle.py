@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +29,7 @@ from smpkit.maximum_principle import (
 )
 from smpkit.scenarios import build_preset, load_preset, make_lq_scalar, riccati_oracle
 
-from helpers import per_path_jacobians
+from helpers import per_path_jacobians, traced_peak
 from optimizer_reference import whole_history_gradient_step
 
 
@@ -387,8 +386,9 @@ def test_gradient_step_matches_whole_history_reference(case):
     grid = TimeGrid(0.0, scenario.T, 40)
     ens = sample_brownian(grid, 1000, 59)
     u = _per_path_values(ens, scenario.control_dim, 7)
+    traj = simulate_controlled(scenario, scenario.x0, OpenLoop(u), ens)
     # a long step overshoots, so the projection acts
-    new_u, cost, stderr, step_norm = mp._gradient_step(scenario, scenario.x0, u, ens, 3.0, None)
+    new_u, cost, stderr, step_norm = mp._gradient_step(scenario, traj, ens, 3.0, None)
     ref_u, ref_cost, ref_stderr, ref_norm = whole_history_gradient_step(
         scenario, scenario.x0, u, ens, 3.0)
     box = scenario.control_set
@@ -408,18 +408,65 @@ def test_gradient_step_allocates_one_control_history(monkeypatch):
     traj = simulate_controlled(scenario, scenario.x0, OpenLoop(u), ens)
     costs = cost_paths(scenario, traj)
     pair = solve_first_adjoint(scenario, traj, ens)
-    monkeypatch.setattr(mp, "simulate_controlled", lambda *args, **kwargs: traj)
     monkeypatch.setattr(mp, "cost_paths", lambda *args: costs)
     monkeypatch.setattr(mp, "solve_first_adjoint", lambda *args, **kwargs: pair)
-    tracemalloc.start()
-    try:
-        mp._gradient_step(scenario, scenario.x0, u, ens, 0.8, None)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(mp._gradient_step, scenario, traj, ens, 0.8, None)
     history = u.nbytes
     slices = 16 * ens.n_paths * 8  # sixteen (n_paths,) columns of one step
     assert peak <= history + slices, (peak, history, slices)
+
+
+@pytest.mark.parametrize("shape", ["shared", "per-path"])
+def test_projected_gradient_iteration_holds_one_per_path_control(shape):
+    # an iteration drops its values once the trajectory records them
+    # projected, so beside the trajectory (states and controls) and the new
+    # values it holds no other (n_paths, n_steps, m) control; a shared
+    # initial block is not expanded per path
+    scenario, _ = make_lq_scalar()
+    grid = TimeGrid(0.0, 1.0, 200)
+    ens = sample_brownian(grid, 1000, 67)
+    m = scenario.control_dim
+    init = np.full((200, m) if shape == "shared" else (1000, 200, m), 0.1)
+    peak, _ = traced_peak(projected_gradient, scenario, scenario.x0, OpenLoop(init), ens,
+                          max_iters=1)
+    states = ens.n_paths * (grid.n_steps + 1) * scenario.n_modes * 8
+    control = ens.n_paths * grid.n_steps * m * 8
+    slack = 64 * ens.n_paths * 8  # per-step columns and the adjoint's coefficients
+    assert peak <= states + 2 * control + slack, (peak, states, control, slack)
+
+
+def test_shared_control_matches_its_per_path_copy_bit_for_bit():
+    # heat4, where the control enters drift and diffusion: a shared block and
+    # its per-path copy give the same bits everywhere downstream
+    scenario, _ = build_preset(load_preset("heat4"))
+    N, P = 30, 600
+    grid = TimeGrid(0.0, scenario.T, N)
+    ens = sample_brownian(grid, P, 71)
+    values = np.random.default_rng(5).uniform(-1.0, 1.0, (N, scenario.control_dim))
+    copy = step_major((P, N, scenario.control_dim))
+    copy[...] = values
+    runs = []
+    for control in (OpenLoop(values), OpenLoop(copy)):
+        traj = simulate_controlled(scenario, scenario.x0, control, ens)
+        pair, sa = solve_adjoints(scenario, traj, ens)
+        report = check_condition(scenario, traj, pair, sa, [[0.5, -0.5], [0.0, 0.2]], [0, 9, 29])
+        table = spike_experiment(scenario, scenario.x0, control, np.array([0.5, -0.5]),
+                                 tau=grid.dt * 10, eps_list=[grid.dt * 4, grid.dt * 2], ens=ens,
+                                 adjoints=(pair, sa))
+        runs.append((traj, pair, sa, report, table))
+    (traj, pair, sa, report, table), (traj_c, pair_c, sa_c, report_c, table_c) = runs
+    assert traj.controls_used.strides[0] == 0 and traj_c.controls_used.strides[0] != 0
+    np.testing.assert_array_equal(traj.states, traj_c.states)
+    np.testing.assert_array_equal(cost_paths(scenario, traj), cost_paths(scenario, traj_c))
+    for j in range(N):
+        for a, b in zip(pair.at(j, with_driver=True) + sa.at(j),
+                        pair_c.at(j, with_driver=True) + sa_c.at(j)):
+            np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(pair.y[:, N], pair_c.y[:, N])
+    np.testing.assert_array_equal(sa.P_paths(N), sa_c.P_paths(N))
+    np.testing.assert_array_equal(report.values, report_c.values)
+    np.testing.assert_array_equal(report.stderrs, report_c.stderrs)
+    assert table.rows == table_c.rows
 
 
 def test_projected_gradient_reaches_oracle_value():
