@@ -34,17 +34,17 @@ second-order sweep on the same trajectory reads them instead of building
 the features again.  Both orders run this scheme through
 :func:`regression_sweep` and supply only their driver update.
 
-The first adjoint is kept in coefficient form.  Y and the driver are the
-per-step coefficients of the two fits; a step slice of either is
-re-evaluated on demand through :class:`StepHistory`, so identity checks
-pair against what the sweep fitted.  So is y, y_j = X_j beta_y[j] +
-rest_j, whose moments the sweep takes as C_j beta_y plus W times the
-per-path rest; y_j and Y_j come from one product per step.  When the
-Jacobian callbacks of a and b each return one matrix at every step (the
-same on every path, so a_xx = b_xx = 0) the driver is affine in the
-features up to g_x, so beta_y folds it in and rest_j = -dt g_x(t_j, x_j,
-u_j); otherwise beta_y is the mean fit and rest_j = -dt f_j.  No (P, N,
-n) history is kept.
+The first adjoint is kept in coefficient form and read one step at a time,
+the way the paper pairs a solution in the sense of transposition against
+test processes: ``AdjointPair.at(j)`` re-evaluates step j on its features,
+so identity checks pair against what the sweep fitted.  Y_j = X_j
+beta_mart[j] and y_j = X_j beta_y[j] + rest_j, whose moments the sweep
+takes as C_j beta_y plus W times the per-path rest; y_j and Y_j come from
+one product per step.  When the Jacobian callbacks of a and b each return
+one matrix at every step (the same on every path, so a_xx = b_xx = 0) the
+driver is affine in the features up to g_x, so beta_y folds it in and
+rest_j = -dt g_x(t_j, x_j, u_j); otherwise beta_y is the mean fit and
+rest_j = -dt f_j.  No (P, N, n) history is kept.
 """
 
 import operator
@@ -53,7 +53,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DegenerateBasisError, DimensionError, EnsembleMismatchError
+from .errors import DegenerateBasisError, DimensionError, DomainError, EnsembleMismatchError
 from .forward import path_constant_steps
 
 
@@ -118,10 +118,10 @@ class StepFeatures:
     dw-weighted Gram), the cross moments C_j = [X_j; X_j*dw]' X_{j+1}, the
     feature means and the step's :class:`RidgeSolver`.  A later sweep on the
     same object reads them, and builds step j's features only when its
-    target at step j has per-path values.  Coefficient-form histories
-    re-evaluate their step slices through ``at(j)``, which gives the values
-    the sweep fitted on; the features of the last step read are kept, so
-    several histories read at one step build them once."""
+    target at step j has per-path values.  A coefficient-form pair
+    re-evaluates a step through ``at(j)``, which gives the features the
+    sweep fitted on; the features of the last step read are kept, so
+    several reads at one step build them once."""
 
     def __init__(self, basis, states, ens):
         self.basis = basis
@@ -167,69 +167,34 @@ class StepFeatures:
         self.solvers = [None] * n_steps
 
 
-class StepHistory:
-    """Read-only (n_paths, n_steps, ...) history that stores no per-path
-    values: ``h[:, j, ...]`` evaluates step j on every path through
-    ``step(j)``, and ``nbytes`` counts the arrays actually stored.  It
-    deliberately has no ``__array__``, so the whole history is never
-    rebuilt by one stray ``np.asarray``."""
-
-    def __init__(self, shape, step, stored):
-        self.shape = tuple(shape)
-        self.ndim = len(self.shape)
-        self.nbytes = sum(a.nbytes for a in stored)
-        self._step = step
-
-    def __getitem__(self, key):
-        if not isinstance(key, tuple) or len(key) < 2 or not (
-                isinstance(key[0], slice) and key[0] == slice(None)):
-            raise TypeError("a step history is read one whole step at a time: h[:, j, ...]")
-        _, j, *rest = key
-        n_steps = self.shape[1]
-        j = operator.index(j)
-        if not -n_steps <= j < n_steps:
-            raise IndexError(f"step {j} is outside 0..{n_steps - 1}")
-        return self._step(j % n_steps)[(slice(None), *rest)]
-
-
 @dataclass
 class AdjointPair:
-    """Backward pair (y, Y) on the grid, per path; ``driver`` holds the f
-    values the sweep used at each step.  All three are read one step slice
-    at a time, ``y[:, j]``: from the sweep they are :class:`StepHistory`
-    objects over the regression coefficients.  ``at(j)`` reads y_j and Y_j
-    together, which from the sweep costs one product on step j's features,
-    and the step slices of y and Y are halves of that same read (see
-    :func:`solve_first_adjoint`).  ``features`` is the sweep's
+    """First adjoint pair (y, Y) on the grid, read one step at a time:
+    ``at(j)`` gives (y_j, Y_j) on every path, and ``at(j, with_driver=True)``
+    also the driver f_j of that step, from the same read.  ``y_T`` is the
+    read-only terminal value y(T).  ``features`` is the sweep's
     :class:`StepFeatures`, which a second-order sweep on the same
-    trajectory takes; a hand-built pair may pass dense arrays and no
-    features."""
+    trajectory takes."""
 
     grid: object
-    y: object                        # (n_paths, n_steps + 1, n)
-    Y: object                        # (n_paths, n_steps, n)
-    driver: Optional[object] = None  # (n_paths, n_steps, n)
+    y_T: np.ndarray                    # (n_paths, n)
+    read: Callable                     # (j, with_driver) -> (y_j, Y_j[, f_j])
     fingerprint: Optional[tuple] = None
     features: Optional[StepFeatures] = None
-    read: Optional[Callable] = None  # (j, with_driver) -> at(j, with_driver); absent: slices
-
-    @property
-    def n_paths(self):
-        return self.y.shape[0]
+    # the stored coefficients beta_y, beta_mart and beta_mean (None when it
+    # is beta_y), (n_steps, n_features, n) and read-only; only the benchmark
+    # tracer (perfbench/tracing.py) reads them, for their nbytes
+    y: Optional[np.ndarray] = None
+    Y: Optional[np.ndarray] = None
+    driver: Optional[np.ndarray] = None
 
     def at(self, j, with_driver=False):
         """(y_j, Y_j), each (n_paths, n), at a step 0 <= j < n_steps; with
-        ``with_driver`` also the driver f_j (None for a pair without one),
-        which from the sweep comes out of the same read."""
+        ``with_driver`` also the driver f_j."""
         j = operator.index(j)
         if not 0 <= j < self.grid.n_steps:
-            raise IndexError(f"step {j} is outside 0..{self.grid.n_steps - 1}")
-        if self.read is not None:
-            return self.read(j, with_driver)
-        out = (self.y[:, j], self.Y[:, j])
-        if not with_driver:
-            return out
-        return out + (None if self.driver is None else self.driver[:, j],)
+            raise DomainError(f"step {j} is outside 0..{self.grid.n_steps - 1}")
+        return self.read(j, with_driver)
 
 
 def check_same_ensemble(*objects):
@@ -326,38 +291,32 @@ def solve_first_adjoint(scenario, trajectory, ens, basis=None):
     """Regression sweep for the adjoint pair along an optimal-candidate
     trajectory, with terminal data -h_x and driver -a_x*y - b_x*Y + g_x.
 
-    ``Y`` and ``driver`` keep the per-step coefficients ``beta_mart``/
-    ``beta_mean`` (n_steps, n_features, n) and re-evaluate a step on the
-    trajectory's features, so the pair holds on to ``trajectory.states``.
-    ``y`` keeps beta_y and the terminal slice, y_j = X_j beta_y[j] + rest_j,
-    and the sweep takes the next step's moments from the cross moments
-    plus the rest's.  When ``drift_x`` and ``diffusion_x`` each return one
-    (n, n) matrix at every step, a_x and b_x are the same on every path
-    (and a_xx = b_xx = 0), so the driver is X(-beta_mean a_x - beta_mart
-    b_x) + g_x, beta_y = beta_mean + dt (beta_mean a_x + beta_mart b_x) and
-    rest_j = -dt g_x(t_j, x_j, u_j); otherwise beta_y = beta_mean and
-    rest_j = -dt f_j, the per-path driver.
+    The pair keeps the per-step coefficients beta_y, beta_mart and
+    beta_mean (see the module docstring) and re-evaluates a step on the
+    trajectory's features, so it holds on to ``trajectory.states``.  With
+    one-matrix ``drift_x`` and ``diffusion_x`` the driver is X(-beta_mean
+    a_x - beta_mart b_x) + g_x and beta_y = beta_mean + dt (beta_mean a_x +
+    beta_mart b_x).
 
-    A step is read once: ``pair.at(j)``, ``pair.y[:, j]`` (j < n_steps) and
-    ``pair.Y[:, j]`` all take y_j and Y_j from one product of X_j with the
+    ``pair.at(j)`` takes y_j and Y_j from one product of X_j with the
     stacked [beta_y[j] | beta_mart[j]], plus y's rest; when beta_y is
     beta_mean that product also gives the driver's y_hat and Y, from which
-    the rest is formed, in the sweep's update as in a read.
-    ``pair.at(j, with_driver=True)`` hands back that read's driver as well:
-    the one the rest was formed from, or, when the driver is folded, one
-    formed from the read's Y_j and one more product, X_j beta_mean[j]."""
+    the rest is formed, in the sweep's update as in a read.  With
+    ``with_driver`` the read also hands back that driver or, when the
+    driver is folded, one formed from its Y_j and one more product, X_j
+    beta_mean[j]."""
     basis = basis or RegressionBasis()
     check_same_ensemble(trajectory, ens)
     op = scenario.op
     grid = ens.grid
-    n, N, P = op.n_modes, grid.n_steps, ens.n_paths
+    n, N = op.n_modes, grid.n_steps
     dt = grid.dt
     times = grid.times()
     states, controls = trajectory.states, trajectory.controls_used
     features = StepFeatures(basis, states, ens)
 
     y_T = -scenario.grad_terminal(states[:, N])
-    y_T.flags.writeable = False  # pair.y[:, N] hands out this array itself
+    y_T.flags.writeable = False  # pair.y_T hands out this array itself
     a_x = path_constant_steps(scenario.drift_x, trajectory, (n, n))
     b_x = None if a_x is None else path_constant_steps(scenario.diffusion_x, trajectory, (n, n))
     folded = b_x is not None
@@ -366,11 +325,6 @@ def solve_first_adjoint(scenario, trajectory, ens, basis=None):
     beta_y, beta_mart = stacked[:, :, :n], stacked[:, :, n:]
     beta_mean = np.empty_like(beta_y) if folded else beta_y
 
-    def driver_at(j):
-        X = features.at(j)
-        return _first_driver(scenario, times[j], states[:, j], controls[:, j],
-                             X @ beta_mean[j], X @ beta_mart[j])
-
     def driver_from(j, fit):
         # f_j on the step's product ``fit`` with [beta_y | beta_mart]: Y_j is
         # its right half, and y_hat its left half, or one more product with
@@ -378,12 +332,12 @@ def solve_first_adjoint(scenario, trajectory, ens, basis=None):
         y_hat = features.at(j) @ beta_mean[j] if folded else fit[:, :n]
         return _first_driver(scenario, times[j], states[:, j], controls[:, j], y_hat, fit[:, n:])
 
-    def rest_at(j, fit=None):
+    def rest_at(j):
         # the part of y_j outside the features: a folded driver leaves -dt g_x;
         # otherwise -dt f_j
         if folded:
             return -dt * scenario.grad_x_running(times[j], states[:, j], controls[:, j])
-        return -dt * driver_from(j, features.at(j) @ stacked[j] if fit is None else fit)
+        return -dt * driver_from(j, features.at(j) @ stacked[j])
 
     def update(j, b_mean, b_mart):
         beta_mean[j], beta_mart[j] = b_mean, b_mart
@@ -394,7 +348,7 @@ def solve_first_adjoint(scenario, trajectory, ens, basis=None):
     decay = np.exp(op.eigenvalues * dt)
     regression_sweep(features, y_T, decay, update)
 
-    def read(j, with_driver=False):
+    def read(j, with_driver):
         fit = features.at(j) @ stacked[j]
         if folded:
             rest = rest_at(j)
@@ -405,10 +359,10 @@ def solve_first_adjoint(scenario, trajectory, ens, basis=None):
         y_j, Y_j = fit[:, :n] + rest, fit[:, n:]
         return (y_j, Y_j, f_j) if with_driver else (y_j, Y_j)
 
-    y = StepHistory((P, N + 1, n), lambda j: y_T if j == N else read(j)[0], (beta_y, y_T))
-    Y = StepHistory((P, N, n), lambda j: np.ascontiguousarray(read(j)[1]), (beta_mart,))
-    driver = StepHistory((P, N, n), driver_at, (beta_mean,))
-    return AdjointPair(grid, y, Y, driver, ens.fingerprint, features, read)
+    stored = [beta.view() for beta in (beta_y, beta_mart, beta_mean)[:2 + folded]]
+    for beta in stored:
+        beta.flags.writeable = False
+    return AdjointPair(grid, y_T, read, ens.fingerprint, features, *stored)
 
 
 def deterministic_first_adjoint(op, y_terminal, f_path, grid):

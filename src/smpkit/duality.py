@@ -407,7 +407,7 @@ def verify_first_identities(pair, op, tests, ens, bias_budget=0.0, k_sigma=3.0):
     tuples = _Tuples(tests, 1, 2, op, ens)
     N, dt = tuples.N, tuples.dt
     lhs, rhs = tuples.zeros(), tuples.zeros()
-    b = y_j = pair.y[:, N]
+    b = y_j = pair.y_T
     for j in range(N, tuples.first - 1, -1):
         m = tuples.active(j)
         if j < N:
@@ -415,13 +415,13 @@ def verify_first_identities(pair, op, tests, ens, bias_budget=0.0, k_sigma=3.0):
             v1, v2 = tuples.forcings_at(j, m)
             # the pair's own driver, from the same read as (y_j, Y_j)
             y_j, Y_j, f_j = pair.at(j, with_driver=True)
-            b = Sb if f_j is None else Sb - dt * f_j
+            b = Sb - dt * f_j
             if v1 is not None:
                 lhs[:m] += dt * v1.pair(Sb)
                 # pair v1 against the pre-update conditional mean y_j + dt f_j:
                 # same O(dt) quadrature of the integral, but the one the
                 # stepping scheme telescopes exactly
-                rhs[:m] += dt * v1.pair(y_j if f_j is None else y_j + dt * f_j)
+                rhs[:m] += dt * v1.pair(y_j + dt * f_j)
             if v2 is not None:
                 lhs[:m] += v2.pair(Sb) * tuples.increments[:, j]
                 rhs[:m] += dt * v2.pair(Y_j)

@@ -251,10 +251,7 @@ class Feedback:
     fn: Callable[[float, np.ndarray], np.ndarray]
 
     def at(self, j, t, x):
-        u = np.asarray(self.fn(t, x), dtype=float)
-        if u.ndim == 1:
-            u = u[:, None]
-        return u
+        return np.asarray(self.fn(t, x), dtype=float)
 
 
 # ----------------------------------------------------------------------
@@ -499,11 +496,12 @@ def simulate_controlled(scenario, x0, control, ens):
     Controls are projected onto the scenario's control set before use and the
     projected values are recorded in ``controls_used``.  An ``OpenLoop``
     takes (n_steps, m) values shared by every path or (n_paths, n_steps, m)
-    per path; any other shape raises DimensionError.  Shared values are
-    projected once, as one block, and recorded as a read-only broadcast of
-    it (no per-path copy), so the callbacks receive a read-only ``u``;
-    per-path values and a ``Feedback`` are projected step by step into a
-    step-major buffer.
+    per path; any other shape raises DimensionError, as does a ``Feedback``
+    step whose values are not (n_paths, m), or (n_paths,) with m = 1.
+    Shared values are projected once, as one block, and recorded as a
+    read-only broadcast of it (no per-path copy), so the callbacks receive
+    a read-only ``u``; per-path values and a ``Feedback`` are projected step
+    by step into a step-major buffer.
     """
     op = scenario.op
     grid = ens.grid
@@ -529,7 +527,8 @@ def simulate_controlled(scenario, x0, control, ens):
     for j in range(N):
         t = times[j]
         if not shared:
-            controls[:, j] = scenario.control_set.projection(control.at(j, t, x))
+            controls[:, j] = scenario.control_set.projection(_step_values(control.at(j, t, x),
+                                                                          j, ens.n_paths, m))
         u = controls[:, j]
         dw = ens.increments[:, j : j + 1]
         x = decay * (
@@ -538,6 +537,16 @@ def simulate_controlled(scenario, x0, control, ens):
         _check_finite(x, j + 1)
         states[:, j + 1] = x
     return StateEnsemble(grid, states, controls, ens.fingerprint)
+
+
+def _step_values(u, j, n_paths, m):
+    """One step's control values as (n_paths, m), taken as (n_paths,) when m = 1."""
+    if m == 1 and u.shape == (n_paths,):
+        return u[:, None]
+    if u.shape != (n_paths, m):
+        raise DimensionError(f"control values at step {j} have shape {u.shape}, expected "
+                             f"{(n_paths, m)}" + (f" or {(n_paths,)}" if m == 1 else ""))
+    return u
 
 
 def at_step(arr, j, rank):

@@ -347,6 +347,8 @@ def spike_experiment(scenario, x0, u_bar, u_alt, tau, eps_list, ens,
         raise DomainError("eps values must be positive and strictly decreasing")
     grid = ens.grid
     dt = grid.dt
+    if tau < grid.t0 - 1e-12:
+        raise DomainError(f"spike time {tau} is before the grid start {grid.t0}")
     if tau + max(eps_list) > grid.T + 1e-12:
         raise DomainError("spike window exceeds the horizon")
     widths = spike_widths(eps_list, dt)
@@ -361,23 +363,27 @@ def spike_experiment(scenario, x0, u_bar, u_alt, tau, eps_list, ens,
         pair, sa = adjoints
 
     u_alt = np.asarray(u_alt, dtype=float)
+    base_u = base_traj.controls_used
+    shared = base_u.strides[0] == 0
     rows = []
     for eps, width in zip(eps_list, widths):
         j_hi = j_tau + width
-        # step-major like any per-path control (a plain copy of a shared
-        # control's broadcast would come back path-major)
-        spiked = step_major(base_traj.controls_used.shape)
-        spiked[...] = base_traj.controls_used
-        spiked[:, j_tau:j_hi] = u_alt
-        pert_traj = simulate_controlled(scenario, x0, OpenLoop(spiked), ens)
-        pert_costs = cost_paths(scenario, pert_traj)
+        # a path-shared base control is spiked as its (N, m) block, so the
+        # perturbed run records a broadcast too; per-path values step-major
+        if shared:
+            spiked = base_u[0].copy()
+        else:
+            spiked = step_major(base_u.shape)
+            spiked[...] = base_u
+        spiked[..., j_tau:j_hi, :] = u_alt
+        pert_costs = cost_paths(scenario, simulate_controlled(scenario, x0, OpenLoop(spiked), ens))
         diff = pert_costs - base_costs
         delta = float(diff.mean())
         stderr = float(diff.std(ddof=1) / np.sqrt(len(diff)))
         predicted = 0.0
         for j in range(j_tau, j_hi):
             s = spike_functional(
-                scenario, times[j], base_traj.states[:, j], base_traj.controls_used[:, j],
+                scenario, times[j], base_traj.states[:, j], base_u[:, j],
                 u_alt, *pair.at(j), sa.P_paths(j),
             )
             predicted += dt * float(s.mean())

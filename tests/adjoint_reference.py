@@ -8,11 +8,15 @@ test.  With one-matrix Jacobians (every scenario the reference takes),
 y_j = X_j beta_y - dt g_x with beta_y = beta_mean + dt (beta_mean a_x +
 beta_mart b_x), and the next target is handed to the sweep in that affine
 form; y_j and Y_j come from one product per step.  The coefficient-form
-tests compare every step slice against it."""
+tests compare every step read against it.
+
+``dense_pair`` is the one hand-built pair of the suite: an ``AdjointPair``
+whose read hands out the step slices of dense arrays."""
 
 import numpy as np
 
 from smpkit.adjoint import (
+    AdjointPair,
     FeatureAffine,
     RegressionBasis,
     StepFeatures,
@@ -57,3 +61,19 @@ def dense_first_adjoint(scenario, traj, ens, basis=None):
     decay = np.exp(scenario.op.eigenvalues * dt)
     regression_sweep(features, y[:, N], decay, update)
     return y, Y, driver
+
+
+def dense_pair(grid, y, Y, driver, fingerprint=None):
+    """An ``AdjointPair`` over dense y (P, N+1, n), Y and driver (P, N, n):
+    ``at(j)`` hands out their step slices, and ``y_T`` is ``y[:, N]``."""
+    def read(j, with_driver):
+        out = (y[:, j], Y[:, j])
+        return out + (driver[:, j],) if with_driver else out
+
+    return AdjointPair(grid, y[:, grid.n_steps], read, fingerprint)
+
+
+def y_at(pair, j):
+    """y_j at any grid step 0 <= j <= N: the terminal value at N, else the
+    y half of ``pair.at(j)``."""
+    return pair.y_T if j == pair.grid.n_steps else pair.at(j)[0]

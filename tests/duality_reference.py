@@ -10,6 +10,7 @@ as descriptions, the only form the stacked pass takes.
 
 import numpy as np
 
+from adjoint_reference import y_at
 from smpkit.adjoint import check_same_ensemble
 from smpkit.duality import ForcingSpec, IdentityReport, StartSpec, TupleSpec
 from smpkit.forward import iter_linear_test, iter_linearized
@@ -62,35 +63,31 @@ def _pair(u, v):
     return np.sum(u * v, axis=-1)
 
 
-def loop_first_identity(pair, op, driver, y_terminal, test, ens, bias_budget=0.0,
-                          k_sigma=3.0):
+def loop_first_identity(pair, op, test, ens, bias_budget=0.0, k_sigma=3.0):
     """Evaluate both sides of the first-order identity for one test tuple
-    (t_index, eta, v1, v2); v1/v2 are (N, n) or (n_paths, N, n) arrays."""
+    (t_index, eta, v1, v2); v1/v2 are (N, n) or (n_paths, N, n) arrays.
+    The pair is read one step at a time, with its driver."""
     check_same_ensemble(pair, ens)
     t_index, eta, v1, v2 = test
     grid = ens.grid
     N, dt, P = grid.n_steps, grid.dt, ens.n_paths
-    # the pair's own driver is a step history, read one step at a time
-    driver = pair.driver if driver is None else np.asarray(driver, dtype=float)
-    y_T = pair.y[:, N] if y_terminal is None else np.asarray(y_terminal, dtype=float)
     v1 = None if v1 is None else np.asarray(v1, dtype=float)
     v2 = None if v2 is None else np.asarray(v2, dtype=float)
 
     lhs_acc = np.zeros(P)
     rhs_acc = np.zeros(P)
-    rhs_acc += _pair(np.asarray(eta, dtype=float), pair.y[:, t_index])
+    rhs_acc += _pair(np.asarray(eta, dtype=float), y_at(pair, t_index))
     for j, z in iter_linear_test(op, t_index, eta, v1, v2, ens):
         if j == N:
-            lhs_acc += _pair(z, y_T)
+            lhs_acc += _pair(z, pair.y_T)
             break
-        f_j = _proc_at(driver, j)
+        y_j, Y_j, f_j = pair.at(j, with_driver=True)
         lhs_acc -= dt * _pair(z, f_j)
         # pair v1 against the pre-update conditional mean y_j + dt f_j: same
         # O(dt) quadrature of the integral, but the one the stepping scheme
         # telescopes exactly
-        y_pre = pair.y[:, j] if f_j is None else pair.y[:, j] + dt * f_j
-        rhs_acc += dt * _pair(_proc_at(v1, j), y_pre)
-        rhs_acc += dt * _pair(_proc_at(v2, j), pair.Y[:, j])
+        rhs_acc += dt * _pair(_proc_at(v1, j), y_j + dt * f_j)
+        rhs_acc += dt * _pair(_proc_at(v2, j), Y_j)
     resid = lhs_acc - rhs_acc
     stderr = float(resid.std(ddof=1) / np.sqrt(P)) if P > 1 else 0.0
     return IdentityReport(

@@ -2,10 +2,9 @@
 
 This is the update ``smpkit.maximum_principle._gradient_step`` formed
 before it went step by step: the gradient of every step is gathered into
-one (P, N, m) history from two separate slice reads, ``pair.y[:, j]`` and
-``pair.Y[:, j]``, and the step, the projection, the change and its square
-are whole-array passes over it.  The equivalence tests compare the
-per-step update against it."""
+one (P, N, m) history from the step reads ``pair.at(j)``, and the step,
+the projection, the change and its square are whole-array passes over it.
+The equivalence tests compare the per-step update against it."""
 
 import numpy as np
 
@@ -24,7 +23,7 @@ def whole_history_gradient_step(scenario, x0, u, ens, step, basis=None):
     grad = step_major((ens.n_paths, grid.n_steps, m))
     for j in range(grid.n_steps):
         grad[:, j] = convex_gradient(scenario, j, traj.states[:, j], traj.controls_used[:, j],
-                                     pair.y[:, j], pair.Y[:, j], grid=grid)
+                                     *pair.at(j), grid=grid)
     grad *= step
     grad += traj.controls_used
     new_u = scenario.control_set.projection(

@@ -9,7 +9,7 @@ from smpkit.adjoint import (
     deterministic_first_adjoint,
     solve_first_adjoint,
 )
-from smpkit.errors import DegenerateBasisError, EnsembleMismatchError
+from smpkit.errors import DegenerateBasisError, DomainError, EnsembleMismatchError
 from smpkit.forward import (
     Box,
     Feedback,
@@ -142,10 +142,10 @@ def test_sweep_zero_data_gives_zero():
     ens = sample_brownian(grid, 200, 3)
     traj = simulate_controlled(scenario, np.array([1.0, 0.0]), OpenLoop(np.zeros((20, 1))), ens)
     pair = solve_first_adjoint(scenario, traj, ens)
-    for j in range(grid.n_steps + 1):  # y is read one step at a time
-        np.testing.assert_array_equal(pair.y[:, j], 0.0)
-    for j in range(grid.n_steps):  # Y is read one step at a time
-        np.testing.assert_array_equal(pair.Y[:, j], 0.0)
+    np.testing.assert_array_equal(pair.y_T, 0.0)
+    for j in range(grid.n_steps):  # the pair is read one step at a time
+        for half in pair.at(j):
+            np.testing.assert_array_equal(half, 0.0)
 
 
 def test_sweep_matches_deterministic_recursion():
@@ -160,7 +160,7 @@ def test_sweep_matches_deterministic_recursion():
     oracle = deterministic_first_adjoint(op, -v, np.tile(c, (50, 1)), grid)
     # deterministic targets are in the span of the intercept: agreement is
     # regression-exact up to the tiny ridge shift
-    y_gap = max(np.max(np.abs(pair.y[:, j] - oracle[j])) for j in range(grid.n_steps + 1))
+    y_gap = max(np.max(np.abs(y_at(pair, j) - oracle[j])) for j in range(grid.n_steps + 1))
     assert y_gap < 1e-6
     # Y is pure regression noise around 0; check its coefficients are
     # statistically indistinguishable from zero (t-statistics)
@@ -168,7 +168,7 @@ def test_sweep_matches_deterministic_recursion():
     decay = np.exp(op.eigenvalues * grid.dt)
     for j in (10, 25, 49):  # skip j=0, where all paths share the initial state
         X = basis.features(traj.states[:, j])
-        target = pair.y[:, j + 1] * decay * (ens.increments[:, j : j + 1] / grid.dt)
+        target = y_at(pair, j + 1) * decay * (ens.increments[:, j : j + 1] / grid.dt)
         beta = RidgeSolver(X.T @ X, 0.0).solve(X.T @ target)
         fitted = X @ beta
         resid_sd = (target - fitted).std(axis=0, ddof=X.shape[1])
@@ -183,7 +183,7 @@ def test_terminal_condition_exact():
     ens = sample_brownian(grid, 500, 7)
     traj = simulate_controlled(scenario, scenario.x0, OpenLoop(np.zeros((50, 1))), ens)
     pair = solve_first_adjoint(scenario, traj, ens)
-    np.testing.assert_array_equal(pair.y[:, -1], -traj.states[:, -1])
+    np.testing.assert_array_equal(pair.y_T, -traj.states[:, -1])
 
 
 def test_martingale_residual_centered():
@@ -196,7 +196,7 @@ def test_martingale_residual_centered():
     decay = np.exp(scenario.op.eigenvalues * grid.dt)
     for j in (0, 13, 39):
         X = basis.features(traj.states[:, j])
-        target = pair.y[:, j + 1] * decay
+        target = y_at(pair, j + 1) * decay
         fitted = X @ RidgeSolver(X.T @ X, basis.ridge).solve(X.T @ target)
         resid = (target - fitted)[:, 0]
         se = resid.std(ddof=1) / np.sqrt(len(resid))
@@ -216,10 +216,10 @@ def test_adjoint_linearity_in_cost_scaling():
     traj = simulate_controlled(base, base.x0, control, ens)
     p1 = solve_first_adjoint(base, traj, ens)
     p2 = solve_first_adjoint(doubled, traj, ens)
-    for j in range(grid.n_steps + 1):  # y is read one step at a time
-        np.testing.assert_array_equal(p2.y[:, j], 2.0 * p1.y[:, j])
-    for j in range(grid.n_steps):  # Y is read one step at a time
-        np.testing.assert_array_equal(p2.Y[:, j], 2.0 * p1.Y[:, j])
+    np.testing.assert_array_equal(p2.y_T, 2.0 * p1.y_T)
+    for j in range(grid.n_steps):  # the pair is read one step at a time
+        for half2, half1 in zip(p2.at(j), p1.at(j)):
+            np.testing.assert_array_equal(half2, 2.0 * half1)
 
 
 def test_oracle_error_shrinks_under_refinement():
@@ -234,7 +234,7 @@ def test_oracle_error_shrinks_under_refinement():
         traj = simulate_controlled(scenario, np.array([1.0]), OpenLoop(np.zeros((n_steps, 1))), ens)
         pair = solve_first_adjoint(scenario, traj, ens)
         exact = _exact_continuous_adjoint(op, -v, c, grid)
-        y_mean = np.array([pair.y[:, j].mean(axis=0) for j in range(n_steps + 1)])
+        y_mean = np.array([y_at(pair, j).mean(axis=0) for j in range(n_steps + 1)])
         err = np.max(np.abs(y_mean - exact))
         errors.append(err)
     assert errors[1] < errors[0]
@@ -252,7 +252,7 @@ def test_lq_adjoint_matches_riccati_representation():
     for j in (0, 50, 100, 150):
         target = -traj.states[:, j, 0]
         scale = np.sqrt(np.mean(target**2))
-        rel_err.append(np.sqrt(np.mean((pair.y[:, j, 0] - target) ** 2)) / scale)
+        rel_err.append(np.sqrt(np.mean((pair.at(j)[0][:, 0] - target) ** 2)) / scale)
     assert max(rel_err) < 0.05
 
 
@@ -270,7 +270,7 @@ def test_ensemble_mismatch_rejected():
 # coefficient form of Y and the driver
 # ----------------------------------------------------------------------
 
-from adjoint_reference import dense_first_adjoint
+from adjoint_reference import dense_first_adjoint, y_at
 
 
 def _feedback_pair(preset, n_steps, n_paths, seed):
@@ -288,33 +288,10 @@ def _feedback_pair(preset, n_steps, n_paths, seed):
 def test_coefficient_pair_matches_dense_reference(preset):
     scenario, grid, ens, traj, pair = _feedback_pair(preset, 30, 600, 21)
     y, Y, driver = dense_first_adjoint(scenario, traj, ens)
-    for j in range(grid.n_steps + 1):
-        np.testing.assert_array_equal(pair.y[:, j], y[:, j])
+    np.testing.assert_array_equal(pair.y_T, y[:, -1])
     for j in range(grid.n_steps):
-        np.testing.assert_array_equal(pair.Y[:, j], Y[:, j])
-        np.testing.assert_array_equal(pair.driver[:, j], driver[:, j])
-
-
-def test_step_history_indexing():
-    scenario, grid, ens, traj, pair = _feedback_pair("heat4", 12, 300, 4)
-    n, N, P = scenario.n_modes, grid.n_steps, ens.n_paths
-    n_feat = RegressionBasis().n_features(n)
-    for hist in (pair.Y, pair.driver):
-        assert hist.shape == (P, N, n) and hist.ndim == 3
-        assert hist.nbytes == N * n_feat * n * 8  # the coefficients, not P * N * n
-        assert not hasattr(hist, "__array__")
-        full = hist[:, 5]
-        np.testing.assert_array_equal(hist[:, 5, 2], full[:, 2])
-        np.testing.assert_array_equal(hist[:, -1], hist[:, N - 1])
-        with pytest.raises(IndexError):
-            hist[:, N]
-        with pytest.raises(TypeError):
-            hist[:, 2:4]  # one step at a time
-        with pytest.raises(TypeError):
-            hist[0]
-        for paths in (slice(0, 1), [7, -1], 0):  # and on every path
-            with pytest.raises(TypeError):
-                hist[paths, 5]
+        for got, want in zip(pair.at(j, with_driver=True), (y[:, j], Y[:, j], driver[:, j])):
+            np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("path_constant", [True, False])
@@ -348,22 +325,25 @@ def test_one_read_gives_the_slices_of_y_and_Y(preset, path_constant):
     if not path_constant:
         scenario = per_path_jacobians(scenario)
         pair = solve_first_adjoint(scenario, traj, ens)
+    # a read with the driver gives the same (y_j, Y_j), and a second read
+    # gives them again
     for j in range(grid.n_steps):
         y_j, Y_j = pair.at(j)
-        np.testing.assert_array_equal(y_j, pair.y[:, j])
-        np.testing.assert_array_equal(Y_j, pair.Y[:, j])
+        for got in (pair.at(j, with_driver=True)[:2], pair.at(j)):
+            np.testing.assert_array_equal(got[0], y_j)
+            np.testing.assert_array_equal(got[1], Y_j)
     for j in (-1, grid.n_steps):
-        with pytest.raises(IndexError):
+        with pytest.raises(DomainError, match=f"step {j} is outside"):
             pair.at(j)
 
 
 def test_terminal_slice_of_y_is_read_only():
     scenario, grid, ens, traj, pair = _feedback_pair("heat4", 10, 200, 3)
-    before = pair.y[:, 10].copy()
-    v = pair.y[:, 10]
+    before = pair.y_T.copy()
+    v = pair.y_T
     with pytest.raises(ValueError):
         v *= 2
-    np.testing.assert_array_equal(pair.y[:, 10], before)
+    np.testing.assert_array_equal(pair.y_T, before)
 
 
 def _cross_cost_scenario():
@@ -415,16 +395,14 @@ def test_coefficient_y_keeps_the_control_dependent_gradient():
     traj = simulate_controlled(scenario, x0, control, ens)
     coeff = solve_first_adjoint(scenario, traj, ens)
     calls.clear()
-    coeff.y[:, 5]
+    coeff.at(5)
     assert calls == []
     J, K, _, _ = second_order_data(scenario, traj, coeff)
     assert J.shape == K.shape == (grid.n_steps, 2, 2)
     per_path_scenario = per_path_jacobians(scenario)
     assert path_constant_steps(per_path_scenario.drift_x, traj, (2, 2)) is None
     per_path = solve_first_adjoint(per_path_scenario, traj, ens)
-    for j in range(grid.n_steps + 1):
-        np.testing.assert_allclose(coeff.y[:, j], per_path.y[:, j], rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(coeff.y_T, per_path.y_T)
     for j in range(grid.n_steps):
-        np.testing.assert_allclose(coeff.Y[:, j], per_path.Y[:, j], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(coeff.driver[:, j], per_path.driver[:, j], rtol=0,
-                                   atol=1e-12)
+        for a, b in zip(coeff.at(j, with_driver=True), per_path.at(j, with_driver=True)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)

@@ -87,3 +87,28 @@ def test_tracer_reads_every_adjoint_result():
         tracer = tracing.Tracer()
         tracing._observe(tracer, metric, result)
         assert max(tracer.mbytes.values()) > 0, metric
+
+
+@pytest.mark.parametrize("path_constant", [True, False])
+def test_tracer_sizes_the_first_adjoint_coefficients(path_constant):
+    # the names the tracer sizes on a swept pair are the read-only
+    # (n_steps, n_features, n) coefficients it stores, so none of them can
+    # quietly become a per-path history again; an unfolded driver's mean fit
+    # is beta_y itself and is not stored twice
+    scenario, _ = build_preset(load_preset("heat4"))
+    if not path_constant:
+        scenario = per_path_jacobians(scenario)
+    grid = TimeGrid(0.0, 1.0, 8)
+    ens = sample_brownian(grid, 200, 2)
+    traj = simulate_controlled(scenario, scenario.x0, OpenLoop(np.zeros((8, 2))), ens)
+    pair = solve_first_adjoint(scenario, traj, ens)
+    block = (grid.n_steps, pair.features.n_features, scenario.n_modes)
+    stored = [getattr(pair, name) for name in OBSERVED["adjoint.solve_first"]]
+    assert (stored[2] is None) != path_constant
+    stored = [value for value in stored if value is not None]
+    for value in stored:
+        assert value.shape == block and not value.flags.writeable
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracing._observe(tracer, "adjoint.solve_first", pair)
+    assert tracer.mbytes["adjoint.history_mb"] == len(stored) * np.prod(block) * 8 / 2**20

@@ -10,9 +10,10 @@ from duality_reference import (
     loop_random_second_test,
     loop_second_identity,
 )
+from adjoint_reference import dense_pair
 from helpers import deterministic_data_scenario
 
-from smpkit.adjoint import AdjointPair, solve_first_adjoint
+from smpkit.adjoint import solve_first_adjoint
 from smpkit.duality import (
     ForcingSpec,
     StartSpec,
@@ -40,10 +41,11 @@ from smpkit.second_order import lyapunov_oracle, solve_second_adjoint
 from smpkit.spectral import OperatorSpec, make_dirichlet_laplacian
 
 
-def _zero_pair(grid, n, n_paths, fingerprint):
-    shape_y = (n_paths, grid.n_steps + 1, n)
+def _zero_pair(grid, n, n_paths, fingerprint, driver=None):
     shape_Y = (n_paths, grid.n_steps, n)
-    return AdjointPair(grid, np.zeros(shape_y), np.zeros(shape_Y), np.zeros(shape_Y), fingerprint)
+    driver = np.zeros(shape_Y) if driver is None else driver
+    return dense_pair(grid, np.zeros((n_paths, grid.n_steps + 1, n)), np.zeros(shape_Y), driver,
+                      fingerprint)
 
 
 def test_first_identity_zero_data_exact():
@@ -92,9 +94,10 @@ def test_first_identity_localizes_y():
                                    bias_budget=1e-9)
     recovered = report.lhs / grid.dt
     # the isolated value is the regressed conditional mean at j_star
-    y_star = (pair.y[:, j_star, 0] + grid.dt * pair.driver[:, j_star, 0]).mean()
+    y_j, _, f_j = pair.at(j_star, with_driver=True)
+    y_star = (y_j[:, 0] + grid.dt * f_j[:, 0]).mean()
     assert recovered == pytest.approx(y_star, abs=3 * report.stderr / grid.dt + 1e-6)
-    assert abs(recovered - pair.y[:, j_star, 0].mean()) < 0.05  # same object up to O(dt)
+    assert abs(recovered - y_j[:, 0].mean()) < 0.05  # same object up to O(dt)
     assert report.passed
 
 
@@ -128,19 +131,19 @@ def test_first_identity_requires_same_ensemble():
 
 
 def test_first_identity_leaves_single_path_pair_unchanged():
-    # with one path a step slice of pair.y is contiguous, so the verifier
-    # must not add the driver into it in place
+    # with one path a step read of a dense pair is a contiguous slice of its
+    # y, so the verifier must not add the driver into it in place
     op = make_dirichlet_laplacian(2, 1.0)
     grid = TimeGrid(0.0, 1.0, 10)
     ens = sample_brownian(grid, 1, 4)
     rng = np.random.default_rng(2)
-    pair = AdjointPair(grid, rng.normal(size=(1, 11, 2)), rng.normal(size=(1, 10, 2)),
-                       rng.normal(size=(1, 10, 2)), ens.fingerprint)
-    y_before = [pair.y[:, j].copy() for j in range(grid.n_steps + 1)]
+    y = rng.normal(size=(1, 11, 2))
+    y_before = y.copy()
+    pair = dense_pair(grid, y, rng.normal(size=(1, 10, 2)), rng.normal(size=(1, 10, 2)),
+                      ens.fingerprint)
     test = describe_first_test(op, ens, np.random.default_rng(3))
     first = verify_first_identity(pair, op, test, ens)
-    for j in range(grid.n_steps + 1):
-        np.testing.assert_array_equal(pair.y[:, j], y_before[j])
+    np.testing.assert_array_equal(y, y_before)
     second = verify_first_identity(pair, op, test, ens)
     assert (second.lhs, second.rhs) == (first.lhs, first.rhs)
 
@@ -320,7 +323,7 @@ def test_stacked_first_identities_match_single_tuple_heat4():
     stacked = verify_first_identities(pair, op, tests, ens, bias_budget=budget)
     singles = [verify_first_identity(pair, op, t, ens, bias_budget=budget)
                for t in tests]
-    loops = [loop_first_identity(pair, op, None, None, t.materialize(w), ens,
+    loops = [loop_first_identity(pair, op, t.materialize(w), ens,
                                  bias_budget=budget) for t in tests]
     _assert_same_reports(stacked, singles, loops)
 
@@ -410,7 +413,7 @@ def test_materialize_passes_an_absent_forcing_through():
     t_index, eta, v1, v2 = spec.materialize(w)
     assert t_index == 3 and v1 is None and v2.shape == (200, 20, n)
     got = verify_first_identity(pair, op, spec, ens)
-    ref = loop_first_identity(pair, op, None, None, spec.materialize(w), ens)
+    ref = loop_first_identity(pair, op, spec.materialize(w), ens)
     for field in ("lhs", "rhs", "stderr"):
         np.testing.assert_allclose(getattr(got, field), getattr(ref, field),
                                    rtol=EQUIV_RTOL, atol=0.0, err_msg=field)
@@ -511,8 +514,9 @@ def test_divergence_is_reported_at_its_step_and_path(bad):
                         running_cost=lambda t, x, u: np.zeros(x.shape[0]),
                         terminal_cost=lambda x: np.zeros(x.shape[0]),
                         control_dim=1, control_set=Box(lo=[-1.0], hi=[1.0]))
-    pair = _zero_pair(grid, 2, 100, ens.fingerprint)
-    pair.driver[path, step, 0] = bad  # b_step = S(dt) b_{step+1} - dt f_step
+    driver = np.zeros((100, 20, 2))
+    driver[path, step, 0] = bad  # b_step = S(dt) b_{step+1} - dt f_step
+    pair = _zero_pair(grid, 2, 100, ens.fingerprint, driver)
     J = np.zeros((100, 20, 2, 2))
     J[path, step - 1, 0, 0] = bad     # x_step = S(dt) (I + dt J_{step-1}) x_{step-1}
     sa = solve_second_adjoint(op, None, None, None, np.zeros((2, 2)), ens)
@@ -564,7 +568,7 @@ def test_reports_come_back_in_input_order(order, adapted):
     assert [r.t_index for r in stacked] == list(starts)
     _assert_same_reports(
         stacked, [verify_first_identity(pair, op, t, ens) for t in tests],
-        [loop_first_identity(pair, op, None, None, t.materialize(w), ens) for t in tests])
+        [loop_first_identity(pair, op, t.materialize(w), ens) for t in tests])
 
     J, K, F, P_T = second_order_data(scenario, traj, pair)
     sa = solve_second_adjoint(op, J, K, F, P_T, ens, features=pair.features)

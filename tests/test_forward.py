@@ -536,6 +536,28 @@ def test_shared_control_is_stored_once():
         used[0, 0, 0] = 0.0
 
 
+@pytest.mark.parametrize("shape", [(8,), (8, 1), (8, 3), (5, 2), ()])
+def test_feedback_values_of_wrong_shape_are_a_dimension_error(shape):
+    # heat4's m = 2: a step's values are (n_paths, 2), and one column is not
+    # copied into both controls
+    scenario = make_heat_scenario(4)
+    ens = sample_brownian(TimeGrid(0.0, 1.0, 4), 8, 3)
+    assert scenario.control_dim == 2
+    with pytest.raises(DimensionError, match=r"control values at step 0 have shape"):
+        simulate_controlled(scenario, scenario.x0, Feedback(lambda t, x: np.zeros(shape)), ens)
+
+
+def test_feedback_column_is_the_one_control():
+    # with m = 1 a (n_paths,) return is the (n_paths, 1) control
+    scenario, _ = make_lq_scalar()
+    ens = sample_brownian(TimeGrid(0.0, 1.0, 10), 20, 3)
+    column = simulate_controlled(scenario, scenario.x0, Feedback(lambda t, x: -x[:, 0]), ens)
+    matrix = simulate_controlled(scenario, scenario.x0, Feedback(lambda t, x: -x), ens)
+    assert column.controls_used.shape == (20, 10, 1)
+    np.testing.assert_array_equal(column.controls_used, matrix.controls_used)
+    np.testing.assert_array_equal(column.states, matrix.states)
+
+
 @pytest.mark.parametrize("shape", [(5, 1), (10, 2), (7, 10, 1), (12, 1)])
 def test_open_loop_values_of_wrong_shape_are_a_dimension_error(shape):
     # 10 steps, 20 paths, m = 1: only (10, 1) and (20, 10, 1) are values

@@ -105,7 +105,7 @@ def test_convex_gradient_small_at_optimum(lq_at_optimum):
     for j in (0, 60, 140):
         grad = convex_gradient(
             scenario, j, traj.states[:, j], traj.controls_used[:, j],
-            pair.y[:, j], pair.Y[:, j], grid=grid,
+            *pair.at(j), grid=grid,
         )
         scale = np.sqrt(np.mean(traj.controls_used[:, j] ** 2))
         assert np.sqrt(np.mean(grad**2)) <= 0.05 * max(scale, 0.1)
@@ -124,7 +124,7 @@ def test_convex_gradient_improvement_direction_when_suboptimal():
     for j in range(grid.n_steps):
         grad = convex_gradient(
             scenario, j, traj.states[:, j], traj.controls_used[:, j],
-            pair.y[:, j], pair.Y[:, j], grid=grid,
+            *pair.at(j), grid=grid,
         )
         u_star = -traj.states[:, j]  # Riccati feedback -p x with p = 1
         total += grid.dt * np.sum(grad * (u_star - traj.controls_used[:, j]), axis=-1)
@@ -137,7 +137,7 @@ def test_spike_functional_zero_at_candidate(lq_at_optimum):
     j = 77
     s = spike_functional(
         scenario, grid.times()[j], traj.states[:, j], traj.controls_used[:, j],
-        traj.controls_used[:, j], pair.y[:, j], pair.Y[:, j], sa.P_paths(j),
+        traj.controls_used[:, j], *pair.at(j), sa.P_paths(j),
     )
     np.testing.assert_array_equal(s, 0.0)
 
@@ -173,11 +173,13 @@ def test_spike_functional_scaling_leaves_argmax(lq_at_optimum):
     j = 50
     u_grid = np.linspace(-2, 2, 21)[:, None]
 
+    y_j, Y_j = pair.at(j)
+
     def s_values(scen, scale):
         return np.array([
             spike_functional(
                 scen, grid.times()[j], traj.states[:, j], traj.controls_used[:, j],
-                u, scale * pair.y[:, j], scale * pair.Y[:, j], scale * sa.P_paths(j),
+                u, scale * y_j, scale * Y_j, scale * sa.P_paths(j),
             ).mean()
             for u in u_grid
         ])
@@ -462,7 +464,7 @@ def test_shared_control_matches_its_per_path_copy_bit_for_bit():
         for a, b in zip(pair.at(j, with_driver=True) + sa.at(j),
                         pair_c.at(j, with_driver=True) + sa_c.at(j)):
             np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(pair.y[:, N], pair_c.y[:, N])
+    np.testing.assert_array_equal(pair.y_T, pair_c.y_T)
     np.testing.assert_array_equal(sa.P_paths(N), sa_c.P_paths(N))
     np.testing.assert_array_equal(report.values, report_c.values)
     np.testing.assert_array_equal(report.stderrs, report_c.stderrs)
@@ -512,6 +514,34 @@ def test_spike_epsilon_validation(lq_at_optimum):
     for eps_list in ([0.2, 0.01], [0.1, 0.09]):
         with pytest.raises(DomainError, match="rounds? to"):
             spike_experiment(scen, scen.x0, base, np.array([0.5]), 0.3, eps_list, e)
+
+
+def test_spike_before_the_grid_start_is_a_domain_error(monkeypatch):
+    # rejected before anything is simulated
+    scen, _ = make_lq_scalar()
+    e = sample_brownian(TimeGrid(0.0, 1.0, 20), 300, 3)
+    monkeypatch.setattr(mp, "simulate_controlled", lambda *args: pytest.fail("simulated"))
+    with pytest.raises(DomainError, match="before the grid start"):
+        spike_experiment(scen, scen.x0, OpenLoop(np.zeros((20, 1))), np.array([0.5]), -0.05,
+                         [0.1], e)
+
+
+def test_spike_of_a_shared_control_holds_no_per_path_control():
+    # a path-shared base control is spiked as its (N, m) block and each
+    # perturbed run is dropped once costed: beside the base and one perturbed
+    # state history the run holds no (n_paths, n_steps, m) control
+    scenario, _ = build_preset(load_preset("heat4"))
+    grid = TimeGrid(0.0, scenario.T, 100)
+    ens = sample_brownian(grid, 2000, 73)
+    m = scenario.control_dim
+    base = OpenLoop(np.zeros((100, m)))
+    adjoints = solve_adjoints(scenario, simulate_controlled(scenario, scenario.x0, base, ens), ens)
+    peak, _ = traced_peak(spike_experiment, scenario, scenario.x0, base, np.full(m, 0.5),
+                          tau=grid.dt * 10, eps_list=[grid.dt * 4, grid.dt * 2], ens=ens,
+                          adjoints=adjoints)
+    states = ens.n_paths * (grid.n_steps + 1) * scenario.n_modes * 8
+    slack = 64 * ens.n_paths * 8  # per-step columns and P_j
+    assert peak <= 2 * states + slack, (peak, states, slack)
 
 
 def test_spike_remainder_vanishes_at_optimum(lq_at_optimum):
