@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Every command resolves a preset plus grid/ensemble options into a RunConfig,
-runs the requested experiment, writes plain CSV artifacts (one-line header,
-floats with 17 significant digits) plus a manifest echoing the resolved
-configuration, and exits 0 only if the command's pass rule holds.
+Every command resolves a preset plus the grid/ensemble options its
+subcommand parser defines, runs the requested experiment, writes plain CSV
+artifacts (one-line header, floats with 17 significant digits) plus a
+manifest echoing those parsed options, and exits 0 only if the command's
+pass rule holds.
 
 Exit codes: 0 pass, 1 failed pass rule (the failing artifact is named on
 stderr), 2 unknown preset, unusable configuration or inputs drawn from
@@ -16,7 +17,6 @@ import os
 import resource
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .maximum_principle import (
     second_order_data,
     solve_adjoints,
     spike_experiment,
-    spike_widths,
+    spike_window,
 )
 from .scenarios import MatrixPreset, build_preset, dp_oracle_scalar, load_preset, riccati_oracle
 from .second_order import mat_to_vec, max_asymmetry, solve_second_adjoint
@@ -62,44 +62,16 @@ def write_csv(path, header, rows):
             writer.writerow([_fmt(row[col]) for col in header])
 
 
-@dataclass
-class RunConfig:
-    command: str
-    preset: str
-    paths: int
-    dt: float
-    seed: int
-    outdir: str
-    workers: int = 1
-    control: str = "zero"
-    tuples: int = 20
-    order: str = "both"
-    k_sigma: float = 3.0
-    step: float = 0.8
-    max_iters: int = 200
-    tau: float = 1.0 / 3.0
-    eps_list: tuple = (0.2, 0.1, 0.05, 0.025)
-    u_alt: float = 0.5
-    u_points: int = 21
-    t_points: int = 8
-    lattice_points: int = 401
-    lattice_lo: float = -2.0
-    lattice_hi: float = 3.0
-
-    def items(self):
-        for key in sorted(vars(self)):
-            value = getattr(self, key)
-            if isinstance(value, tuple):
-                value = ",".join(_fmt(v) for v in value)
-            yield key, _fmt(value)
-
-
 def write_manifest(cfg, outdir, wall_time, extra=None):
+    """The tool version, the parsed options in name order, ``extra`` and the
+    wall time, one ``key = value`` line each."""
     path = os.path.join(outdir, "manifest.txt")
     with open(path, "w") as fh:
         fh.write(f"tool = smpkit {__version__}\n")
-        for key, value in cfg.items():
-            fh.write(f"{key} = {value}\n")
+        for key, value in sorted(vars(cfg).items()):
+            if isinstance(value, tuple):
+                value = ",".join(_fmt(v) for v in value)
+            fh.write(f"{key} = {_fmt(value)}\n")
         for key, value in (extra or {}).items():
             fh.write(f"{key} = {value}\n")
         fh.write(f"wall_time_seconds = {wall_time:.3f}\n")
@@ -139,25 +111,26 @@ MATRIX_COMMANDS = ("solve-second-adjoint", "verify-duality")  # need no control 
 def _grid_for(cfg, problem):
     """The time grid of the run.  Raises ConfigError for options no run can
     honour: a command the preset cannot run, or a grid other than asked for.
-    ``main`` creates the output directory only after this check."""
-    if isinstance(problem, MatrixPreset) and (
-            cfg.command not in MATRIX_COMMANDS or cfg.order == "first"):
-        command = cfg.command + (" --order first" if cfg.order == "first" else "")
+    Only the options the command defines are checked.  ``main`` creates the
+    output directory only after this check."""
+    options = vars(cfg)
+    first_only = options.get("order") == "first"
+    if isinstance(problem, MatrixPreset) and (cfg.command not in MATRIX_COMMANDS or first_only):
+        command = cfg.command + (" --order first" if first_only else "")
         raise ConfigError(f"{command} needs a control problem; "
                           f"preset {cfg.preset} is a matrix preset")
     if cfg.command == "cross-validate-oracles" and problem.n_modes != 1:
         raise ConfigError(f"cross-validate-oracles needs a scalar preset; {cfg.preset} is not")
-    for flag, value, least in (("--paths", cfg.paths, 2), ("--tuples", cfg.tuples, 1),
-                               ("--max-iters", cfg.max_iters, 0),
-                               ("--t-points", cfg.t_points, 1), ("--u-points", cfg.u_points, 1),
-                               ("--workers", cfg.workers, 1)):
-        if value < least:
-            raise ConfigError(f"{flag} must be at least {least} (got {value})")
+    for key, least in (("paths", 2), ("tuples", 1), ("max_iters", 0), ("t_points", 1),
+                       ("u_points", 1), ("workers", 1)):
+        if key in options and options[key] < least:
+            raise ConfigError(f"--{key.replace('_', '-')} must be at least {least} "
+                              f"(got {options[key]})")
     if cfg.seed < 0:
         raise ConfigError(f"--seed must be a nonnegative integer (got {cfg.seed})")
     if not (np.isfinite(cfg.k_sigma) and cfg.k_sigma >= 0):
         raise ConfigError(f"--k-sigma must be finite and nonnegative (got {cfg.k_sigma})")
-    if not (np.isfinite(cfg.step) and cfg.step > 0):
+    if "step" in options and not (np.isfinite(cfg.step) and cfg.step > 0):
         raise ConfigError(f"--step must be finite and positive (got {cfg.step})")
     T = problem.T
     if not (np.isfinite(cfg.dt) and cfg.dt > 0):
@@ -165,25 +138,19 @@ def _grid_for(cfg, problem):
     n_steps = round(T / cfg.dt)
     if n_steps < 1 or abs(n_steps * cfg.dt - T) > DT_SLACK * T:
         raise ConfigError(f"--dt {cfg.dt} does not divide the horizon T = {T}")
+    grid = TimeGrid(0.0, T, n_steps)
     if cfg.command == "spike-experiment":
-        eps = cfg.eps_list
-        if not all(e > 0 for e in eps) or not all(b < a for a, b in zip(eps, eps[1:])):
-            raise ConfigError(f"--eps-list must be positive and strictly decreasing "
-                              f"(got {','.join(map(str, eps))})")
-        tau = _spike_time(cfg.tau, cfg.dt)
-        if tau < 0 or tau + max(eps) > T + 1e-12:
-            raise ConfigError(f"the spike window from --tau {cfg.tau} over --eps-list "
-                              f"{max(eps)} leaves the horizon T = {T}")
         try:
-            spike_widths(eps, T / n_steps)
+            spike_window(_spike_time(cfg.tau, grid.dt), cfg.eps_list, grid)
         except DomainError as exc:
-            raise ConfigError(f"--eps-list: {exc}") from None
-    return TimeGrid(0.0, T, n_steps)
+            raise ConfigError(f"--tau/--eps-list: {exc}") from None
+    return grid
 
 
 def _spike_time(tau, dt):
-    """The spike start: --tau rounded to the grid."""
-    return round(tau / dt) * dt
+    """The spike start: --tau rounded to the grid (a NaN or infinite --tau
+    stays so, for :func:`spike_window` to reject)."""
+    return float(np.round(tau / dt)) * dt
 
 
 def _eps_list(raw):
@@ -194,11 +161,16 @@ def _eps_list(raw):
 
 
 def _control_for(cfg, scenario, lq, grid):
-    if cfg.control == "zero":
-        return OpenLoop(np.zeros((grid.n_steps, scenario.control_dim)))
+    """The --control choice: zero, or the Riccati oracle's feedback."""
     if cfg.control == "riccati":
         return riccati_oracle(lq, grid).feedback()
-    raise SmpKitError(f"unknown control choice: {cfg.control}")
+    return OpenLoop(np.zeros((grid.n_steps, scenario.control_dim)))
+
+
+def _trajectory(cfg, scenario, lq, ens):
+    """The trajectory of ``scenario`` on ``ens`` under the --control choice."""
+    return simulate_controlled(scenario, scenario.x0, _control_for(cfg, scenario, lq, ens.grid),
+                               ens)
 
 
 # ----------------------------------------------------------------------
@@ -206,9 +178,7 @@ def _control_for(cfg, scenario, lq, grid):
 # ----------------------------------------------------------------------
 
 def cmd_simulate_forward(cfg, scenario, lq, grid):
-    ens = sample_brownian(grid, cfg.paths, cfg.seed)
-    control = _control_for(cfg, scenario, lq, grid)
-    traj = simulate_controlled(scenario, scenario.x0, control, ens)
+    traj = _trajectory(cfg, scenario, lq, sample_brownian(grid, cfg.paths, cfg.seed))
     times = grid.times()
     rows = [
         {
@@ -222,38 +192,27 @@ def cmd_simulate_forward(cfg, scenario, lq, grid):
     write_csv(os.path.join(cfg.outdir, "forward_stats.csv"),
               ["step", "time", "mean_sq_norm", "max_abs_coeff"], rows)
     costs = cost_paths(scenario, traj)
-    write_csv(
-        os.path.join(cfg.outdir, "cost_estimate.csv"),
-        ["estimate", "stderr"],
-        [{"estimate": float(costs.mean()),
-          "stderr": float(costs.std(ddof=1) / np.sqrt(len(costs)))}],
-    )
+    write_csv(os.path.join(cfg.outdir, "cost_estimate.csv"), ["estimate", "stderr"],
+              [{"estimate": float(costs.mean()),
+                "stderr": float(costs.std(ddof=1) / np.sqrt(len(costs)))}])
     return 0, None
 
 
 def cmd_solve_adjoint(cfg, scenario, lq, grid):
     ens = sample_brownian(grid, cfg.paths, cfg.seed)
-    control = _control_for(cfg, scenario, lq, grid)
-    traj = simulate_controlled(scenario, scenario.x0, control, ens)
-    pair = solve_first_adjoint(scenario, traj, ens)
+    _, pair = _first_order(cfg, scenario, lq, ens)
     times = grid.times()
     n = scenario.n_modes
-    header = ["step", "time"] + [f"y_mean_{k+1}" for k in range(n)] + [
-        f"Y_mean_{k+1}" for k in range(n)
-    ]
+    header = ["step", "time"] + [f"{name}_mean_{k+1}" for name in "yY" for k in range(n)]
     rows = []
     for j in range(grid.n_steps):
-        row = {"step": j, "time": times[j]}
-        y_j, Y_j = pair.at(j)
-        for k in range(n):
-            row[f"y_mean_{k+1}"] = float(y_j[:, k].mean())
-            row[f"Y_mean_{k+1}"] = float(Y_j[:, k].mean())
-        rows.append(row)
+        means = [float(v[:, k].mean()) for v in pair.at(j) for k in range(n)]
+        rows.append({"step": j, "time": times[j]} | dict(zip(header[2:], means)))
     write_csv(os.path.join(cfg.outdir, "adjoint_stats.csv"), header, rows)
     return 0, None
 
 
-def _second_order_inputs(cfg, problem, lq, grid, ens, first=None):
+def _second_order_inputs(cfg, problem, lq, ens, first=None):
     """Matrix-equation data and the features to regress on: either straight
     from a matrix preset (the Brownian paths' features) or the linearization
     along the chosen control and the first adjoint's features.  ``first`` is
@@ -261,21 +220,20 @@ def _second_order_inputs(cfg, problem, lq, grid, ens, first=None):
     already has them."""
     if isinstance(problem, MatrixPreset):
         return (*problem.second_order_data(), None)
-    traj, pair = first or _first_order(cfg, problem, lq, grid, ens)
+    traj, pair = first or _first_order(cfg, problem, lq, ens)
     J, K, F, P_T = second_order_data(problem, traj, pair)
     return problem.op, J, K, F, P_T, pair.features
 
 
-def _first_order(cfg, scenario, lq, grid, ens):
+def _first_order(cfg, scenario, lq, ens):
     """Trajectory along the chosen control and its first adjoint pair."""
-    control = _control_for(cfg, scenario, lq, grid)
-    traj = simulate_controlled(scenario, scenario.x0, control, ens)
+    traj = _trajectory(cfg, scenario, lq, ens)
     return traj, solve_first_adjoint(scenario, traj, ens)
 
 
 def cmd_solve_second_adjoint(cfg, problem, lq, grid):
     ens = sample_brownian(grid, cfg.paths, cfg.seed)
-    op, J, K, F, P_T, features = _second_order_inputs(cfg, problem, lq, grid, ens)
+    op, J, K, F, P_T, features = _second_order_inputs(cfg, problem, lq, ens)
     sa = solve_second_adjoint(op, J, K, F, P_T, ens, features=features)
     times = grid.times()
     n = op.n_modes
@@ -283,11 +241,8 @@ def cmd_solve_second_adjoint(cfg, problem, lq, grid):
     rows = []
     for j in range(grid.n_steps + 1):
         P_mean = sa.P_mean(j)
-        row = {"step": j, "time": times[j], "asymmetry": max_asymmetry(P_mean)}
-        vec = mat_to_vec(P_mean)
-        for k in range(n * n):
-            row[f"P_mean_{k+1}"] = vec[k]
-        rows.append(row)
+        rows.append({"step": j, "time": times[j], "asymmetry": max_asymmetry(P_mean)}
+                    | dict(zip(header[2:-1], mat_to_vec(P_mean))))
     write_csv(os.path.join(cfg.outdir, "second_adjoint_stats.csv"), header, rows)
     return 0, {"symmetry_drift": _fmt(sa.symmetry_drift)}
 
@@ -306,7 +261,7 @@ def cmd_verify_duality(cfg, problem, lq, grid):
 
     # a matrix preset has no first-order equation: "both" runs the second
     if cfg.order in ("first", "both") and not isinstance(problem, MatrixPreset):
-        first = _first_order(cfg, problem, lq, grid, ens)
+        first = _first_order(cfg, problem, lq, ens)
         tests = [describe_first_test(problem.op, ens, np.random.default_rng([cfg.seed, 1000 + i]))
                  for i in range(cfg.tuples)]
         record("duality_first", verify_first_identities(
@@ -315,7 +270,7 @@ def cmd_verify_duality(cfg, problem, lq, grid):
         ))
 
     if cfg.order in ("second", "both"):
-        op, J, K, F, P_T, features = _second_order_inputs(cfg, problem, lq, grid, ens, first)
+        op, J, K, F, P_T, features = _second_order_inputs(cfg, problem, lq, ens, first)
         first = None  # past here only the first adjoint's features are read
         sa = solve_second_adjoint(op, J, K, F, P_T, ens, features=features)
         tests = [describe_second_test(op, ens, np.random.default_rng([cfg.seed, 2000 + i]))
@@ -332,8 +287,7 @@ def cmd_verify_duality(cfg, problem, lq, grid):
 
 def cmd_check_mp(cfg, scenario, lq, grid):
     ens = sample_brownian(grid, cfg.paths, cfg.seed)
-    control = _control_for(cfg, scenario, lq, grid)
-    traj = simulate_controlled(scenario, scenario.x0, control, ens)
+    traj = _trajectory(cfg, scenario, lq, ens)
     pair, sa = solve_adjoints(scenario, traj, ens)
     control_set = scenario.control_set
     if isinstance(control_set, Box):
@@ -379,7 +333,7 @@ def cmd_spike_experiment(cfg, scenario, lq, grid):
     tau = _spike_time(cfg.tau, grid.dt)
     table = spike_experiment(
         scenario, scenario.x0, control,
-        np.full(scenario.control_dim, cfg.u_alt), tau, list(cfg.eps_list), ens,
+        np.full(scenario.control_dim, cfg.u_alt), tau, cfg.eps_list, ens,
     )
     path = os.path.join(cfg.outdir, "spike_table.csv")
     write_csv(
@@ -397,9 +351,7 @@ def cmd_cross_validate(cfg, scenario, lq, grid):
     span = 3.0
     u_grid = np.linspace(-span, span, cfg.u_points)
     dp = dp_oracle_scalar(scenario, lattice, u_grid, grid)
-    x0 = scenario.x0
-    v_rc = rc.value_at(x0)
-    v_dp = dp.value_at(x0)
+    v_rc, v_dp = rc.value_at(scenario.x0), dp.value_at(scenario.x0)
     gap = abs(v_dp - v_rc) / abs(v_rc)
     path = os.path.join(cfg.outdir, "oracle_cross.csv")
     write_csv(path, ["method", "value", "rel_gap", "pass"], [
@@ -460,13 +412,11 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    kwargs = {k: v for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__}
+    cfg = build_parser().parse_args(argv)
     start = time.time()
     try:
-        if "eps_list" in kwargs:
-            kwargs["eps_list"] = _eps_list(kwargs["eps_list"])
-        cfg = RunConfig(**kwargs)
+        if cfg.command == "spike-experiment":
+            cfg.eps_list = _eps_list(cfg.eps_list)
         problem, lq = build_preset(load_preset(cfg.preset))
         grid = _grid_for(cfg, problem)
         # only a run that passed its checks leaves an output directory

@@ -67,7 +67,7 @@ from .forward import (  # noqa: F401
     iter_linear_test,
     iter_linearized,
 )
-from .second_order import brownian_features, solve_second_adjoint
+from .second_order import _shaped, brownian_features, coefficients, solve_second_adjoint
 
 
 @dataclass
@@ -216,14 +216,6 @@ def random_second_test(op, ens, rng, scale=1.0):
 # ----------------------------------------------------------------------
 # the stacked pass
 # ----------------------------------------------------------------------
-
-def _shaped(arr, shapes, what):
-    """``arr`` as a float array whose shape is one of ``shapes``."""
-    arr = np.asarray(arr, dtype=float)
-    if arr.shape not in shapes:
-        raise DimensionError(f"{what} has shape {arr.shape}, expected one of {list(shapes)}")
-    return arr
-
 
 def _step_index(t_index, N):
     try:
@@ -487,9 +479,8 @@ def verify_second_identities(sa, op, J, K, F, P_T, tests, ens, bias_budget=0.0,
     check_same_ensemble(sa, ens)
     tuples = _Tuples(tests, 2, 4, op, ens)
     N, dt, n, P = tuples.N, tuples.dt, tuples.n, tuples.P
-    J, K, F = (None if c is None else _shaped(c, ((n, n), (N, n, n), (P, N, n, n)), name)
-               for c, name in ((J, "J"), (K, "K"), (F, "F")))
-    P_T = _shaped(P_T, ((n, n), (P, n, n)), "P_T")
+    # a non-finite entry is reported where it reaches the test states
+    J, K, F, P_T = coefficients(J, K, F, P_T, n, N, P, finite=False)
     decay = tuples.decay
 
     lhs, rhs = tuples.zeros(), tuples.zeros()
@@ -562,7 +553,7 @@ class ProbeReport:
     ratio: float               # max discrepancy / delta (inf-safe for delta=0)
 
 
-def lipschitz_probe(op, J, K_base, K_perturbed, F, P_T, probes, ens, basis=None):
+def lipschitz_probe(op, J, K_base, K_perturbed, F, P_T, probes, ens):
     """Stability of the martingale-component functional under a coefficient
     change K -> K_perturbed of size delta = ||K - K_perturbed||.
 
@@ -581,7 +572,7 @@ def lipschitz_probe(op, J, K_base, K_perturbed, F, P_T, probes, ens, basis=None)
     grid = ens.grid
     N, dt = grid.n_steps, grid.dt
     # one moment record: the second solve reuses the first one's
-    features = brownian_features(ens, basis)
+    features = brownian_features(ens)
     sa_base = solve_second_adjoint(op, J, K_base, F, P_T, ens, features=features)
     sa_pert = solve_second_adjoint(op, J, K_perturbed, F, P_T, ens, features=features)
 

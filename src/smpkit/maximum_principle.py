@@ -169,9 +169,9 @@ def _running_hessian(scenario, traj):
     return F
 
 
-def solve_adjoints(scenario, traj, ens, basis=None):
+def solve_adjoints(scenario, traj, ens):
     """First- and second-order backward solves along one trajectory."""
-    pair = solve_first_adjoint(scenario, traj, ens, basis=basis)
+    pair = solve_first_adjoint(scenario, traj, ens)
     J, K, F, P_T = second_order_data(scenario, traj, pair)
     sa = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, features=pair.features)
     return pair, sa
@@ -227,7 +227,7 @@ class OptimizeHistory:
         return self.iterations[-1]["J"]
 
 
-def _gradient_step(scenario, traj, ens, step, basis):
+def _gradient_step(scenario, traj, ens, step):
     """One projected-gradient iteration from the trajectory ``traj`` of the
     current values, which ``traj.controls_used`` holds projected: (new
     values, cost mean, its standard error, step norm).
@@ -240,7 +240,7 @@ def _gradient_step(scenario, traj, ens, step, basis):
     and per-step slices."""
     grid = ens.grid
     costs = cost_paths(scenario, traj)
-    pair = solve_first_adjoint(scenario, traj, ens, basis=basis)
+    pair = solve_first_adjoint(scenario, traj, ens)
     project = scenario.control_set.projection
     new_u = step_major((ens.n_paths, grid.n_steps, scenario.control_dim))
     total = 0.0
@@ -254,7 +254,7 @@ def _gradient_step(scenario, traj, ens, step, basis):
 
 
 def projected_gradient(scenario, x0, control, ens, step_rule=0.8, max_iters=200,
-                       basis=None, tol_step=1e-6):
+                       tol_step=1e-6):
     """Iterate u <- clamp(u + step * (a_u* y + b_u* Y - g_u)) on a per-path
     open-loop control.
 
@@ -289,7 +289,7 @@ def projected_gradient(scenario, x0, control, ens, step_rule=0.8, max_iters=200,
     for i in range(max_iters + 1):
         traj = simulate_controlled(scenario, x0, u, ens)
         del u  # traj.controls_used holds the values, projected
-        new_u, cost, stderr, step_norm = _gradient_step(scenario, traj, ens, step_of(i), basis)
+        new_u, cost, stderr, step_norm = _gradient_step(scenario, traj, ens, step_of(i))
         del traj
         u = OpenLoop(new_u)
         del new_u  # so that the next simulation drops the values with u
@@ -318,10 +318,23 @@ class SpikeTable:
     rows: list
 
 
-def spike_widths(eps_list, dt):
-    """The spike windows round(eps / dt), in grid steps.  A window of 0
-    steps makes a vacuous row, and two equal ones the same spike, so both
-    raise DomainError."""
+def spike_window(tau, eps_list, grid):
+    """Start step round((tau - t0) / dt) and widths round(eps / dt) of the
+    spike windows [tau, tau + eps) on ``grid``.  Raises DomainError unless
+    the epsilons are positive and strictly decreasing, every window lies in
+    the horizon and the widths are distinct and nonzero (a window of 0 steps
+    makes a vacuous row, two equal ones the same spike)."""
+    eps_list = [float(e) for e in eps_list]
+    # each epsilon exceeds the next, the last exceeds 0; a NaN fails both
+    if not eps_list or not all(a > b for a, b in zip(eps_list, eps_list[1:] + [0.0])):
+        raise DomainError(f"eps values must be positive and strictly decreasing "
+                          f"(got {','.join(map(str, eps_list))})")
+    if not tau >= grid.t0 - 1e-12:
+        raise DomainError(f"spike time {tau} is NaN or before the grid start {grid.t0}")
+    if tau + eps_list[0] > grid.T + 1e-12:
+        raise DomainError(f"the spike window from {tau} over {eps_list[0]} leaves the horizon "
+                          f"T = {grid.T}")
+    dt = grid.dt
     widths = [int(round(eps / dt)) for eps in eps_list]
     for k, (eps, width) in enumerate(zip(eps_list, widths)):
         if width == 0:
@@ -329,36 +342,26 @@ def spike_widths(eps_list, dt):
         if k and width == widths[k - 1]:
             raise DomainError(f"epsilons {eps_list[k - 1]} and {eps} round to the same spike "
                               f"of {width} steps at dt = {dt}")
-    return widths
+    return int(round((tau - grid.t0) / dt)), widths
 
 
-def spike_experiment(scenario, x0, u_bar, u_alt, tau, eps_list, ens,
-                     basis=None, adjoints=None):
+def spike_experiment(scenario, x0, u_bar, u_alt, tau, eps_list, ens, adjoints=None):
     """Cost response to spiking the control to ``u_alt`` on [tau, tau+eps).
 
     All rows share the base trajectory and the noise ensemble (common random
     numbers), so delta_J comes from pathwise differencing.  The prediction
     integrates the sample mean of S over the spike window using the adjoint
     data of the base trajectory."""
-    eps_list = [float(e) for e in eps_list]
-    if any(e <= 0 for e in eps_list) or any(
-        b >= a for a, b in zip(eps_list, eps_list[1:])
-    ):
-        raise DomainError("eps values must be positive and strictly decreasing")
     grid = ens.grid
     dt = grid.dt
-    if tau < grid.t0 - 1e-12:
-        raise DomainError(f"spike time {tau} is before the grid start {grid.t0}")
-    if tau + max(eps_list) > grid.T + 1e-12:
-        raise DomainError("spike window exceeds the horizon")
-    widths = spike_widths(eps_list, dt)
+    j_tau, widths = spike_window(tau, eps_list, grid)
+    eps_list = [float(e) for e in eps_list]
     times = grid.times()
-    j_tau = int(round((tau - grid.t0) / dt))
 
     base_traj = simulate_controlled(scenario, x0, u_bar, ens)
     base_costs = cost_paths(scenario, base_traj)
     if adjoints is None:
-        pair, sa = solve_adjoints(scenario, base_traj, ens, basis=basis)
+        pair, sa = solve_adjoints(scenario, base_traj, ens)
     else:
         pair, sa = adjoints
 

@@ -137,11 +137,6 @@ def _riccati_rhs(lq):
     return rhs
 
 
-def _stiffness_substeps(lq, dt):
-    rate = 2 * np.linalg.norm(lq.A, 2) + 2 * np.linalg.norm(lq.C, 2) ** 2 + np.linalg.norm(lq.M, 2) + 1.0
-    return max(1, int(np.ceil(rate * dt / 0.02)))
-
-
 def riccati_oracle(lq, grid):
     """Backward RK4 sweep for the LQ value function and feedback gains.
 
@@ -150,8 +145,7 @@ def riccati_oracle(lq, grid):
     """
     n = lq.A.shape[0]
     steps = grid.n_steps
-    sub = _stiffness_substeps(lq, grid.dt)
-    h = grid.dt / sub
+    rate = 2 * np.linalg.norm(lq.A, 2) + 2 * np.linalg.norm(lq.C, 2) ** 2 + np.linalg.norm(lq.M, 2) + 1.0
     rhs = _riccati_rhs(lq)
     value = np.empty((steps + 1, n + 1, n + 1))  # [[P, q], [q', 2 r]] per step
     gain = np.empty((steps + 1, lq.B.shape[1], n + 1))  # [L, ell] per step
@@ -159,7 +153,7 @@ def riccati_oracle(lq, grid):
     state[:n, :n] = lq.G
     value[steps], gain[steps] = state, rhs(state)[1]
     for j in range(steps - 1, -1, -1):
-        state = rk4_backward(lambda P: rhs(P)[0], state, h, sub)
+        state = rk4_backward(lambda P: rhs(P)[0], state, grid.dt, rate)
         state = 0.5 * (state + state.T)
         value[j], gain[j] = state, rhs(state)[1]
     return OracleBundle(grid, P=value[:, :n, :n], q=value[:, :n, n], r=0.5 * value[:, n, n],

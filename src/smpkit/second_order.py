@@ -64,6 +64,32 @@ def max_asymmetry(m):
     return float(np.max(np.abs(m - np.swapaxes(m, -1, -2)))) if m.size else 0.0
 
 
+def _shaped(arr, shapes, what):
+    """``arr`` as a float array whose shape is one of ``shapes``."""
+    arr = np.asarray(arr, dtype=float)
+    if arr.shape not in shapes:
+        raise DimensionError(f"{what} has shape {arr.shape}, expected one of {list(shapes)}")
+    return arr
+
+
+def coefficients(J, K, F, P_T, n, N, n_paths=None, finite=True):
+    """J, K, F and P_T of the matrix equation as float arrays.  J, K and F may
+    be None, (n, n), time-indexed (N, n, n) or, given ``n_paths``, per path
+    (n_paths, N, n, n); P_T (n, n) or, given ``n_paths``, per path.  Another
+    shape raises DimensionError and, if ``finite``, a NaN or infinite entry
+    DomainError."""
+    steps, ends = ((n, n), (N, n, n)), ((n, n),)
+    if n_paths is not None:
+        steps, ends = steps + ((n_paths, N, n, n),), ends + ((n_paths, n, n),)
+    out = [None if c is None else _shaped(c, steps, name)
+           for c, name in ((J, "J"), (K, "K"), (F, "F"))] + [_shaped(P_T, ends, "P_T")]
+    for c, name in zip(out, ("J", "K", "F", "P_T")):
+        # two reductions and no temporary: a NaN makes both NaN
+        if finite and c is not None and not (np.isfinite(c.max()) and np.isfinite(c.min())):
+            raise DomainError(f"{name} has a NaN or infinite entry")
+    return out
+
+
 def _driver(J, K, F, P, Q):
     """-J*P - PJ - K*PK - (K*Q + QK) + F, batched over leading axes of P, Q."""
     out = np.zeros_like(P) if F is None else F + np.zeros_like(P)
@@ -146,6 +172,7 @@ def solve_second_adjoint(op, J, K, F, P_T, ens, basis=None, features=None):
 
     J, K, F may be None, constant (n, n), time-indexed (N, n, n), or
     path-indexed (P, N, n, n); P_T may be (n, n) or per path (P, n, n).
+    Other shapes and non-finite entries are rejected.
     ``features`` is the :class:`smpkit.adjoint.StepFeatures` to regress on,
     such as the first adjoint's ``pair.features``, whose recorded moments
     the sweep reuses; by default the Brownian paths with ``basis``.
@@ -161,8 +188,7 @@ def solve_second_adjoint(op, J, K, F, P_T, ens, basis=None, features=None):
     if features.states.shape[:2] != (P, N + 1):
         raise DimensionError("features must cover every path and step")
 
-    J, K, F = (None if c is None else np.asarray(c, dtype=float) for c in (J, K, F))
-    P_T = np.asarray(P_T, dtype=float)
+    J, K, F, P_T = coefficients(J, K, F, P_T, n, N, P)
     if P_T.ndim == 2:
         P_T = np.broadcast_to(P_T, (P, n, n))
     per_path = any(c is not None and c.ndim == 4 for c in (J, K, F))
@@ -223,18 +249,12 @@ def solve_second_adjoint(op, J, K, F, P_T, ens, basis=None, features=None):
     return result
 
 
-def _stiff_substeps(op, J, K, dt):
-    rate = 2.0 * np.max(np.abs(op.eigenvalues)) + 1.0
-    if J is not None:
-        rate += 2.0 * np.max(np.linalg.norm(J, 2, axis=(-2, -1)))
-    if K is not None:
-        rate += np.max(np.linalg.norm(K, 2, axis=(-2, -1))) ** 2
-    return max(1, int(np.ceil(rate * dt / 0.02)))
-
-
-def rk4_backward(rhs, p, h, sub):
-    """``sub`` classical RK4 steps of size h backward in time along
-    dp/dt = rhs(p), from p."""
+def rk4_backward(rhs, p, dt, rate):
+    """Classical RK4 backward in time over one step dt along dp/dt = rhs(p),
+    from p, in the fewest equal substeps h with rate * h <= 0.02, where
+    ``rate`` bounds the stiffness of rhs."""
+    sub = max(1, int(np.ceil(rate * dt / 0.02)))
+    h = dt / sub
     for _ in range(sub):
         k1 = rhs(p)
         k2 = rhs(p - 0.5 * h * k1)
@@ -249,15 +269,17 @@ def lyapunov_oracle(op, J, K, F, P_T, grid):
     vanishes and P solves P' = -(A+J)'P - P(A+J) - K'PK + F backward from
     P(T) = P_T.  Classical RK4 with stiffness-based substeps; coefficients
     are frozen per grid step, matching the discrete convention of the Monte
-    Carlo sweep.  Returns (n_steps+1, n, n)."""
+    Carlo sweep.  J, K, F may be None, (n, n) or (N, n, n) and P_T is (n, n);
+    other shapes and non-finite entries are rejected.  Returns
+    (n_steps+1, n, n)."""
     n, N = op.n_modes, grid.n_steps
     A = np.diag(op.eigenvalues)
-    J, K, F = (None if c is None else np.asarray(c, dtype=float) for c in (J, K, F))
-    P_T = np.asarray(P_T, dtype=float)
-    if P_T.shape != (n, n):
-        raise DimensionError(f"P_T must be {n}x{n}")
-    sub = _stiff_substeps(op, J, K, grid.dt)
-    h = grid.dt / sub
+    J, K, F, P_T = coefficients(J, K, F, P_T, n, N)
+    rate = 2.0 * np.max(np.abs(op.eigenvalues)) + 1.0
+    if J is not None:
+        rate += 2.0 * np.max(np.linalg.norm(J, 2, axis=(-2, -1)))
+    if K is not None:
+        rate += np.max(np.linalg.norm(K, 2, axis=(-2, -1))) ** 2
 
     out = np.empty((N + 1, n, n))
     out[N] = P_T
@@ -275,5 +297,5 @@ def lyapunov_oracle(op, J, K, F, P_T, grid):
                 d = d + Fj
             return d
 
-        out[j] = p = rk4_backward(rhs, p, h, sub)
+        out[j] = p = rk4_backward(rhs, p, grid.dt, rate)
     return out

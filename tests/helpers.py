@@ -17,13 +17,17 @@ from smpkit.maximum_principle import projected_gradient, solve_adjoints
 from smpkit.scenarios import make_lq_scalar, riccati_oracle
 
 
-def load_tracing():
-    """perfbench/tracing.py, loaded from its file (perfbench is no package)."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+def load_perfbench(name):
+    """perfbench/<name>.py, loaded from its file (perfbench is no package)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load_perfbench("tracing")
 
 
 def traced_peak(fn, *args, **kwargs):

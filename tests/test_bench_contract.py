@@ -15,7 +15,7 @@ from smpkit.maximum_principle import second_order_data
 from smpkit.scenarios import build_preset, load_preset, riccati_oracle
 from smpkit.second_order import lyapunov_oracle, solve_second_adjoint
 
-from helpers import load_tracing, per_path_jacobians
+from helpers import load_perfbench, load_tracing, per_path_jacobians
 
 
 def test_child_optimize_reference():
@@ -46,16 +46,36 @@ def test_child_second_adjoint_reference():
     assert oracle.shape == (n_steps + 1, n, n) and np.isfinite(oracle).all()
 
 
+# the benchmark argvs made small: option -> value
+SMALL = {"--paths": "300", "--dt": "0.05", "--tuples": "2", "--max-iters": "1"}
+# what main must look up in smpkit.cli on each benchmark argv
+WRAPPED = {
+    "duality-heat4": ["load_preset", "build_preset", "sample_brownian", "second_order_data"],
+    "optimize-lq": ["load_preset", "build_preset", "sample_brownian"],
+    "fine-heat4": ["load_preset", "build_preset", "sample_brownian", "second_order_data"],
+}
+
+
 def test_main_looks_up_the_wrapped_preset_names(tmp_path, monkeypatch):
-    # the tracer times preset loading by replacing these two module names
+    # the tracer times preset loading by replacing the two preset names, and
+    # the child replaces sample_brownian (the end of setup_s) and
+    # second_order_data (fine-heat4's Lyapunov check); a call that reaches
+    # them other than through smpkit.cli loses setup_s, or every check
     calls = []
-    for name in ("load_preset", "build_preset"):
+    for name in WRAPPED["duality-heat4"]:
         real = getattr(cli, name)
         monkeypatch.setattr(cli, name, lambda *a, _real=real, _name=name: calls.append(_name)
                             or _real(*a))
     code = cli.main(["simulate-forward", "--preset", "lq_scalar", "--paths", "2",
-                     "--dt", "0.5", "--outdir", str(tmp_path)])
-    assert code == 0 and calls == ["load_preset", "build_preset"]
+                     "--dt", "0.5", "--outdir", str(tmp_path / "forward")])
+    assert code == 0 and calls == ["load_preset", "build_preset", "sample_brownian"]
+    workloads = load_perfbench("run").WORKLOADS
+    assert set(workloads) == set(WRAPPED)
+    for workload, argv in workloads.items():
+        calls.clear()
+        argv = [SMALL.get(prev, tok) for prev, tok in zip([None] + argv, argv)]
+        code = cli.main(argv + ["--seed", "1", "--outdir", str(tmp_path / workload)])
+        assert code == 0 and calls == WRAPPED[workload], (workload, calls)
 
 
 # the attributes perfbench/tracing.py::_observe reads off each solve's result

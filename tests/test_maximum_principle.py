@@ -390,7 +390,7 @@ def test_gradient_step_matches_whole_history_reference(case):
     u = _per_path_values(ens, scenario.control_dim, 7)
     traj = simulate_controlled(scenario, scenario.x0, OpenLoop(u), ens)
     # a long step overshoots, so the projection acts
-    new_u, cost, stderr, step_norm = mp._gradient_step(scenario, traj, ens, 3.0, None)
+    new_u, cost, stderr, step_norm = mp._gradient_step(scenario, traj, ens, 3.0)
     ref_u, ref_cost, ref_stderr, ref_norm = whole_history_gradient_step(
         scenario, scenario.x0, u, ens, 3.0)
     box = scenario.control_set
@@ -412,7 +412,7 @@ def test_gradient_step_allocates_one_control_history(monkeypatch):
     pair = solve_first_adjoint(scenario, traj, ens)
     monkeypatch.setattr(mp, "cost_paths", lambda *args: costs)
     monkeypatch.setattr(mp, "solve_first_adjoint", lambda *args, **kwargs: pair)
-    peak, _ = traced_peak(mp._gradient_step, scenario, traj, ens, 0.8, None)
+    peak, _ = traced_peak(mp._gradient_step, scenario, traj, ens, 0.8)
     history = u.nbytes
     slices = 16 * ens.n_paths * 8  # sixteen (n_paths,) columns of one step
     assert peak <= history + slices, (peak, history, slices)

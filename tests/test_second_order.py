@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from smpkit.adjoint import RegressionBasis, StepFeatures, solve_first_adjoint
-from smpkit.errors import DomainError, EnsembleMismatchError
+from smpkit.errors import DimensionError, DomainError, EnsembleMismatchError
 from smpkit.forward import OpenLoop, TimeGrid, sample_brownian, simulate_controlled
 from smpkit.maximum_principle import second_order_data
 from smpkit.scenarios import build_preset, load_preset
@@ -420,3 +420,67 @@ def test_one_read_gives_the_slices_of_P_and_Q():
         for j in (-1, n_steps):
             with pytest.raises(DomainError):
                 sa.at(j)
+
+
+# ----------------------------------------------------------------------
+# coefficient checks
+# ----------------------------------------------------------------------
+
+def _coefficients(replace=None):
+    """Heat-type data at n = 4 and N = 10: (op, grid, {J, K, F, P_T}), with
+    ``replace`` = (name, array) swapped in."""
+    op = make_dirichlet_laplacian(4, 1.0)
+    grid = TimeGrid(0.0, 1.0, 10)
+    rng = np.random.default_rng(12)
+    data = {name: 0.2 * rng.standard_normal((10, 4, 4)) for name in ("J", "K", "F")}
+    data["P_T"] = np.eye(4)
+    if replace is not None:
+        data[replace[0]] = replace[1]
+    return op, grid, data
+
+
+MALFORMED = {
+    "K_3x3": ("K", np.eye(3)),
+    "P_T_3x3": ("P_T", np.eye(3)),
+    "F_9_steps": ("F", np.zeros((9, 4, 4))),
+    "J_11_steps": ("J", np.zeros((11, 4, 4))),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_solver_rejects_a_malformed_coefficient(case):
+    name = MALFORMED[case][0]
+    op, grid, data = _coefficients(MALFORMED[case])
+    ens = sample_brownian(grid, 200, 13)
+    with pytest.raises(DimensionError, match=f"^{name} has shape"):
+        solve_second_adjoint(op, ens=ens, **data)
+
+
+@pytest.mark.parametrize("case", ["K_3x3", "F_9_steps", "J_11_steps"])
+def test_lyapunov_oracle_rejects_a_malformed_coefficient(case):
+    name = MALFORMED[case][0]
+    op, grid, data = _coefficients(MALFORMED[case])
+    with pytest.raises(DimensionError, match=f"^{name} has shape"):
+        lyapunov_oracle(op, grid=grid, **data)
+
+
+@pytest.mark.parametrize("name", ["J", "K", "F", "P_T"])
+@pytest.mark.parametrize("entry", ["solver", "oracle"])
+def test_nonfinite_coefficient_is_a_domain_error(entry, name):
+    # an all-NaN K used to run to a NaN solution, or to a LinAlgError in the
+    # oracle's stiffness estimate
+    op, grid, data = _coefficients()
+    data[name] = np.full_like(data[name], np.nan)
+    with pytest.raises(DomainError, match=f"^{name} has a NaN"):
+        if entry == "solver":
+            solve_second_adjoint(op, ens=sample_brownian(grid, 200, 14), **data)
+        else:
+            lyapunov_oracle(op, grid=grid, **data)
+
+
+def test_per_path_coefficients_are_rejected_by_the_oracle():
+    # the oracle's data are nonrandom, so no shape has a path axis
+    op, grid, data = _coefficients()
+    data["K"] = np.broadcast_to(data["K"], (5, 10, 4, 4))
+    with pytest.raises(DimensionError, match="^K has shape"):
+        lyapunov_oracle(op, grid=grid, **data)
