@@ -287,7 +287,7 @@ def _first_driver(scenario, t, x, u, y_hat, Y_j):
     )
 
 
-def solve_first_adjoint(scenario, trajectory, ens, basis=None):
+def solve_first_adjoint(scenario, trajectory, ens):
     """Regression sweep for the adjoint pair along an optimal-candidate
     trajectory, with terminal data -h_x and driver -a_x*y - b_x*Y + g_x.
 
@@ -305,7 +305,6 @@ def solve_first_adjoint(scenario, trajectory, ens, basis=None):
     ``with_driver`` the read also hands back that driver or, when the
     driver is folded, one formed from its Y_j and one more product, X_j
     beta_mean[j]."""
-    basis = basis or RegressionBasis()
     check_same_ensemble(trajectory, ens)
     op = scenario.op
     grid = ens.grid
@@ -313,7 +312,7 @@ def solve_first_adjoint(scenario, trajectory, ens, basis=None):
     dt = grid.dt
     times = grid.times()
     states, controls = trajectory.states, trajectory.controls_used
-    features = StepFeatures(basis, states, ens)
+    features = StepFeatures(RegressionBasis(), states, ens)
 
     y_T = -scenario.grad_terminal(states[:, N])
     y_T.flags.writeable = False  # pair.y_T hands out this array itself

@@ -37,6 +37,7 @@ from .duality import (  # noqa: F401
 from .errors import ConfigError, DomainError, EnsembleMismatchError, SmpKitError, StepRuleError
 from .forward import Box, OpenLoop, TimeGrid, cost_paths, sample_brownian, simulate_controlled
 from .maximum_principle import (
+    check_admissible,
     check_condition,
     projected_gradient,
     second_order_data,
@@ -44,7 +45,8 @@ from .maximum_principle import (
     spike_experiment,
     spike_window,
 )
-from .scenarios import MatrixPreset, build_preset, dp_oracle_scalar, load_preset, riccati_oracle
+from .scenarios import (MatrixPreset, build_preset, check_lattice, dp_oracle_scalar, load_preset,
+                        riccati_oracle)
 from .second_order import mat_to_vec, max_asymmetry, solve_second_adjoint
 
 
@@ -111,8 +113,8 @@ MATRIX_COMMANDS = ("solve-second-adjoint", "verify-duality")  # need no control 
 def _grid_for(cfg, problem):
     """The time grid of the run.  Raises ConfigError for options no run can
     honour: a command the preset cannot run, or a grid other than asked for.
-    Only the options the command defines are checked.  ``main`` creates the
-    output directory only after this check."""
+    Only the options the command declares are checked, off ``vars(cfg)``
+    (a check is not a use).  ``main`` creates the output directory after."""
     options = vars(cfg)
     first_only = options.get("order") == "first"
     if isinstance(problem, MatrixPreset) and (cfg.command not in MATRIX_COMMANDS or first_only):
@@ -122,28 +124,31 @@ def _grid_for(cfg, problem):
     if cfg.command == "cross-validate-oracles" and problem.n_modes != 1:
         raise ConfigError(f"cross-validate-oracles needs a scalar preset; {cfg.preset} is not")
     for key, least in (("paths", 2), ("tuples", 1), ("max_iters", 0), ("t_points", 1),
-                       ("u_points", 1), ("workers", 1)):
+                       ("u_points", 1), ("lattice_points", 2), ("workers", 1)):
         if key in options and options[key] < least:
             raise ConfigError(f"--{key.replace('_', '-')} must be at least {least} "
                               f"(got {options[key]})")
-    if cfg.seed < 0:
-        raise ConfigError(f"--seed must be a nonnegative integer (got {cfg.seed})")
-    if not (np.isfinite(cfg.k_sigma) and cfg.k_sigma >= 0):
-        raise ConfigError(f"--k-sigma must be finite and nonnegative (got {cfg.k_sigma})")
-    if "step" in options and not (np.isfinite(cfg.step) and cfg.step > 0):
-        raise ConfigError(f"--step must be finite and positive (got {cfg.step})")
+    for key, holds, rule in (
+            ("seed", lambda v: v >= 0, "be a nonnegative integer"),
+            ("k_sigma", lambda v: np.isfinite(v) and v >= 0, "be finite and nonnegative"),
+            ("step", lambda v: np.isfinite(v) and v > 0, "be finite and positive"),
+            ("dt", lambda v: np.isfinite(v) and v > 0, "be positive")):
+        if key in options and not holds(options[key]):
+            raise ConfigError(f"--{key.replace('_', '-')} must {rule} (got {options[key]})")
     T = problem.T
-    if not (np.isfinite(cfg.dt) and cfg.dt > 0):
-        raise ConfigError(f"--dt must be positive (got {cfg.dt})")
     n_steps = round(T / cfg.dt)
     if n_steps < 1 or abs(n_steps * cfg.dt - T) > DT_SLACK * T:
         raise ConfigError(f"--dt {cfg.dt} does not divide the horizon T = {T}")
     grid = TimeGrid(0.0, T, n_steps)
-    if cfg.command == "spike-experiment":
-        try:
+    try:  # the library's own rules, checked before there is any output
+        if cfg.command == "spike-experiment":
             spike_window(_spike_time(cfg.tau, grid.dt), cfg.eps_list, grid)
-        except DomainError as exc:
-            raise ConfigError(f"--tau/--eps-list: {exc}") from None
+            check_admissible(problem.control_set, np.full(problem.control_dim, cfg.u_alt))
+        if cfg.command == "cross-validate-oracles":
+            with np.errstate(invalid="ignore"):  # an infinite end makes NaN nodes
+                check_lattice(np.linspace(cfg.lattice_lo, cfg.lattice_hi, cfg.lattice_points))
+    except DomainError as exc:
+        raise ConfigError(f"{cfg.command}: {exc}") from None
     return grid
 
 
@@ -383,13 +388,16 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--preset", required=True,
                        help="preset name in the preset directory, or a file path")
-        p.add_argument("--paths", type=int, default=10_000)
+        if name != "cross-validate-oracles":  # the oracles sample no paths
+            p.add_argument("--paths", type=int, default=10_000)
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--dt", type=float, default=0.005)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--outdir", default="smpkit_out")
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--control", choices=("zero", "riccati"), default="zero")
-        p.add_argument("--k-sigma", type=float, default=3.0, dest="k_sigma")
+        p.add_argument("--workers", type=int, default=1)  # unread; the benchmark passes it
+        if name not in ("optimize", "cross-validate-oracles"):
+            p.add_argument("--control", choices=("zero", "riccati"), default="zero")
+        if name in ("verify-duality", "check-mp"):
+            p.add_argument("--k-sigma", type=float, default=3.0, dest="k_sigma")
         if name == "verify-duality":
             p.add_argument("--order", choices=("first", "second", "both"), default="both")
             p.add_argument("--tuples", type=int, default=20)

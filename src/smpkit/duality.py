@@ -97,14 +97,12 @@ class IdentityReport:
     def row(self):
         return {
             "identity": self.identity,
-            "t_index": self.t_index,
             "n_paths": self.n_paths,
             "dt": self.dt,
             "lhs": self.lhs,
             "rhs": self.rhs,
             "residual": self.residual,
             "stderr": self.stderr,
-            "tolerance": self.tolerance,
             "pass": int(self.passed),
         }
 
@@ -158,22 +156,22 @@ class TupleSpec:
                 *(None if f is None else f.materialize(w) for f in self.forcings))
 
 
-def _smooth_profile(op, ens, rng, scale):
+def _smooth_profile(op, ens, rng):
     N = ens.grid.n_steps
     n = op.n_modes
-    return scale * rng.standard_normal((1, n)) * np.cos(
+    return rng.standard_normal((1, n)) * np.cos(
         rng.uniform(0, 4) * np.linspace(0.0, 1.0, N) + rng.uniform(0, 2 * np.pi)
     )[:, None]
 
 
-def _forcing_specs(op, ens, rng, scale, count):
+def _forcing_specs(op, ens, rng, count):
     """`count` forcings with exactly one path-adapted member (the rest are
     deterministic profiles): exercises every pairing while keeping one
     path-dependent forcing per tuple."""
     adapted_slot = int(rng.integers(0, count))
     out = []
     for k in range(count):
-        profile = _smooth_profile(op, ens, rng, scale)
+        profile = _smooth_profile(op, ens, rng)
         if k == adapted_slot:
             out.append(ForcingSpec(profile, rng.uniform(0.5, 2.0), rng.uniform(0, 2 * np.pi)))
         else:
@@ -181,36 +179,34 @@ def _forcing_specs(op, ens, rng, scale, count):
     return tuple(out)
 
 
-def _start_spec(op, rng, scale):
-    c0 = scale * rng.standard_normal(op.n_modes)
-    c1 = scale * rng.standard_normal(op.n_modes)
-    return StartSpec(c0, c1)
+def _start_spec(op, rng):
+    return StartSpec(rng.standard_normal(op.n_modes), rng.standard_normal(op.n_modes))
 
 
-def describe_first_test(op, ens, rng, scale=1.0):
+def describe_first_test(op, ens, rng):
     """Description of a random tuple (t_index, eta, v1, v2) with eta
     measurable at t_index."""
     t_index = int(rng.integers(0, ens.grid.n_steps // 2 + 1))
-    eta = _start_spec(op, rng, scale)
-    return TupleSpec(t_index, (eta,), _forcing_specs(op, ens, rng, scale, 2))
+    eta = _start_spec(op, rng)
+    return TupleSpec(t_index, (eta,), _forcing_specs(op, ens, rng, 2))
 
 
-def describe_second_test(op, ens, rng, scale=1.0):
+def describe_second_test(op, ens, rng):
     """Description of a random tuple (t_index, xi1, xi2, u1, u2, v1, v2)."""
     t_index = int(rng.integers(0, ens.grid.n_steps // 2 + 1))
-    forcings = _forcing_specs(op, ens, rng, scale, 4)
-    starts = (_start_spec(op, rng, scale), _start_spec(op, rng, scale))
+    forcings = _forcing_specs(op, ens, rng, 4)
+    starts = (_start_spec(op, rng), _start_spec(op, rng))
     return TupleSpec(t_index, starts, forcings)
 
 
-def random_first_test(op, ens, rng, scale=1.0):
+def random_first_test(op, ens, rng):
     """Random tuple (t_index, eta, v1, v2) with eta measurable at t_index."""
-    return describe_first_test(op, ens, rng, scale).materialize(ens.brownian_paths())
+    return describe_first_test(op, ens, rng).materialize(ens.brownian_paths())
 
 
-def random_second_test(op, ens, rng, scale=1.0):
+def random_second_test(op, ens, rng):
     """Random tuple (t_index, xi1, xi2, u1, u2, v1, v2)."""
-    return describe_second_test(op, ens, rng, scale).materialize(ens.brownian_paths())
+    return describe_second_test(op, ens, rng).materialize(ens.brownian_paths())
 
 
 # ----------------------------------------------------------------------

@@ -172,10 +172,6 @@ class Box:
             raise DomainError("invalid box bounds")
 
     @property
-    def dim(self):
-        return self.lo.size
-
-    @property
     def convex(self):
         return True
 
@@ -206,10 +202,6 @@ class FiniteGrid:
             raise DomainError("finite control set needs at least one point")
 
     @property
-    def dim(self):
-        return self.points.shape[1]
-
-    @property
     def convex(self):
         return False
 
@@ -229,8 +221,8 @@ class FiniteGrid:
 
 @dataclass
 class OpenLoop:
-    """Control given by its grid values, shape (n_steps, m) shared across
-    paths or (n_paths, n_steps, m) per path."""
+    """Control given by its grid values: (n_steps, m) shared across paths, or
+    (n_paths, n_steps, m) per path, the one shape ``at`` reads step by step."""
 
     values: np.ndarray
 
@@ -238,9 +230,6 @@ class OpenLoop:
         self.values = np.asarray(self.values, dtype=float)
 
     def at(self, j, t, x):
-        if self.values.ndim == 2:
-            u = self.values[j]
-            return np.broadcast_to(u, (x.shape[0], u.size))
         return self.values[:, j, :]
 
 
@@ -288,7 +277,6 @@ class Scenario:
     control_dim: int
     control_set: object
     lipschitz: float = 1.0
-    name: str = "scenario"
     drift_x: Optional[Callable] = None          # (t,x,u) -> (P,n,n), [p,i,j] = d a_i / d x_j
     drift_u: Optional[Callable] = None          # (t,x,u) -> (P,n,m)
     diffusion_x: Optional[Callable] = None

@@ -23,13 +23,21 @@ from .forward import (Feedback, OpenLoop, cost_paths, path_constant_steps, simul
                       step_major)
 from .second_order import solve_second_adjoint
 
+TOL_STEP = 1e-6  # projected_gradient stops once an update is shorter than this
+
+
+def check_admissible(control_set, u):
+    """``u`` as a 2-D float array; DomainError unless each row is in ``control_set``."""
+    u = np.atleast_2d(np.asarray(u, dtype=float))
+    if not np.all(control_set.contains(u)):
+        raise DomainError("control point outside the admissible set")
+    return u
+
 
 def hamiltonian(scenario, t, x, u, k1, k2):
     """<k1, a(t,x,u)> + <k2, b(t,x,u)> - g(t,x,u), batched over paths."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    if not np.all(scenario.control_set.contains(u)):
-        raise DomainError("control point outside the admissible set")
+    u = check_admissible(scenario.control_set, u)
     k1 = np.broadcast_to(np.asarray(k1, dtype=float), x.shape)
     k2 = np.broadcast_to(np.asarray(k2, dtype=float), x.shape)
     return (
@@ -253,15 +261,15 @@ def _gradient_step(scenario, traj, ens, step):
     return new_u, float(costs.mean()), float(costs.std(ddof=1) / np.sqrt(len(costs))), step_norm
 
 
-def projected_gradient(scenario, x0, control, ens, step_rule=0.8, max_iters=200,
-                       tol_step=1e-6):
+def projected_gradient(scenario, x0, control, ens, step_rule=0.8, max_iters=200):
     """Iterate u <- clamp(u + step * (a_u* y + b_u* Y - g_u)) on a per-path
     open-loop control.
 
     The update uses the regression-fitted adjoint values, so the control at
     step j is a measurable function of that path's state there, and the
-    iteration is a deterministic map for a frozen ensemble.  Stops when the
-    update norm falls under ``tol_step`` or after ``max_iters`` iterations.
+    iteration is a deterministic map for a frozen ensemble.  ``step_rule``
+    is the fixed step.  Stops when the update norm falls under ``TOL_STEP``
+    or after ``max_iters`` iterations.
     Persistent cost increase (more than 10 stderr for 5 straight iterations)
     raises a step-rule error.  ``control`` is an ``OpenLoop`` or its values,
     (n_steps, m) or (n_paths, n_steps, m); a ``Feedback`` is rejected, since
@@ -280,7 +288,6 @@ def projected_gradient(scenario, x0, control, ens, step_rule=0.8, max_iters=200,
         raise DomainError(
             "projected gradient needs open-loop control values, not a Feedback"
         )
-    step_of = step_rule if callable(step_rule) else (lambda i: step_rule)
     u = control if isinstance(control, OpenLoop) else OpenLoop(control)
 
     history = OptimizeHistory()
@@ -289,7 +296,7 @@ def projected_gradient(scenario, x0, control, ens, step_rule=0.8, max_iters=200,
     for i in range(max_iters + 1):
         traj = simulate_controlled(scenario, x0, u, ens)
         del u  # traj.controls_used holds the values, projected
-        new_u, cost, stderr, step_norm = _gradient_step(scenario, traj, ens, step_of(i))
+        new_u, cost, stderr, step_norm = _gradient_step(scenario, traj, ens, step_rule)
         del traj
         u = OpenLoop(new_u)
         del new_u  # so that the next simulation drops the values with u
@@ -303,7 +310,7 @@ def projected_gradient(scenario, x0, control, ens, step_rule=0.8, max_iters=200,
         else:
             bad_streak = 0
         best = min(best, cost)
-        if step_norm < tol_step:
+        if step_norm < TOL_STEP:
             break
     return u, history
 
@@ -314,7 +321,6 @@ def projected_gradient(scenario, x0, control, ens, step_rule=0.8, max_iters=200,
 
 @dataclass
 class SpikeTable:
-    tau: float
     rows: list
 
 
@@ -351,10 +357,12 @@ def spike_experiment(scenario, x0, u_bar, u_alt, tau, eps_list, ens, adjoints=No
     All rows share the base trajectory and the noise ensemble (common random
     numbers), so delta_J comes from pathwise differencing.  The prediction
     integrates the sample mean of S over the spike window using the adjoint
-    data of the base trajectory."""
+    data of the base trajectory.  Checks ``u_alt`` and the windows first."""
     grid = ens.grid
     dt = grid.dt
     j_tau, widths = spike_window(tau, eps_list, grid)
+    u_alt = np.asarray(u_alt, dtype=float)
+    check_admissible(scenario.control_set, u_alt)
     eps_list = [float(e) for e in eps_list]
     times = grid.times()
 
@@ -365,7 +373,6 @@ def spike_experiment(scenario, x0, u_bar, u_alt, tau, eps_list, ens, adjoints=No
     else:
         pair, sa = adjoints
 
-    u_alt = np.asarray(u_alt, dtype=float)
     base_u = base_traj.controls_used
     shared = base_u.strides[0] == 0
     rows = []
@@ -404,4 +411,4 @@ def spike_experiment(scenario, x0, u_bar, u_alt, tau, eps_list, ens, adjoints=No
                 "remainder_over_eps": remainder / eps,
             }
         )
-    return SpikeTable(tau, rows)
+    return SpikeTable(rows)

@@ -67,7 +67,6 @@ class OracleBundle:
     affine: Optional[np.ndarray] = None  # (n_steps+1, m)
     # DP branch
     x_lattice: Optional[np.ndarray] = None
-    u_grid: Optional[np.ndarray] = None
     values: Optional[np.ndarray] = None  # (n_steps+1, len(lattice))
     policy: Optional[np.ndarray] = None  # (n_steps, len(lattice))
 
@@ -167,6 +166,15 @@ def riccati_oracle(lq, grid):
 GH_NODES, GH_WEIGHTS = np.polynomial.hermite.hermgauss(7)
 
 
+def check_lattice(x_lattice):
+    """``x_lattice`` as floats; DomainError unless finite, increasing, 2+ nodes."""
+    x = np.asarray(x_lattice, dtype=float)
+    if x.ndim != 1 or x.size < 2 or not (np.isfinite(x).all() and (np.diff(x) > 0).all()):
+        raise DomainError(f"the state lattice of {x.size} nodes from {x[:1]} to {x[-1:]} is not "
+                          f"finite, strictly increasing and at least 2 nodes long")
+    return x
+
+
 def dp_oracle_scalar(scenario, x_lattice, u_grid, grid):
     """Backward value iteration on a scalar lattice.
 
@@ -178,7 +186,7 @@ def dp_oracle_scalar(scenario, x_lattice, u_grid, grid):
     """
     if scenario.n_modes != 1:
         raise DomainError("dp oracle handles scalar scenarios only")
-    x_lattice = np.asarray(x_lattice, dtype=float)
+    x_lattice = check_lattice(x_lattice)
     u_grid = np.asarray(u_grid, dtype=float)
     L, U = x_lattice.size, u_grid.size
     dt = grid.dt
@@ -217,7 +225,7 @@ def dp_oracle_scalar(scenario, x_lattice, u_grid, grid):
         raise LatticeEscapeError(
             f"transition mass {worst_escape:.3f} escapes the lattice; widen it"
         )
-    return OracleBundle(grid, x_lattice=x_lattice, u_grid=u_grid, values=values, policy=policy)
+    return OracleBundle(grid, x_lattice=x_lattice, values=values, policy=policy)
 
 
 # ----------------------------------------------------------------------
@@ -238,7 +246,6 @@ def make_lq_scalar(sigma=0.3, T=1.0, x0=1.0, control_bound=6.0,
         control_dim=1,
         control_set=Box(lo=[-control_bound], hi=[control_bound]),
         lipschitz=1.0 + abs(sigma),
-        name="lq_scalar",
         drift_x=lambda t, x, u: zero11,
         drift_u=lambda t, x, u: np.eye(1),
         diffusion_x=lambda t, x, u: zero11,
@@ -290,7 +297,6 @@ def make_heat_scenario(n_modes=4, control_dim=2, beta=0.1, drift_gain=1.0,
         control_dim=control_dim,
         control_set=Box(lo=[-control_bound] * control_dim, hi=[control_bound] * control_dim),
         lipschitz=max(1.0, beta, drift_gain, diffusion_gain),
-        name=f"heat{n_modes}",
         drift_x=lambda t, x, u: np.zeros((n_modes, n_modes)),
         drift_u=lambda t, x, u: B,
         diffusion_x=lambda t, x, u: beta * eye,
@@ -385,8 +391,11 @@ def load_preset(name):
         path = os.path.join(preset_dir(), f"{name}.preset")
     if not os.path.exists(path):
         raise FileNotFoundError(f"unknown preset: {name}")
-    with open(path) as fh:
-        cfg = parse_preset_text(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cfg = parse_preset_text(fh.read())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read preset {path}: {exc}") from None
     cfg.setdefault("name", os.path.basename(path)[: -len(".preset")])
     return cfg
 

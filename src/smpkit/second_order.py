@@ -167,7 +167,7 @@ def brownian_features(ens, basis=None):
     return StepFeatures(basis or RegressionBasis(), ens.brownian_paths()[:, :, None], ens)
 
 
-def solve_second_adjoint(op, J, K, F, P_T, ens, basis=None, features=None):
+def solve_second_adjoint(op, J, K, F, P_T, ens, features=None):
     """Regression sweep for (P, Q).
 
     J, K, F may be None, constant (n, n), time-indexed (N, n, n), or
@@ -175,15 +175,13 @@ def solve_second_adjoint(op, J, K, F, P_T, ens, basis=None, features=None):
     Other shapes and non-finite entries are rejected.
     ``features`` is the :class:`smpkit.adjoint.StepFeatures` to regress on,
     such as the first adjoint's ``pair.features``, whose recorded moments
-    the sweep reuses; by default the Brownian paths with ``basis``.
+    the sweep reuses; by default :func:`brownian_features` of ``ens``.
     """
     grid = ens.grid
     n, N, P = op.n_modes, grid.n_steps, ens.n_paths
     dt = grid.dt
     if features is None:
-        features = brownian_features(ens, basis)
-    elif basis is not None and basis != features.basis:
-        raise DomainError("basis differs from the basis of the features")
+        features = brownian_features(ens)
     check_same_ensemble(features, ens)
     if features.states.shape[:2] != (P, N + 1):
         raise DimensionError("features must cover every path and step")

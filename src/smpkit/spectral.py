@@ -17,11 +17,10 @@ from .errors import DimensionError, DomainError, SingularResolventError
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """Diagonal generator: eigenvalues (units 1/time) plus basis metadata."""
+    """Diagonal generator: eigenvalues (units 1/time)."""
 
     n_modes: int
     eigenvalues: np.ndarray
-    domain_length: float = 1.0
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=float)
@@ -34,8 +33,6 @@ class OperatorSpec:
             )
         if not np.all(np.isfinite(ev)):
             raise DomainError("eigenvalues must be finite")
-        if self.domain_length <= 0:
-            raise DomainError("domain_length must be positive")
 
     def check_vector(self, v):
         v = np.asarray(v, dtype=float)
@@ -48,12 +45,10 @@ class OperatorSpec:
 
 def make_dirichlet_laplacian(n_modes, length=1.0):
     """Dirichlet Laplacian on an interval: mu_k = -(k*pi/length)^2, k = 1..n."""
-    if n_modes < 1:
-        raise DomainError("n_modes must be >= 1")
     if length <= 0:
         raise DomainError("length must be positive")
     k = np.arange(1, n_modes + 1, dtype=float)
-    return OperatorSpec(n_modes, -((k * np.pi / length) ** 2), domain_length=length)
+    return OperatorSpec(n_modes, -((k * np.pi / length) ** 2))
 
 
 def semigroup_apply(op, dt, v):
@@ -80,7 +75,7 @@ def yosida_generator(op, lam):
     mu = op.eigenvalues
     if np.any(lam == mu):
         raise SingularResolventError(f"lambda = {lam} lies in the spectrum")
-    return OperatorSpec(op.n_modes, lam * mu / (lam - mu), op.domain_length)
+    return OperatorSpec(op.n_modes, lam * mu / (lam - mu))
 
 
 def project(v, m):

@@ -13,13 +13,13 @@ from smpkit.forward import OpenLoop, cost_paths, simulate_controlled, step_major
 from smpkit.maximum_principle import convex_gradient
 
 
-def whole_history_gradient_step(scenario, x0, u, ens, step, basis=None):
+def whole_history_gradient_step(scenario, x0, u, ens, step):
     """(new values, cost mean, its standard error, step norm)."""
     grid = ens.grid
     m = scenario.control_dim
     traj = simulate_controlled(scenario, x0, OpenLoop(u), ens)
     costs = cost_paths(scenario, traj)
-    pair = solve_first_adjoint(scenario, traj, ens, basis=basis)
+    pair = solve_first_adjoint(scenario, traj, ens)
     grad = step_major((ens.n_paths, grid.n_steps, m))
     for j in range(grid.n_steps):
         grad[:, j] = convex_gradient(scenario, j, traj.states[:, j], traj.controls_used[:, j],

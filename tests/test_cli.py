@@ -76,6 +76,37 @@ def test_options_no_run_can_honour_exit_2(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+SPIKE_RUN = ["spike-experiment", "--paths", "200", "--dt", "0.05", "--eps-list", "0.2,0.1"]
+ORACLE_RUN = ["cross-validate-oracles", "--preset", "lq_scalar", "--dt", "0.05"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (SPIKE_RUN + ["--preset", "lq_scalar", "--u-alt", "10"], "outside the admissible set"),
+    (SPIKE_RUN + ["--preset", "lq_scalar", "--u-alt", "nan"], "outside the admissible set"),
+    (SPIKE_RUN + ["--preset", "heat4", "--u-alt", "7"], "outside the admissible set"),
+    (ORACLE_RUN + ["--lattice-points", "0"], "--lattice-points must be at least 2"),
+    (ORACLE_RUN + ["--lattice-points", "1"], "--lattice-points must be at least 2"),
+    (ORACLE_RUN + ["--lattice-lo", "3", "--lattice-hi", "-2"], "state lattice"),
+    (ORACLE_RUN + ["--lattice-lo", "nan"], "state lattice"),
+    (ORACLE_RUN + ["--lattice-hi", "inf"], "state lattice"),
+    (["simulate-forward", "--preset", "{dir}"], "cannot read preset {dir}"),
+    (["simulate-forward", "--preset", "{binary}"], "cannot read preset {binary}"),
+], ids=["u_alt_outside_box", "u_alt_nan", "u_alt_outside_heat4_box", "no_lattice_nodes",
+        "one_lattice_node", "lattice_decreasing", "lattice_lo_nan", "lattice_hi_inf",
+        "preset_is_a_directory", "preset_not_utf8"])
+def test_inputs_checked_before_the_run_exit_2(tmp_path, capsys, argv, message):
+    # each ended in a traceback, or in exit 1 after the whole run
+    binary = tmp_path / "binary.preset"
+    binary.write_bytes(b"kind = lq_scalar\nsigma = 0.3 \xff\n")
+    paths = {"dir": str(tmp_path), "binary": str(binary)}
+    code, out = run(tmp_path, "bad", *(tok.format(**paths) for tok in argv))
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert message.format(**paths) in err[0], err
+    assert not out.exists()
+
+
 def test_manifest_records_grid_used(tmp_path):
     code, out = run(tmp_path, "g", "simulate-forward", "--preset", "lq_scalar",
                     "--paths", "200", "--dt", "0.005", "--seed", "2")
@@ -144,7 +175,7 @@ def test_heat_preset_through_cli(tmp_path):
 
 def test_cross_validate_oracles(tmp_path):
     code, out = run(tmp_path, "cv", "cross-validate-oracles", "--preset", "lq_scalar",
-                    "--paths", "100", "--dt", "0.005", "--seed", "1")
+                    "--dt", "0.005")
     assert code == 0
     lines = (out / "oracle_cross.csv").read_text().strip().splitlines()
     assert lines[0] == "method,value,rel_gap,pass"
@@ -199,7 +230,8 @@ def test_bad_preset_or_matrix_misuse_exits_2(tmp_path, capsys, case):
     else:
         argv = MATRIX_MISUSE[case] + ["--preset", "mat_scalar"]
         message = " ".join(MATRIX_MISUSE[case]) + " needs a control problem"
-    code, out = run(tmp_path, "out", *argv, "--paths", "200", "--dt", "0.05", "--seed", "1")
+    sampling = [] if argv[0] == "cross-validate-oracles" else ["--paths", "200", "--seed", "1"]
+    code, out = run(tmp_path, "out", *argv, *sampling, "--dt", "0.05")
     assert code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
@@ -209,7 +241,7 @@ def test_bad_preset_or_matrix_misuse_exits_2(tmp_path, capsys, case):
 
 def test_cross_validate_rejects_vector_preset(tmp_path, capsys):
     code, out = run(tmp_path, "cv", "cross-validate-oracles", "--preset", "heat4",
-                    "--paths", "100", "--dt", "0.05", "--seed", "1")
+                    "--dt", "0.05")
     assert code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: cross-validate-oracles needs a scalar preset; heat4 is not"]

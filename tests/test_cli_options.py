@@ -1,10 +1,14 @@
 """Each run option and input rule has one home: the subcommand parser
-declares a command's options, and the spike-window rule of
-``spike_experiment`` is the one the CLI checks before it runs."""
+declares a command's options, each of which its run reads, and the
+spike-window rule of ``spike_experiment`` is the one the CLI checks before
+it runs."""
+
+import argparse
 
 import numpy as np
 import pytest
 
+import smpkit.cli as cli
 from smpkit.cli import COMMANDS, _spike_time, build_parser, main
 from smpkit.errors import DomainError
 from smpkit.forward import OpenLoop, TimeGrid, sample_brownian
@@ -22,19 +26,90 @@ RESULT = {"solve-second-adjoint": {"symmetry_drift"},
 SMALL = {"optimize": ["--max-iters", "1"], "verify-duality": ["--tuples", "2"],
          "spike-experiment": ["--eps-list", "0.2,0.1"], "check-mp": ["--control", "riccati"],
          "cross-validate-oracles": ["--dt", "0.005"]}
+# the options each command declares beside --preset, --dt, --outdir and --workers
+SAMPLING = {"paths", "seed"}
+OWN = {
+    "simulate-forward": SAMPLING | {"control"},
+    "solve-adjoint": SAMPLING | {"control"},
+    "solve-second-adjoint": SAMPLING | {"control"},
+    "verify-duality": SAMPLING | {"control", "k_sigma", "order", "tuples"},
+    "check-mp": SAMPLING | {"control", "k_sigma", "u_points", "t_points"},
+    "optimize": SAMPLING | {"step", "max_iters"},
+    "spike-experiment": SAMPLING | {"control", "tau", "eps_list", "u_alt"},
+    "cross-validate-oracles": {"lattice_points", "lattice_lo", "lattice_hi", "u_points"},
+}
+# declared options no run reads, each with the reason it stays
+UNREAD = {"workers": "the benchmark argvs (perfbench/run.py) pass --workers 1"}
+
+
+def small_argv(command, outdir):
+    """A small, passing run of ``command`` on lq_scalar."""
+    sampling = ["--paths", "300", "--seed", "2"] if "paths" in OWN[command] else []
+    return [command, "--preset", "lq_scalar", *sampling, "--dt", "0.05",
+            *SMALL.get(command, []), "--outdir", str(outdir)]
+
+
+def test_each_command_declares_exactly_its_options():
+    declared = {command: set(vars(build_parser().parse_args([command, "--preset", "p"])))
+                for command in COMMANDS}
+    for command, options in declared.items():
+        assert options == {"command", "preset", "dt", "outdir", "workers"} | OWN[command]
+    assert sum(len(options) - 1 for options in declared.values()) == 67  # flags, not "command"
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_manifest_lists_exactly_the_parsed_options(tmp_path, command):
     outdir = tmp_path / command
-    argv = [command, "--preset", "lq_scalar", "--paths", "300", "--dt", "0.05",
-            "--seed", "2", *SMALL.get(command, []), "--outdir", str(outdir)]
+    argv = small_argv(command, outdir)
     assert main(argv) == 0
     manifest = dict(line.split(" = ", 1)
                     for line in (outdir / "manifest.txt").read_text().splitlines())
     options = vars(build_parser().parse_args(argv))
     assert set(manifest) == set(options) | FIXED | RESULT.get(command, set())
-    assert manifest["command"] == command and manifest["paths"] == "300"
+    assert manifest["command"] == command and manifest["preset"] == "lq_scalar"
+    assert manifest.get("paths") == ("300" if "paths" in OWN[command] else None)
+
+
+class _Reads(argparse.Namespace):
+    """Parsed options that record, in ``READ``, each one read as an
+    attribute.  ``vars(cfg)`` reads none: the manifest echo and the range
+    checks of ``_grid_for`` go through it, so neither counts as a use."""
+
+    READ = set()
+
+    def __getattribute__(self, name):
+        _Reads.READ.add(name)
+        return super().__getattribute__(name)
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_every_declared_option_has_a_reader(tmp_path, monkeypatch, command):
+    parser = build_parser()
+    parse = parser.parse_args
+    monkeypatch.setattr(parser, "parse_args", lambda argv: _Reads(**vars(parse(argv))))
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    monkeypatch.setattr(_Reads, "READ", set())
+    argv = small_argv(command, tmp_path / command)
+    assert main(argv) == 0
+    declared = set(vars(parse(argv)))
+    assert declared - _Reads.READ == set(UNREAD), "declared, but the run never reads it"
+
+
+# flags a command no longer declares, because its run never read them
+REMOVED = ([(command, "--k-sigma", "3") for command in COMMANDS
+            if command not in ("verify-duality", "check-mp")]
+           + [("optimize", "--control", "riccati"), ("cross-validate-oracles", "--control", "zero"),
+              ("cross-validate-oracles", "--paths", "300"), ("cross-validate-oracles", "--seed", "2")])
+
+
+@pytest.mark.parametrize("command, flag, value", REMOVED)
+def test_removed_flags_exit_2(tmp_path, capsys, command, flag, value):
+    outdir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(small_argv(command, outdir) + [flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 # (--tau, --eps-list, message) at dt = 0.05 on a horizon of 1

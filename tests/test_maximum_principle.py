@@ -526,6 +526,19 @@ def test_spike_before_the_grid_start_is_a_domain_error(monkeypatch):
                          [0.1], e)
 
 
+@pytest.mark.parametrize("preset, u_alt", [("lq_scalar", [10.0]), ("lq_scalar", [np.nan]),
+                                           ("heat4", [7.0, 7.0]), ("heat4", [0.5, -6.5])])
+def test_spike_to_a_point_outside_the_control_set_is_a_domain_error(monkeypatch, preset, u_alt):
+    # both presets' control set is the box [-6, 6]^m; rejected with the
+    # hamiltonian's message before anything is simulated
+    scen, _ = build_preset(load_preset(preset))
+    e = sample_brownian(TimeGrid(0.0, 1.0, 20), 300, 3)
+    monkeypatch.setattr(mp, "simulate_controlled", lambda *args: pytest.fail("simulated"))
+    with pytest.raises(DomainError, match="control point outside the admissible set"):
+        spike_experiment(scen, scen.x0, OpenLoop(np.zeros((20, scen.control_dim))),
+                         np.array(u_alt), 0.3, [0.2, 0.1], e)
+
+
 def test_spike_of_a_shared_control_holds_no_per_path_control():
     # a path-shared base control is spiked as its (N, m) block and each
     # perturbed run is dropped once costed: beside the base and one perturbed

@@ -186,6 +186,18 @@ def test_dp_lattice_escape_guard():
         dp_oracle_scalar(scenario, np.linspace(-0.3, 0.3, 31), np.linspace(-1, 1, 5), grid)
 
 
+@pytest.mark.parametrize("lattice", [np.linspace(0.0, 1.0, 0), np.array([1.0]),
+                                     np.linspace(3.0, -2.0, 401), np.array([-1.0, 0.0, 0.0, 1.0]),
+                                     np.array([np.nan, 0.0, 1.0]), np.array([-1.0, 0.0, np.inf]),
+                                     np.zeros((2, 3))])
+def test_dp_rejects_a_lattice_that_is_not_finite_increasing_nodes(lattice):
+    # before, an empty lattice raised IndexError, a decreasing or NaN one
+    # ValueError, and one node escaped the lattice
+    scenario, _ = make_lq_scalar()
+    with pytest.raises(DomainError, match="state lattice"):
+        dp_oracle_scalar(scenario, lattice, np.linspace(-3.0, 3.0, 41), TimeGrid(0.0, 1.0, 20))
+
+
 # ----------------------------------------------------------------------
 # preset files
 # ----------------------------------------------------------------------
@@ -257,6 +269,14 @@ def test_preset_dir_override(tmp_path, monkeypatch):
 def test_unknown_preset_raises():
     with pytest.raises(FileNotFoundError):
         load_preset("nope_not_here")
+
+
+def test_unreadable_preset_is_a_config_error_naming_the_path(tmp_path):
+    binary = tmp_path / "binary.preset"
+    binary.write_bytes(b"kind = lq_scalar\nsigma = 0.3 \xff\n")
+    for path in (str(tmp_path), str(binary)):
+        with pytest.raises(ConfigError, match=f"cannot read preset {path}"):
+            load_preset(path)
 
 
 def test_dp_applies_generator_flow():

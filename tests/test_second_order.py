@@ -9,6 +9,7 @@ from smpkit.forward import OpenLoop, TimeGrid, sample_brownian, simulate_control
 from smpkit.maximum_principle import second_order_data
 from smpkit.scenarios import build_preset, load_preset
 from smpkit.second_order import (
+    brownian_features,
     lyapunov_oracle,
     mat_to_vec,
     max_asymmetry,
@@ -178,9 +179,10 @@ def test_sweep_matches_one_step_recursion():
     F = np.array([[1.0, 0.2], [0.2, 0.5]])
     P_T = np.array([[-1.0, 0.3], [-0.2, -0.5]])
     basis = RegressionBasis(ridge=1e-12)
-    coeff = solve_second_adjoint(op, J, K, F, P_T, ens, basis=basis)
+    coeff = solve_second_adjoint(op, J, K, F, P_T, ens, features=brownian_features(ens, basis))
     per_path = [np.broadcast_to(c, (n_paths,) + c.shape) for c in (J, K)]
-    dense = solve_second_adjoint(op, *per_path, F, P_T, ens, basis=basis)
+    dense = solve_second_adjoint(op, *per_path, F, P_T, ens,
+                                 features=brownian_features(ens, basis))
     assert coeff.rest is None and dense.rest is not None
     p = P_T
     for j in range(n_steps - 1, -1, -1):
