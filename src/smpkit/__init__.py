@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .adjoint import (
     AdjointPair,
     RegressionBasis,
-    deterministic_first_adjoint,
     solve_first_adjoint,
 )
 from .duality import (
@@ -66,6 +65,4 @@ from .spectral import (
     embed,
     make_dirichlet_laplacian,
     project,
-    semigroup_apply,
-    yosida_generator,
 )

@@ -47,14 +47,13 @@ rest_j = -dt g_x(t_j, x_j, u_j); otherwise beta_y is the mean fit and
 rest_j = -dt f_j.  No (P, N, n) history is kept.
 """
 
-import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DegenerateBasisError, DimensionError, DomainError, EnsembleMismatchError
-from .forward import path_constant_steps
+from .errors import DegenerateBasisError, EnsembleMismatchError
+from .forward import check_step, path_constant_steps
 
 
 @dataclass(frozen=True)
@@ -191,10 +190,7 @@ class AdjointPair:
     def at(self, j, with_driver=False):
         """(y_j, Y_j), each (n_paths, n), at a step 0 <= j < n_steps; with
         ``with_driver`` also the driver f_j."""
-        j = operator.index(j)
-        if not 0 <= j < self.grid.n_steps:
-            raise DomainError(f"step {j} is outside 0..{self.grid.n_steps - 1}")
-        return self.read(j, with_driver)
+        return self.read(check_step(j, self.grid.n_steps - 1), with_driver)
 
 
 def check_same_ensemble(*objects):
@@ -362,23 +358,3 @@ def solve_first_adjoint(scenario, trajectory, ens):
     for beta in stored:
         beta.flags.writeable = False
     return AdjointPair(grid, y_T, read, ens.fingerprint, features, *stored)
-
-
-def deterministic_first_adjoint(op, y_terminal, f_path, grid):
-    """Deterministic-data backward recursion: with the expectation dropped the
-    sweep reduces to y_j = S*(dt) y_{j+1} - dt f_j, which telescopes into the
-    semigroup representation of y against (y_T, f).  Returns (n_steps+1, n)."""
-    N = grid.n_steps
-    dt = grid.dt
-    y_terminal = op.check_vector(np.asarray(y_terminal, dtype=float))
-    decay = np.exp(op.eigenvalues * dt)
-    out = np.empty((N + 1, op.n_modes))
-    out[N] = y_terminal
-    if f_path is None:
-        f_path = np.zeros((N, op.n_modes))
-    f_path = np.asarray(f_path, dtype=float)
-    if f_path.shape != (N, op.n_modes):
-        raise DimensionError(f"f_path must have shape {(N, op.n_modes)}")
-    for j in range(N - 1, -1, -1):
-        out[j] = decay * out[j + 1] - dt * f_path[j]
-    return out

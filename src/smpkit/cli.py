@@ -182,8 +182,8 @@ def _trajectory(cfg, scenario, lq, ens):
 # commands
 # ----------------------------------------------------------------------
 
-def cmd_simulate_forward(cfg, scenario, lq, grid):
-    traj = _trajectory(cfg, scenario, lq, sample_brownian(grid, cfg.paths, cfg.seed))
+def cmd_simulate_forward(cfg, scenario, lq, grid, ens):
+    traj = _trajectory(cfg, scenario, lq, ens)
     times = grid.times()
     rows = [
         {
@@ -203,8 +203,7 @@ def cmd_simulate_forward(cfg, scenario, lq, grid):
     return 0, None
 
 
-def cmd_solve_adjoint(cfg, scenario, lq, grid):
-    ens = sample_brownian(grid, cfg.paths, cfg.seed)
+def cmd_solve_adjoint(cfg, scenario, lq, grid, ens):
     _, pair = _first_order(cfg, scenario, lq, ens)
     times = grid.times()
     n = scenario.n_modes
@@ -236,8 +235,7 @@ def _first_order(cfg, scenario, lq, ens):
     return traj, solve_first_adjoint(scenario, traj, ens)
 
 
-def cmd_solve_second_adjoint(cfg, problem, lq, grid):
-    ens = sample_brownian(grid, cfg.paths, cfg.seed)
+def cmd_solve_second_adjoint(cfg, problem, lq, grid, ens):
     op, J, K, F, P_T, features = _second_order_inputs(cfg, problem, lq, ens)
     sa = solve_second_adjoint(op, J, K, F, P_T, ens, features=features)
     times = grid.times()
@@ -252,8 +250,7 @@ def cmd_solve_second_adjoint(cfg, problem, lq, grid):
     return 0, {"symmetry_drift": _fmt(sa.symmetry_drift)}
 
 
-def cmd_verify_duality(cfg, problem, lq, grid):
-    ens = sample_brownian(grid, cfg.paths, cfg.seed)
+def cmd_verify_duality(cfg, problem, lq, grid, ens):
     failures = []
     header = ["identity", "n_paths", "dt", "lhs", "rhs", "residual", "stderr", "pass"]
     first = None
@@ -290,8 +287,7 @@ def cmd_verify_duality(cfg, problem, lq, grid):
     return 0, None
 
 
-def cmd_check_mp(cfg, scenario, lq, grid):
-    ens = sample_brownian(grid, cfg.paths, cfg.seed)
+def cmd_check_mp(cfg, scenario, lq, grid, ens):
     traj = _trajectory(cfg, scenario, lq, ens)
     pair, sa = solve_adjoints(scenario, traj, ens)
     control_set = scenario.control_set
@@ -318,8 +314,7 @@ def cmd_check_mp(cfg, scenario, lq, grid):
     return (0 if report.passed else 1), ({"failed": path} | extra if not report.passed else extra)
 
 
-def cmd_optimize(cfg, scenario, lq, grid):
-    ens = sample_brownian(grid, cfg.paths, cfg.seed)
+def cmd_optimize(cfg, scenario, lq, grid, ens):
     init = OpenLoop(np.zeros((grid.n_steps, scenario.control_dim)))
     try:
         final, history = projected_gradient(
@@ -332,8 +327,7 @@ def cmd_optimize(cfg, scenario, lq, grid):
     return 0, {"final_J": _fmt(history.final_cost)}
 
 
-def cmd_spike_experiment(cfg, scenario, lq, grid):
-    ens = sample_brownian(grid, cfg.paths, cfg.seed)
+def cmd_spike_experiment(cfg, scenario, lq, grid, ens):
     control = _control_for(cfg, scenario, lq, grid)
     tau = _spike_time(cfg.tau, grid.dt)
     table = spike_experiment(
@@ -350,7 +344,7 @@ def cmd_spike_experiment(cfg, scenario, lq, grid):
     return 0, None
 
 
-def cmd_cross_validate(cfg, scenario, lq, grid):
+def cmd_cross_validate(cfg, scenario, lq, grid, ens):
     rc = riccati_oracle(lq, grid)
     lattice = np.linspace(cfg.lattice_lo, cfg.lattice_hi, cfg.lattice_points)
     span = 3.0
@@ -429,7 +423,9 @@ def main(argv=None):
         grid = _grid_for(cfg, problem)
         # only a run that passed its checks leaves an output directory
         os.makedirs(cfg.outdir, exist_ok=True)
-        code, extra = COMMANDS[cfg.command](cfg, problem, lq, grid)
+        # one ensemble per run, for every command that samples paths
+        ens = sample_brownian(grid, cfg.paths, cfg.seed) if "paths" in vars(cfg) else None
+        code, extra = COMMANDS[cfg.command](cfg, problem, lq, grid, ens)
     except (FileNotFoundError, ConfigError, EnsembleMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

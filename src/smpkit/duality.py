@@ -51,19 +51,19 @@ innermost, multiplied with the profiles as matrix products, not as
 per-path contractions.
 """
 
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .adjoint import check_same_ensemble
-from .errors import DimensionError, DomainError
+from .errors import DimensionError
 # iter_linear_test is unused here, but perfbench/tracing.py wraps its lookup
 # in this module, so the name stays importable from it
 from .forward import (  # noqa: F401
     _check_finite,
     at_step,
+    check_step,
     iter_linear_test,
     iter_linearized,
 )
@@ -213,16 +213,6 @@ def random_second_test(op, ens, rng):
 # the stacked pass
 # ----------------------------------------------------------------------
 
-def _step_index(t_index, N):
-    try:
-        t = operator.index(t_index)
-    except TypeError:
-        raise DomainError(f"t_index {t_index!r} is not an integer step") from None
-    if not 0 <= t <= N:
-        raise DomainError(f"t_index {t} outside the grid 0..{N}")
-    return t
-
-
 def _dot(a, b):
     """Per (tuple, path) inner product of two (m, n, P) stacks."""
     return np.einsum("kip,kip->kp", a, b)
@@ -337,7 +327,7 @@ class _Tuples:
                                          f"{type(start).__name__}")
                 for c in (start.c0, start.c1):
                     _shaped(c, ((self.n,),), "an initial datum's coefficient")
-        t_indices = [_step_index(test.t_index, self.N) for test in tests]
+        t_indices = [check_step(test.t_index, self.N, "t_index") for test in tests]
         self.order = sorted(range(self.K), key=lambda k: t_indices[k])
         self.t_index = np.array([t_indices[k] for k in self.order], dtype=int)
         self.starts = [tests[k].starts for k in self.order]

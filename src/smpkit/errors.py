@@ -13,10 +13,6 @@ class DomainError(SmpKitError, ValueError):
     """Argument outside the mathematical domain of an operation."""
 
 
-class SingularResolventError(SmpKitError):
-    """Resolvent parameter collides with the spectrum."""
-
-
 class SimulationDivergedError(SmpKitError):
     """A simulated path exceeded the overflow guard or produced NaN."""
 

@@ -16,6 +16,7 @@ strided read per path.  A control shared by every path is stored once, as
 its (n_steps, m) block, and recorded as a read-only broadcast of it.
 """
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -25,6 +26,7 @@ from .errors import DimensionError, DomainError, SimulationDivergedError
 from .spectral import OperatorSpec
 
 OVERFLOW_GUARD = 1e12
+CONTAINS_TOL = 1e-12  # how far a control point may lie outside its set and count as in it
 
 
 def step_major(shape):
@@ -52,6 +54,18 @@ class TimeGrid:
 
     def times(self):
         return self.t0 + self.dt * np.arange(self.n_steps + 1)
+
+
+def check_step(j, last, what="step"):
+    """``j`` as an int in 0..``last``; DomainError naming ``what`` for anything
+    else, a float such as 2.5 included."""
+    try:
+        j = operator.index(j)
+    except TypeError:
+        raise DomainError(f"{what} {j!r} is not an integer step") from None
+    if not 0 <= j <= last:
+        raise DomainError(f"{what} {j} is outside 0..{last}")
+    return j
 
 
 @dataclass(frozen=True)
@@ -175,9 +189,9 @@ class Box:
     def convex(self):
         return True
 
-    def contains(self, u, tol=1e-12):
+    def contains(self, u):
         u = np.atleast_2d(u)
-        return np.all((u >= self.lo - tol) & (u <= self.hi + tol), axis=-1)
+        return np.all((u >= self.lo - CONTAINS_TOL) & (u <= self.hi + CONTAINS_TOL), axis=-1)
 
     def projection(self, u):
         return np.clip(u, self.lo, self.hi)
@@ -205,10 +219,10 @@ class FiniteGrid:
     def convex(self):
         return False
 
-    def contains(self, u, tol=1e-12):
+    def contains(self, u):
         u = np.atleast_2d(u)
         d2 = np.sum((u[:, None, :] - self.points[None, :, :]) ** 2, axis=-1)
-        return np.min(d2, axis=1) <= tol**2
+        return np.min(d2, axis=1) <= CONTAINS_TOL**2
 
     def projection(self, u):
         u = np.atleast_2d(u)
@@ -276,7 +290,6 @@ class Scenario:
     terminal_cost: Callable
     control_dim: int
     control_set: object
-    lipschitz: float = 1.0
     drift_x: Optional[Callable] = None          # (t,x,u) -> (P,n,n), [p,i,j] = d a_i / d x_j
     drift_u: Optional[Callable] = None          # (t,x,u) -> (P,n,m)
     diffusion_x: Optional[Callable] = None

@@ -19,8 +19,8 @@ import numpy as np
 
 from .adjoint import check_same_ensemble, solve_first_adjoint
 from .errors import DomainError, StepRuleError, WrongTheoremError
-from .forward import (Feedback, OpenLoop, cost_paths, path_constant_steps, simulate_controlled,
-                      step_major)
+from .forward import (Feedback, OpenLoop, check_step, cost_paths, path_constant_steps,
+                      simulate_controlled, step_major)
 from .second_order import solve_second_adjoint
 
 TOL_STEP = 1e-6  # projected_gradient stops once an update is shorter than this
@@ -191,13 +191,10 @@ def check_condition(scenario, traj, pair, sa, u_grid, t_grid, bias_budget=0.0,
     u_grid = np.atleast_2d(np.asarray(u_grid, dtype=float))
     if u_grid.size == 0:
         raise DomainError("empty control grid makes the condition vacuous")
-    t_grid = np.asarray(t_grid, dtype=int)
+    last = traj.grid.n_steps - 1
+    t_grid = np.array([check_step(j, last, "time index") for j in t_grid], dtype=int)
     if t_grid.size == 0:
         raise DomainError("empty time grid makes the condition vacuous")
-    last = traj.grid.n_steps - 1
-    if t_grid.min() < 0 or t_grid.max() > last:
-        raise DomainError(f"time indices must lie in 0..{last} "
-                          f"(got {t_grid.min()}..{t_grid.max()})")
     check_same_ensemble(traj, pair, sa)
     times = traj.grid.times()
     P = traj.n_paths
@@ -357,21 +354,23 @@ def spike_experiment(scenario, x0, u_bar, u_alt, tau, eps_list, ens, adjoints=No
     All rows share the base trajectory and the noise ensemble (common random
     numbers), so delta_J comes from pathwise differencing.  The prediction
     integrates the sample mean of S over the spike window using the adjoint
-    data of the base trajectory.  Checks ``u_alt`` and the windows first."""
+    data of the base trajectory: the windows are nested, so one
+    :func:`check_condition` over the widest gives every step's mean, and a
+    row sums its own prefix in step order.  Checks ``u_alt`` and the
+    windows first; ``adjoints`` from another ensemble raise
+    EnsembleMismatchError."""
     grid = ens.grid
-    dt = grid.dt
     j_tau, widths = spike_window(tau, eps_list, grid)
     u_alt = np.asarray(u_alt, dtype=float)
     check_admissible(scenario.control_set, u_alt)
     eps_list = [float(e) for e in eps_list]
-    times = grid.times()
 
     base_traj = simulate_controlled(scenario, x0, u_bar, ens)
     base_costs = cost_paths(scenario, base_traj)
-    if adjoints is None:
-        pair, sa = solve_adjoints(scenario, base_traj, ens)
-    else:
-        pair, sa = adjoints
+    pair, sa = adjoints or solve_adjoints(scenario, base_traj, ens)
+    means = check_condition(scenario, base_traj, pair, sa, u_alt,
+                            np.arange(j_tau, j_tau + widths[0])).values[:, 0]
+    predicted_at = np.cumsum(grid.dt * means)  # sequential: each prefix in step order
 
     base_u = base_traj.controls_used
     shared = base_u.strides[0] == 0
@@ -390,13 +389,7 @@ def spike_experiment(scenario, x0, u_bar, u_alt, tau, eps_list, ens, adjoints=No
         diff = pert_costs - base_costs
         delta = float(diff.mean())
         stderr = float(diff.std(ddof=1) / np.sqrt(len(diff)))
-        predicted = 0.0
-        for j in range(j_tau, j_hi):
-            s = spike_functional(
-                scenario, times[j], base_traj.states[:, j], base_u[:, j],
-                u_alt, *pair.at(j), sa.P_paths(j),
-            )
-            predicted += dt * float(s.mean())
+        predicted = float(predicted_at[width - 1])
         remainder = delta - predicted
         rows.append(
             {

@@ -232,31 +232,41 @@ def dp_oracle_scalar(scenario, x_lattice, u_grid, grid):
 # Presets
 # ----------------------------------------------------------------------
 
+def _unit_costs(n):
+    """The cost callbacks both control presets share, g = (|x|^2 + |u|^2)/2
+    and h = |x|^2/2 with their derivatives, and the zero state Hessians of
+    their drift and diffusion, which are affine in x."""
+    eye, zero = np.eye(n), np.zeros((n, n, n))
+    return dict(
+        running_cost=lambda t, x, u: 0.5 * (np.sum(x * x, axis=-1) + np.sum(u * u, axis=-1)),
+        terminal_cost=lambda x: 0.5 * np.sum(x * x, axis=-1),
+        running_grad_x=lambda t, x, u: x,
+        running_grad_u=lambda t, x, u: u,
+        terminal_grad=lambda x: x,
+        running_hess_x=lambda t, x, u: eye,
+        terminal_hess=lambda x: eye,
+        drift_xx=lambda t, x, u: zero,
+        diffusion_xx=lambda t, x, u: zero,
+    )
+
+
 def make_lq_scalar(sigma=0.3, T=1.0, x0=1.0, control_bound=6.0,
                    c_bias_first=0.2, c_bias_second=0.5):
-    """Scalar preset: dx = u dt + sigma dw, g = (x^2 + u^2)/2, h = x^2/2."""
+    """Scalar preset: dx = u dt + sigma dw, g = (x^2 + u^2)/2, h = x^2/2.
+    Returns ``(Scenario, LqParams)``."""
     op = OperatorSpec(1, np.array([0.0]))
     zero11 = np.zeros((1, 1))
     scenario = Scenario(
         op=op,
         drift=lambda t, x, u: u,
         diffusion=lambda t, x, u: np.broadcast_to(np.array([sigma]), x.shape),
-        running_cost=lambda t, x, u: 0.5 * (np.sum(x * x, axis=-1) + np.sum(u * u, axis=-1)),
-        terminal_cost=lambda x: 0.5 * np.sum(x * x, axis=-1),
         control_dim=1,
         control_set=Box(lo=[-control_bound], hi=[control_bound]),
-        lipschitz=1.0 + abs(sigma),
         drift_x=lambda t, x, u: zero11,
         drift_u=lambda t, x, u: np.eye(1),
         diffusion_x=lambda t, x, u: zero11,
         diffusion_u=lambda t, x, u: zero11,
-        running_grad_x=lambda t, x, u: x,
-        running_grad_u=lambda t, x, u: u,
-        terminal_grad=lambda x: x,
-        running_hess_x=lambda t, x, u: np.eye(1),
-        terminal_hess=lambda x: np.eye(1),
-        drift_xx=lambda t, x, u: np.zeros((1, 1, 1)),
-        diffusion_xx=lambda t, x, u: np.zeros((1, 1, 1)),
+        **_unit_costs(1),
         x0=np.array([x0]),
         c_bias_first=c_bias_first,
         c_bias_second=c_bias_second,
@@ -273,7 +283,8 @@ def make_heat_scenario(n_modes=4, control_dim=2, beta=0.1, drift_gain=1.0,
                        diffusion_gain=0.2, length=1.0, T=1.0, x0=None,
                        control_bound=6.0, c_bias_first=0.2, c_bias_second=0.5):
     """Dissipative spectral preset with control in both drift and diffusion:
-    a = B u targets the leading modes, b = beta x + D u."""
+    a = B u targets the leading modes, b = beta x + D u.  Returns
+    ``(Scenario, LqParams)``."""
     if n_modes < control_dim:
         raise DomainError("n_modes must be at least control_dim")
     op = make_dirichlet_laplacian(n_modes, length)
@@ -292,28 +303,23 @@ def make_heat_scenario(n_modes=4, control_dim=2, beta=0.1, drift_gain=1.0,
         op=op,
         drift=lambda t, x, u: u @ B.T,
         diffusion=lambda t, x, u: beta * x + u @ D.T,
-        running_cost=lambda t, x, u: 0.5 * (np.sum(x * x, axis=-1) + np.sum(u * u, axis=-1)),
-        terminal_cost=lambda x: 0.5 * np.sum(x * x, axis=-1),
         control_dim=control_dim,
         control_set=Box(lo=[-control_bound] * control_dim, hi=[control_bound] * control_dim),
-        lipschitz=max(1.0, beta, drift_gain, diffusion_gain),
         drift_x=lambda t, x, u: np.zeros((n_modes, n_modes)),
         drift_u=lambda t, x, u: B,
         diffusion_x=lambda t, x, u: beta * eye,
         diffusion_u=lambda t, x, u: D,
-        running_grad_x=lambda t, x, u: x,
-        running_grad_u=lambda t, x, u: u,
-        terminal_grad=lambda x: x,
-        running_hess_x=lambda t, x, u: eye,
-        terminal_hess=lambda x: eye,
-        drift_xx=lambda t, x, u: np.zeros((n_modes,) * 3),
-        diffusion_xx=lambda t, x, u: np.zeros((n_modes,) * 3),
+        **_unit_costs(n_modes),
         x0=x0,
         c_bias_first=c_bias_first,
         c_bias_second=c_bias_second,
         T=T,
     )
-    return scenario
+    params = LqParams(
+        A=np.diag(op.eigenvalues), B=B, C=beta * eye, D=D, sigma=np.zeros(n_modes),
+        M=eye, N=np.eye(control_dim), G=eye,
+    )
+    return scenario, params
 
 
 @dataclass(frozen=True)
@@ -332,17 +338,6 @@ class MatrixPreset:
         """``(op, J, K, F, P_T)`` of the matrix equation (J = None is J = 0)."""
         return (OperatorSpec(1, np.array([0.0])), None, np.array([[self.kappa]]),
                 np.array([[self.forcing]]), np.array([[self.terminal]]))
-
-
-def heat_lq_params(scenario):
-    """LQ matrices of a :func:`make_heat_scenario` instance for the Riccati
-    oracle, read off its constant Jacobians."""
-    n, m = scenario.n_modes, scenario.control_dim
-    return LqParams(
-        A=np.diag(scenario.op.eigenvalues), B=scenario.drift_u(0.0, None, None),
-        C=scenario.diffusion_x(0.0, None, None), D=scenario.diffusion_u(0.0, None, None),
-        sigma=np.zeros(n), M=np.eye(n), N=np.eye(m), G=np.eye(n),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -396,7 +391,6 @@ def load_preset(name):
             cfg = parse_preset_text(fh.read())
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read preset {path}: {exc}") from None
-    cfg.setdefault("name", os.path.basename(path)[: -len(".preset")])
     return cfg
 
 
@@ -437,7 +431,7 @@ def build_preset(cfg):
     params = inspect.signature(builder).parameters
     args = {key: param.default for key, param in params.items()}
     for key, value in cfg.items():
-        if key in ("kind", "name"):
+        if key == "kind":
             continue
         if key not in params:
             raise ConfigError(f"preset key {key}: unknown for kind {kind} "
@@ -449,6 +443,4 @@ def build_preset(cfg):
         built = builder(**args)
     except DomainError as exc:
         raise ConfigError(f"preset kind {kind}: {exc}") from exc
-    if kind == "heat":
-        return built, heat_lq_params(built)
-    return (built, None) if kind == "matrix_scalar" else built  # lq_scalar builds both
+    return (built, None) if kind == "matrix_scalar" else built  # a control builder builds both

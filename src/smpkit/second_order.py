@@ -29,7 +29,6 @@ target's per-path part.  A step is read once, (P_j, Q_j) =
 beta_Q[j] give both halves and the rest.
 """
 
-import operator
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -44,7 +43,7 @@ from .adjoint import (
     regression_sweep,
 )
 from .errors import DimensionError, DomainError
-from .forward import at_step
+from .forward import at_step, check_step
 from .spectral import OperatorSpec
 
 SYMMETRY_WARN = 1e-6
@@ -129,10 +128,6 @@ class SecondOrderAdjoint:
     # no per-path history; kept as None for perfbench/tracing.py::_observe
     dense_P = dense_Q = None
 
-    @property
-    def n_paths(self):
-        return self.P_terminal.shape[0]
-
     def _fitted(self, j):
         """X_j beta_P[j] and X_j beta_Q[j] per path, (n_paths, n, n) each, as
         views of the products beta[j].T X_j.T on the contiguous feature rows,
@@ -142,9 +137,7 @@ class SecondOrderAdjoint:
 
     def at(self, j):
         """(P_j, Q_j), each (n_paths, n, n), at a step 0 <= j < n_steps."""
-        j = operator.index(j)
-        if not 0 <= j < self.grid.n_steps:
-            raise DomainError(f"step {j} is outside 0..{self.grid.n_steps - 1}")
+        j = check_step(j, self.grid.n_steps - 1)
         P_j, Q_j = self._fitted(j)
         return (P_j if self.rest is None else P_j + self.rest(j, P_j, Q_j)), Q_j
 

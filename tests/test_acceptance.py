@@ -16,8 +16,9 @@ import numpy as np
 
 from duality_reference import deterministic_first_test, fixed_tuple
 from helpers import lq_optimizer_run, lq_optimum_bundle
+from spectral_reference import deterministic_first_adjoint
 
-from smpkit.adjoint import deterministic_first_adjoint, solve_first_adjoint
+from smpkit.adjoint import solve_first_adjoint
 from smpkit.cli import main as cli_main
 from smpkit.duality import (
     describe_first_test,

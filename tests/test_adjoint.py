@@ -6,7 +6,6 @@ import pytest
 from smpkit.adjoint import (
     RegressionBasis,
     RidgeSolver,
-    deterministic_first_adjoint,
     solve_first_adjoint,
 )
 from smpkit.errors import DegenerateBasisError, DomainError, EnsembleMismatchError
@@ -24,6 +23,7 @@ from smpkit.maximum_principle import second_order_data
 from smpkit.scenarios import build_preset, load_preset, make_lq_scalar, riccati_oracle
 from smpkit.spectral import OperatorSpec, make_dirichlet_laplacian
 
+from spectral_reference import deterministic_first_adjoint
 
 # ----------------------------------------------------------------------
 # regression primitive
@@ -332,8 +332,9 @@ def test_one_read_gives_the_slices_of_y_and_Y(preset, path_constant):
         for got in (pair.at(j, with_driver=True)[:2], pair.at(j)):
             np.testing.assert_array_equal(got[0], y_j)
             np.testing.assert_array_equal(got[1], Y_j)
-    for j in (-1, grid.n_steps):
-        with pytest.raises(DomainError, match=f"step {j} is outside"):
+    for j in (-1, grid.n_steps, 2.5):
+        rule = "is not an integer step" if j == 2.5 else "is outside"
+        with pytest.raises(DomainError, match=f"step {j} {rule}"):
             pair.at(j)
 
 

@@ -311,3 +311,27 @@ def test_first_adjoint_of_another_ensemble_exits_2(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: seed lineage differs"), err
     assert not (out / "second_adjoint_stats.csv").exists()
+
+
+def test_optimize_with_an_unstable_step_exits_1(tmp_path, capsys):
+    # at step 5 the cost grows on every iteration, and the step rule gives up
+    code, out = run(tmp_path, "o", "optimize", "--preset", "lq_scalar", "--paths", "500",
+                    "--dt", "0.05", "--step", "5", "--seed", "1")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "cost increased for 5 consecutive iterations" in err, err
+    assert not (out / "optimize_history.csv").exists()
+
+
+def test_verify_duality_failing_both_orders_exits_1_naming_both_csvs(tmp_path, capsys):
+    # with no bias budget and k_sigma 0 the tolerance is 0, so every
+    # Monte Carlo residual fails
+    preset = tmp_path / "unbiased.preset"
+    preset.write_text("kind = lq_scalar\nc_bias_first = 0\nc_bias_second = 0\n")
+    code, out = run(tmp_path, "v", "verify-duality", "--preset", str(preset), "--k-sigma", "0",
+                    "--paths", "300", "--dt", "0.05", "--tuples", "2", "--seed", "1")
+    assert code == 1
+    failed = [str(out / name) for name in ("duality_first.csv", "duality_second.csv")]
+    assert capsys.readouterr().err.strip() == "pass rule failed: " + ";".join(failed)
+    for path in failed:
+        assert all(row.endswith(",0") for row in open(path).read().splitlines()[1:])

@@ -20,9 +20,10 @@ from smpkit.forward import (
 )
 from smpkit.maximum_principle import projected_gradient
 from smpkit.scenarios import make_heat_scenario, make_lq_scalar
-from smpkit.spectral import OperatorSpec, make_dirichlet_laplacian, semigroup_apply
+from smpkit.spectral import OperatorSpec, make_dirichlet_laplacian
 
 from helpers import traced_peak
+from spectral_reference import semigroup_apply, yosida_generator
 
 
 def grid_200():
@@ -284,7 +285,6 @@ def test_linear_test_bounded_generator_approximation():
     ens = sample_brownian(g, 16, 8)
     eta = np.array([1.0, -0.5, 0.25])
     v2 = np.ones((50, 3)) * 0.2
-    from smpkit.spectral import yosida_generator
 
     exact = linearized_states(op, None, None, 0, eta, None, v2, ens)
     gaps = []
@@ -463,7 +463,7 @@ def test_derivative_callback_of_the_wrong_shape_is_named(name, shape, read, expe
     # shape than its per-path stack or its one matrix fails with the shape
     # it should have had, not with numpy's broadcast error, and a row is not
     # broadcast into a Jacobian
-    scenario = make_heat_scenario()
+    scenario, _ = make_heat_scenario()
     setattr(scenario, name, lambda *args: np.zeros(shape))
     x, u = np.ones((6, 4)), np.ones((6, 2))
     with pytest.raises(DimensionError, match=re.escape(expected)):
@@ -506,7 +506,7 @@ def test_controls_recorded_after_projection():
 def test_shared_open_loop_projected_once_matches_per_step(control_set):
     # shared (N, m) values are projected as one block; per-path copies of
     # the same values are projected step by step, and must give the same bits
-    scenario = make_heat_scenario(n_modes=4, control_dim=2)
+    scenario, _ = make_heat_scenario(n_modes=4, control_dim=2)
     scenario.control_set = control_set
     g = TimeGrid(0.0, 1.0, 12)
     ens = sample_brownian(g, 200, 11)
@@ -540,7 +540,7 @@ def test_shared_control_is_stored_once():
 def test_feedback_values_of_wrong_shape_are_a_dimension_error(shape):
     # heat4's m = 2: a step's values are (n_paths, 2), and one column is not
     # copied into both controls
-    scenario = make_heat_scenario(4)
+    scenario, _ = make_heat_scenario(4)
     ens = sample_brownian(TimeGrid(0.0, 1.0, 4), 8, 3)
     assert scenario.control_dim == 2
     with pytest.raises(DimensionError, match=r"control values at step 0 have shape"):

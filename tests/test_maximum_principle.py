@@ -5,7 +5,7 @@ import pytest
 
 import smpkit.maximum_principle as mp
 from smpkit.adjoint import solve_first_adjoint
-from smpkit.errors import DomainError, WrongTheoremError
+from smpkit.errors import DomainError, EnsembleMismatchError, WrongTheoremError
 from smpkit.forward import (
     Box,
     Feedback,
@@ -246,6 +246,9 @@ def test_check_condition_empty_grid_errors(lq_at_optimum):
     for t_grid in ([grid.n_steps], [-1]):
         with pytest.raises(DomainError, match=f"0..{grid.n_steps - 1}"):
             check_condition(scenario, traj, pair, sa, np.zeros((3, 1)), t_grid)
+    # a fractional index is not truncated to a step
+    with pytest.raises(DomainError, match="time index 2.5 is not an integer step"):
+        check_condition(scenario, traj, pair, sa, np.zeros((3, 1)), [0, 2.5])
 
 
 def test_second_order_data_deterministic_for_preset(lq_at_optimum):
@@ -537,6 +540,41 @@ def test_spike_to_a_point_outside_the_control_set_is_a_domain_error(monkeypatch,
     with pytest.raises(DomainError, match="control point outside the admissible set"):
         spike_experiment(scen, scen.x0, OpenLoop(np.zeros((20, scen.control_dim))),
                          np.array(u_alt), 0.3, [0.2, 0.1], e)
+
+
+def test_spike_with_adjoints_of_another_ensemble_is_a_mismatch():
+    # the prediction would pair this ensemble's paths with another one's adjoints
+    scen, _ = make_lq_scalar()
+    grid = TimeGrid(0.0, 1.0, 20)
+    base = OpenLoop(np.zeros((20, 1)))
+    ens, other = (sample_brownian(grid, 300, seed) for seed in (3, 4))
+    adjoints = solve_adjoints(scen, simulate_controlled(scen, scen.x0, base, other), other)
+    with pytest.raises(EnsembleMismatchError):
+        spike_experiment(scen, scen.x0, base, np.array([0.5]), 0.3, [0.2, 0.1], ens,
+                         adjoints=adjoints)
+
+
+@pytest.mark.parametrize("preset", ["lq_scalar", "heat4"])
+def test_spike_prediction_sums_each_window_in_step_order(preset):
+    # each row's prediction is, bit for bit, the step-order sum over its own
+    # window of dt times the sample mean of S
+    scen, _ = build_preset(load_preset(preset))
+    grid = TimeGrid(0.0, 1.0, 40)
+    ens = sample_brownian(grid, 400, 11)
+    base = OpenLoop(np.full((40, scen.control_dim), 0.1))
+    u_alt = np.full(scen.control_dim, 0.3)
+    traj = simulate_controlled(scen, scen.x0, base, ens)
+    pair, sa = solve_adjoints(scen, traj, ens)
+    table = spike_experiment(scen, scen.x0, base, u_alt, 0.3, [0.2, 0.1, 0.05], ens,
+                             adjoints=(pair, sa))
+    times = grid.times()
+    for row, width in zip(table.rows, (8, 4, 2)):
+        predicted = 0.0
+        for j in range(12, 12 + width):
+            s = spike_functional(scen, times[j], traj.states[:, j], traj.controls_used[:, j],
+                                 u_alt, *pair.at(j), sa.P_paths(j))
+            predicted += grid.dt * float(s.mean())
+        assert row["predicted"] == predicted
 
 
 def test_spike_of_a_shared_control_holds_no_per_path_control():

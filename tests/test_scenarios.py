@@ -70,19 +70,19 @@ def test_riccati_value_quadratic_scaling():
 
 
 def test_heat_scenario_pure_decay_contracts():
-    scenario = make_heat_scenario()
+    scenario, _ = make_heat_scenario()
     grid = TimeGrid(0.0, 1.0, 100)
     ens = sample_brownian(grid, 32, 5)
     from smpkit.forward import OpenLoop
 
-    beta0 = make_heat_scenario(beta=0.0)
+    beta0, _ = make_heat_scenario(beta=0.0)
     traj = simulate_controlled(beta0, beta0.x0, OpenLoop(np.zeros((100, 2))), ens)
     norms = np.linalg.norm(traj.states, axis=-1)
     assert np.all(norms[:, -1] <= norms[:, 0] + 1e-12)
 
 
 def test_heat_diffusion_control_jacobian():
-    scenario = make_heat_scenario(diffusion_gain=0.2)
+    scenario, _ = make_heat_scenario(diffusion_gain=0.2)
     x = np.random.default_rng(0).standard_normal((5, 4))
     u = np.random.default_rng(1).standard_normal((5, 2))
     jac = scenario.jacobian("b", "u", 0.3, x, u)
@@ -97,7 +97,10 @@ def test_heat_diffusion_control_jacobian():
 
 
 def test_heat_lipschitz_spot_check():
-    scenario = make_heat_scenario()
+    # a and b are Lipschitz in x with constant max(1, beta, drift_gain,
+    # diffusion_gain) = 1 at the builder defaults
+    lipschitz = 1.0
+    scenario, _ = make_heat_scenario()
     rng = np.random.default_rng(2)
     for _ in range(50):
         x1 = rng.standard_normal((1, 4))
@@ -105,12 +108,12 @@ def test_heat_lipschitz_spot_check():
         u = rng.uniform(-1, 1, (1, 2))
         gap_a = np.linalg.norm(scenario.drift(0.1, x1, u) - scenario.drift(0.1, x2, u))
         gap_b = np.linalg.norm(scenario.diffusion(0.1, x1, u) - scenario.diffusion(0.1, x2, u))
-        assert gap_a + gap_b <= 2 * scenario.lipschitz * np.linalg.norm(x1 - x2) + 1e-12
+        assert gap_a + gap_b <= 2 * lipschitz * np.linalg.norm(x1 - x2) + 1e-12
 
 
 def test_preset_derivatives_match_finite_differences():
     rng = np.random.default_rng(3)
-    for scenario in (make_lq_scalar()[0], make_heat_scenario()):
+    for scenario in (make_lq_scalar()[0], make_heat_scenario()[0]):
         n, m = scenario.n_modes, scenario.control_dim
         x = rng.standard_normal((100, n))
         u = rng.uniform(-1, 1, (100, m))
@@ -224,7 +227,7 @@ def test_shipped_presets_load_and_build():
 def test_shipped_preset_values_reach_built_problem(name):
     cfg = load_preset(name)
     problem, lq = build_preset(cfg)
-    shared = [key for key in cfg if key not in ("kind", "name") and hasattr(problem, key)]
+    shared = [key for key in cfg if key != "kind" and hasattr(problem, key)]
     assert {"T", "c_bias_second"} <= set(shared)
     for key in shared:
         np.testing.assert_array_equal(getattr(problem, key), cfg[key], err_msg=key)

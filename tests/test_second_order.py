@@ -16,9 +16,10 @@ from smpkit.second_order import (
     solve_second_adjoint,
     vec_to_mat,
 )
-from smpkit.spectral import OperatorSpec, make_dirichlet_laplacian, semigroup_apply
+from smpkit.spectral import OperatorSpec, make_dirichlet_laplacian
 
 from helpers import per_path_jacobians
+from spectral_reference import semigroup_apply
 
 
 def test_vec_convention_column_major():
@@ -419,7 +420,7 @@ def test_one_read_gives_the_slices_of_P_and_Q():
             P_j, Q_j = sa.at(j)
             np.testing.assert_array_equal(P_j, sa.P_paths(j))
             np.testing.assert_array_equal(Q_j, sa.Q_paths(j))
-        for j in (-1, n_steps):
+        for j in (-1, n_steps, 2.5):
             with pytest.raises(DomainError):
                 sa.at(j)
 
