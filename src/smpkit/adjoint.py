@@ -210,7 +210,7 @@ class FeatureAffine(NamedTuple):
     rest: Optional[np.ndarray] = None   # (P, k)
 
 
-def regression_sweep(features, terminal, decay, update):
+def regression_sweep(features, terminal, decay, update, consume=None):
     """One-step regression scheme (Gobet, Lemor and Warin, Ann. Appl. Probab.
     2005) from ``target = terminal`` (P, k) back to step 0.  Step j fits the
     mean and the martingale part of ``target * decay`` on the features X of
@@ -219,7 +219,12 @@ def regression_sweep(features, terminal, decay, update):
     and returns the next target as a :class:`FeatureAffine` on X.
     ``features`` is a :class:`StepFeatures`; the first sweep on it records
     its moments, and a later one builds step j's W only for a target with
-    per-path values."""
+    per-path values.
+
+    With ``consume``, right after step j's update the sweep calls
+    ``consume(j, value_j, mart_j)`` with that target, X beta + rest, and
+    the martingale fit X beta_mart, per path, from one product of the
+    step's features with [beta | beta_mart]."""
     ens = features.ens
     grid = ens.grid
     n_feat = features.n_features
@@ -270,6 +275,10 @@ def regression_sweep(features, terminal, decay, update):
         beta_mart = solver.solve((rhs[n_feat:] - features.moments[j, n_feat:] @ beta_mean)
                                  / grid.dt)
         beta, rest = update(j, beta_mean, beta_mart)
+        if consume is not None:
+            k = beta.shape[1]
+            fit = features.at(j) @ np.concatenate((beta, beta_mart), axis=1)
+            consume(j, fit[:, :k] if rest is None else fit[:, :k] + rest, fit[:, k:])
     features.recorded = True
     features._last = (None, None)  # the last block is not kept past the sweep
 
@@ -283,7 +292,7 @@ def _first_driver(scenario, t, x, u, y_hat, Y_j):
     )
 
 
-def solve_first_adjoint(scenario, trajectory, ens):
+def solve_first_adjoint(scenario, trajectory, ens, consume=None):
     """Regression sweep for the adjoint pair along an optimal-candidate
     trajectory, with terminal data -h_x and driver -a_x*y - b_x*Y + g_x.
 
@@ -300,7 +309,12 @@ def solve_first_adjoint(scenario, trajectory, ens):
     the rest is formed, in the sweep's update as in a read.  With
     ``with_driver`` the read also hands back that driver or, when the
     driver is folded, one formed from its Y_j and one more product, X_j
-    beta_mean[j]."""
+    beta_mean[j].
+
+    ``consume(j, y_j, Y_j)``, if given, gets each step's pair inside the
+    sweep (steps N-1 down to 0), bit for bit what ``pair.at(j)`` reads; it
+    may overwrite the trajectory's controls at step j, which the sweep has
+    read by then (``pair.at`` then reads the new values)."""
     check_same_ensemble(trajectory, ens)
     op = scenario.op
     grid = ens.grid
@@ -341,7 +355,7 @@ def solve_first_adjoint(scenario, trajectory, ens):
         return FeatureAffine(beta_y[j], rest_at(j))
 
     decay = np.exp(op.eigenvalues * dt)
-    regression_sweep(features, y_T, decay, update)
+    regression_sweep(features, y_T, decay, update, consume)
 
     def read(j, with_driver):
         fit = features.at(j) @ stacked[j]

@@ -413,8 +413,28 @@ def build_parser():
     return parser
 
 
+def _joined_negative_values(argv):
+    """``argv`` with a number that starts with "-" and follows an option
+    joined to it, ``--u-alt -inf`` as ``--u-alt=-inf``: argparse takes a
+    token such as ``-inf`` or ``-1e-3`` for an option name.  Every option
+    here takes one value."""
+    out = []
+    for tok in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and tok.startswith("-"):
+            try:
+                float(tok)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + tok
+                continue
+        out.append(tok)
+    return out
+
+
 def main(argv=None):
-    cfg = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    cfg = build_parser().parse_args(_joined_negative_values(argv))
     start = time.time()
     try:
         if cfg.command == "spike-experiment":

@@ -170,6 +170,16 @@ def sample_brownian(grid, n_paths, seed):
 # Control sets and control processes
 # ----------------------------------------------------------------------
 
+def _points(u, dim):
+    """Control points ``u`` as rows (P, dim); DimensionError for points of
+    another length, which would otherwise broadcast against the set."""
+    u = np.atleast_2d(u)
+    if u.shape[-1] != dim:
+        raise DimensionError(f"control point has {u.shape[-1]} entries; "
+                             f"the set's dimension is {dim}")
+    return u
+
+
 @dataclass(frozen=True)
 class Box:
     """Convex product of intervals; projection is the coordinatewise clamp."""
@@ -190,7 +200,7 @@ class Box:
         return True
 
     def contains(self, u):
-        u = np.atleast_2d(u)
+        u = _points(u, self.lo.size)
         return np.all((u >= self.lo - CONTAINS_TOL) & (u <= self.hi + CONTAINS_TOL), axis=-1)
 
     def projection(self, u):
@@ -220,7 +230,7 @@ class FiniteGrid:
         return False
 
     def contains(self, u):
-        u = np.atleast_2d(u)
+        u = _points(u, self.points.shape[1])
         d2 = np.sum((u[:, None, :] - self.points[None, :, :]) ** 2, axis=-1)
         return np.min(d2, axis=1) <= CONTAINS_TOL**2
 
@@ -245,6 +255,13 @@ class OpenLoop:
 
     def at(self, j, t, x):
         return self.values[:, j, :]
+
+
+class _Projected(OpenLoop):
+    """Per-path values, step-major and already projected onto the control
+    set: :func:`simulate_controlled` records them as they are, neither
+    projected again nor copied.  Only the optimizer makes one, of the
+    iterate it owns."""
 
 
 @dataclass
@@ -502,7 +519,8 @@ def simulate_controlled(scenario, x0, control, ens):
     Shared values are projected once, as one block, and recorded as a
     read-only broadcast of it (no per-path copy), so the callbacks receive
     a read-only ``u``; per-path values and a ``Feedback`` are projected step
-    by step into a step-major buffer.
+    by step into a step-major buffer.  Any other ``control`` raises
+    DomainError.
     """
     op = scenario.op
     grid = ens.grid
@@ -515,19 +533,25 @@ def simulate_controlled(scenario, x0, control, ens):
             raise DimensionError(f"open-loop values have shape {shape}, expected "
                                  f"{(N, m)} or {(ens.n_paths, N, m)}")
         shared = len(shape) == 2
+    elif not isinstance(control, Feedback):
+        raise DomainError(f"control must be an OpenLoop or a Feedback "
+                          f"(got {type(control).__name__})")
+    projected = isinstance(control, _Projected)
     decay = np.exp(op.eigenvalues * dt)
     x = _initial_states(x0, ens.n_paths, n)
     states = step_major((ens.n_paths, N + 1, n))
     if shared:
         controls = np.broadcast_to(scenario.control_set.projection(control.values),
                                    (ens.n_paths, N, m))
+    elif projected:
+        controls = control.values
     else:
         controls = step_major((ens.n_paths, N, m))
     states[:, 0] = x
     times = grid.times()
     for j in range(N):
         t = times[j]
-        if not shared:
+        if not (shared or projected):
             controls[:, j] = scenario.control_set.projection(_step_values(control.at(j, t, x),
                                                                           j, ens.n_paths, m))
         u = controls[:, j]

@@ -14,13 +14,14 @@ spike experiment measures directly with common random numbers.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .adjoint import check_same_ensemble, solve_first_adjoint
 from .errors import DomainError, StepRuleError, WrongTheoremError
-from .forward import (Feedback, OpenLoop, check_step, cost_paths, path_constant_steps,
-                      simulate_controlled, step_major)
+from .forward import (Feedback, OpenLoop, _Projected, check_step, cost_paths,
+                      path_constant_steps, simulate_controlled, step_major)
 from .second_order import solve_second_adjoint
 
 TOL_STEP = 1e-6  # projected_gradient stops once an update is shorter than this
@@ -232,30 +233,20 @@ class OptimizeHistory:
         return self.iterations[-1]["J"]
 
 
-def _gradient_step(scenario, traj, ens, step):
-    """One projected-gradient iteration from the trajectory ``traj`` of the
-    current values, which ``traj.controls_used`` holds projected: (new
-    values, cost mean, its standard error, step norm).
-
-    The update is formed one step at a time: step j reads (y_j, Y_j) once,
-    forms g_j = a_u* y_j + b_u* Y_j - g_u and writes Pi(u_j + step g_j)
-    straight into the new values, adding |new u_j - u_j|^2 to the step
-    norm's sum.  So beside the trajectory and the adjoint coefficients the
-    iteration allocates one (n_paths, n_steps, m) history, the new values,
-    and per-step slices."""
-    grid = ens.grid
-    costs = cost_paths(scenario, traj)
-    pair = solve_first_adjoint(scenario, traj, ens)
-    project = scenario.control_set.projection
-    new_u = step_major((ens.n_paths, grid.n_steps, scenario.control_dim))
-    total = 0.0
-    for j in range(grid.n_steps):
-        u_j = traj.controls_used[:, j]
-        new_u[:, j] = project(u_j + step * _step_gradient(scenario, traj, pair, j))
-        change = new_u[:, j] - u_j
-        total += float(np.vdot(change, change))
-    step_norm = float(np.sqrt(total / ens.n_paths * grid.dt))
-    return new_u, float(costs.mean()), float(costs.std(ddof=1) / np.sqrt(len(costs))), step_norm
+def _gradient_step(scenario, traj, step, values, squares, j, y_j, Y_j):
+    """Step j of one projected-gradient iteration along ``traj``, as the
+    consumer of the first-adjoint sweep, which hands it (y_j, Y_j): forms
+    g_j = a_u* y_j + b_u* Y_j - g_u at the projected u_j that
+    ``traj.controls_used`` holds, writes Pi(u_j + step g_j) into
+    ``values[:, j]`` and |Pi(u_j + step g_j) - u_j|^2 into ``squares[j]``.
+    ``values`` may be ``traj.controls_used`` itself: the sweep has read
+    step j by then.  Only per-step slices are allocated."""
+    u_j = traj.controls_used[:, j]
+    new = scenario.control_set.projection(
+        u_j + step * convex_gradient(scenario, j, traj.states[:, j], u_j, y_j, Y_j, traj.grid))
+    change = new - u_j
+    squares[j] = np.vdot(change, change)
+    values[:, j] = new
 
 
 def projected_gradient(scenario, x0, control, ens, step_rule=0.8, max_iters=200):
@@ -270,12 +261,16 @@ def projected_gradient(scenario, x0, control, ens, step_rule=0.8, max_iters=200)
     Persistent cost increase (more than 10 stderr for 5 straight iterations)
     raises a step-rule error.  ``control`` is an ``OpenLoop`` or its values,
     (n_steps, m) or (n_paths, n_steps, m); a ``Feedback`` is rejected, since
-    the search runs over open-loop values.  Each iteration simulates the
-    current values and then keeps them only as the trajectory's projected
-    ``controls_used`` (a shared initial block is not expanded per path), so
-    it holds one per-path control beside the new values;
-    :func:`_gradient_step` forms the update step by step from one adjoint
-    read per step, and keeps no gradient history.
+    the search runs over open-loop values.
+
+    The search owns one step-major (n_paths, n_steps, m) iterate: the first
+    trajectory's projected per-path values, or one new buffer when the
+    start is a shared block (which is not expanded per path).  Each
+    iteration simulates it as it is, and :func:`_gradient_step`, the
+    first-adjoint sweep's consumer, overwrites it step by step with the
+    projected update, so an iteration holds the states and one per-path
+    control, and no gradient history.  The caller's values are not
+    written.
     """
     if not scenario.control_set.convex:
         raise WrongTheoremError("projected gradient needs a convex control set")
@@ -286,17 +281,28 @@ def projected_gradient(scenario, x0, control, ens, step_rule=0.8, max_iters=200)
             "projected gradient needs open-loop control values, not a Feedback"
         )
     u = control if isinstance(control, OpenLoop) else OpenLoop(control)
+    grid = ens.grid
+    squares = np.empty(grid.n_steps)
 
     history = OptimizeHistory()
     best = np.inf
     bad_streak = 0
     for i in range(max_iters + 1):
         traj = simulate_controlled(scenario, x0, u, ens)
-        del u  # traj.controls_used holds the values, projected
-        new_u, cost, stderr, step_norm = _gradient_step(scenario, traj, ens, step_rule)
+        costs = cost_paths(scenario, traj)
+        if i == 0:
+            values = traj.controls_used
+            if values.strides[0] == 0:  # a shared block: the iterate is new
+                values = step_major(values.shape)
+            u = _Projected(values)
+        solve_first_adjoint(scenario, traj, ens, consume=partial(
+            _gradient_step, scenario, traj, step_rule, values, squares))
         del traj
-        u = OpenLoop(new_u)
-        del new_u  # so that the next simulation drops the values with u
+        total = 0.0
+        for square in squares:  # in step order
+            total += float(square)
+        step_norm = float(np.sqrt(total / ens.n_paths * grid.dt))
+        cost, stderr = float(costs.mean()), float(costs.std(ddof=1) / np.sqrt(len(costs)))
         history.append(i, cost, stderr, step_norm)
         if cost > best + 10 * max(stderr, 1e-300):
             bad_streak += 1
@@ -309,7 +315,7 @@ def projected_gradient(scenario, x0, control, ens, step_rule=0.8, max_iters=200)
         best = min(best, cost)
         if step_norm < TOL_STEP:
             break
-    return u, history
+    return OpenLoop(values), history
 
 
 # ----------------------------------------------------------------------

@@ -338,6 +338,24 @@ def test_one_read_gives_the_slices_of_y_and_Y(preset, path_constant):
             pair.at(j)
 
 
+@pytest.mark.parametrize("preset", ["heat4", "lq_scalar"])
+@pytest.mark.parametrize("path_constant", [True, False])
+def test_sweep_hands_its_consumer_what_pair_at_reads(preset, path_constant):
+    # the consumer gets step j's (y_j, Y_j) inside the sweep, from N-1 down
+    # to 0, with the bits of a later read: folded driver (one-matrix
+    # Jacobians) and unfolded (batched Jacobians)
+    scenario, grid, ens, traj, _ = _feedback_pair(preset, 12, 300, 9)
+    if not path_constant:
+        scenario = per_path_jacobians(scenario)
+    handed = []
+    pair = solve_first_adjoint(scenario, traj, ens,
+                               consume=lambda j, y_j, Y_j: handed.append((j, y_j, Y_j)))
+    assert [j for j, _, _ in handed] == list(range(grid.n_steps - 1, -1, -1))
+    for j, y_j, Y_j in handed:
+        for got, read in zip((y_j, Y_j), pair.at(j)):
+            assert got.shape == read.shape and got.tobytes() == read.tobytes(), j
+
+
 def test_terminal_slice_of_y_is_read_only():
     scenario, grid, ens, traj, pair = _feedback_pair("heat4", 10, 200, 3)
     before = pair.y_T.copy()

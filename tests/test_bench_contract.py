@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import smpkit.cli as cli
+import smpkit.maximum_principle as mp
 from smpkit.adjoint import solve_first_adjoint
 from smpkit.forward import OpenLoop, TimeGrid, sample_brownian, simulate_controlled
 from smpkit.maximum_principle import second_order_data
@@ -76,6 +77,29 @@ def test_main_looks_up_the_wrapped_preset_names(tmp_path, monkeypatch):
         argv = [SMALL.get(prev, tok) for prev, tok in zip([None] + argv, argv)]
         code = cli.main(argv + ["--seed", "1", "--outdir", str(tmp_path / workload)])
         assert code == 0 and calls == WRAPPED[workload], (workload, calls)
+
+
+# what the optimizer looks up in smpkit.maximum_principle once per iteration
+PER_ITERATION = ("simulate_controlled", "cost_paths", "solve_first_adjoint")
+
+
+def test_optimizer_looks_up_the_traced_names_once_per_iteration(tmp_path, monkeypatch):
+    # the tracer counts forward.simulate_calls and adjoint.solve_first_calls
+    # through these lookups, so the counts stay comparable across changes
+    # only while every iteration makes each call once through the module
+    calls = []
+    for name in PER_ITERATION:
+        real = getattr(mp, name)
+        monkeypatch.setattr(mp, name, lambda *a, _real=real, _name=name, **k: calls.append(_name)
+                            or _real(*a, **k))
+    argv = load_perfbench("run").WORKLOADS["optimize-lq"]
+    argv = [SMALL.get(prev, tok) for prev, tok in zip([None] + argv, argv)]
+    code = cli.main(argv + ["--seed", "1", "--outdir", str(tmp_path / "optimize")])
+    iterations = int(SMALL["--max-iters"]) + 1
+    assert code == 0
+    assert {name: calls.count(name) for name in PER_ITERATION} == dict.fromkeys(
+        PER_ITERATION, iterations)
+    assert calls == list(PER_ITERATION) * iterations
 
 
 # the attributes perfbench/tracing.py::_observe reads off each solve's result

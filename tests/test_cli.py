@@ -107,6 +107,23 @@ def test_inputs_checked_before_the_run_exit_2(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("joined", [False, True], ids=["own_token", "joined"])
+@pytest.mark.parametrize("argv, flag, message", [
+    (SPIKE_RUN + ["--preset", "lq_scalar"], "--u-alt", "outside the admissible set"),
+    (ORACLE_RUN, "--lattice-lo", "state lattice"),
+], ids=["u_alt", "lattice_lo"])
+def test_negative_infinity_as_its_own_token_is_the_value(tmp_path, capsys, argv, flag, message,
+                                                         joined):
+    # argparse read a separate "-inf" as an option name and exited 2 with
+    # its usage text instead of the value's own one-line error
+    value = [f"{flag}=-inf"] if joined else [flag, "-inf"]
+    code, out = run(tmp_path, "bad", *argv, *value)
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+    assert not out.exists()
+
+
 def test_manifest_records_grid_used(tmp_path):
     code, out = run(tmp_path, "g", "simulate-forward", "--preset", "lq_scalar",
                     "--paths", "200", "--dt", "0.005", "--seed", "2")

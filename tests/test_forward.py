@@ -558,6 +558,24 @@ def test_feedback_column_is_the_one_control():
     np.testing.assert_array_equal(column.states, matrix.states)
 
 
+@pytest.mark.parametrize("values", [np.zeros((10, 1)), np.zeros((20, 10, 1)), [0.0] * 10])
+def test_bare_values_are_not_a_control(values):
+    # values not wrapped in an OpenLoop ended in an AttributeError from ``at``
+    scenario, _ = make_lq_scalar()
+    ens = sample_brownian(TimeGrid(0.0, 1.0, 10), 20, 3)
+    with pytest.raises(DomainError, match="control must be an OpenLoop or a Feedback"):
+        simulate_controlled(scenario, scenario.x0, values, ens)
+
+
+def test_a_point_of_another_length_is_not_in_a_control_set():
+    # a 1-entry point broadcast against a 2-dimensional set and was "in" it
+    for control_set in (Box([-1.0, -1.0], [1.0, 1.0]), FiniteGrid([[0.0, 0.0], [1.0, 1.0]])):
+        for point in ([0.0], [[0.0], [1.0]], [0.0, 0.0, 0.0]):
+            with pytest.raises(DimensionError, match="the set's dimension is 2"):
+                control_set.contains(point)
+        assert control_set.contains([[0.0, 0.0], [1.0, 1.0]]).all()
+
+
 @pytest.mark.parametrize("shape", [(5, 1), (10, 2), (7, 10, 1), (12, 1)])
 def test_open_loop_values_of_wrong_shape_are_a_dimension_error(shape):
     # 10 steps, 20 paths, m = 1: only (10, 1) and (20, 10, 1) are values

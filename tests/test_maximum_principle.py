@@ -5,7 +5,7 @@ import pytest
 
 import smpkit.maximum_principle as mp
 from smpkit.adjoint import solve_first_adjoint
-from smpkit.errors import DomainError, EnsembleMismatchError, WrongTheoremError
+from smpkit.errors import DimensionError, DomainError, EnsembleMismatchError, WrongTheoremError
 from smpkit.forward import (
     Box,
     Feedback,
@@ -18,7 +18,9 @@ from smpkit.forward import (
     step_major,
 )
 from smpkit.maximum_principle import (
+    check_admissible,
     check_condition,
+    control_gradient,
     convex_gradient,
     hamiltonian,
     projected_gradient,
@@ -386,14 +388,17 @@ def _per_path_values(ens, m, seed):
 @pytest.mark.parametrize("case", ["lq_scalar", "heat4-per-path"])
 def test_gradient_step_matches_whole_history_reference(case):
     # lq_scalar's Jacobian callbacks return one matrix (the folded y);
-    # heat4 with batched callbacks takes the per-path branch of the read
+    # heat4 with batched callbacks takes the per-path branch of the read.
+    # One iteration (max_iters=0) runs _gradient_step inside the sweep
     scenario = _box_limited(case)
     grid = TimeGrid(0.0, scenario.T, 40)
     ens = sample_brownian(grid, 1000, 59)
     u = _per_path_values(ens, scenario.control_dim, 7)
-    traj = simulate_controlled(scenario, scenario.x0, OpenLoop(u), ens)
     # a long step overshoots, so the projection acts
-    new_u, cost, stderr, step_norm = mp._gradient_step(scenario, traj, ens, 3.0)
+    final, history = projected_gradient(scenario, scenario.x0, OpenLoop(u), ens, step_rule=3.0,
+                                        max_iters=0)
+    (row,) = history.iterations
+    new_u, cost, stderr, step_norm = final.values, row["J"], row["stderr"], row["step_norm"]
     ref_u, ref_cost, ref_stderr, ref_norm = whole_history_gradient_step(
         scenario, scenario.x0, u, ens, 3.0)
     box = scenario.control_set
@@ -403,30 +408,38 @@ def test_gradient_step_matches_whole_history_reference(case):
     assert step_norm == pytest.approx(ref_norm, rel=1e-13, abs=0)
 
 
-def test_gradient_step_allocates_one_control_history(monkeypatch):
-    # with the trajectory and the adjoint already built, an iteration holds
-    # the new values and per-step slices, and no gradient history
+def test_gradient_step_allocates_no_control_history():
+    # given step j's adjoint values, the step writes the projected update
+    # into the iterate in place, which may be the trajectory's own controls,
+    # and allocates per-step slices only: no (n_paths, n_steps, m) array
     scenario, _ = make_lq_scalar()
     grid = TimeGrid(0.0, 1.0, 50)
     ens = sample_brownian(grid, 2000, 61)
     u = _per_path_values(ens, scenario.control_dim, 8)
     traj = simulate_controlled(scenario, scenario.x0, OpenLoop(u), ens)
-    costs = cost_paths(scenario, traj)
     pair = solve_first_adjoint(scenario, traj, ens)
-    monkeypatch.setattr(mp, "cost_paths", lambda *args: costs)
-    monkeypatch.setattr(mp, "solve_first_adjoint", lambda *args, **kwargs: pair)
-    peak, _ = traced_peak(mp._gradient_step, scenario, traj, ens, 0.8)
+    reads = [pair.at(j) for j in range(grid.n_steps)]  # before the controls are overwritten
+    values, squares = traj.controls_used, np.empty(grid.n_steps)
+    expected = scenario.control_set.projection(u + 0.8 * control_gradient(scenario, traj, pair))
+
+    def sweep_order():
+        for j in range(grid.n_steps - 1, -1, -1):
+            mp._gradient_step(scenario, traj, 0.8, values, squares, j, *reads[j])
+
+    peak, _ = traced_peak(sweep_order)
     history = u.nbytes
     slices = 16 * ens.n_paths * 8  # sixteen (n_paths,) columns of one step
-    assert peak <= history + slices, (peak, history, slices)
+    assert peak <= slices < history, (peak, history, slices)
+    np.testing.assert_array_equal(values, expected)
+    np.testing.assert_allclose(squares, np.sum((expected - u) ** 2, axis=(0, 2)), rtol=1e-12)
 
 
 @pytest.mark.parametrize("shape", ["shared", "per-path"])
 def test_projected_gradient_iteration_holds_one_per_path_control(shape):
-    # an iteration drops its values once the trajectory records them
-    # projected, so beside the trajectory (states and controls) and the new
-    # values it holds no other (n_paths, n_steps, m) control; a shared
-    # initial block is not expanded per path
+    # the trajectory records the search's own projected iterate, and the
+    # sweep's consumer overwrites it in place, so beside the states an
+    # iteration holds one (n_paths, n_steps, m) control; a shared initial
+    # block is not expanded per path
     scenario, _ = make_lq_scalar()
     grid = TimeGrid(0.0, 1.0, 200)
     ens = sample_brownian(grid, 1000, 67)
@@ -437,7 +450,23 @@ def test_projected_gradient_iteration_holds_one_per_path_control(shape):
     states = ens.n_paths * (grid.n_steps + 1) * scenario.n_modes * 8
     control = ens.n_paths * grid.n_steps * m * 8
     slack = 64 * ens.n_paths * 8  # per-step columns and the adjoint's coefficients
-    assert peak <= states + 2 * control + slack, (peak, states, control, slack)
+    assert peak <= states + control + slack, (peak, states, control, slack)
+
+
+@pytest.mark.parametrize("as_open_loop", [True, False])
+def test_projected_gradient_leaves_the_callers_values_unwritten(as_open_loop):
+    # the search overwrites its own iterate, never the start it was given
+    scenario = _box_limited("lq_scalar")
+    grid = TimeGrid(0.0, 1.0, 20)
+    ens = sample_brownian(grid, 300, 73)
+    init = _per_path_values(ens, scenario.control_dim, 9)
+    before = init.copy()
+    final, _ = projected_gradient(scenario, scenario.x0,
+                                  OpenLoop(init) if as_open_loop else init, ens,
+                                  step_rule=3.0, max_iters=3)
+    assert init.tobytes() == before.tobytes()
+    assert not np.shares_memory(final.values, init)
+    assert not np.array_equal(final.values, init)
 
 
 def test_shared_control_matches_its_per_path_copy_bit_for_bit():
@@ -540,6 +569,21 @@ def test_spike_to_a_point_outside_the_control_set_is_a_domain_error(monkeypatch,
     with pytest.raises(DomainError, match="control point outside the admissible set"):
         spike_experiment(scen, scen.x0, OpenLoop(np.zeros((20, scen.control_dim))),
                          np.array(u_alt), 0.3, [0.2, 0.1], e)
+
+
+@pytest.mark.parametrize("point", [[0.3], [0.1, 0.2, 0.3]])
+def test_a_control_point_of_another_length_is_a_dimension_error(monkeypatch, point):
+    # heat4's box is 2-dimensional: a 1-entry point broadcast against it, so
+    # the spike ran and ended in a numpy error from the drift, and a 3-entry
+    # one in a numpy broadcast error
+    scen, _ = build_preset(load_preset("heat4"))
+    with pytest.raises(DimensionError, match=f"has {len(point)} entries"):
+        check_admissible(scen.control_set, point)
+    e = sample_brownian(TimeGrid(0.0, 1.0, 20), 300, 3)
+    monkeypatch.setattr(mp, "simulate_controlled", lambda *args: pytest.fail("simulated"))
+    u_alt = point[0] if len(point) == 1 else np.array(point)
+    with pytest.raises(DimensionError, match=f"has {len(point)} entries"):
+        spike_experiment(scen, scen.x0, OpenLoop(np.zeros((20, 2))), u_alt, 0.3, [0.2, 0.1], e)
 
 
 def test_spike_with_adjoints_of_another_ensemble_is_a_mismatch():
