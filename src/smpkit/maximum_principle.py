@@ -244,7 +244,7 @@ def _gradient_step(scenario, traj, step, values, squares, j, y_j, Y_j):
     u_j = traj.controls_used[:, j]
     new = scenario.control_set.projection(
         u_j + step * convex_gradient(scenario, j, traj.states[:, j], u_j, y_j, Y_j, traj.grid))
-    change = new - u_j
+    change = new - u_j  # before the write: u_j may be a view of values[:, j]
     squares[j] = np.vdot(change, change)
     values[:, j] = new
 
