@@ -210,7 +210,7 @@ class FeatureAffine(NamedTuple):
     rest: Optional[np.ndarray] = None   # (P, k)
 
 
-def regression_sweep(features, terminal, decay, update, consume=None):
+def regression_sweep(features, terminal, decay, update):
     """One-step regression scheme (Gobet, Lemor and Warin, Ann. Appl. Probab.
     2005) from ``target = terminal`` (P, k) back to step 0.  Step j fits the
     mean and the martingale part of ``target * decay`` on the features X of
@@ -219,12 +219,7 @@ def regression_sweep(features, terminal, decay, update, consume=None):
     and returns the next target as a :class:`FeatureAffine` on X.
     ``features`` is a :class:`StepFeatures`; the first sweep on it records
     its moments, and a later one builds step j's W only for a target with
-    per-path values.
-
-    With ``consume``, right after step j's update the sweep calls
-    ``consume(j, value_j, mart_j)`` with that target, X beta + rest, and
-    the martingale fit X beta_mart, per path, from one product of the
-    step's features with [beta | beta_mart]."""
+    per-path values."""
     ens = features.ens
     grid = ens.grid
     n_feat = features.n_features
@@ -275,10 +270,6 @@ def regression_sweep(features, terminal, decay, update, consume=None):
         beta_mart = solver.solve((rhs[n_feat:] - features.moments[j, n_feat:] @ beta_mean)
                                  / grid.dt)
         beta, rest = update(j, beta_mean, beta_mart)
-        if consume is not None:
-            k = beta.shape[1]
-            fit = features.at(j) @ np.concatenate((beta, beta_mart), axis=1)
-            consume(j, fit[:, :k] if rest is None else fit[:, :k] + rest, fit[:, k:])
     features.recorded = True
     features._last = (None, None)  # the last block is not kept past the sweep
 
@@ -341,26 +332,30 @@ def solve_first_adjoint(scenario, trajectory, ens, consume=None):
         y_hat = features.at(j) @ beta_mean[j] if folded else fit[:, :n]
         return _first_driver(scenario, times[j], states[:, j], controls[:, j], y_hat, fit[:, n:])
 
-    def rest_at(j):
-        # the part of y_j outside the features: a folded driver leaves -dt g_x;
-        # otherwise -dt f_j
-        if folded:
-            return -dt * scenario.grad_x_running(times[j], states[:, j], controls[:, j])
-        return -dt * driver_from(j, features.at(j) @ stacked[j])
+    def folded_rest(j):
+        # the part of y_j outside the features left by a folded driver; an
+        # unfolded one leaves -dt f_j, formed on the step's product
+        return -dt * scenario.grad_x_running(times[j], states[:, j], controls[:, j])
 
     def update(j, b_mean, b_mart):
         beta_mean[j], beta_mart[j] = b_mean, b_mart
         if folded:
             beta_y[j] = b_mean + dt * (b_mean @ a_x[j] + b_mart @ b_x[j])
-        return FeatureAffine(beta_y[j], rest_at(j))
+        # one product serves the unfolded rest and the consumer; a folded
+        # sweep with no consumer forms none
+        fit = None if folded and consume is None else features.at(j) @ stacked[j]
+        rest = folded_rest(j) if folded else -dt * driver_from(j, fit)
+        if consume is not None:  # after the rest: it may overwrite controls[:, j]
+            consume(j, fit[:, :n] + rest, fit[:, n:])
+        return FeatureAffine(beta_y[j], rest)
 
     decay = np.exp(op.eigenvalues * dt)
-    regression_sweep(features, y_T, decay, update, consume)
+    regression_sweep(features, y_T, decay, update)
 
     def read(j, with_driver):
         fit = features.at(j) @ stacked[j]
         if folded:
-            rest = rest_at(j)
+            rest = folded_rest(j)
             f_j = driver_from(j, fit) if with_driver else None
         else:
             f_j = driver_from(j, fit)

@@ -43,9 +43,15 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
+        if not (np.isfinite(self.t0) and np.isfinite(self.T)):
+            raise DomainError(f"t0 and T must be finite (got {self.t0!r}, {self.T!r})")
         if self.T <= self.t0:
             raise DomainError("T must exceed t0")
-        if self.n_steps < 1:
+        try:
+            n_steps = operator.index(self.n_steps)
+        except TypeError:
+            raise DomainError(f"n_steps {self.n_steps!r} is not an integer") from None
+        if n_steps < 1:
             raise DomainError("n_steps must be >= 1")
 
     @property
@@ -192,7 +198,7 @@ class Box:
         hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        if lo.shape != hi.shape or np.any(lo > hi):
+        if lo.shape != hi.shape or not np.all(lo <= hi):  # a NaN bound fails lo <= hi
             raise DomainError("invalid box bounds")
 
     @property
@@ -224,6 +230,8 @@ class FiniteGrid:
         object.__setattr__(self, "points", pts)
         if pts.shape[0] < 1:
             raise DomainError("finite control set needs at least one point")
+        if not np.isfinite(pts).all():
+            raise DomainError("finite control set points must be finite")
 
     @property
     def convex(self):
@@ -275,12 +283,8 @@ class Feedback:
 
 
 # ----------------------------------------------------------------------
-# Scenario: coefficient bundle with derivative fallbacks
+# Scenario: coefficient bundle and its derivative callbacks
 # ----------------------------------------------------------------------
-
-def _fd_step(x):
-    return 1e-5 * (1.0 + np.abs(x))
-
 
 @dataclass
 class Scenario:
@@ -288,16 +292,19 @@ class Scenario:
 
     ``drift`` and ``diffusion`` map (t, x, u) -> (n_paths, n); ``running_cost``
     maps (t, x, u) -> (n_paths,); ``terminal_cost`` maps x -> (n_paths,).
-    Derivative callbacks are optional; missing ones are replaced by central
-    finite differences with step 1e-5 * (1 + |x|).
+    Derivatives come from the callbacks alone: a scenario is built without
+    them (simulation and costs need none), and a solver that needs a
+    missing one raises DomainError naming it.
 
     A derivative callback returns its per-path stack, (P, n, n) for
     ``drift_x``, or one matrix, (n, n), the same on every path; another
     shape raises DimensionError.  ``drift_x`` (or ``diffusion_x``) giving
-    one matrix at every step says a_xx (or b_xx) is 0.  With both, the
-    first adjoint's y folds its driver into coefficients up to the per-path
-    rest -dt g_x and J, K are (N, n, n); otherwise every read of y, and of
-    the second adjoint's P, re-evaluates the per-path driver.
+    one matrix at a call says a_xx (or b_xx) is 0 there, so only a
+    per-path one needs ``drift_xx`` (or ``diffusion_xx``).  With one matrix
+    from both at every step, the first adjoint's y folds its driver into
+    coefficients up to the per-path rest -dt g_x and J, K are (N, n, n);
+    otherwise every read of y, and of the second adjoint's P, re-evaluates
+    the per-path driver.
     """
 
     op: OperatorSpec
@@ -328,20 +335,21 @@ class Scenario:
     def n_modes(self):
         return self.op.n_modes
 
+    def _callback(self, name):
+        """The derivative callback ``name``; DomainError if it is missing."""
+        cb = getattr(self, name)
+        if cb is None:
+            raise DomainError(f"the scenario has no {name} callback")
+        return cb
+
     # -- first derivatives ------------------------------------------------
     def jacobian(self, which, wrt, t, x, u):
         """d which_i / d wrt_j for ``which`` "a"/"b" and ``wrt`` "x"/"u": the
-        callback's one (n, k) matrix as it is, or else per path (P, n, k),
-        by central differences when the callback is missing."""
-        name = "drift" if which == "a" else "diffusion"
-        fn, cb = getattr(self, name), getattr(self, f"{name}_{wrt}")
+        callback's one (n, k) matrix as it is, or else per path (P, n, k)."""
+        name = f"{'drift' if which == 'a' else 'diffusion'}_{wrt}"
         shape = (self.n_modes, self.n_modes if wrt == "x" else self.control_dim)
-        if cb is not None:
-            jac = np.asarray(cb(t, x, u), dtype=float)
-            return jac if jac.shape == shape else _expand(jac, x.shape[0], shape)
-        if wrt == "x":
-            return _fd_jac(lambda xx: fn(t, xx, u), x)
-        return _fd_jac(lambda uu: fn(t, x, uu), u)
+        jac = np.asarray(self._callback(name)(t, x, u), dtype=float)
+        return jac if jac.shape == shape else _expand(jac, x.shape[0], shape)
 
     def vjp(self, which, wrt, t, x, u, k):
         """Per-path k^T d(which)/d(wrt): sum_i k[p, i] jac[p, i, :] for the
@@ -354,45 +362,35 @@ class Scenario:
         return np.einsum("pij,pi->pj", jac, k)
 
     def grad_x_running(self, t, x, u):
-        if self.running_grad_x is not None:
-            return _expand(self.running_grad_x(t, x, u), x.shape[0], (self.n_modes,))
-        return _fd_grad(lambda xx: self.running_cost(t, xx, u), x)
+        return _expand(self._callback("running_grad_x")(t, x, u), x.shape[0], (self.n_modes,))
 
     def grad_u_running(self, t, x, u):
-        if self.running_grad_u is not None:
-            return _expand(self.running_grad_u(t, x, u), x.shape[0], (self.control_dim,))
-        return _fd_grad(lambda uu: self.running_cost(t, x, uu), u)
+        return _expand(self._callback("running_grad_u")(t, x, u), x.shape[0],
+                       (self.control_dim,))
 
     def grad_terminal(self, x):
-        if self.terminal_grad is not None:
-            return _expand(self.terminal_grad(x), x.shape[0], (self.n_modes,))
-        return _fd_grad(self.terminal_cost, x)
+        return _expand(self._callback("terminal_grad")(x), x.shape[0], (self.n_modes,))
 
     # -- second derivatives -----------------------------------------------
     def hess_terminal(self, x):
-        if self.terminal_hess is not None:
-            return _expand(self.terminal_hess(x), x.shape[0], (self.n_modes,) * 2)
-        return _fd_hess(self.terminal_cost, x)
+        return _expand(self._callback("terminal_hess")(x), x.shape[0], (self.n_modes,) * 2)
 
     def hess_x_running(self, t, x, u):
-        if self.running_hess_x is not None:
-            return _expand(self.running_hess_x(t, x, u), x.shape[0], (self.n_modes,) * 2)
-        return _fd_hess(lambda xx: self.running_cost(t, xx, u), x)
+        return _expand(self._callback("running_hess_x")(t, x, u), x.shape[0],
+                       (self.n_modes,) * 2)
 
     def hamiltonian_hess_x(self, t, x, u, k1, k2):
-        """State Hessian of <k1, a> + <k2, b> - g, shape (P, n, n)."""
-        n = self.n_modes
-        p = x.shape[0]
+        """State Hessian of <k1, a> + <k2, b> - g, shape (P, n, n).  A
+        missing ``drift_xx`` is a_xx = 0 where ``drift_x`` returns one
+        matrix at this call (``diffusion_xx`` likewise)."""
+        n, p = self.n_modes, x.shape[0]
         out = -self.hess_x_running(t, x, u)
-        for cb, fn, k in (
-            (self.drift_xx, self.drift, k1),
-            (self.diffusion_xx, self.diffusion, k2),
-        ):
-            if cb is not None:
-                tensor = _expand(cb(t, x, u), p, (n, n, n))
-                out = out + np.einsum("pk,pkij->pij", np.atleast_2d(k), tensor)
-            else:
-                out = out + _fd_hess(lambda xx: np.sum(np.atleast_2d(k) * fn(t, xx, u), axis=-1), x)
+        for name, k in (("drift", k1), ("diffusion", k2)):
+            if getattr(self, f"{name}_xx") is None and np.shape(
+                    self._callback(f"{name}_x")(t, x, u)) == (n, n):
+                continue
+            tensor = _expand(self._callback(f"{name}_xx")(t, x, u), p, (n, n, n))
+            out = out + np.einsum("pk,pkij->pij", np.atleast_2d(k), tensor)
         return out
 
 
@@ -423,45 +421,6 @@ def path_constant_steps(callback, traj, shape):
         if steps[-1].shape != shape:
             return None
     return np.array(steps)
-
-
-def _fd_grad(fn, x):
-    return _fd_jac(lambda xx: fn(xx)[:, None], x)[:, 0]
-
-
-def _fd_jac(fn, x):
-    """Central-difference Jacobian (P, k, d) of a batched fn at x (P, d)."""
-    h = _fd_step(x)
-    cols = []
-    for j, e in enumerate(np.eye(x.shape[1])):
-        step = h[:, j : j + 1]
-        cols.append((fn(x + step * e) - fn(x - step * e)) / (2 * step))
-    return np.stack(cols, axis=-1)
-
-
-def _fd_hess(fn, x):
-    h = _fd_step(x)
-    p, n = x.shape
-    out = np.empty((p, n, n))
-    f0 = fn(x)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = 1.0
-        hi = h[:, i : i + 1]
-        out[:, i, i] = (fn(x + hi * ei) - 2 * f0 + fn(x - hi * ei)) / hi[:, 0] ** 2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = 1.0
-            hj = h[:, j : j + 1]
-            mixed = (
-                fn(x + hi * ei + hj * ej)
-                - fn(x + hi * ei - hj * ej)
-                - fn(x - hi * ei + hj * ej)
-                + fn(x - hi * ei - hj * ej)
-            ) / (4 * hi[:, 0] * hj[:, 0])
-            out[:, i, j] = mixed
-            out[:, j, i] = mixed
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -387,6 +387,8 @@ def _cross_cost_scenario():
         running_grad_x=lambda t, x, u: x + u @ S.T,
         running_grad_u=lambda t, x, u: x @ S + u,
         terminal_grad=lambda x: x,
+        running_hess_x=lambda t, x, u: np.eye(2),
+        terminal_hess=lambda x: np.eye(2),
         drift_x=lambda t, x, u: A,
         diffusion_x=lambda t, x, u: Kx,
         drift_u=lambda t, x, u: B,
@@ -425,3 +427,21 @@ def test_coefficient_y_keeps_the_control_dependent_gradient():
     for j in range(grid.n_steps):
         for a, b in zip(coeff.at(j, with_driver=True), per_path.at(j, with_driver=True)):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+def test_a_missing_second_derivative_of_a_one_matrix_jacobian_is_zero():
+    # the cross-cost scenario is linear with g_xx = I: with a batched b_x
+    # second_order_data takes its per-path branch, where the missing drift_xx
+    # of the one-matrix drift_x means a_xx = 0, so F = -H_xx is I on every
+    # path, bit for bit
+    scenario = _cross_cost_scenario()
+    Kx = scenario.diffusion_x(0.0, None, None)
+    scenario.diffusion_x = lambda t, x, u: np.broadcast_to(Kx, (x.shape[0], 2, 2))
+    scenario.diffusion_xx = lambda t, x, u: np.zeros((2, 2, 2))
+    grid = TimeGrid(0.0, 1.0, 10)
+    ens = sample_brownian(grid, 300, 8)
+    x0 = np.random.default_rng(2).uniform(-1.0, 1.0, (ens.n_paths, 2))
+    traj = simulate_controlled(scenario, x0, Feedback(lambda t, x: np.sin(3.0 * x[:, :1])), ens)
+    J, K, F, _ = second_order_data(scenario, traj, solve_first_adjoint(scenario, traj, ens))
+    assert J.shape == K.shape == F.shape == (ens.n_paths, grid.n_steps, 2, 2)
+    np.testing.assert_array_equal(F, np.broadcast_to(np.eye(2), F.shape))

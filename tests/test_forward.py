@@ -46,10 +46,12 @@ def cost_estimate(scenario, x0, control, ens):
 
 
 def test_timegrid_validation():
-    with pytest.raises(DomainError):
-        TimeGrid(1.0, 1.0, 10)
-    with pytest.raises(DomainError):
-        TimeGrid(0.0, 1.0, 0)
+    # a fractional step count or a horizon that is not finite fails here,
+    # not as a numpy TypeError in sampling or as NaN increments
+    for args in [(1.0, 1.0, 10), (0.0, 1.0, 0), (0.0, 1.0, 2.5), (0.0, np.nan, 10),
+                 (0.0, np.inf, 10), (np.nan, 1.0, 10)]:
+        with pytest.raises(DomainError):
+            TimeGrid(*args)
     g = grid_200()
     assert g.dt == pytest.approx(0.005)
     assert np.all(np.diff(g.times()) > 0)
@@ -417,37 +419,6 @@ def test_cost_constant_running():
     assert est == pytest.approx(1.0, rel=1e-12)
 
 
-def test_derivative_fallbacks_match_analytic():
-    # scenario defined by its base callbacks alone: derivatives come from
-    # central finite differences
-    op = OperatorSpec(2, np.array([-0.5, -1.0]))
-    W = np.array([[0.3, -0.1], [0.2, 0.5]])
-    bare = Scenario(
-        op=op,
-        drift=lambda t, x, u: np.tanh(x) @ W.T + u,
-        diffusion=lambda t, x, u: 0.2 * x,
-        running_cost=lambda t, x, u: np.sum(x**4, axis=-1) + np.sum(u * u, axis=-1),
-        terminal_cost=lambda x: np.sum(x**3, axis=-1),
-        control_dim=2,
-        control_set=Box(lo=[-1.0, -1.0], hi=[1.0, 1.0]),
-    )
-    rng = np.random.default_rng(31)
-    x = rng.standard_normal((20, 2)) * 0.5
-    u = rng.uniform(-0.5, 0.5, (20, 2))
-    jac = bare.jacobian("a", "x", 0.1, x, u)
-    exact = (1.0 - np.tanh(x) ** 2)[:, None, :] * W[None, :, :]
-    np.testing.assert_allclose(jac, exact, atol=1e-7)
-    np.testing.assert_allclose(
-        bare.jacobian("a", "u", 0.1, x, u), np.broadcast_to(np.eye(2), (20, 2, 2)), atol=1e-7
-    )
-    np.testing.assert_allclose(bare.grad_x_running(0.1, x, u), 4 * x**3, atol=1e-6)
-    hess = bare.hess_terminal(x)
-    exact_h = np.zeros((20, 2, 2))
-    exact_h[:, 0, 0] = 6 * x[:, 0]
-    exact_h[:, 1, 1] = 6 * x[:, 1]
-    np.testing.assert_allclose(hess, exact_h, atol=1e-4)
-
-
 @pytest.mark.parametrize("name, shape, read, expected", [
     ("drift_x", (4, 5), lambda s, x, u: s.jacobian("a", "x", 0.1, x, u), "(6, 4, 4)"),
     ("drift_x", (4,), lambda s, x, u: s.jacobian("a", "x", 0.1, x, u), "(6, 4, 4)"),
@@ -491,6 +462,21 @@ def test_control_projection_box_and_grid():
     np.testing.assert_array_equal(fg.projection(np.array([[0.5], [1.6], [-3.0]])), [[0.0], [2.0], [0.0]])
     # tie at 0.5 between 0 and 1: first index wins
     assert fg.projection(np.array([[0.5]]))[0, 0] == 0.0
+
+
+def test_box_rejects_a_nan_bound():
+    # a NaN bound would project every control to NaN, and the run would end
+    # as a divergence at step 1; infinite bounds stay allowed
+    for lo, hi in [([np.nan], [1.0]), ([0.0], [np.nan]), ([0.0, np.nan], [1.0, 1.0])]:
+        with pytest.raises(DomainError, match="invalid box bounds"):
+            Box(lo, hi)
+    np.testing.assert_array_equal(Box([-np.inf], [np.inf]).projection(np.array([[3.0]])), [[3.0]])
+
+
+def test_finite_grid_rejects_a_nan_point():
+    for points in [[[np.nan]], [[0.0, 1.0], [np.nan, 0.0]]]:
+        with pytest.raises(DomainError, match="finite"):
+            FiniteGrid(points)
 
 
 def test_controls_recorded_after_projection():

@@ -29,7 +29,8 @@ from smpkit.maximum_principle import (
     spike_experiment,
     spike_functional,
 )
-from smpkit.scenarios import build_preset, load_preset, make_lq_scalar, riccati_oracle
+from smpkit.scenarios import (build_preset, load_preset, make_heat_scenario, make_lq_scalar,
+                              riccati_oracle)
 
 from helpers import per_path_jacobians, traced_peak
 from optimizer_reference import whole_history_gradient_step
@@ -310,6 +311,29 @@ def test_second_order_data_keeps_a_path_dependent_cost_hessian():
     assert F.shape == F_ref.shape == (2000, 50, 1, 1)
     np.testing.assert_allclose(F, F_ref, rtol=1e-12, atol=0)
     assert np.ptp(F[:, 25]) > 1.0
+
+
+@pytest.mark.parametrize("name, per_path", [
+    ("drift_x", False), ("drift_u", False), ("diffusion_x", False), ("diffusion_u", False),
+    ("running_grad_x", False), ("running_grad_u", False), ("terminal_grad", False),
+    ("running_hess_x", False), ("terminal_hess", False),
+    ("drift_xx", True), ("diffusion_xx", True),
+])
+def test_a_missing_derivative_callback_is_named(name, per_path):
+    # derivatives come from the scenario only: the solver that needs a
+    # missing callback raises a DomainError naming it.  A second derivative
+    # may be left out only where its first derivative is one matrix, so the
+    # per-path Jacobians need drift_xx and diffusion_xx
+    scenario, _ = make_heat_scenario()
+    if per_path:
+        scenario = per_path_jacobians(scenario)
+    scenario = dataclasses.replace(scenario, **{name: None})
+    grid = TimeGrid(0.0, 1.0, 6)
+    ens = sample_brownian(grid, 200, 4)
+    traj = simulate_controlled(scenario, scenario.x0, OpenLoop(np.zeros((6, 2))), ens)
+    with pytest.raises(DomainError, match=f"the scenario has no {name} callback"):
+        pair, _ = solve_adjoints(scenario, traj, ens)
+        control_gradient(scenario, traj, pair)
 
 
 def test_second_adjoint_matches_scalar_closed_form(lq_at_optimum):
