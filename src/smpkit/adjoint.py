@@ -54,6 +54,7 @@ import numpy as np
 
 from .errors import DegenerateBasisError, EnsembleMismatchError
 from .forward import check_step, path_constant_steps
+from .spectral import OperatorSpec
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,6 @@ class StepFeatures:
         self.basis = basis
         self.states = states
         self.ens = ens
-        self.fingerprint = ens.fingerprint
         self.moments = self.cross = self.means = self.solvers = None
         self.recorded = False
         self._last = (None, None)
@@ -168,17 +168,17 @@ class StepFeatures:
 
 @dataclass
 class AdjointPair:
-    """First adjoint pair (y, Y) on the grid, read one step at a time:
-    ``at(j)`` gives (y_j, Y_j) on every path, and ``at(j, with_driver=True)``
-    also the driver f_j of that step, from the same read.  ``y_T`` is the
-    read-only terminal value y(T).  ``features`` is the sweep's
-    :class:`StepFeatures`, which a second-order sweep on the same
-    trajectory takes."""
+    """First adjoint pair (y, Y) of the equation on ``op`` over the ensemble
+    ``ens``, read one step at a time: ``at(j)`` gives (y_j, Y_j) on every
+    path, and ``at(j, with_driver=True)`` also the driver f_j of that step,
+    from the same read.  ``y_T`` is the read-only terminal value y(T).
+    ``features`` is the sweep's :class:`StepFeatures`, which a second-order
+    sweep on the same trajectory takes."""
 
-    grid: object
+    op: OperatorSpec
+    ens: object                        # BrownianEnsemble
     y_T: np.ndarray                    # (n_paths, n)
     read: Callable                     # (j, with_driver) -> (y_j, Y_j[, f_j])
-    fingerprint: Optional[tuple] = None
     features: Optional[StepFeatures] = None
     # the stored coefficients beta_y, beta_mart and beta_mean (None when it
     # is beta_y), (n_steps, n_features, n) and read-only; only the benchmark
@@ -190,7 +190,7 @@ class AdjointPair:
     def at(self, j, with_driver=False):
         """(y_j, Y_j), each (n_paths, n), at a step 0 <= j < n_steps; with
         ``with_driver`` also the driver f_j."""
-        return self.read(check_step(j, self.grid.n_steps - 1), with_driver)
+        return self.read(check_step(j, self.ens.grid.n_steps - 1), with_driver)
 
 
 def check_same_ensemble(*objects):
@@ -366,4 +366,4 @@ def solve_first_adjoint(scenario, trajectory, ens, consume=None):
     stored = [beta.view() for beta in (beta_y, beta_mart, beta_mean)[:2 + folded]]
     for beta in stored:
         beta.flags.writeable = False
-    return AdjointPair(grid, y_T, read, ens.fingerprint, features, *stored)
+    return AdjointPair(op, ens, y_T, read, features, *stored)

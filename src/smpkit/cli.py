@@ -216,17 +216,16 @@ def cmd_solve_adjoint(cfg, scenario, lq, grid, ens):
     return 0, None
 
 
-def _second_order_inputs(cfg, problem, lq, ens, first=None):
-    """Matrix-equation data and the features to regress on: either straight
-    from a matrix preset (the Brownian paths' features) or the linearization
-    along the chosen control and the first adjoint's features.  ``first`` is
-    the (trajectory, first adjoint) along that control when the caller
-    already has them."""
+def _second_adjoint(cfg, problem, lq, ens, first=None):
+    """The solved second adjoint: of a matrix preset's equation on the
+    Brownian paths' features, or of the linearization along the chosen
+    control on the first adjoint's features.  ``first`` is the (trajectory,
+    first adjoint) along that control when the caller already has them."""
     if isinstance(problem, MatrixPreset):
-        return (*problem.second_order_data(), None)
+        return solve_second_adjoint(*problem.second_order_data(), ens)
     traj, pair = first or _first_order(cfg, problem, lq, ens)
-    J, K, F, P_T = second_order_data(problem, traj, pair)
-    return problem.op, J, K, F, P_T, pair.features
+    return solve_second_adjoint(problem.op, *second_order_data(problem, traj, pair), ens,
+                                features=pair.features)
 
 
 def _first_order(cfg, scenario, lq, ens):
@@ -236,10 +235,9 @@ def _first_order(cfg, scenario, lq, ens):
 
 
 def cmd_solve_second_adjoint(cfg, problem, lq, grid, ens):
-    op, J, K, F, P_T, features = _second_order_inputs(cfg, problem, lq, ens)
-    sa = solve_second_adjoint(op, J, K, F, P_T, ens, features=features)
+    sa = _second_adjoint(cfg, problem, lq, ens)
     times = grid.times()
-    n = op.n_modes
+    n = sa.op.n_modes
     header = ["step", "time"] + [f"P_mean_{k+1}" for k in range(n * n)] + ["asymmetry"]
     rows = []
     for j in range(grid.n_steps + 1):
@@ -267,19 +265,16 @@ def cmd_verify_duality(cfg, problem, lq, grid, ens):
         tests = [describe_first_test(problem.op, ens, np.random.default_rng([cfg.seed, 1000 + i]))
                  for i in range(cfg.tuples)]
         record("duality_first", verify_first_identities(
-            first[1], problem.op, tests, ens,
-            bias_budget=problem.c_bias_first * grid.dt, k_sigma=cfg.k_sigma,
+            first[1], tests, bias_budget=problem.c_bias_first * grid.dt, k_sigma=cfg.k_sigma,
         ))
 
     if cfg.order in ("second", "both"):
-        op, J, K, F, P_T, features = _second_order_inputs(cfg, problem, lq, ens, first)
+        sa = _second_adjoint(cfg, problem, lq, ens, first)
         first = None  # past here only the first adjoint's features are read
-        sa = solve_second_adjoint(op, J, K, F, P_T, ens, features=features)
-        tests = [describe_second_test(op, ens, np.random.default_rng([cfg.seed, 2000 + i]))
+        tests = [describe_second_test(sa.op, ens, np.random.default_rng([cfg.seed, 2000 + i]))
                  for i in range(cfg.tuples)]
         record("duality_second", verify_second_identities(
-            sa, op, J, K, F, P_T, tests, ens,
-            bias_budget=problem.c_bias_second * grid.dt, k_sigma=cfg.k_sigma,
+            sa, tests, bias_budget=problem.c_bias_second * grid.dt, k_sigma=cfg.k_sigma,
         ))
 
     if failures:

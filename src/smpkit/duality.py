@@ -1,8 +1,10 @@
 """Monte Carlo verification of the defining duality identities.
 
-A backward pair is accepted as a solution exactly when its pairings against
-freely chosen forward test data balance.  These verifiers evaluate both sides
-of the first-order identity
+A backward pair is accepted as a solution of its equation exactly when its
+pairings against freely chosen forward test data balance.  So a verifier
+takes the solved adjoint, which holds that equation (operator, ensemble and,
+at second order, J, K, F and P_T), and the test tuples only.  The verifiers
+evaluate both sides of the first-order identity
 
     E<z(T), y_T> - E int <z, f> dt
         = E<eta, y(t)> + E int <v1, y> dt + E int <v2, Y> dt
@@ -56,7 +58,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .adjoint import check_same_ensemble
 from .errors import DimensionError
 # iter_linear_test is unused here, but perfbench/tracing.py wraps its lookup
 # in this module, so the name stays importable from it
@@ -67,7 +68,7 @@ from .forward import (  # noqa: F401
     iter_linear_test,
     iter_linearized,
 )
-from .second_order import _shaped, brownian_features, coefficients, solve_second_adjoint
+from .second_order import _shaped, brownian_features, solve_second_adjoint
 
 
 @dataclass
@@ -373,16 +374,16 @@ class _Tuples:
         return out
 
 
-def verify_first_identities(pair, op, tests, ens, bias_budget=0.0, k_sigma=3.0):
-    """Evaluate both sides of the first-order identity for every test tuple in
-    one backward pass; one report per tuple, in order.
+def verify_first_identities(pair, tests, bias_budget=0.0, k_sigma=3.0):
+    """Evaluate both sides of the first-order identity of ``pair``'s own
+    equation, on its operator and ensemble, for every test tuple in one
+    backward pass; one report per tuple, in order.
 
     A tuple is a ``TupleSpec`` of (t_index, eta, v1, v2): eta a
     ``StartSpec``, v1 and v2 a ``ForcingSpec`` or None.  The lhs is taken by
     summation by parts against b_j (see the module docstring), so no test
     state is simulated."""
-    check_same_ensemble(pair, ens)
-    tuples = _Tuples(tests, 1, 2, op, ens)
+    tuples = _Tuples(tests, 1, 2, pair.op, pair.ens)
     N, dt = tuples.N, tuples.dt
     lhs, rhs = tuples.zeros(), tuples.zeros()
     b = y_j = pair.y_T
@@ -413,10 +414,10 @@ def verify_first_identities(pair, op, tests, ens, bias_budget=0.0, k_sigma=3.0):
     return tuples.reports("first", lhs, rhs, bias_budget, k_sigma)
 
 
-def verify_first_identity(pair, op, test, ens, bias_budget=0.0, k_sigma=3.0):
+def verify_first_identity(pair, test, bias_budget=0.0, k_sigma=3.0):
     """Evaluate both sides of the first-order identity for one ``TupleSpec``
     (t_index, eta, v1, v2); see :func:`verify_first_identities`."""
-    return verify_first_identities(pair, op, [test], ens, bias_budget, k_sigma)[0]
+    return verify_first_identities(pair, [test], bias_budget, k_sigma)[0]
 
 
 def _step_states(xa, out, SG, SK, u, v, dt, dw, decay):
@@ -450,23 +451,19 @@ def _step_states(xa, out, SG, SK, u, v, dt, dw, decay):
     return out
 
 
-def verify_second_identities(sa, op, J, K, F, P_T, tests, ens, bias_budget=0.0,
-                             k_sigma=3.0):
-    """Evaluate both sides of the second-order identity for every test tuple
-    in one stacked pass; one report per tuple, in order.
+def verify_second_identities(sa, tests, bias_budget=0.0, k_sigma=3.0):
+    """Evaluate both sides of the second-order identity of ``sa``'s own
+    equation, the operator, ensemble and data J, K, F and P_T it was solved
+    from, for every test tuple in one stacked pass; one report per tuple, in
+    order.  A non-finite entry is reported where it reaches the test states.
 
     A tuple is a ``TupleSpec`` of (t_index, xi1, xi2, u1, u2, v1, v2), with
-    starts and forcings as :func:`verify_first_identities` takes them.  J, K,
-    F may be None, (n, n), (N, n, n) or per path (n_paths, N, n, n); P_T
-    (n, n) or per path.
+    starts and forcings as :func:`verify_first_identities` takes them.
     The pairings are grouped by what the forcings meet: <x2, P u1 + (Q +
     K*P) v1> + <P* u2 + (P K + Q)* v2, x1> + <v2, P v1>, each matrix times
     a forcing profile being one product on P_j or Q_j with paths innermost."""
-    check_same_ensemble(sa, ens)
-    tuples = _Tuples(tests, 2, 4, op, ens)
+    tuples = _Tuples(tests, 2, 4, sa.op, sa.ens)
     N, dt, n, P = tuples.N, tuples.dt, tuples.n, tuples.P
-    # a non-finite entry is reported where it reaches the test states
-    J, K, F, P_T = coefficients(J, K, F, P_T, n, N, P, finite=False)
     decay = tuples.decay
 
     lhs, rhs = tuples.zeros(), tuples.zeros()
@@ -483,10 +480,10 @@ def verify_second_identities(sa, op, J, K, F, P_T, tests, ens, bias_budget=0.0,
         if new:
             rhs[new.start:new.stop] += _dot(a2[new.start:], _apply(P_j, a1[new.start:]))
         if j == N:
-            lhs[:m] += _dot(a2, _apply(P_T, a1))
+            lhs[:m] += _dot(a2, _apply(sa.P_T, a1))
             break
         u1, u2, v1, v2 = tuples.forcings_at(j, m)
-        Jj, Kj, Fj = (_coeff_step(c, j) for c in (J, K, F))
+        Jj, Kj, Fj = (_coeff_step(c, j) for c in (sa.J, sa.K, sa.F))
         if Fj is not None:
             lhs[:m] -= dt * _dot(a2, _apply(Fj, a1))
 
@@ -524,12 +521,10 @@ def verify_second_identities(sa, op, J, K, F, P_T, tests, ens, bias_budget=0.0,
     return tuples.reports("second", lhs, rhs, bias_budget, k_sigma)
 
 
-def verify_second_identity(sa, op, J, K, F, P_T, test, ens, bias_budget=0.0,
-                           k_sigma=3.0):
+def verify_second_identity(sa, test, bias_budget=0.0, k_sigma=3.0):
     """Evaluate both sides of the second-order identity for one ``TupleSpec``
     (t_index, xi1, xi2, u1, u2, v1, v2); see :func:`verify_second_identities`."""
-    return verify_second_identities(sa, op, J, K, F, P_T, [test], ens,
-                                    bias_budget, k_sigma)[0]
+    return verify_second_identities(sa, [test], bias_budget, k_sigma)[0]
 
 
 @dataclass
@@ -541,34 +536,31 @@ class ProbeReport:
 
 def lipschitz_probe(op, J, K_base, K_perturbed, F, P_T, probes, ens):
     """Stability of the martingale-component functional under a coefficient
-    change K -> K_perturbed of size delta = ||K - K_perturbed||.
+    change K -> K_perturbed (None is K = 0) of size delta = ||K -
+    K_perturbed||, the largest spectral norm over steps and paths.
 
     Both systems are solved on the identical ensemble (common random
-    numbers).  Each probe forcing v drives the homogeneous test dynamics
-    (xi = 0, u = 0) under the matching coefficient, and the discrepancy is
-    the L2(dt x paths) norm of Q(s) x^v(s) between the two solves.
+    numbers).  Each probe forcing v, (n,), (N, n) or (n_paths, N, n), drives
+    the homogeneous test dynamics (xi = 0, u = 0) under the matching solve's
+    J and K, and the discrepancy is the L2(dt x paths) norm of Q(s) x^v(s)
+    between the two solves.
     """
-    K_base = None if K_base is None else np.asarray(K_base, dtype=float)
-    K_perturbed = np.asarray(K_perturbed, dtype=float)
-    n = op.n_modes
-    base_mat = np.zeros((n, n)) if K_base is None else K_base
-    delta = float(np.linalg.norm(base_mat - K_perturbed, 2)) if K_perturbed.ndim == 2 else float(
-        np.max(np.linalg.norm(base_mat - K_perturbed, 2, axis=(-2, -1)))
-    )
     grid = ens.grid
-    N, dt = grid.n_steps, grid.dt
+    N, dt, n = grid.n_steps, grid.dt, op.n_modes
+    probes = [_shaped(v, ((n,), (N, n), (ens.n_paths, N, n)), "a probe") for v in probes]
     # one moment record: the second solve reuses the first one's
     features = brownian_features(ens)
     sa_base = solve_second_adjoint(op, J, K_base, F, P_T, ens, features=features)
     sa_pert = solve_second_adjoint(op, J, K_perturbed, F, P_T, ens, features=features)
+    base, pert = (np.zeros((n, n)) if sa.K is None else sa.K for sa in (sa_base, sa_pert))
+    delta = float(np.max(np.linalg.norm(base - pert, 2, axis=(-2, -1))))
 
     discrepancies = []
     zero = np.zeros(n)
     for v in probes:
-        v = np.asarray(v, dtype=float)
         acc = 0.0
-        it_b = iter_linearized(op, J, K_base, 0, zero, None, v, ens)
-        it_p = iter_linearized(op, J, K_perturbed, 0, zero, None, v, ens)
+        it_b = iter_linearized(op, sa_base.J, sa_base.K, 0, zero, None, v, ens)
+        it_p = iter_linearized(op, sa_pert.J, sa_pert.K, 0, zero, None, v, ens)
         for (j, xb), (_, xp) in zip(it_b, it_p):
             if j == N:
                 break

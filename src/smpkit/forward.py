@@ -47,12 +47,7 @@ class TimeGrid:
             raise DomainError(f"t0 and T must be finite (got {self.t0!r}, {self.T!r})")
         if self.T <= self.t0:
             raise DomainError("T must exceed t0")
-        try:
-            n_steps = operator.index(self.n_steps)
-        except TypeError:
-            raise DomainError(f"n_steps {self.n_steps!r} is not an integer") from None
-        if n_steps < 1:
-            raise DomainError("n_steps must be >= 1")
+        check_integer(self.n_steps, 1, f"n_steps must be an integer >= 1 (got {self.n_steps!r})")
 
     @property
     def dt(self):
@@ -62,13 +57,22 @@ class TimeGrid:
         return self.t0 + self.dt * np.arange(self.n_steps + 1)
 
 
+def check_integer(value, least, message):
+    """``value`` as an int of at least ``least``, the one integer rule of the
+    package: ``operator.index`` takes it (so 2.5 and "3" are refused) and it
+    is not a bool.  DomainError(``message``) otherwise."""
+    try:
+        if not isinstance(value, bool) and operator.index(value) >= least:
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise DomainError(message)
+
+
 def check_step(j, last, what="step"):
     """``j`` as an int in 0..``last``; DomainError naming ``what`` for anything
     else, a float such as 2.5 included."""
-    try:
-        j = operator.index(j)
-    except TypeError:
-        raise DomainError(f"{what} {j!r} is not an integer step") from None
+    j = check_integer(j, -np.inf, f"{what} {j!r} is not an integer step")
     if not 0 <= j <= last:
         raise DomainError(f"{what} {j} is outside 0..{last}")
     return j
@@ -155,11 +159,9 @@ def sample_brownian(grid, n_paths, seed):
     ``SeedSequence(seed).spawn(n_paths)[i]`` would seed it, with the child
     words of every path computed at once by :func:`child_states` instead of
     building the children."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DomainError(f"seed must be a nonnegative integer (got {seed!r})")
-    if n_paths < 1:
-        raise DomainError("n_paths must be >= 1")
-    words = child_states(int(seed), n_paths)
+    seed = check_integer(seed, 0, f"seed must be a nonnegative integer (got {seed!r})")
+    n_paths = check_integer(n_paths, 1, f"n_paths must be an integer >= 1 (got {n_paths!r})")
+    words = child_states(seed, n_paths)
     incr = step_major((n_paths, grid.n_steps))
     block = np.empty((min(n_paths, SAMPLE_BLOCK), grid.n_steps))
     scale = np.sqrt(grid.dt)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .adjoint import check_same_ensemble, solve_first_adjoint
 from .errors import DomainError, StepRuleError, WrongTheoremError
-from .forward import (Feedback, OpenLoop, _Projected, check_step, cost_paths,
+from .forward import (Feedback, OpenLoop, _Projected, check_integer, check_step, cost_paths,
                       path_constant_steps, simulate_controlled, step_major)
 from .second_order import solve_second_adjoint
 
@@ -196,7 +196,7 @@ def check_condition(scenario, traj, pair, sa, u_grid, t_grid, bias_budget=0.0,
     t_grid = np.array([check_step(j, last, "time index") for j in t_grid], dtype=int)
     if t_grid.size == 0:
         raise DomainError("empty time grid makes the condition vacuous")
-    check_same_ensemble(traj, pair, sa)
+    check_same_ensemble(traj, pair.ens, sa.ens)
     times = traj.grid.times()
     P = traj.n_paths
     values = np.empty((len(t_grid), len(u_grid)))
@@ -256,8 +256,9 @@ def projected_gradient(scenario, x0, control, ens, step_rule=0.8, max_iters=200)
     The update uses the regression-fitted adjoint values, so the control at
     step j is a measurable function of that path's state there, and the
     iteration is a deterministic map for a frozen ensemble.  ``step_rule``
-    is the fixed step.  Stops when the update norm falls under ``TOL_STEP``
-    or after ``max_iters`` iterations.
+    is the fixed step, finite and nonnegative (0 leaves the control as it
+    is).  Stops when the update norm falls under ``TOL_STEP`` or after
+    ``max_iters`` iterations.
     Persistent cost increase (more than 10 stderr for 5 straight iterations)
     raises a step-rule error.  ``control`` is an ``OpenLoop`` or its values,
     (n_steps, m) or (n_paths, n_steps, m); a ``Feedback`` is rejected, since
@@ -274,8 +275,10 @@ def projected_gradient(scenario, x0, control, ens, step_rule=0.8, max_iters=200)
     """
     if not scenario.control_set.convex:
         raise WrongTheoremError("projected gradient needs a convex control set")
-    if max_iters < 0:
-        raise DomainError(f"max_iters must be nonnegative (got {max_iters})")
+    max_iters = check_integer(max_iters, 0,
+                              f"max_iters must be a nonnegative integer (got {max_iters!r})")
+    if not (np.isfinite(step_rule) and step_rule >= 0):
+        raise DomainError(f"step_rule must be finite and nonnegative (got {step_rule!r})")
     if isinstance(control, Feedback):
         raise DomainError(
             "projected gradient needs open-loop control values, not a Feedback"

@@ -182,12 +182,15 @@ def dp_oracle_scalar(scenario, x_lattice, u_grid, grid):
     x -> exp(mu dt) (x + a dt + b dw) with mu the generator's eigenvalue;
     the Gaussian expectation uses 7-point Gauss-Hermite quadrature; values
     between lattice nodes are linearly interpolated.  Raises when more than
-    1% of the transition mass escapes the lattice from its core region.
+    1% of the transition mass escapes the lattice from its core region, and
+    DomainError for a control grid ``u_grid`` not 1-D, nonempty and finite.
     """
     if scenario.n_modes != 1:
         raise DomainError("dp oracle handles scalar scenarios only")
     x_lattice = check_lattice(x_lattice)
     u_grid = np.asarray(u_grid, dtype=float)
+    if u_grid.ndim != 1 or u_grid.size == 0 or not np.isfinite(u_grid).all():
+        raise DomainError(f"the control grid of shape {u_grid.shape} is not 1-D, nonempty, finite")
     L, U = x_lattice.size, u_grid.size
     dt = grid.dt
     times = grid.times()

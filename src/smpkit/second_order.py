@@ -31,7 +31,7 @@ beta_Q[j] give both halves and the rest.
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -71,12 +71,11 @@ def _shaped(arr, shapes, what):
     return arr
 
 
-def coefficients(J, K, F, P_T, n, N, n_paths=None, finite=True):
+def coefficients(J, K, F, P_T, n, N, n_paths=None):
     """J, K, F and P_T of the matrix equation as float arrays.  J, K and F may
     be None, (n, n), time-indexed (N, n, n) or, given ``n_paths``, per path
     (n_paths, N, n, n); P_T (n, n) or, given ``n_paths``, per path.  Another
-    shape raises DimensionError and, if ``finite``, a NaN or infinite entry
-    DomainError."""
+    shape raises DimensionError and a NaN or infinite entry DomainError."""
     steps, ends = ((n, n), (N, n, n)), ((n, n),)
     if n_paths is not None:
         steps, ends = steps + ((n_paths, N, n, n),), ends + ((n_paths, n, n),)
@@ -84,7 +83,7 @@ def coefficients(J, K, F, P_T, n, N, n_paths=None, finite=True):
            for c, name in ((J, "J"), (K, "K"), (F, "F"))] + [_shaped(P_T, ends, "P_T")]
     for c, name in zip(out, ("J", "K", "F", "P_T")):
         # two reductions and no temporary: a NaN makes both NaN
-        if finite and c is not None and not (np.isfinite(c.max()) and np.isfinite(c.min())):
+        if c is not None and not (np.isfinite(c.max()) and np.isfinite(c.min())):
             raise DomainError(f"{name} has a NaN or infinite entry")
     return out
 
@@ -104,29 +103,36 @@ def _driver(J, K, F, P, Q):
 
 @dataclass
 class SecondOrderAdjoint:
-    """Pair (P, Q) of matrix processes, per path, kept as per-step regression
-    coefficients on ``features``: P_j = X_j beta_P[j] + rest_j and Q_j = X_j
-    beta_Q[j], with ``rest`` None when the coefficients J, K, F are the same
-    on every path.
+    """Pair (P, Q) of matrix processes solving the equation with data ``J``,
+    ``K``, ``F`` and ``P_T`` on ``ens``, as :func:`coefficients` checked
+    them (P_T (n, n) or per path), kept as per-step regression coefficients
+    on ``features``: P_j = X_j beta_P[j] + rest_j and Q_j = X_j beta_Q[j],
+    with a per-path rest only when J, K or F is path-indexed
+    (``per_path``).
 
     ``at(j)`` reads (P_j, Q_j), each (n_paths, n, n), from the two products
-    X_j beta_P[j] and X_j beta_Q[j]; ``rest(j, fit_P, Q_j)`` forms the
-    per-path rest from those same products.  ``P_paths(j)``/``Q_paths(j)``
-    are the halves of that read, and ``P_paths(n_steps)`` is the terminal
-    slice, stored exactly per path.
+    X_j beta_P[j] and X_j beta_Q[j], and forms the rest from those same
+    products.  ``P_paths(j)``/``Q_paths(j)`` are the halves of that read,
+    and ``P_paths(n_steps)`` is the terminal slice, stored exactly per path.
     """
 
-    grid: object
     op: OperatorSpec
-    features: Optional[StepFeatures] = None       # regressor features per step
-    beta_P: Optional[np.ndarray] = None           # (N, F, n^2)
-    beta_Q: Optional[np.ndarray] = None           # (N, F, n^2)
-    P_terminal: Optional[np.ndarray] = None       # (P, n, n)
-    rest: Optional[Callable] = None               # (j, fit_P, Q_j) -> the per-path part of P_j
-    fingerprint: Optional[tuple] = None
+    ens: object                # BrownianEnsemble
+    J: Optional[np.ndarray]
+    K: Optional[np.ndarray]
+    F: Optional[np.ndarray]
+    P_T: np.ndarray
+    features: StepFeatures     # regressor features per step
+    beta_P: np.ndarray         # (N, F, n^2)
+    beta_Q: np.ndarray         # (N, F, n^2)
+    P_terminal: np.ndarray     # (P, n, n)
     symmetry_drift: float = 0.0
     # no per-path history; kept as None for perfbench/tracing.py::_observe
     dense_P = dense_Q = None
+
+    @property
+    def per_path(self):
+        return any(c is not None and c.ndim == 4 for c in (self.J, self.K, self.F))
 
     def _fitted(self, j):
         """X_j beta_P[j] and X_j beta_Q[j] per path, (n_paths, n, n) each, as
@@ -135,20 +141,26 @@ class SecondOrderAdjoint:
         rows, n = self.features.at(j).T, self.op.n_modes
         return tuple((beta[j].T @ rows).reshape(n, n, -1).T for beta in (self.beta_P, self.beta_Q))
 
+    def _rest(self, j, fit_P, Q_j):
+        """P_j's per-path part: -dt times the driver on the fitted X_j
+        beta_P[j] and Q_j."""
+        steps = (at_step(c, j, 2) for c in (self.J, self.K, self.F))
+        return -self.ens.grid.dt * _driver(*steps, fit_P, Q_j)
+
     def at(self, j):
         """(P_j, Q_j), each (n_paths, n, n), at a step 0 <= j < n_steps."""
-        j = check_step(j, self.grid.n_steps - 1)
+        j = check_step(j, self.ens.grid.n_steps - 1)
         P_j, Q_j = self._fitted(j)
-        return (P_j if self.rest is None else P_j + self.rest(j, P_j, Q_j)), Q_j
+        return (P_j + self._rest(j, P_j, Q_j) if self.per_path else P_j), Q_j
 
     def P_paths(self, j):
-        return self.P_terminal if j == self.grid.n_steps else self.at(j)[0]
+        return self.P_terminal if j == self.ens.grid.n_steps else self.at(j)[0]
 
     def Q_paths(self, j):
         return self.at(j)[1]
 
     def P_mean(self, j):
-        if self.rest is None and j < self.grid.n_steps:
+        if not self.per_path and j < self.ens.grid.n_steps:
             # P is affine in the features, so its mean is mean(X) @ beta_P[j]
             return vec_to_mat(self.features.means[j] @ self.beta_P[j], self.op.n_modes)
         return self.P_paths(j).mean(axis=0)
@@ -165,7 +177,8 @@ def solve_second_adjoint(op, J, K, F, P_T, ens, features=None):
 
     J, K, F may be None, constant (n, n), time-indexed (N, n, n), or
     path-indexed (P, N, n, n); P_T may be (n, n) or per path (P, n, n).
-    Other shapes and non-finite entries are rejected.
+    Other shapes and non-finite entries are rejected.  The result keeps the
+    checked data, the equation its identities are verified against.
     ``features`` is the :class:`smpkit.adjoint.StepFeatures` to regress on,
     such as the first adjoint's ``pair.features``, whose recorded moments
     the sweep reuses; by default :func:`brownian_features` of ``ens``.
@@ -175,43 +188,33 @@ def solve_second_adjoint(op, J, K, F, P_T, ens, features=None):
     dt = grid.dt
     if features is None:
         features = brownian_features(ens)
-    check_same_ensemble(features, ens)
+    check_same_ensemble(features.ens, ens)
     if features.states.shape[:2] != (P, N + 1):
         raise DimensionError("features must cover every path and step")
 
     J, K, F, P_T = coefficients(J, K, F, P_T, n, N, P)
-    if P_T.ndim == 2:
-        P_T = np.broadcast_to(P_T, (P, n, n))
-    per_path = any(c is not None and c.ndim == 4 for c in (J, K, F))
+    P_T_paths = np.broadcast_to(P_T, (P, n, n))
     # F is checked step by step in the update, never copied whole
-    sym_data = max_asymmetry(P_T) <= 1e-12
+    sym_data = max_asymmetry(P_T_paths) <= 1e-12
     drift_sym = 0.0
 
     # mat_to_vec(P_T) as an owned copy; the stored terminal slice is a
     # column-major view of it, so the terminal target costs no second copy
-    P_T_vec = np.copy(np.swapaxes(P_T, -1, -2)).reshape(P, n * n)
+    P_T_vec = np.copy(np.swapaxes(P_T_paths, -1, -2)).reshape(P, n * n)
     P_T_vec.flags.writeable = False  # P_paths(N) hands out views of it
     beta_P = np.empty((N, features.n_features, n * n))
     beta_Q = np.empty_like(beta_P)
-
-    def rest_at(j, fit_P, Q_j):
-        # -dt times the per-path driver on the fitted X beta_P[j] and Q_j
-        return -dt * _driver(*(at_step(c, j, 2) for c in (J, K, F)), fit_P, Q_j)
-
-    result = SecondOrderAdjoint(
-        grid=grid, op=op, features=features, beta_P=beta_P, beta_Q=beta_Q,
-        P_terminal=vec_to_mat(P_T_vec, n), rest=rest_at if per_path else None,
-        fingerprint=ens.fingerprint,
-    )
+    result = SecondOrderAdjoint(op, ens, J, K, F, P_T, features, beta_P, beta_Q,
+                                vec_to_mat(P_T_vec, n))
 
     def update(j, beta_tilde, beta_q):
         nonlocal drift_sym, sym_data
         Jj, Kj, Fj = (at_step(c, j, 2) for c in (J, K, F))
         sym_data = sym_data and (Fj is None or max_asymmetry(Fj) <= 1e-12)
-        if per_path:
+        if result.per_path:
             # beta_P[j] is the mean fit and P_j adds the per-path rest
             beta_P[j], beta_Q[j] = beta_tilde, beta_q
-            p_next = FeatureAffine(beta_P[j], mat_to_vec(rest_at(j, *result._fitted(j))))
+            p_next = FeatureAffine(beta_P[j], mat_to_vec(result._rest(j, *result._fitted(j))))
         else:
             # the driver is feature-affine, so the update is done once in
             # coefficient space and the next target is X @ beta_P[j]
@@ -227,7 +230,7 @@ def solve_second_adjoint(op, J, K, F, P_T, ens, features=None):
             # X @ beta_P[j] is affine in the features, so its path mean is
             # mean(X) @ beta_P[j]
             p_mean = features.means[j] @ beta_P[j]
-            if per_path:
+            if p_next.rest is not None:
                 p_mean = p_mean + p_next.rest.mean(axis=0)
             drift_sym = max(drift_sym, max_asymmetry(vec_to_mat(p_mean, n)))
         return p_next

@@ -63,17 +63,18 @@ def dense_first_adjoint(scenario, traj, ens, basis=None):
     return y, Y, driver
 
 
-def dense_pair(grid, y, Y, driver, fingerprint=None):
-    """An ``AdjointPair`` over dense y (P, N+1, n), Y and driver (P, N, n):
-    ``at(j)`` hands out their step slices, and ``y_T`` is ``y[:, N]``."""
+def dense_pair(op, ens, y, Y, driver):
+    """An ``AdjointPair`` on ``op`` and ``ens`` over dense y (P, N+1, n), Y
+    and driver (P, N, n): ``at(j)`` hands out their step slices, and ``y_T``
+    is ``y[:, N]``."""
     def read(j, with_driver):
         out = (y[:, j], Y[:, j])
         return out + (driver[:, j],) if with_driver else out
 
-    return AdjointPair(grid, y[:, grid.n_steps], read, fingerprint)
+    return AdjointPair(op, ens, y[:, ens.grid.n_steps], read)
 
 
 def y_at(pair, j):
     """y_j at any grid step 0 <= j <= N: the terminal value at N, else the
     y half of ``pair.at(j)``."""
-    return pair.y_T if j == pair.grid.n_steps else pair.at(j)[0]
+    return pair.y_T if j == pair.ens.grid.n_steps else pair.at(j)[0]

@@ -67,7 +67,7 @@ def loop_first_identity(pair, op, test, ens, bias_budget=0.0, k_sigma=3.0):
     """Evaluate both sides of the first-order identity for one test tuple
     (t_index, eta, v1, v2); v1/v2 are (N, n) or (n_paths, N, n) arrays.
     The pair is read one step at a time, with its driver."""
-    check_same_ensemble(pair, ens)
+    check_same_ensemble(pair.ens, ens)
     t_index, eta, v1, v2 = test
     grid = ens.grid
     N, dt, P = grid.n_steps, grid.dt, ens.n_paths
@@ -108,7 +108,7 @@ def loop_second_identity(sa, op, J, K, F, P_T, test, ens, bias_budget=0.0,
                            k_sigma=3.0):
     """Evaluate both sides of the second-order identity for one test tuple
     (t_index, xi1, xi2, u1, u2, v1, v2)."""
-    check_same_ensemble(sa, ens)
+    check_same_ensemble(sa.ens, ens)
     t_index, xi1, xi2, u1, u2, v1, v2 = test
     grid = ens.grid
     N, dt, P = grid.n_steps, grid.dt, ens.n_paths

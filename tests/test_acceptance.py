@@ -58,10 +58,7 @@ def _first_identity_level(scenario, n_steps, n_paths, tuples, seed=101, tuple_se
     pair = solve_first_adjoint(scenario, traj, ens)
     rng = np.random.default_rng(tuple_seed)
     tests = [make_test(scenario.op, ens, rng) for _ in range(tuples)]
-    reports = verify_first_identities(
-        pair, scenario.op, tests, ens,
-        bias_budget=scenario.c_bias_first * grid.dt,
-    )
+    reports = verify_first_identities(pair, tests, bias_budget=scenario.c_bias_first * grid.dt)
     del traj, pair, ens
     gc.collect()
     return reports
@@ -116,9 +113,7 @@ def _second_identity_case(op, J, K, F, P_T, scenario, n_steps, n_paths,
     sa = solve_second_adjoint(op, J, K, F, P_T, ens, features=features)
     rng = np.random.default_rng(tuple_seed)
     tests = [describe_second_test(op, ens, rng) for _ in range(tuples)]
-    reports = verify_second_identities(
-        sa, op, J, K, F, P_T, tests, ens, bias_budget=c_bias * grid.dt
-    )
+    reports = verify_second_identities(sa, tests, bias_budget=c_bias * grid.dt)
     return reports, (op, J, K, F, P_T, sa, ens, grid)
 
 
@@ -173,8 +168,7 @@ def test_criterion_2_second_order_duality():
         xi1 = rng.standard_normal(4)
         xi2 = rng.standard_normal(4)
         test = fixed_tuple(t_index, (xi1, xi2), (None,) * 4)
-        rep = verify_second_identity(sa, op, J, K, F, P_T, test, ens,
-                                     bias_budget=heat.c_bias_second * grid.dt)
+        rep = verify_second_identity(sa, test, bias_budget=heat.c_bias_second * grid.dt)
         gap = abs(rep.rhs - xi1 @ oracle[t_index] @ xi2)
         reduction_ok &= rep.passed and gap <= 3 * rep.stderr + heat.c_bias_second * grid.dt
     ok &= pass4 and reduction_ok

@@ -31,7 +31,6 @@ from smpkit.duality import (
 from smpkit.errors import (
     DimensionError,
     DomainError,
-    EnsembleMismatchError,
     SimulationDivergedError,
 )
 from smpkit.forward import Box, OpenLoop, Scenario, TimeGrid, sample_brownian, simulate_controlled
@@ -41,19 +40,19 @@ from smpkit.second_order import lyapunov_oracle, solve_second_adjoint
 from smpkit.spectral import OperatorSpec, make_dirichlet_laplacian
 
 
-def _zero_pair(grid, n, n_paths, fingerprint, driver=None):
-    shape_Y = (n_paths, grid.n_steps, n)
+def _zero_pair(op, ens, driver=None):
+    shape_Y = (ens.n_paths, ens.grid.n_steps, op.n_modes)
     driver = np.zeros(shape_Y) if driver is None else driver
-    return dense_pair(grid, np.zeros((n_paths, grid.n_steps + 1, n)), np.zeros(shape_Y), driver,
-                      fingerprint)
+    y = np.zeros((ens.n_paths, ens.grid.n_steps + 1, op.n_modes))
+    return dense_pair(op, ens, y, np.zeros(shape_Y), driver)
 
 
 def test_first_identity_zero_data_exact():
     op = make_dirichlet_laplacian(2, 1.0)
     grid = TimeGrid(0.0, 1.0, 20)
     ens = sample_brownian(grid, 100, 1)
-    pair = _zero_pair(grid, 2, 100, ens.fingerprint)
-    report = verify_first_identity(pair, op, fixed_tuple(0, (np.zeros(2),), (None, None)), ens)
+    pair = _zero_pair(op, ens)
+    report = verify_first_identity(pair, fixed_tuple(0, (np.zeros(2),), (None, None)))
     assert report.lhs == 0.0 and report.rhs == 0.0 and report.residual == 0.0
     assert report.passed
 
@@ -70,8 +69,7 @@ def test_first_identity_deterministic_oracle_case():
     rng = np.random.default_rng(0)
     for _ in range(5):
         test = describe_first_test(op, ens, rng)
-        report = verify_first_identity(pair, op, test, ens,
-                                       bias_budget=0.5 * grid.dt)
+        report = verify_first_identity(pair, test, bias_budget=0.5 * grid.dt)
         assert report.passed, f"residual {report.residual} tol {report.tolerance}"
 
 
@@ -90,7 +88,7 @@ def test_first_identity_localizes_y():
     probe = np.array([1.0])
     v1 = np.zeros((50, 1))
     v1[j_star] = probe
-    report = verify_first_identity(pair, op, fixed_tuple(0, (np.zeros(1),), (v1, None)), ens,
+    report = verify_first_identity(pair, fixed_tuple(0, (np.zeros(1),), (v1, None)),
                                    bias_budget=1e-9)
     recovered = report.lhs / grid.dt
     # the isolated value is the regressed conditional mean at j_star
@@ -114,20 +112,10 @@ def test_first_identity_bilinear_in_test_data():
         test,
         starts=tuple(StartSpec(2 * s.c0, 2 * s.c1) for s in test.starts),
         forcings=tuple(dataclasses.replace(f, profile=2 * f.profile) for f in test.forcings))
-    base = verify_first_identity(pair, op, test, ens)
-    twice = verify_first_identity(pair, op, doubled, ens)
+    base = verify_first_identity(pair, test)
+    twice = verify_first_identity(pair, doubled)
     assert twice.lhs == pytest.approx(2 * base.lhs, rel=1e-13)
     assert twice.rhs == pytest.approx(2 * base.rhs, rel=1e-13)
-
-
-def test_first_identity_requires_same_ensemble():
-    op = OperatorSpec(1, np.array([0.0]))
-    grid = TimeGrid(0.0, 1.0, 10)
-    ens_a = sample_brownian(grid, 50, 1)
-    ens_b = sample_brownian(grid, 50, 2)
-    pair = _zero_pair(grid, 1, 50, ens_a.fingerprint)
-    with pytest.raises(EnsembleMismatchError):
-        verify_first_identity(pair, op, fixed_tuple(0, (np.zeros(1),), (None, None)), ens_b)
 
 
 def test_first_identity_leaves_single_path_pair_unchanged():
@@ -139,12 +127,11 @@ def test_first_identity_leaves_single_path_pair_unchanged():
     rng = np.random.default_rng(2)
     y = rng.normal(size=(1, 11, 2))
     y_before = y.copy()
-    pair = dense_pair(grid, y, rng.normal(size=(1, 10, 2)), rng.normal(size=(1, 10, 2)),
-                      ens.fingerprint)
+    pair = dense_pair(op, ens, y, rng.normal(size=(1, 10, 2)), rng.normal(size=(1, 10, 2)))
     test = describe_first_test(op, ens, np.random.default_rng(3))
-    first = verify_first_identity(pair, op, test, ens)
+    first = verify_first_identity(pair, test)
     np.testing.assert_array_equal(y, y_before)
-    second = verify_first_identity(pair, op, test, ens)
+    second = verify_first_identity(pair, test)
     assert (second.lhs, second.rhs) == (first.lhs, first.rhs)
 
 
@@ -158,7 +145,7 @@ def test_second_identity_zero_data_exact():
     ens = sample_brownian(grid, 100, 2)
     sa = solve_second_adjoint(op, None, None, None, np.zeros((1, 1)), ens)
     test = fixed_tuple(0, (np.zeros(1), np.zeros(1)), (None,) * 4)
-    report = verify_second_identity(sa, op, None, None, None, np.zeros((1, 1)), test, ens)
+    report = verify_second_identity(sa, test)
     assert report.lhs == 0.0 and report.rhs == 0.0 and report.passed
 
 
@@ -177,8 +164,7 @@ def test_second_identity_state_only_reduction_matches_oracle():
         xi1 = rng.standard_normal(2)
         xi2 = rng.standard_normal(2)
         test = fixed_tuple(t_index, (xi1, xi2), (None,) * 4)
-        report = verify_second_identity(sa, op, J, K, F, P_T, test, ens,
-                                        bias_budget=0.5 * grid.dt)
+        report = verify_second_identity(sa, test, bias_budget=0.5 * grid.dt)
         assert report.passed
         # and the P(t) pairing itself agrees with the deterministic sweep
         oracle_pairing = xi1 @ oracle[t_index] @ xi2
@@ -203,7 +189,7 @@ def test_second_identity_full_refinement_monotone():
         worst = 0.0
         for _ in range(3):
             test = describe_second_test(op, ens, rng)
-            report = verify_second_identity(sa, op, None, K, F, P_T, test, ens)
+            report = verify_second_identity(sa, test)
             worst = max(worst, abs(report.residual))
         residuals.append(worst)
     assert residuals[2] < residuals[1] < residuals[0]
@@ -232,6 +218,29 @@ def test_probe_zero_delta_exact():
                              _probe_forcings(op, grid), ens)
     assert report.delta == 0.0
     np.testing.assert_array_equal(report.discrepancies, 0.0)
+
+
+def test_probe_of_another_shape_is_a_dimension_error():
+    # a (3, 2) probe on a 1-mode, 20-step grid used to end in an IndexError
+    op = OperatorSpec(1, np.array([0.0]))
+    ens = sample_brownian(TimeGrid(0.0, 1.0, 20), 200, 5)
+    K = np.array([[0.5]])
+    with pytest.raises(DimensionError, match="a probe has shape"):
+        lipschitz_probe(op, None, K, K, None, np.eye(1), [np.ones((3, 2))], ens)
+
+
+def test_probe_without_a_perturbed_K_takes_K_zero():
+    # K_perturbed=None used to end in LinAlgError: SVD did not converge
+    op = OperatorSpec(1, np.array([0.0]))
+    grid = TimeGrid(0.0, 1.0, 40)
+    ens = sample_brownian(grid, 1000, 5)
+    K = np.array([[0.5]])
+    P_T = (1.0 + np.tanh(ens.brownian_paths()[:, -1]))[:, None, None]
+    probes = _probe_forcings(op, grid)
+    got = lipschitz_probe(op, None, K, None, None, P_T, probes, ens)
+    want = lipschitz_probe(op, None, K, np.zeros((1, 1)), None, P_T, probes, ens)
+    assert got.delta == want.delta == 0.5 and got.ratio == want.ratio > 0
+    np.testing.assert_array_equal(got.discrepancies, want.discrepancies)
 
 
 def test_probe_ratio_stable_across_deltas():
@@ -305,10 +314,8 @@ def _heat4_setup(n_steps=40, n_paths=600, seed=3):
 def _check_second_equivalence(op, J, K, F, P_T, sa, ens, bias_budget, seed):
     w = ens.brownian_paths()
     tests = _mixed_tuples(describe_second_test, op, ens, seed)
-    stacked = verify_second_identities(sa, op, J, K, F, P_T, tests, ens,
-                                       bias_budget=bias_budget)
-    singles = [verify_second_identity(sa, op, J, K, F, P_T, t, ens, bias_budget=bias_budget)
-               for t in tests]
+    stacked = verify_second_identities(sa, tests, bias_budget=bias_budget)
+    singles = [verify_second_identity(sa, t, bias_budget=bias_budget) for t in tests]
     loops = [loop_second_identity(sa, op, J, K, F, P_T, t.materialize(w), ens,
                                   bias_budget=bias_budget) for t in tests]
     _assert_same_reports(stacked, singles, loops)
@@ -320,9 +327,8 @@ def test_stacked_first_identities_match_single_tuple_heat4():
     w = ens.brownian_paths()
     budget = scenario.c_bias_first * grid.dt
     tests = _mixed_tuples(describe_first_test, op, ens, 17)
-    stacked = verify_first_identities(pair, op, tests, ens, bias_budget=budget)
-    singles = [verify_first_identity(pair, op, t, ens, bias_budget=budget)
-               for t in tests]
+    stacked = verify_first_identities(pair, tests, bias_budget=budget)
+    singles = [verify_first_identity(pair, t, bias_budget=budget) for t in tests]
     loops = [loop_first_identity(pair, op, t.materialize(w), ens,
                                  bias_budget=budget) for t in tests]
     _assert_same_reports(stacked, singles, loops)
@@ -332,7 +338,7 @@ def test_stacked_second_identities_match_single_tuple_heat4_coefficient_mode():
     scenario, grid, ens, traj, pair = _heat4_setup()
     J, K, F, P_T = second_order_data(scenario, traj, pair)
     sa = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, features=pair.features)
-    assert sa.rest is None  # coefficient storage
+    assert not sa.per_path  # coefficient storage
     _check_second_equivalence(scenario.op, J, K, F, P_T, sa, ens,
                               scenario.c_bias_second * grid.dt, 29)
 
@@ -346,7 +352,7 @@ def test_stacked_second_identities_match_single_tuple_nonsymmetric_data():
     J, K, F = (scale * rng.standard_normal((grid.n_steps, n, n)) for scale in (0.3, 0.3, 1.0))
     P_T = -np.eye(n) + 0.2 * rng.standard_normal((ens.n_paths, n, n))
     sa = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, features=pair.features)
-    assert sa.rest is None  # coefficient storage
+    assert not sa.per_path  # coefficient storage
     _check_second_equivalence(scenario.op, J, K, F, P_T, sa, ens,
                               scenario.c_bias_second * grid.dt, 41)
 
@@ -374,7 +380,7 @@ def test_stacked_second_identities_match_single_tuple_dense_mode():
     F_path = np.array([[1.0, 0.1], [0.1, 0.4]]) + 0.1 * rng.standard_normal((800, 30, 2, 2))
     P_T = -np.eye(2)
     sa = solve_second_adjoint(op, J_path, K_path, F_path, P_T, ens)
-    assert sa.rest is not None
+    assert sa.per_path
     _check_second_equivalence(op, J_path, K_path, F_path, P_T, sa, ens, 0.5 * grid.dt, 37)
 
 
@@ -412,7 +418,7 @@ def test_materialize_passes_an_absent_forcing_through():
                      (None, ForcingSpec(profile, 1.3, 0.4)))
     t_index, eta, v1, v2 = spec.materialize(w)
     assert t_index == 3 and v1 is None and v2.shape == (200, 20, n)
-    got = verify_first_identity(pair, op, spec, ens)
+    got = verify_first_identity(pair, spec)
     ref = loop_first_identity(pair, op, spec.materialize(w), ens)
     for field in ("lhs", "rhs", "stderr"):
         np.testing.assert_allclose(getattr(got, field), getattr(ref, field),
@@ -433,52 +439,41 @@ def _two_mode_setup(n_paths=100):
 @pytest.mark.parametrize("shape", [(19, 2), (20, 3)])
 def test_forcing_of_wrong_shape_is_a_dimension_error(shape):
     op, grid, ens = _two_mode_setup()
-    pair = _zero_pair(grid, 2, 100, ens.fingerprint)
+    pair = _zero_pair(op, ens)
     sa = solve_second_adjoint(op, None, None, None, np.zeros((2, 2)), ens)
     bad = np.ones(shape)
     with pytest.raises(DimensionError):
-        verify_first_identity(pair, op, fixed_tuple(0, (np.zeros(2),), (bad, None)), ens)
+        verify_first_identity(pair, fixed_tuple(0, (np.zeros(2),), (bad, None)))
     with pytest.raises(DimensionError):
-        verify_second_identity(sa, op, None, None, None, np.zeros((2, 2)),
-                               fixed_tuple(0, (np.zeros(2),) * 2, (None, None, bad, None)), ens)
+        verify_second_identity(sa, fixed_tuple(0, (np.zeros(2),) * 2, (None, None, bad, None)))
 
 
 def test_tuples_other_than_descriptions_are_a_dimension_error():
     # the verifiers take only TupleSpec; raw per-path arrays are no input
     op, grid, ens = _two_mode_setup()
-    pair = _zero_pair(grid, 2, 100, ens.fingerprint)
+    pair = _zero_pair(op, ens)
     sa = solve_second_adjoint(op, None, None, None, np.zeros((2, 2)), ens)
     with pytest.raises(DimensionError, match="TupleSpec"):
-        verify_first_identity(pair, op, (0, np.zeros(2), None, None), ens)
+        verify_first_identity(pair, (0, np.zeros(2), None, None))
     with pytest.raises(DimensionError, match="TupleSpec"):
-        verify_second_identity(sa, op, None, None, None, np.zeros((2, 2)),
-                               (0, np.zeros(2), np.zeros(2), None, None, None, None), ens)
+        verify_second_identity(sa, (0, np.zeros(2), np.zeros(2), None, None, None, None))
     with pytest.raises(DimensionError, match="StartSpec"):
-        verify_first_identity(pair, op, TupleSpec(0, (np.zeros(2),), (None, None)), ens)
+        verify_first_identity(pair, TupleSpec(0, (np.zeros(2),), (None, None)))
     with pytest.raises(DimensionError, match="ForcingSpec"):
-        verify_first_identity(pair, op, TupleSpec(0, (StartSpec(np.zeros(2), np.zeros(2)),),
-                                                  (np.ones((20, 2)), None)), ens)
+        verify_first_identity(pair, TupleSpec(0, (StartSpec(np.zeros(2), np.zeros(2)),),
+                                              (np.ones((20, 2)), None)))
     with pytest.raises(DimensionError, match="2 forcings"):
-        verify_first_identity(pair, op, fixed_tuple(0, (np.zeros(2),), (None,)), ens)
-
-
-def test_terminal_matrix_of_wrong_size_is_a_dimension_error():
-    op, grid, ens = _two_mode_setup()
-    sa = solve_second_adjoint(op, None, None, None, np.zeros((2, 2)), ens)
-    test = fixed_tuple(0, (np.ones(2), np.ones(2)), (None,) * 4)
-    with pytest.raises(DimensionError):
-        verify_second_identity(sa, op, None, None, None, np.eye(3), test, ens)
+        verify_first_identity(pair, fixed_tuple(0, (np.zeros(2),), (None,)))
 
 
 def test_fractional_t_index_is_a_domain_error():
     op, grid, ens = _two_mode_setup()
-    pair = _zero_pair(grid, 2, 100, ens.fingerprint)
+    pair = _zero_pair(op, ens)
     sa = solve_second_adjoint(op, None, None, None, np.zeros((2, 2)), ens)
     with pytest.raises(DomainError):
-        verify_first_identity(pair, op, fixed_tuple(2.5, (np.zeros(2),), (None, None)), ens)
+        verify_first_identity(pair, fixed_tuple(2.5, (np.zeros(2),), (None, None)))
     with pytest.raises(DomainError):
-        verify_second_identity(sa, op, None, None, None, np.zeros((2, 2)),
-                               fixed_tuple(2.5, (np.zeros(2),) * 2, (None,) * 4), ens)
+        verify_second_identity(sa, fixed_tuple(2.5, (np.zeros(2),) * 2, (None,) * 4))
 
 
 @pytest.mark.parametrize("bad", [np.nan, 1e200])
@@ -488,12 +483,12 @@ def test_nonfinite_or_huge_forcing_diverges_in_both_verifiers(bad):
     forcing = np.ones((20, n))
     forcing[5] = bad
     with pytest.raises(SimulationDivergedError):
-        verify_first_identity(pair, op, fixed_tuple(0, (np.zeros(n),), (forcing, None)), ens)
+        verify_first_identity(pair, fixed_tuple(0, (np.zeros(n),), (forcing, None)))
     J, K, F, P_T = second_order_data(scenario, traj, pair)
     sa = solve_second_adjoint(op, J, K, F, P_T, ens, features=pair.features)
     test = fixed_tuple(0, (np.zeros(n),) * 2, (forcing, None, None, None))
     with pytest.raises(SimulationDivergedError):
-        verify_second_identity(sa, op, J, K, F, P_T, test, ens)
+        verify_second_identity(sa, test)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -516,15 +511,16 @@ def test_divergence_is_reported_at_its_step_and_path(bad):
                         control_dim=1, control_set=Box(lo=[-1.0], hi=[1.0]))
     driver = np.zeros((100, 20, 2))
     driver[path, step, 0] = bad  # b_step = S(dt) b_{step+1} - dt f_step
-    pair = _zero_pair(grid, 2, 100, ens.fingerprint, driver)
+    pair = _zero_pair(op, ens, driver)
     J = np.zeros((100, 20, 2, 2))
     J[path, step - 1, 0, 0] = bad     # x_step = S(dt) (I + dt J_{step-1}) x_{step-1}
-    sa = solve_second_adjoint(op, None, None, None, np.zeros((2, 2)), ens)
+    # the solve refuses a non-finite J, so the adjoint is mutated after it
+    sa = dataclasses.replace(solve_second_adjoint(op, None, None, None, np.zeros((2, 2)), ens),
+                             J=J)
     runs = (
         lambda: simulate_controlled(scenario, np.ones(2), OpenLoop(np.zeros((20, 1))), ens),
-        lambda: verify_first_identity(pair, op, fixed_tuple(0, (np.ones(2),), (None, None)), ens),
-        lambda: verify_second_identity(sa, op, J, None, None, np.zeros((2, 2)),
-                                       fixed_tuple(0, (np.ones(2),) * 2, (None,) * 4), ens),
+        lambda: verify_first_identity(pair, fixed_tuple(0, (np.ones(2),), (None, None))),
+        lambda: verify_second_identity(sa, fixed_tuple(0, (np.ones(2),) * 2, (None,) * 4)),
     )
     for run in runs:
         with pytest.raises(SimulationDivergedError,
@@ -564,17 +560,17 @@ def test_reports_come_back_in_input_order(order, adapted):
     w = ens.brownian_paths()
 
     tests = _ordered_tuples(op, ens, starts, 1, 2, adapted, 41)
-    stacked = verify_first_identities(pair, op, tests, ens)
+    stacked = verify_first_identities(pair, tests)
     assert [r.t_index for r in stacked] == list(starts)
     _assert_same_reports(
-        stacked, [verify_first_identity(pair, op, t, ens) for t in tests],
+        stacked, [verify_first_identity(pair, t) for t in tests],
         [loop_first_identity(pair, op, t.materialize(w), ens) for t in tests])
 
     J, K, F, P_T = second_order_data(scenario, traj, pair)
     sa = solve_second_adjoint(op, J, K, F, P_T, ens, features=pair.features)
     tests = _ordered_tuples(op, ens, starts, 2, 4, adapted, 43)
-    stacked = verify_second_identities(sa, op, J, K, F, P_T, tests, ens)
+    stacked = verify_second_identities(sa, tests)
     assert [r.t_index for r in stacked] == list(starts)
     _assert_same_reports(
-        stacked, [verify_second_identity(sa, op, J, K, F, P_T, t, ens) for t in tests],
+        stacked, [verify_second_identity(sa, t) for t in tests],
         [loop_second_identity(sa, op, J, K, F, P_T, t.materialize(w), ens) for t in tests])

@@ -94,6 +94,21 @@ def test_brownian_rows_are_the_spawned_streams(n_paths):
     np.testing.assert_array_equal(ens.increments, expected * np.sqrt(g.dt))
 
 
+@pytest.mark.parametrize("n_paths", [0, 2.5, "3", None, True])
+def test_brownian_rejects_a_path_count_that_is_not_a_positive_integer(n_paths):
+    # 2.5 and "3" used to end in a numpy or Python TypeError, True drew one path
+    with pytest.raises(DomainError, match="n_paths must be an integer >= 1"):
+        sample_brownian(grid_200(), n_paths, 1)
+
+
+def test_integer_counts_take_numpy_integers():
+    ens = sample_brownian(TimeGrid(0.0, 1.0, np.int64(20)), np.int64(3), np.uint8(4))
+    np.testing.assert_array_equal(ens.increments, sample_brownian(TimeGrid(0.0, 1.0, 20), 3, 4)
+                                  .increments)
+    with pytest.raises(DomainError, match="n_steps must be an integer"):
+        TimeGrid(0.0, 1.0, True)
+
+
 @pytest.mark.parametrize("seed", [-1, 1.0, "3", None, True])
 def test_brownian_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
     with pytest.raises(DomainError, match="seed must be a nonnegative integer"):

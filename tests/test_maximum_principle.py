@@ -380,6 +380,27 @@ def test_projected_gradient_rejects_negative_max_iters():
         projected_gradient(scenario, scenario.x0, OpenLoop(np.zeros((20, 1))), ens, max_iters=-1)
 
 
+@pytest.mark.parametrize("step_rule", [-1.0, np.nan, np.inf])
+def test_projected_gradient_rejects_a_negative_or_nonfinite_step(step_rule):
+    # a negative step ran gradient ascent to a larger J with no error, and a
+    # NaN one ended as a SimulationDivergedError at step 1
+    scenario, _ = make_lq_scalar()
+    ens = sample_brownian(TimeGrid(0.0, 1.0, 10), 200, 37)
+    with pytest.raises(DomainError, match="step_rule must be finite and nonnegative"):
+        projected_gradient(scenario, scenario.x0, OpenLoop(np.zeros((10, 1))), ens,
+                           step_rule=step_rule, max_iters=6)
+
+
+@pytest.mark.parametrize("max_iters", [2.5, "3", True])
+def test_projected_gradient_takes_only_an_integer_max_iters(max_iters):
+    # 2.5 used to fail inside range(); True counted as one iteration
+    scenario, _ = make_lq_scalar()
+    ens = sample_brownian(TimeGrid(0.0, 1.0, 10), 200, 37)
+    with pytest.raises(DomainError, match="max_iters must be a nonnegative integer"):
+        projected_gradient(scenario, scenario.x0, OpenLoop(np.zeros((10, 1))), ens,
+                           max_iters=max_iters)
+
+
 def test_projected_gradient_fixed_point_at_optimum():
     scenario, params = make_lq_scalar()
     grid = TimeGrid(0.0, 1.0, 100)

@@ -201,6 +201,16 @@ def test_dp_rejects_a_lattice_that_is_not_finite_increasing_nodes(lattice):
         dp_oracle_scalar(scenario, lattice, np.linspace(-3.0, 3.0, 41), TimeGrid(0.0, 1.0, 20))
 
 
+@pytest.mark.parametrize("u_grid", [[], [np.nan], [-1.0, np.inf], np.zeros((3, 2))])
+def test_dp_rejects_an_empty_or_nonfinite_control_grid(u_grid):
+    # an empty grid ended in numpy's reshape ValueError, a NaN one returned
+    # a NaN value without an error, and a 2-D one ended in a numpy
+    # broadcasting ValueError
+    scenario, _ = make_lq_scalar()
+    with pytest.raises(DomainError, match="control grid"):
+        dp_oracle_scalar(scenario, np.linspace(-2.0, 3.0, 101), u_grid, TimeGrid(0.0, 1.0, 20))
+
+
 # ----------------------------------------------------------------------
 # preset files
 # ----------------------------------------------------------------------

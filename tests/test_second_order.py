@@ -184,7 +184,7 @@ def test_sweep_matches_one_step_recursion():
     per_path = [np.broadcast_to(c, (n_paths,) + c.shape) for c in (J, K)]
     dense = solve_second_adjoint(op, *per_path, F, P_T, ens,
                                  features=brownian_features(ens, basis))
-    assert coeff.rest is None and dense.rest is not None
+    assert not coeff.per_path and dense.per_path
     p = P_T
     for j in range(n_steps - 1, -1, -1):
         s = _congruence_flow(op, grid.dt, p)
@@ -249,7 +249,7 @@ def test_sweep_dense_mode_pathwise_coefficients():
     rng = np.random.default_rng(4)
     K_path = 0.3 + 0.05 * rng.standard_normal((800, 30, 1, 1))
     sa = solve_second_adjoint(op, None, K_path, None, np.array([[1.0]]), ens)
-    assert sa.rest is not None
+    assert sa.per_path
     assert sa.P_paths(0).shape == (800, 1, 1)
     # sandwich between the constant-coefficient closed forms
     lo = np.exp(0.25**2)
@@ -274,7 +274,7 @@ def test_coefficient_mode_matches_dense_mode_heat4():
     coeff = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, features=pair.features)
     per_path = [np.broadcast_to(c, (n_paths,) + c.shape) for c in (J, K, F)]
     dense = solve_second_adjoint(scenario.op, *per_path, P_T, ens, features=pair.features)
-    assert coeff.rest is None and dense.rest is not None
+    assert not coeff.per_path and dense.per_path
     # path means to 1e-12; single paths carry the rounding of the unscaled
     # regression (heat4's high modes make the Gram matrix near singular), so
     # they get 1e-10
@@ -306,7 +306,7 @@ def test_coefficient_mode_matches_dense_mode_nonsymmetric():
     coeff = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, features=pair.features)
     per_path = [np.broadcast_to(c, (n_paths,) + c.shape) for c in (J, K, F)]
     dense = solve_second_adjoint(scenario.op, *per_path, P_T, ens, features=pair.features)
-    assert coeff.rest is None and dense.rest is not None
+    assert not coeff.per_path and dense.per_path
     assert max_asymmetry(coeff.P_mean(0)) > 1e-3
     for j in range(n_steps + 1):
         np.testing.assert_allclose(coeff.P_mean(j), dense.P_mean(j), rtol=0, atol=1e-12)
@@ -414,7 +414,7 @@ def test_one_read_gives_the_slices_of_P_and_Q():
     coeff = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, features=pair.features)
     per_path = [np.broadcast_to(c, (n_paths,) + c.shape) for c in (J, K, F)]
     dense = solve_second_adjoint(scenario.op, *per_path, P_T, ens, features=pair.features)
-    assert coeff.rest is None and dense.rest is not None
+    assert not coeff.per_path and dense.per_path
     for sa in (coeff, dense):
         for j in range(n_steps):
             P_j, Q_j = sa.at(j)
@@ -423,6 +423,26 @@ def test_one_read_gives_the_slices_of_P_and_Q():
         for j in (-1, n_steps, 2.5):
             with pytest.raises(DomainError):
                 sa.at(j)
+
+
+@pytest.mark.parametrize("per_path_terminal", [False, True])
+def test_the_solved_adjoint_keeps_the_checked_equation(per_path_terminal):
+    # the duality verifier reads the equation off the adjoint, so it holds
+    # the data the sweep used: J, K, F as checked, and P_T before its
+    # per-path broadcast
+    op, grid, data = _coefficients()
+    ens = sample_brownian(grid, 200, 13)
+    data["J"], data["F"] = data["J"].tolist(), None
+    if per_path_terminal:
+        data["P_T"] = np.eye(4) + 0.1 * ens.brownian_paths()[:, -1, None, None]
+    sa = solve_second_adjoint(op, ens=ens, **data)
+    assert sa.op is op and sa.ens is ens and sa.F is None and not sa.per_path
+    assert sa.K is data["K"] and sa.P_T is data["P_T"]
+    assert sa.J.dtype == float and sa.J.shape == (10, 4, 4)
+    np.testing.assert_array_equal(sa.J, data["J"])
+    assert sa.P_terminal.shape == (200, 4, 4)
+    np.testing.assert_array_equal(sa.P_terminal, np.broadcast_to(sa.P_T, (200, 4, 4)))
+    assert not hasattr(sa, "rest")
 
 
 # ----------------------------------------------------------------------
