@@ -64,6 +64,7 @@ from .errors import DimensionError
 from .forward import (  # noqa: F401
     _check_finite,
     at_step,
+    check_budget,
     check_step,
     iter_linear_test,
     iter_linearized,
@@ -244,16 +245,16 @@ def _coeff_step(coeff, j):
 
 class _StepForcing(NamedTuple):
     """One forcing slot of the m active tuples at one step, factored: row k
-    is profile[k] (n,) times modulation[k] (P,), a modulation of None being
-    1."""
+    is profile[k] (n,) times sines[i] (P,) if k = rows[i] is adapted, else 1."""
 
     profile: np.ndarray
-    modulation: Optional[np.ndarray]
+    rows: np.ndarray
+    sines: Optional[np.ndarray]
 
     def modulate(self, out):
         """Scale per-tuple pairings (m, P) of the profiles by the modulation."""
-        if self.modulation is not None:
-            out *= self.modulation
+        if self.sines is not None:
+            out[self.rows] *= self.sines
         return out
 
     def pair(self, V):
@@ -276,9 +277,8 @@ class _Forcing:
     (N, K, n), zero before their tuple's t_index, with the frequency and
     phase of the adapted ones."""
 
-    def __init__(self, entries, t_indices, N, n, n_paths):
+    def __init__(self, entries, t_indices, N, n):
         self.present = any(e is not None for e in entries)
-        self.n_paths = n_paths
         self.profiles = np.zeros((N, len(entries), n))
         adapted = []
         for k, (entry, t) in enumerate(zip(entries, t_indices)):
@@ -295,24 +295,22 @@ class _Forcing:
         self.phase = np.array([p for _, _, p in adapted])[:, None]
 
     def at(self, j, m, w_j):
-        """The slot at step j over the first m tuples, or None if no tuple
-        has this forcing."""
+        """The slot at step j over the first m tuples, given the Brownian
+        path row w_j (P,), or None if no tuple has this forcing."""
         if not self.present:
             return None
-        modulation = None
         a = int(np.searchsorted(self.rows, m))  # adapted rows among the m
-        if a:
-            modulation = np.ones((m, self.n_paths))
-            modulation[self.rows[:a]] = np.sin(self.freq[:a] * w_j + self.phase[:a])
-        return _StepForcing(self.profiles[j, :m], modulation)
+        sines = np.sin(self.freq[:a] * w_j + self.phase[:a]) if a else None
+        return _StepForcing(self.profiles[j, :m], self.rows[:a], sines)
 
 
 class _Tuples:
     """K test tuples sorted by t_index, so that those active at step j
     (t_index <= j) are the first m: their initial data and forcing slots.
-    ``reports`` hands the results back in input order."""
+    ``reports`` hands the results back in input order, under checked budgets."""
 
-    def __init__(self, tests, n_starts, n_forcings, op, ens):
+    def __init__(self, tests, n_starts, n_forcings, op, ens, bias_budget, k_sigma):
+        self.budgets = (check_budget(bias_budget, "bias_budget"), check_budget(k_sigma, "k_sigma"))
         grid = ens.grid
         self.N, self.dt, self.n, self.P = grid.n_steps, grid.dt, op.n_modes, ens.n_paths
         self.K = len(tests)
@@ -333,11 +331,9 @@ class _Tuples:
         self.t_index = np.array([t_indices[k] for k in self.order], dtype=int)
         self.starts = [tests[k].starts for k in self.order]
         self.forcings = [
-            _Forcing([tests[k].forcings[i] for k in self.order], self.t_index, self.N, self.n,
-                     self.P)
+            _Forcing([tests[k].forcings[i] for k in self.order], self.t_index, self.N, self.n)
             for i in range(n_forcings)
         ]
-        self.w = ens.brownian_paths()
         self.first = int(self.t_index[0]) if self.K else self.N + 1
         self.decay = np.exp(op.eigenvalues * self.dt)
         self.increments = ens.increments
@@ -353,14 +349,14 @@ class _Tuples:
         """The (sorted) tuples that start at step j."""
         return range(int(np.searchsorted(self.t_index, j)), self.active(j))
 
-    def start(self, k, i):
-        """Initial datum i of sorted tuple k, per path (P, n)."""
-        return self.starts[k][i].at(self.w[:, self.t_index[k]])
+    def start(self, k, i, w_t):
+        """Initial datum i of sorted tuple k, per path (P, n), at path row w_t."""
+        return self.starts[k][i].at(w_t)
 
-    def forcings_at(self, j, m):
-        return [f.at(j, m, self.w[:, j]) for f in self.forcings]
+    def forcings_at(self, j, m, w_j):
+        return [f.at(j, m, w_j) for f in self.forcings]
 
-    def reports(self, identity, lhs, rhs, bias_budget, k_sigma):
+    def reports(self, identity, lhs, rhs):
         resid = lhs - rhs
         if self.P > 1:
             stderr = resid.std(axis=1, ddof=1) / np.sqrt(self.P)
@@ -370,7 +366,7 @@ class _Tuples:
         for k, t, lo, hi, se in zip(self.order, self.t_index, lhs.mean(axis=1),
                                     rhs.mean(axis=1), stderr):
             out[k] = IdentityReport(identity, int(t), float(lo), float(hi), float(se), self.P,
-                                    self.dt, bias_budget, k_sigma)
+                                    self.dt, *self.budgets)
         return out
 
 
@@ -383,15 +379,16 @@ def verify_first_identities(pair, tests, bias_budget=0.0, k_sigma=3.0):
     ``StartSpec``, v1 and v2 a ``ForcingSpec`` or None.  The lhs is taken by
     summation by parts against b_j (see the module docstring), so no test
     state is simulated."""
-    tuples = _Tuples(tests, 1, 2, pair.op, pair.ens)
+    tuples = _Tuples(tests, 1, 2, pair.op, pair.ens, bias_budget, k_sigma)
     N, dt = tuples.N, tuples.dt
+    w = pair.ens.brownian_paths()  # read backward, so held whole
     lhs, rhs = tuples.zeros(), tuples.zeros()
     b = y_j = pair.y_T
     for j in range(N, tuples.first - 1, -1):
         m = tuples.active(j)
         if j < N:
             Sb = b * tuples.decay
-            v1, v2 = tuples.forcings_at(j, m)
+            v1, v2 = tuples.forcings_at(j, m, w[:, j])
             # the pair's own driver, from the same read as (y_j, Y_j)
             y_j, Y_j, f_j = pair.at(j, with_driver=True)
             b = Sb - dt * f_j
@@ -406,12 +403,12 @@ def verify_first_identities(pair, tests, bias_budget=0.0, k_sigma=3.0):
                 rhs[:m] += dt * v2.pair(Y_j)
             _check_finite(b, j)
         for k in tuples.starting(j):
-            eta = tuples.start(k, 0)
+            eta = tuples.start(k, 0, w[:, j])
             lhs[k] += np.einsum("pi,pi->p", eta, b)
             rhs[k] += np.einsum("pi,pi->p", eta, y_j)
         _check_finite(lhs[:m], j, path_axis=1)
         _check_finite(rhs[:m], j, path_axis=1)
-    return tuples.reports("first", lhs, rhs, bias_budget, k_sigma)
+    return tuples.reports("first", lhs, rhs)
 
 
 def verify_first_identity(pair, test, bias_budget=0.0, k_sigma=3.0):
@@ -420,35 +417,39 @@ def verify_first_identity(pair, test, bias_budget=0.0, k_sigma=3.0):
     return verify_first_identities(pair, [test], bias_budget, k_sigma)[0]
 
 
-def _step_states(xa, out, SG, SK, u, v, dt, dw, decay):
+def _step_states(x, block, SG, SK, u, v, dt, dw, decay):
     """x_{j+1} = S(dt) (x + (J x + u) dt + (K x + v) dw) for the m test states
-    of the blocks xa (m, 2n+2, P), written into out (m, n, P).  A block is
-    [x; dw x; dt u modulation; dw v modulation], so with J and K the same on
-    every path the step is one batched product with [S(dt) (I + dt J),
-    S(dt) K, S(dt) u profile, S(dt) v profile]; SG = S(dt) (I + dt J) and SK
-    = S(dt) K (None when K is) that differ per path are applied apart."""
-    m, n = out.shape[:2]
-    x, dw_x = xa[:, :n], xa[:, n:2 * n]
+    x (m, n, P), in place, through the step block (m, 2n+2, P), which the
+    states share.  A block is [x; dw x; dt u modulation; dw v modulation],
+    so with J and K the same on every path the step is one batched product
+    with [S(dt) (I + dt J), S(dt) K, S(dt) u profile, S(dt) v profile]; SG =
+    S(dt) (I + dt J) and SK = S(dt) K (None when K is) that differ per path
+    are applied apart."""
+    m, n = x.shape[:2]
+    block[:, :n] = x
+    z, dw_z = block[:, :n], block[:, n:2 * n]
     cols = np.zeros((m, n, 2 * n + 2))
     per_path = []
     if SG.ndim == 2:
         cols[:, :, :n] = SG
     else:
-        per_path.append((SG, x))
+        per_path.append((SG, z))
     if SK is not None:
-        np.multiply(x, dw, out=dw_x)
+        np.multiply(z, dw, out=dw_z)
         if SK.ndim == 2:
             cols[:, :, n:2 * n] = SK
         else:
-            per_path.append((SK, dw_x))
+            per_path.append((SK, dw_z))
     for row, f, coef in ((2 * n, u, dt), (2 * n + 1, v, dw)):
+        # the other state's forcing may be in this row, and 0 x inf is NaN
+        block[:, row] = 0.0 if f is None else coef
         if f is not None:
-            xa[:, row] = coef if f.modulation is None else f.modulation * coef
+            f.modulate(block[:, row])
             cols[:, :, row] = f.profile * decay
-    np.matmul(cols, xa, out=out)
+    np.matmul(cols, block, out=x)
     for M, z in per_path:
-        out += _apply(M, z)
-    return out
+        x += _apply(M, z)
+    return x
 
 
 def verify_second_identities(sa, tests, bias_budget=0.0, k_sigma=3.0):
@@ -462,27 +463,31 @@ def verify_second_identities(sa, tests, bias_budget=0.0, k_sigma=3.0):
     The pairings are grouped by what the forcings meet: <x2, P u1 + (Q +
     K*P) v1> + <P* u2 + (P K + Q)* v2, x1> + <v2, P v1>, each matrix times
     a forcing profile being one product on P_j or Q_j with paths innermost."""
-    tuples = _Tuples(tests, 2, 4, sa.op, sa.ens)
+    tuples = _Tuples(tests, 2, 4, sa.op, sa.ens, bias_budget, k_sigma)
     N, dt, n, P = tuples.N, tuples.dt, tuples.n, tuples.P
     decay = tuples.decay
 
     lhs, rhs = tuples.zeros(), tuples.zeros()
-    # test-state blocks (K, 2n+2, P), paths innermost (see _step_states);
-    # each steps into its spare
-    x1, x2, spare1, spare2 = (np.zeros((tuples.K, 2 * n + 2, P)) for _ in range(4))
+    # the test states (K, n, P), paths innermost, and the step block they
+    # share (see _step_states)
+    x1, x2 = np.zeros((tuples.K, n, P)), np.zeros((tuples.K, n, P))
+    block = np.zeros((tuples.K, 2 * n + 2, P))
+    w = np.zeros(P)  # w_j as a running sum, added in the order np.cumsum adds
+    for dw in tuples.increments.T[:tuples.first]:
+        w += dw
     for j in range(tuples.first, N + 1):
         m = tuples.active(j)
         new = tuples.starting(j)
         for k in new:
-            x1[k, :n], x2[k, :n] = (tuples.start(k, i).T for i in (0, 1))
-        a1, a2 = x1[:m, :n], x2[:m, :n]
+            x1[k], x2[k] = (tuples.start(k, i, w).T for i in (0, 1))
+        a1, a2 = x1[:m], x2[:m]
         P_j, Q_j = (sa.P_paths(N), None) if j == N else sa.at(j)
         if new:
             rhs[new.start:new.stop] += _dot(a2[new.start:], _apply(P_j, a1[new.start:]))
         if j == N:
             lhs[:m] += _dot(a2, _apply(sa.P_T, a1))
             break
-        u1, u2, v1, v2 = tuples.forcings_at(j, m)
+        u1, u2, v1, v2 = tuples.forcings_at(j, m, w)
         Jj, Kj, Fj = (_coeff_step(c, j) for c in (sa.J, sa.K, sa.F))
         if Fj is not None:
             lhs[:m] -= dt * _dot(a2, _apply(Fj, a1))
@@ -514,11 +519,11 @@ def verify_second_identities(sa, tests, bias_budget=0.0, k_sigma=3.0):
         SG = decay[:, None] * (np.eye(n) if Jj is None else np.eye(n) + dt * Jj)
         SK = None if Kj is None else decay[:, None] * Kj
         dw = tuples.increments[:, j]
-        for x, spare, u, v in ((x1, spare1, u1, v1), (x2, spare2, u2, v2)):
-            _check_finite(_step_states(x[:m], spare[:m, :n], SG, SK, u, v, dt, dw, decay),
+        for x, u, v in ((x1, u1, v1), (x2, u2, v2)):
+            _check_finite(_step_states(x[:m], block[:m], SG, SK, u, v, dt, dw, decay),
                           j + 1, path_axis=2)
-        x1, spare1, x2, spare2 = spare1, x1, spare2, x2
-    return tuples.reports("second", lhs, rhs, bias_budget, k_sigma)
+        w += dw
+    return tuples.reports("second", lhs, rhs)
 
 
 def verify_second_identity(sa, test, bias_budget=0.0, k_sigma=3.0):

@@ -16,6 +16,7 @@ strided read per path.  A control shared by every path is stored once, as
 its (n_steps, m) block, and recorded as a read-only broadcast of it.
 """
 
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -67,6 +68,15 @@ def check_integer(value, least, message):
     except TypeError:
         pass
     raise DomainError(message)
+
+
+def check_budget(value, what):
+    """``value`` as a finite, nonnegative float, the one rule for a pass-rule
+    allowance (``bias_budget``, ``k_sigma``); DomainError naming ``what``
+    otherwise."""
+    if isinstance(value, numbers.Real) and np.isfinite(value) and value >= 0:
+        return float(value)
+    raise DomainError(f"{what} must be finite and nonnegative (got {value!r})")
 
 
 def check_step(j, last, what="step"):

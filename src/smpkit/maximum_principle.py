@@ -20,8 +20,8 @@ import numpy as np
 
 from .adjoint import check_same_ensemble, solve_first_adjoint
 from .errors import DomainError, StepRuleError, WrongTheoremError
-from .forward import (Feedback, OpenLoop, _Projected, check_integer, check_step, cost_paths,
-                      path_constant_steps, simulate_controlled, step_major)
+from .forward import (Feedback, OpenLoop, _Projected, check_budget, check_integer, check_step,
+                      cost_paths, path_constant_steps, simulate_controlled, step_major)
 from .second_order import solve_second_adjoint
 
 TOL_STEP = 1e-6  # projected_gradient stops once an update is shorter than this
@@ -189,6 +189,8 @@ def solve_adjoints(scenario, traj, ens):
 def check_condition(scenario, traj, pair, sa, u_grid, t_grid, bias_budget=0.0,
                     k_sigma=3.0):
     """Aggregate the spike functional over a (t, u) grid into an MPReport."""
+    bias_budget = check_budget(bias_budget, "bias_budget")
+    k_sigma = check_budget(k_sigma, "k_sigma")
     u_grid = np.atleast_2d(np.asarray(u_grid, dtype=float))
     if u_grid.size == 0:
         raise DomainError("empty control grid makes the condition vacuous")

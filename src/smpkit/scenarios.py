@@ -442,6 +442,9 @@ def build_preset(cfg):
         args[key] = _checked_value(key, value, params[key].default)
     if not args["T"] > 0:
         raise ConfigError(f"preset key T: the horizon must be positive (got {args['T']})")
+    for key in ("c_bias_first", "c_bias_second"):
+        if args.get(key, 0.0) < 0:
+            raise ConfigError(f"preset key {key}: must be nonnegative (got {args[key]})")
     try:
         built = builder(**args)
     except DomainError as exc:

@@ -108,7 +108,8 @@ class SecondOrderAdjoint:
     them (P_T (n, n) or per path), kept as per-step regression coefficients
     on ``features``: P_j = X_j beta_P[j] + rest_j and Q_j = X_j beta_Q[j],
     with a per-path rest only when J, K or F is path-indexed
-    (``per_path``).
+    (``per_path``).  A datum without a path axis is the solve's own read-only
+    copy; a per-path one stays the caller's, so a write into it is a new equation.
 
     ``at(j)`` reads (P_j, Q_j), each (n_paths, n, n), from the two products
     X_j beta_P[j] and X_j beta_Q[j], and forms the rest from those same
@@ -192,7 +193,10 @@ def solve_second_adjoint(op, J, K, F, P_T, ens, features=None):
     if features.states.shape[:2] != (P, N + 1):
         raise DimensionError("features must cover every path and step")
 
-    J, K, F, P_T = coefficients(J, K, F, P_T, n, N, P)
+    # a read-only view of an owned copy of each datum without a path axis (at
+    # most N n^2 floats), so a later write by the caller leaves the equation be
+    J, K, F, P_T = (c if c is None or c.ndim == path_ndim else np.broadcast_to(c.copy(), c.shape)
+                    for c, path_ndim in zip(coefficients(J, K, F, P_T, n, N, P), (4, 4, 4, 3)))
     P_T_paths = np.broadcast_to(P_T, (P, n, n))
     # F is checked step by step in the update, never copied whole
     sym_data = max_asymmetry(P_T_paths) <= 1e-12

@@ -229,6 +229,8 @@ BAD_PRESETS = {
     "malformed_line": ("kind = lq_scalar\nthis is not a pair\n", "bad preset line"),
     "heat_x0_wrong_length": ("kind = heat\nn_modes = 4\nx0 = 1.0, 0.5, 0.25\n", "x0 has 3 entries"),
     "zero_horizon": ("kind = lq_scalar\nT = 0\n", "preset key T"),
+    "negative_bias": ("kind = heat\nc_bias_second = -1.0\n",
+                      "preset key c_bias_second: must be nonnegative"),
 }
 MATRIX_MISUSE = {
     command: [command] for command in ("simulate-forward", "solve-adjoint", "check-mp", "optimize",

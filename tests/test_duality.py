@@ -11,7 +11,7 @@ from duality_reference import (
     loop_second_identity,
 )
 from adjoint_reference import dense_pair
-from helpers import deterministic_data_scenario
+from helpers import deterministic_data_scenario, traced_peak
 
 from smpkit.adjoint import solve_first_adjoint
 from smpkit.duality import (
@@ -33,8 +33,16 @@ from smpkit.errors import (
     DomainError,
     SimulationDivergedError,
 )
-from smpkit.forward import Box, OpenLoop, Scenario, TimeGrid, sample_brownian, simulate_controlled
-from smpkit.maximum_principle import second_order_data
+from smpkit.forward import (
+    Box,
+    BrownianEnsemble,
+    OpenLoop,
+    Scenario,
+    TimeGrid,
+    sample_brownian,
+    simulate_controlled,
+)
+from smpkit.maximum_principle import check_condition, second_order_data
 from smpkit.scenarios import build_preset, load_preset
 from smpkit.second_order import lyapunov_oracle, solve_second_adjoint
 from smpkit.spectral import OperatorSpec, make_dirichlet_laplacian
@@ -574,3 +582,60 @@ def test_reports_come_back_in_input_order(order, adapted):
     _assert_same_reports(
         stacked, [verify_second_identity(sa, t) for t in tests],
         [loop_second_identity(sa, op, J, K, F, P_T, t.materialize(w), ens) for t in tests])
+
+
+def _heat4_adjoints(n_steps, n_paths):
+    scenario, grid, ens, traj, pair = _heat4_setup(n_steps=n_steps, n_paths=n_paths)
+    J, K, F, P_T = second_order_data(scenario, traj, pair)
+    sa = solve_second_adjoint(scenario.op, J, K, F, P_T, ens, features=pair.features)
+    return scenario, ens, traj, pair, sa, (J, K, F, P_T)
+
+
+def test_second_verifier_never_builds_the_brownian_path(monkeypatch):
+    # w_j is carried as a running sum, equal to the built path's column j,
+    # a tuple that starts at t_index = N included
+    scenario, ens, traj, pair, sa, data = _heat4_adjoints(20, 200)
+    op = scenario.op
+    tests = _mixed_tuples(describe_second_test, op, ens, 23)
+    tests.append(dataclasses.replace(tests[0], t_index=20))
+    w = ens.brownian_paths()
+    loops = [loop_second_identity(sa, op, *data, t.materialize(w), ens) for t in tests]
+
+    def refuse(self):
+        raise AssertionError("the second-order verifier built the Brownian path")
+
+    monkeypatch.setattr(BrownianEnsemble, "brownian_paths", refuse)
+    _assert_same_reports(verify_second_identities(sa, tests),
+                         [verify_second_identity(sa, t) for t in tests], loops)
+
+
+def test_second_verifier_memory_does_not_grow_with_the_step_count():
+    # the verifier holds what one step needs, so from 50 to 200 steps its
+    # traced peak grows only by the (N, K, n) forcing profiles; a (P, N+1)
+    # Brownian path would add 2.4 MB at 2000 paths
+    peaks = []
+    for n_steps in (50, 200):
+        scenario, ens, traj, pair, sa, _ = _heat4_adjoints(n_steps, 2000)
+        tests = [describe_second_test(scenario.op, ens, np.random.default_rng([29, i]))
+                 for i in range(5)]
+        peaks.append(traced_peak(verify_second_identities, sa, tests)[0])
+    assert peaks[1] - peaks[0] < 0.5e6, peaks
+
+
+@pytest.mark.parametrize("name", ["bias_budget", "k_sigma"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_verdict_budgets_must_be_finite_and_nonnegative(name, bad):
+    # an infinite budget passed every tuple and NaN failed every tuple,
+    # both without an error
+    scenario, ens, traj, pair, sa, _ = _heat4_adjoints(20, 200)
+    rng = np.random.default_rng(5)
+    budget = {name: bad}
+    runs = (
+        lambda: verify_first_identities(pair, [describe_first_test(scenario.op, ens, rng)],
+                                        **budget),
+        lambda: verify_second_identity(sa, describe_second_test(scenario.op, ens, rng), **budget),
+        lambda: check_condition(scenario, traj, pair, sa, [[0.0, 0.0]], [0], **budget),
+    )
+    for run in runs:
+        with pytest.raises(DomainError, match=f"^{name} must be finite and nonnegative"):
+            run()

@@ -263,8 +263,12 @@ def test_calibrated_bias_constants_reach_built_problem():
     ("kind = lq_scalar\nx0 = 1.0, abc\n", "x0"),
     ("kind = heat\nn_modes = 1\ncontrol_dim = 2\n", "n_modes"),
     ("sigma = 0.3\n", "kind"),
+    ("kind = heat\nc_bias_second = -1.0\n", "c_bias_second"),
+    ("kind = lq_scalar\nc_bias_first = -0.2\n", "c_bias_first"),
+    ("kind = matrix_scalar\nc_bias_second = -0.5\n", "c_bias_second"),
 ], ids=["int_below_1", "int_not_integer", "nan", "inf", "negative_T", "bad_list",
-        "modes_below_controls", "no_kind"])
+        "modes_below_controls", "no_kind", "negative_bias_heat", "negative_bias_lq",
+        "negative_bias_matrix"])
 def test_build_preset_rejects_bad_values(text, key):
     with pytest.raises(ConfigError, match=key):
         build_preset(parse_preset_text(text))

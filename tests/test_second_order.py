@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from smpkit.adjoint import RegressionBasis, StepFeatures, solve_first_adjoint
+from smpkit.duality import describe_second_test, verify_second_identities
 from smpkit.errors import DimensionError, DomainError, EnsembleMismatchError
 from smpkit.forward import OpenLoop, TimeGrid, sample_brownian, simulate_controlled
 from smpkit.maximum_principle import second_order_data
@@ -437,12 +438,32 @@ def test_the_solved_adjoint_keeps_the_checked_equation(per_path_terminal):
         data["P_T"] = np.eye(4) + 0.1 * ens.brownian_paths()[:, -1, None, None]
     sa = solve_second_adjoint(op, ens=ens, **data)
     assert sa.op is op and sa.ens is ens and sa.F is None and not sa.per_path
-    assert sa.K is data["K"] and sa.P_T is data["P_T"]
+    # a datum without a path axis is the solve's own read-only copy; a
+    # per-path P_T stays the caller's array
+    assert sa.K is not data["K"] and not sa.K.flags.writeable
+    np.testing.assert_array_equal(sa.K, data["K"])
+    assert (sa.P_T is data["P_T"]) == per_path_terminal
+    np.testing.assert_array_equal(sa.P_T, data["P_T"])
     assert sa.J.dtype == float and sa.J.shape == (10, 4, 4)
     np.testing.assert_array_equal(sa.J, data["J"])
     assert sa.P_terminal.shape == (200, 4, 4)
     np.testing.assert_array_equal(sa.P_terminal, np.broadcast_to(sa.P_T, (200, 4, 4)))
     assert not hasattr(sa, "rest")
+
+
+def test_a_write_into_the_callers_data_after_the_solve_leaves_the_equation():
+    # mat_scalar-like data: the verifier reads the equation off the adjoint,
+    # so writing into the arrays the solve was given moves no verdict
+    op = OperatorSpec(1, np.array([0.0]))
+    ens = sample_brownian(TimeGrid(0.0, 1.0, 20), 400, 7)
+    K, F, P_T = np.array([[0.5]]), np.array([[1.0]]), np.array([[-1.0]])
+    sa = solve_second_adjoint(op, None, K, F, P_T, ens)
+    tests = [describe_second_test(op, ens, np.random.default_rng([3, i])) for i in range(3)]
+    before = verify_second_identities(sa, tests)
+    K[0, 0], F[0, 0], P_T[0, 0] = 2.0, -3.0, 5.0
+    after = verify_second_identities(sa, tests)
+    assert [(r.lhs, r.rhs) for r in after] == [(r.lhs, r.rhs) for r in before]
+    assert (sa.K[0, 0], sa.F[0, 0], sa.P_T[0, 0]) == (0.5, 1.0, -1.0)
 
 
 # ----------------------------------------------------------------------
